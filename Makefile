@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint lint-audit test race fuzz bench bench-diff cover ci
+.PHONY: all build vet lint lint-audit test race fuzz bench bench-diff bench-smoke cover ci
 
 all: build lint test
 
@@ -33,10 +33,13 @@ test:
 # {clean, faulted} sweep of the adaptive lookahead, and the burst data
 # plane's ring-flush equivalence against the per-packet path), plus the
 # flow-control chaos matrix (adaptive-vs-static gate on goodput and
-# retrans_abandoned_total, and same-seed replay determinism).
+# retrans_abandoned_total, and same-seed replay determinism). RACE_TESTBED is
+# the testbed list; ci.yml's race and backbone-determinism jobs run the same
+# names — keep them in step.
+RACE_TESTBED = TestChaosHandoffStagesWorkers4|TestWorkersReproduceSequentialTrace|TestWindowLookaheadInvariant|TestShardedTieBreakOrdering|TestBackboneDeterminism|TestBackboneBurstDeterminism|TestBackboneGolden|TestBurstMatchesPerPacketTrace|TestFlowControlAdaptiveBeatsStatic|TestFlowChaosDeterminism
 race:
-	$(GO) test -race -count=1 ./internal/transport ./internal/core ./internal/flowctl ./internal/obs/... ./internal/event .
-	$(GO) test -race -count=1 -run 'TestChaosHandoffStagesWorkers4|TestWorkersReproduceSequentialTrace|TestWindowLookaheadInvariant|TestShardedTieBreakOrdering|TestBackboneDeterminism|TestBackboneBurstDeterminism|TestBurstMatchesPerPacketTrace|TestFlowControlAdaptiveBeatsStatic|TestFlowChaosDeterminism' ./internal/testbed
+	$(GO) test -race -count=1 ./internal/transport ./internal/core ./internal/flowctl ./internal/obs/... ./internal/event ./internal/copss ./internal/bloom .
+	$(GO) test -race -count=1 -run '$(RACE_TESTBED)' ./internal/testbed
 
 # bench runs the paper-experiment benchmarks (module root, including the
 # backbone-scale parallel sweep, the burst data-plane amortization and the
@@ -58,12 +61,20 @@ BENCH_BASELINE = BENCH_9.json
 bench-diff: bench
 	$(GO) run ./cmd/benchjson -diff $(if $(THRESHOLD),-threshold $(THRESHOLD)) $(BENCH_BASELINE) BENCH_10.json
 
+# bench-smoke compiles and smoke-tests the repository benchmark. bench/ is a
+# module of its own (BENCHMARK.json runs it with `sh bench/run.sh`), so
+# `go build ./...` and `go test ./...` at the root never see it; its smoke
+# test drives all eight modes for 0.3 s each with the correctness checks on.
+bench-smoke:
+	cd bench && $(GO) vet ./... && $(GO) test -count=1 ./...
+
 # fuzz is a short smoke of the native fuzz targets; CI runs the same.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzDecode -fuzztime=20s ./internal/wire
 	$(GO) test -run='^$$' -fuzz=FuzzMigrationHandoff -fuzztime=30s ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzFaultSchedule -fuzztime=20s ./internal/faultnet
 	$(GO) test -run='^$$' -fuzz=FuzzWindowEstimator -fuzztime=20s ./internal/flowctl
+	$(GO) test -run='^$$' -fuzz=FuzzEventHeap -fuzztime=20s ./internal/event
 
 # cover gates statement coverage on the reliability-critical packages: the
 # router core (ARQ, migration), the broker (QR fetch retry), the fault
@@ -82,4 +93,4 @@ cover:
 	    { echo "FAIL: $$pkg coverage $$pct% is below $(COVER_MIN)%"; exit 1; }; \
 	done
 
-ci: build lint test race cover fuzz
+ci: build lint test bench-smoke race cover fuzz

@@ -12,24 +12,26 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"math/bits"
 )
 
 // Filter is a fixed-size Bloom filter. The zero value is unusable; construct
 // with New or NewWithEstimates.
 type Filter struct {
 	bits []uint64
-	m    uint64 // number of bits
+	m    uint64 // number of bits, a power of two: probes index with h & (m-1)
 	k    uint64 // number of hash functions
 	n    uint64 // number of inserted elements (approximate if duplicates)
 }
 
 // New creates a filter with m bits and k hash functions. m is rounded up to
-// a multiple of 64 and forced to be at least 64; k is clamped to [1, 32].
+// a power of two of at least 64, so that a probe is a mask and not a
+// division; k is clamped to [1, 32].
 func New(m, k uint64) *Filter {
 	if m < 64 {
 		m = 64
 	}
-	m = (m + 63) / 64 * 64
+	m = 1 << bits.Len64(m-1)
 	if k < 1 {
 		k = 1
 	}
@@ -40,7 +42,8 @@ func New(m, k uint64) *Filter {
 }
 
 // NewWithEstimates creates a filter sized for n expected elements at the
-// given target false-positive probability p (0 < p < 1).
+// given target false-positive probability p (0 < p < 1). New's rounding only
+// adds bits, so the rate can only come out lower than asked.
 func NewWithEstimates(n uint64, p float64) *Filter {
 	if n == 0 {
 		n = 1
@@ -89,11 +92,14 @@ func (f *Filter) Add(data []byte) {
 	f.AddPair(Hash(data))
 }
 
-// AddPair inserts a precomputed key.
+// AddPair inserts a precomputed key. Probe i lands on bit (H1 + i·H2) mod m,
+// reached by stepping h and masking.
 func (f *Filter) AddPair(p HashPair) {
+	mask, h := f.m-1, p.H1
 	for i := uint64(0); i < f.k; i++ {
-		idx := (p.H1 + i*p.H2) % f.m
+		idx := h & mask
 		f.bits[idx/64] |= 1 << (idx % 64)
+		h += p.H2
 	}
 	f.n++
 }
@@ -110,11 +116,13 @@ func (f *Filter) Test(data []byte) bool {
 // TestPair probes with a precomputed key — the "simple bit comparison" fast
 // path of the first-hop hash optimization.
 func (f *Filter) TestPair(p HashPair) bool {
+	mask, h := f.m-1, p.H1
 	for i := uint64(0); i < f.k; i++ {
-		idx := (p.H1 + i*p.H2) % f.m
+		idx := h & mask
 		if f.bits[idx/64]&(1<<(idx%64)) == 0 {
 			return false
 		}
+		h += p.H2
 	}
 	return true
 }
@@ -144,7 +152,7 @@ func (f *Filter) Hashes() uint64 { return f.k }
 func (f *Filter) FillRatio() float64 {
 	var set int
 	for _, w := range f.bits {
-		set += popcount(w)
+		set += bits.OnesCount64(w)
 	}
 	return float64(set) / float64(f.m)
 }
@@ -196,7 +204,7 @@ func (f *Filter) UnmarshalBinary(data []byte) error {
 	m := binary.BigEndian.Uint64(data[0:])
 	k := binary.BigEndian.Uint64(data[8:])
 	n := binary.BigEndian.Uint64(data[16:])
-	if m == 0 || m%64 != 0 || uint64(len(data)-24) != m/8 {
+	if m < 64 || m&(m-1) != 0 || uint64(len(data)-24) != m/8 {
 		return fmt.Errorf("bloom: inconsistent geometry m=%d len=%d", m, len(data))
 	}
 	f.m, f.k, f.n = m, k, n
@@ -205,12 +213,4 @@ func (f *Filter) UnmarshalBinary(data []byte) error {
 		f.bits[i] = binary.BigEndian.Uint64(data[24+i*8:])
 	}
 	return nil
-}
-
-func popcount(x uint64) int {
-	// Hacker's Delight bit-twiddling population count.
-	x -= (x >> 1) & 0x5555555555555555
-	x = (x & 0x3333333333333333) + ((x >> 2) & 0x3333333333333333)
-	x = (x + (x >> 4)) & 0x0f0f0f0f0f0f0f0f
-	return int((x * 0x0101010101010101) >> 56)
 }

@@ -70,7 +70,7 @@ func TestGeometryClamping(t *testing.T) {
 		t.Errorf("clamped geometry = (%d,%d)", f.Bits(), f.Hashes())
 	}
 	f = New(100, 100)
-	if f.Bits()%64 != 0 || f.Hashes() != 32 {
+	if f.Bits() != 128 || f.Hashes() != 32 {
 		t.Errorf("clamped geometry = (%d,%d)", f.Bits(), f.Hashes())
 	}
 	f = NewWithEstimates(0, 2.0) // degenerate inputs fall back to defaults
@@ -146,6 +146,70 @@ func TestMarshalRoundTrip(t *testing.T) {
 	}
 	if err := b.UnmarshalBinary(data[:30]); err == nil {
 		t.Error("UnmarshalBinary should reject inconsistent lengths")
+	}
+	// 192 bits with a matching body: consistent, but not a size the masked
+	// probe can index.
+	odd := make([]byte, 24+192/8)
+	odd[7], odd[15] = 192, 3
+	if err := b.UnmarshalBinary(odd); err == nil {
+		t.Error("UnmarshalBinary should reject a size that is not a power of two")
+	}
+}
+
+// TestMaskedProbeMatchesModulo pins the probe positions: for every
+// power-of-two size the stepped, masked index must set and test exactly the
+// bits of the textbook (H1 + i·H2) mod m, written out here as the reference.
+func TestMaskedProbeMatchesModulo(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	pairs := make([]HashPair, 10000)
+	for i := range pairs {
+		pairs[i] = HashPair{H1: r.Uint64(), H2: r.Uint64()}
+	}
+	const k = 5
+	for m := uint64(64); m <= 65536; m *= 2 {
+		f := New(m, k)
+		want := make([]uint64, m/64)
+		for n, p := range pairs {
+			if n%8 == 0 { // keep large filters sparse enough for TestPair to say no
+				f.AddPair(p)
+				for i := uint64(0); i < k; i++ {
+					idx := (p.H1 + i*p.H2) % m
+					want[idx/64] |= 1 << (idx % 64)
+				}
+			}
+		}
+		for w := range want {
+			if f.bits[w] != want[w] {
+				t.Fatalf("m=%d: word %d is %#x, reference %#x", m, w, f.bits[w], want[w])
+			}
+		}
+		for _, p := range pairs {
+			ref := true
+			for i := uint64(0); i < k; i++ {
+				idx := (p.H1 + i*p.H2) % m
+				ref = ref && want[idx/64]&(1<<(idx%64)) != 0
+			}
+			if got := f.TestPair(p); got != ref {
+				t.Fatalf("m=%d: TestPair(%+v) = %v, reference %v", m, p, got, ref)
+			}
+		}
+	}
+}
+
+// TestRoundsUpToPowerOfTwo: a size between two powers takes the larger one
+// and the filter still has no false negatives.
+func TestRoundsUpToPowerOfTwo(t *testing.T) {
+	f := New(192, 3)
+	if f.Bits() != 256 {
+		t.Fatalf("New(192, 3).Bits() = %d, want 256", f.Bits())
+	}
+	for i := 0; i < 60; i++ {
+		f.AddString(fmt.Sprintf("k%d", i))
+	}
+	for i := 0; i < 60; i++ {
+		if !f.TestString(fmt.Sprintf("k%d", i)) {
+			t.Errorf("member k%d missing", i)
+		}
 	}
 }
 

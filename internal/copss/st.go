@@ -6,8 +6,9 @@
 package copss
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"github.com/icn-gaming/gcopss/internal/bloom"
@@ -73,7 +74,10 @@ func (fs *faceSubs) rebuild() {
 // models it as <Face, BloomFilter<CD>>. An ST belongs to one router and is
 // not safe for concurrent use; queries reuse internal scratch buffers.
 type ST struct {
-	faces map[ndn.FaceID]*faceSubs
+	// faces is kept sorted by face ID: forwarding queries walk it in order
+	// and so emit sorted face lists without sorting, and by-face lookups
+	// binary-search it.
+	faces []faceEntry
 	mode  MatchMode
 
 	bloomProbes       uint64
@@ -87,6 +91,27 @@ type ST struct {
 	pairCache   map[string][]bloom.HashPair
 }
 
+// faceEntry is one face's row of the table.
+type faceEntry struct {
+	id   ndn.FaceID
+	subs *faceSubs
+}
+
+// find returns face's position in st.faces, or where it would be inserted.
+func (st *ST) find(face ndn.FaceID) (int, bool) {
+	return slices.BinarySearchFunc(st.faces, face, func(e faceEntry, f ndn.FaceID) int {
+		return cmp.Compare(e.id, f)
+	})
+}
+
+// subsOf returns face's subscriptions, or nil when it has none.
+func (st *ST) subsOf(face ndn.FaceID) *faceSubs {
+	if i, ok := st.find(face); ok {
+		return st.faces[i].subs
+	}
+	return nil
+}
+
 // stPairCacheMax bounds the per-ST memoized hash vectors; when the cache
 // fills (an adversarial CD churn pattern), it is reset wholesale — correct,
 // just momentarily slower.
@@ -97,16 +122,16 @@ func NewST(mode MatchMode) *ST {
 	if mode == 0 {
 		mode = MatchBloomVerified
 	}
-	return &ST{faces: make(map[ndn.FaceID]*faceSubs), mode: mode}
+	return &ST{mode: mode}
 }
 
 // Add subscribes face to c; it reports whether the entry is new.
 func (st *ST) Add(face ndn.FaceID, c cd.CD) bool {
-	fs, ok := st.faces[face]
+	i, ok := st.find(face)
 	if !ok {
-		fs = newFaceSubs()
-		st.faces[face] = fs
+		st.faces = slices.Insert(st.faces, i, faceEntry{id: face, subs: newFaceSubs()})
 	}
+	fs := st.faces[i].subs
 	if !fs.exact.Add(c) {
 		return false
 	}
@@ -117,16 +142,17 @@ func (st *ST) Add(face ndn.FaceID, c cd.CD) bool {
 // Remove unsubscribes face from c; it reports whether the entry existed.
 // Bloom filters cannot delete, so the face's filter is marked for rebuild.
 func (st *ST) Remove(face ndn.FaceID, c cd.CD) bool {
-	fs, ok := st.faces[face]
+	i, ok := st.find(face)
 	if !ok {
 		return false
 	}
+	fs := st.faces[i].subs
 	if !fs.exact.Remove(c) {
 		return false
 	}
 	fs.dirty = true
 	if fs.exact.Len() == 0 {
-		delete(st.faces, face)
+		st.faces = slices.Delete(st.faces, i, i+1)
 	}
 	return true
 }
@@ -134,11 +160,11 @@ func (st *ST) Remove(face ndn.FaceID, c cd.CD) bool {
 // RemoveFace drops every subscription of a face (e.g. a disconnected
 // client); it reports whether the face had any.
 func (st *ST) RemoveFace(face ndn.FaceID) bool {
-	if _, ok := st.faces[face]; !ok {
-		return false
+	i, ok := st.find(face)
+	if ok {
+		st.faces = slices.Delete(st.faces, i, i+1)
 	}
-	delete(st.faces, face)
-	return true
+	return ok
 }
 
 // PrefixHashes precomputes the Bloom hash pairs of a CD's prefixes
@@ -232,21 +258,14 @@ func (st *ST) facesFor(c cd.CD, pairs []bloom.HashPair) []ndn.FaceID {
 		pairs = st.pairsFor(c)
 	}
 	out := st.scratch[:0]
-	for id, fs := range st.faces {
-		if st.matches(fs, c, pairs) {
-			out = append(out, id)
+	for _, e := range st.faces {
+		if st.matches(e.subs, c, pairs) {
+			out = append(out, e.id)
 		}
 	}
 	st.scratch = out
 	if len(out) == 0 {
 		return nil
-	}
-	// Insertion sort instead of sort.Slice: fan-out lists are short (a few
-	// faces) and sort.Slice's closure allocates.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
 	}
 	return out
 }
@@ -293,16 +312,16 @@ func (st *ST) matches(fs *faceSubs, c cd.CD, pairs []bloom.HashPair) bool {
 
 // Subscribed reports whether face holds an exact subscription to c.
 func (st *ST) Subscribed(face ndn.FaceID, c cd.CD) bool {
-	fs, ok := st.faces[face]
-	return ok && fs.exact.Contains(c)
+	fs := st.subsOf(face)
+	return fs != nil && fs.exact.Contains(c)
 }
 
 // SubscribedAnywhere reports whether any face holds an exact subscription to
 // c. Used for unsubscribe aggregation: the router leaves the group upstream
 // only when the last downstream subscriber is gone.
 func (st *ST) SubscribedAnywhere(c cd.CD) bool {
-	for _, fs := range st.faces {
-		if fs.exact.Contains(c) {
+	for _, e := range st.faces {
+		if e.subs.exact.Contains(c) {
 			return true
 		}
 	}
@@ -312,11 +331,8 @@ func (st *ST) SubscribedAnywhere(c cd.CD) bool {
 // SubscribedElsewhere reports whether a face other than except subscribes to
 // c exactly.
 func (st *ST) SubscribedElsewhere(c cd.CD, except ndn.FaceID) bool {
-	for id, fs := range st.faces {
-		if id == except {
-			continue
-		}
-		if fs.exact.Contains(c) {
+	for _, e := range st.faces {
+		if e.id != except && e.subs.exact.Contains(c) {
 			return true
 		}
 	}
@@ -325,8 +341,8 @@ func (st *ST) SubscribedElsewhere(c cd.CD, except ndn.FaceID) bool {
 
 // CDsOf returns the sorted CDs face is subscribed to.
 func (st *ST) CDsOf(face ndn.FaceID) []cd.CD {
-	fs, ok := st.faces[face]
-	if !ok {
+	fs := st.subsOf(face)
+	if fs == nil {
 		return nil
 	}
 	return fs.exact.Members()
@@ -335,8 +351,8 @@ func (st *ST) CDsOf(face ndn.FaceID) []cd.CD {
 // AllCDs returns the union of subscriptions across faces, sorted.
 func (st *ST) AllCDs() []cd.CD {
 	u := cd.NewSet()
-	for _, fs := range st.faces {
-		for _, c := range fs.exact.Members() {
+	for _, e := range st.faces {
+		for _, c := range e.subs.exact.Members() {
 			u.Add(c)
 		}
 	}
@@ -346,18 +362,17 @@ func (st *ST) AllCDs() []cd.CD {
 // Faces returns the sorted faces that hold at least one subscription.
 func (st *ST) Faces() []ndn.FaceID {
 	out := make([]ndn.FaceID, 0, len(st.faces))
-	for id := range st.faces {
-		out = append(out, id)
+	for _, e := range st.faces {
+		out = append(out, e.id)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
 // Len returns the total number of (face, CD) entries.
 func (st *ST) Len() int {
 	n := 0
-	for _, fs := range st.faces {
-		n += fs.exact.Len()
+	for _, e := range st.faces {
+		n += e.subs.exact.Len()
 	}
 	return n
 }
@@ -371,8 +386,8 @@ func (st *ST) BloomStats() (probes, falseMatches uint64) {
 // String renders the table for debugging.
 func (st *ST) String() string {
 	var b strings.Builder
-	for _, f := range st.Faces() {
-		fmt.Fprintf(&b, "face %d: %v\n", f, st.faces[f].exact)
+	for _, e := range st.faces {
+		fmt.Fprintf(&b, "face %d: %v\n", e.id, e.subs.exact)
 	}
 	return b.String()
 }

@@ -3,6 +3,7 @@ package copss
 import (
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -189,5 +190,107 @@ func TestSTStringAndCDsOf(t *testing.T) {
 	}
 	if s := st.String(); s == "" {
 		t.Error("String should render entries")
+	}
+}
+
+// TestSTFacesForMatchesModelUnderChurn drives interleaved Add / Remove /
+// RemoveFace and checks every forwarding query against a model written the
+// way the table used to answer: range a map of faces, keep those holding a
+// prefix of the CD, sort. The exact modes must equal it; the Bloom mode may
+// only add faces. Faces(), Len() and the aggregation queries ride along.
+func TestSTFacesForMatchesModelUnderChurn(t *testing.T) {
+	cds := []cd.CD{cd.Root()}
+	for _, a := range []string{"1", "2", "3"} {
+		cds = append(cds, cd.MustNew(a))
+		for _, b := range []string{"1", "2", "3"} {
+			cds = append(cds, cd.MustNew(a, b))
+		}
+	}
+	for _, mode := range []MatchMode{MatchExact, MatchBloom, MatchBloomVerified} {
+		r := rand.New(rand.NewSource(int64(mode)))
+		st := NewST(mode)
+		model := map[ndn.FaceID]map[string]cd.CD{}
+		for step := 0; step < 4000; step++ {
+			face := ndn.FaceID(r.Intn(12) * 7) // sparse, unordered arrivals
+			c := cds[r.Intn(len(cds))]
+			switch op := r.Intn(10); {
+			case op < 5:
+				_, had := model[face][c.Key()]
+				if model[face] == nil {
+					model[face] = map[string]cd.CD{}
+				}
+				model[face][c.Key()] = c
+				if got := st.Add(face, c); got == had {
+					t.Fatalf("mode %d step %d: Add(%d, %v) = %v with had=%v", mode, step, face, c, got, had)
+				}
+			case op < 9:
+				_, had := model[face][c.Key()]
+				delete(model[face], c.Key())
+				if len(model[face]) == 0 {
+					delete(model, face)
+				}
+				if got := st.Remove(face, c); got != had {
+					t.Fatalf("mode %d step %d: Remove(%d, %v) = %v, want %v", mode, step, face, c, got, had)
+				}
+			default:
+				_, had := model[face]
+				delete(model, face)
+				if got := st.RemoveFace(face); got != had {
+					t.Fatalf("mode %d step %d: RemoveFace(%d) = %v, want %v", mode, step, face, got, had)
+				}
+			}
+
+			pub := cds[r.Intn(len(cds))]
+			var want, faces []ndn.FaceID
+			entries, elsewhere := 0, false
+			for id, subs := range model {
+				faces = append(faces, id)
+				entries += len(subs)
+				if _, ok := subs[pub.Key()]; ok && id != face {
+					elsewhere = true
+				}
+				for _, p := range pub.Prefixes() {
+					if _, ok := subs[p.Key()]; ok {
+						want = append(want, id)
+						break
+					}
+				}
+			}
+			sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
+			sort.Slice(faces, func(i, j int) bool { return faces[i] < faces[j] })
+
+			pairs := PrefixHashes(pub)
+			for name, got := range map[string][]ndn.FaceID{
+				"FacesFor":       append([]ndn.FaceID(nil), st.FacesFor(pub)...),
+				"FacesForHashed": append([]ndn.FaceID(nil), st.FacesForHashed(pub, pairs)...),
+				"FacesForFlat":   append([]ndn.FaceID(nil), st.FacesForFlat(pub, FlattenHashes(pairs))...),
+			} {
+				if !sort.SliceIsSorted(got, func(i, j int) bool { return got[i] < got[j] }) {
+					t.Fatalf("mode %d step %d: %s(%v) = %v is not sorted", mode, step, name, pub, got)
+				}
+				if mode == MatchBloom {
+					in := map[ndn.FaceID]bool{}
+					for _, f := range got {
+						in[f] = true
+					}
+					for _, f := range want {
+						if !in[f] {
+							t.Fatalf("mode %d step %d: %s(%v) = %v misses face %d", mode, step, name, pub, got, f)
+						}
+					}
+				} else if !reflect.DeepEqual(got, want) {
+					t.Fatalf("mode %d step %d: %s(%v) = %v, model %v", mode, step, name, pub, got, want)
+				}
+			}
+			if got := st.Faces(); !reflect.DeepEqual(got, append([]ndn.FaceID{}, faces...)) {
+				t.Fatalf("mode %d step %d: Faces() = %v, model %v", mode, step, got, faces)
+			}
+			if st.Len() != entries {
+				t.Fatalf("mode %d step %d: Len() = %d, model %d", mode, step, st.Len(), entries)
+			}
+			if got := st.SubscribedElsewhere(pub, face); got != elsewhere {
+				t.Fatalf("mode %d step %d: SubscribedElsewhere(%v, %d) = %v, model %v", mode, step, pub, face, got, elsewhere)
+			}
+		}
 	}
 }

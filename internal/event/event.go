@@ -13,11 +13,11 @@ type Handler func(now time.Time)
 
 // Payload is a pre-bound argument for AtCall events. It exists so that hot
 // schedulers (the testbed transmits one event per packet copy) can enqueue
-// a delivery without allocating a fresh closure per event: the three fields
-// cover a (node, face, packet)-shaped argument, and storing a pointer in Ptr
-// does not allocate.
+// a delivery without allocating a fresh closure per event: an integer (the
+// testbed packs node index and face into it) and a pointer cover a
+// (node, face, packet)-shaped argument, and storing a pointer in Ptr does not
+// allocate.
 type Payload struct {
-	Str string
 	Int int64
 	Ptr any
 }
@@ -25,24 +25,19 @@ type Payload struct {
 // CallHandler is an event callback taking its pre-bound Payload.
 type CallHandler func(now time.Time, pl Payload)
 
-// item is one scheduled event. Exactly one of fn and call is set.
-type item struct {
-	at   time.Time
-	seq  uint64 // insertion order breaks time ties deterministically
-	fn   Handler
-	call CallHandler
-	pl   Payload
-}
+// runHandler is the CallHandler behind At: the Handler rides in Payload.Ptr
+// (a func value is pointer-shaped, so boxing it does not allocate) and every
+// queued event has the one AtCall shape.
+func runHandler(now time.Time, pl Payload) { pl.Ptr.(Handler)(now) }
 
 // Scheduler is a virtual-time discrete-event loop. The zero value is not
-// usable; create with NewScheduler. Events are stored in a hand-rolled
-// value heap: pushing an event costs no allocation beyond amortized slice
-// growth (container/heap over []*item would allocate per event, which
-// dominated the simulator's profile).
+// usable; create with NewScheduler. Events wait in an eventHeap keyed by
+// (time, insertion sequence): pushing one costs no allocation beyond
+// amortized slice growth.
 type Scheduler struct {
 	now       time.Time
 	seq       uint64
-	heap      []item
+	q         eventHeap
 	processed uint64
 }
 
@@ -55,31 +50,38 @@ func NewScheduler(origin time.Time) *Scheduler {
 func (s *Scheduler) Now() time.Time { return s.now }
 
 // Pending returns the number of queued events.
-func (s *Scheduler) Pending() int { return len(s.heap) }
+func (s *Scheduler) Pending() int { return s.q.len() }
 
 // NextAt peeks at the earliest queued event time; ok is false when the queue
-// is empty. The sharded scheduler uses it to bound conservative windows.
+// is empty.
 func (s *Scheduler) NextAt() (at time.Time, ok bool) {
-	if len(s.heap) == 0 {
+	if s.q.len() == 0 {
 		return time.Time{}, false
 	}
-	return s.heap[0].at, true
+	return s.q.minAt(), true
 }
 
 // Processed returns the number of events executed so far.
 func (s *Scheduler) Processed() uint64 { return s.processed }
 
 // At schedules fn at an absolute virtual time. Times in the past run at the
-// current time (immediately on the next step), preserving causality.
+// current time (immediately on the next step), preserving causality. at must
+// be a virtual instant — built from time.Unix and Add, never time.Now — so
+// that the queue's integer (UnixNano, sequence) order is the time.Time order;
+// see eventHeap.
 func (s *Scheduler) At(at time.Time, fn Handler) {
-	s.push(item{at: s.clamp(at), fn: fn})
+	s.AtCall(at, runHandler, Payload{Ptr: fn})
 }
 
-// AtCall schedules fn(now, pl) at an absolute virtual time. Unlike At it
-// needs no closure: callers bind the argument through pl, so the hot path
-// performs zero allocations per event.
+// AtCall schedules fn(now, pl) at an absolute virtual time, under At's
+// contract on at. Unlike At it needs no closure: callers bind the argument
+// through pl, so the hot path performs zero allocations per event.
 func (s *Scheduler) AtCall(at time.Time, fn CallHandler, pl Payload) {
-	s.push(item{at: s.clamp(at), call: fn, pl: pl})
+	if at.Before(s.now) {
+		at = s.now
+	}
+	s.seq++
+	s.q.push(at, s.seq, fn, pl)
 }
 
 // After schedules fn after a delay from the current virtual time.
@@ -87,79 +89,15 @@ func (s *Scheduler) After(d time.Duration, fn Handler) {
 	s.At(s.now.Add(d), fn)
 }
 
-func (s *Scheduler) clamp(at time.Time) time.Time {
-	if at.Before(s.now) {
-		return s.now
-	}
-	return at
-}
-
-func (s *Scheduler) push(it item) {
-	s.seq++
-	it.seq = s.seq
-	s.heap = append(s.heap, it)
-	// Sift up.
-	h := s.heap
-	i := len(h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !h[i].less(&h[parent]) {
-			break
-		}
-		h[i], h[parent] = h[parent], h[i]
-		i = parent
-	}
-}
-
-func (a *item) less(b *item) bool {
-	if !a.at.Equal(b.at) {
-		return a.at.Before(b.at)
-	}
-	return a.seq < b.seq
-}
-
-// pop removes and returns the earliest event.
-func (s *Scheduler) pop() item {
-	h := s.heap
-	top := h[0]
-	last := len(h) - 1
-	h[0] = h[last]
-	h[last] = item{} // release the callback and payload for GC
-	s.heap = h[:last]
-	h = s.heap
-	// Sift down.
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < len(h) && h[l].less(&h[smallest]) {
-			smallest = l
-		}
-		if r < len(h) && h[r].less(&h[smallest]) {
-			smallest = r
-		}
-		if smallest == i {
-			break
-		}
-		h[i], h[smallest] = h[smallest], h[i]
-		i = smallest
-	}
-	return top
-}
-
 // Step executes the next event; it reports whether one was available.
 func (s *Scheduler) Step() bool {
-	if len(s.heap) == 0 {
+	if s.q.len() == 0 {
 		return false
 	}
-	it := s.pop()
-	s.now = it.at
+	ev := s.q.pop()
+	s.now = ev.at
 	s.processed++
-	if it.fn != nil {
-		it.fn(s.now)
-	} else {
-		it.call(s.now, it.pl)
-	}
+	ev.call(ev.at, ev.pl)
 	return true
 }
 
@@ -176,9 +114,8 @@ func (s *Scheduler) Run(maxEvents uint64) uint64 {
 // RunUntil executes events with time ≤ deadline; later events stay queued.
 func (s *Scheduler) RunUntil(deadline time.Time) uint64 {
 	var n uint64
-	for len(s.heap) > 0 && !s.heap[0].at.After(deadline) {
+	for dl := deadline.UnixNano(); s.q.len() > 0 && s.q.minNs() <= dl; n++ {
 		s.Step()
-		n++
 	}
 	if s.now.Before(deadline) {
 		s.now = deadline

@@ -324,10 +324,25 @@ func TestPostNodeSteadyStateAllocFree(t *testing.T) {
 	at := laOrigin.Add(ms(1))
 	allocs := testing.AllocsPerRun(1000, func() {
 		s.PostNode(0, 0, at, 7, noopCall, Payload{})
-		s.shards[0].pop()
+		s.shards[0].q.pop()
 	})
 	if allocs != 0 {
 		t.Errorf("PostNode allocated %.1f per op in steady state, want 0", allocs)
+	}
+	if n := len(s.shards[0].q.slab); n != 1 {
+		t.Errorf("slab grew to %d slots with one event pending at a time: slots are not recycled", n)
+	}
+	// The global queue shares the heap; At carries its Handler in Payload.Ptr,
+	// which must not box.
+	g := NewScheduler(laOrigin)
+	g.q.grow(16)
+	tick := Handler(func(time.Time) {})
+	allocs = testing.AllocsPerRun(1000, func() {
+		g.At(at, tick)
+		g.Step()
+	})
+	if allocs != 0 {
+		t.Errorf("Scheduler.At + Step allocated %.1f per op in steady state, want 0", allocs)
 	}
 	// Cross-shard staging path: mailbox append + drain, still allocation
 	// free once preallocated.
@@ -336,7 +351,7 @@ func TestPostNodeSteadyStateAllocFree(t *testing.T) {
 		s.PostNode(0, 1, at, 9, noopCall, Payload{})
 		s.parallel = false
 		s.drainMail()
-		s.shards[1].pop()
+		s.shards[1].q.pop()
 		s.parallel = true
 	})
 	s.parallel = false

@@ -18,9 +18,6 @@ func profWorkload(s *ShardedScheduler, origin time.Time, rounds int) *atomic.Uin
 	relay = func(now time.Time, pl Payload) {
 		executed.Add(1)
 		src := int(pl.Int)
-		if pl.Str == "stop" {
-			return
-		}
 		dst := (src + 1) % w
 		np := pl
 		np.Int = int64(dst)

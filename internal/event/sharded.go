@@ -107,7 +107,7 @@ const infDur = time.Duration(1) << 61
 
 // shard is one worker's event queue plus its outbound mailboxes.
 type shard struct {
-	heap []nodeEvent // value min-heap ordered by (at, key)
+	q    eventHeap // ordered by (at, key)
 	mail [][]nodeEvent
 
 	processed  uint64
@@ -115,21 +115,15 @@ type shard struct {
 	maxDepth   int
 }
 
-// nodeEvent is one station-local event. key is a caller-chosen canonical
-// tie-breaker: it must be unique per (at, key) pair and must not depend on
-// the worker count (the testbed derives it from per-link sequence numbers).
+// nodeEvent is one station-local event as it waits in a mailbox. key is a
+// caller-chosen canonical tie-breaker: it must be unique per (at, key) pair
+// and must not depend on the worker count (the testbed derives it from
+// per-link sequence numbers).
 type nodeEvent struct {
 	at   time.Time
 	key  uint64
 	call CallHandler
 	pl   Payload
-}
-
-func (a *nodeEvent) less(b *nodeEvent) bool {
-	if !a.at.Equal(b.at) {
-		return a.at.Before(b.at)
-	}
-	return a.key < b.key
 }
 
 // NewSharded creates a sharded scheduler with the given worker (= shard)
@@ -295,7 +289,7 @@ func (s *ShardedScheduler) ensureClosure() {
 	s.ret = returnBounds(d)
 }
 
-// Preallocate grows every shard's heap and mailbox backing arrays to hold
+// Preallocate grows every shard's queue and mailbox backing arrays to hold
 // perShard events without reallocation, so the hot PostNode path performs
 // no slice growth during the run. Call before Run; growing later is only a
 // performance loss, never an error.
@@ -308,11 +302,7 @@ func (s *ShardedScheduler) Preallocate(perShard int) {
 		mailEach = 16
 	}
 	for _, sh := range s.shards {
-		if cap(sh.heap) < perShard {
-			grown := make([]nodeEvent, len(sh.heap), perShard)
-			copy(grown, sh.heap)
-			sh.heap = grown
-		}
+		sh.q.grow(perShard)
 		for d, box := range sh.mail {
 			if cap(box) < mailEach {
 				grownBox := make([]nodeEvent, len(box), mailEach)
@@ -361,7 +351,7 @@ func (s *ShardedScheduler) Now() time.Time {
 func (s *ShardedScheduler) Pending() int {
 	n := s.global.Pending()
 	for _, sh := range s.shards {
-		n += len(sh.heap)
+		n += sh.q.len()
 		for _, box := range sh.mail {
 			n += len(box)
 		}
@@ -419,78 +409,36 @@ func (s *ShardedScheduler) After(d time.Duration, fn Handler) { s.At(s.Now().Add
 // staged in the src shard's mailbox and becomes visible at the next barrier —
 // the lookahead invariant guarantees it cannot be due before then.
 //
+// at must be a virtual instant (see Scheduler.At): the queues order events by
+// (at.UnixNano(), key), taking the nanoseconds after the clamp to the current
+// time, and that is the (time.Time, key) order only for such instants.
+//
 //gcopss:hotpath
 func (s *ShardedScheduler) PostNode(src, dst int, at time.Time, key uint64, call CallHandler, pl Payload) {
-	ev := nodeEvent{at: at, key: key, call: call, pl: pl}
 	if s.parallel {
 		if src != dst {
 			sh := s.shards[src]
-			sh.mail[dst] = append(sh.mail[dst], ev)
+			sh.mail[dst] = append(sh.mail[dst], nodeEvent{at: at, key: key, call: call, pl: pl})
 			sh.crossPosts++
 			return
 		}
 		// Same-shard posts during a window skip the global-clock clamp:
 		// s.now is barrier state and the executing event's own time is the
 		// only valid floor (the heap keeps order).
-		s.shards[dst].push(ev)
-		return
+	} else if at.Before(s.now) {
+		at = s.now
 	}
-	if ev.at.Before(s.now) {
-		ev.at = s.now
-	}
-	s.shards[dst].push(ev)
+	s.shards[dst].push(at, key, call, pl)
 }
 
-// push inserts one event into the shard's manual value heap. Part of the
-// scheduler inner loop: no closures (sort or heap interfaces would allocate),
-// no boxing.
+// push queues one event on the shard and tracks the queue's high-water mark.
 //
 //gcopss:hotpath
-func (sh *shard) push(ev nodeEvent) {
-	sh.heap = append(sh.heap, ev)
-	if len(sh.heap) > sh.maxDepth {
-		sh.maxDepth = len(sh.heap)
+func (sh *shard) push(at time.Time, key uint64, call CallHandler, pl Payload) {
+	sh.q.push(at, key, call, pl)
+	if sh.q.len() > sh.maxDepth {
+		sh.maxDepth = sh.q.len()
 	}
-	h := sh.heap
-	i := len(h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !h[i].less(&h[parent]) {
-			break
-		}
-		h[i], h[parent] = h[parent], h[i]
-		i = parent
-	}
-}
-
-// pop removes the earliest event. Same inner-loop discipline as push.
-//
-//gcopss:hotpath
-func (sh *shard) pop() nodeEvent {
-	h := sh.heap
-	top := h[0]
-	last := len(h) - 1
-	h[0] = h[last]
-	h[last] = nodeEvent{}
-	sh.heap = h[:last]
-	h = sh.heap
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < len(h) && h[l].less(&h[smallest]) {
-			smallest = l
-		}
-		if r < len(h) && h[r].less(&h[smallest]) {
-			smallest = r
-		}
-		if smallest == i {
-			break
-		}
-		h[i], h[smallest] = h[smallest], h[i]
-		i = smallest
-	}
-	return top
 }
 
 // runShard executes shard i's events with at < end, in (at, key) order.
@@ -501,10 +449,9 @@ func (sh *shard) pop() nodeEvent {
 func (s *ShardedScheduler) runShard(i int, end time.Time) int {
 	sh := s.shards[i]
 	n := 0
-	for len(sh.heap) > 0 && sh.heap[0].at.Before(end) {
-		ev := sh.pop()
+	for endNs := end.UnixNano(); sh.q.len() > 0 && sh.q.minNs() < endNs; n++ {
+		ev := sh.q.pop()
 		ev.call(ev.at, ev.pl)
-		n++
 	}
 	sh.processed += uint64(n)
 	return n
@@ -525,7 +472,7 @@ func (s *ShardedScheduler) drainMail() {
 			}
 			s.preLens[d] += len(box)
 			for _, ev := range box {
-				s.shards[d].push(ev)
+				s.shards[d].push(ev.at, ev.key, ev.call, ev.pl)
 			}
 			sh.mail[d] = box[:0]
 		}
@@ -544,14 +491,14 @@ func (s *ShardedScheduler) computeFloors() (time.Time, bool) {
 	var best time.Time
 	ok := false
 	for i, sh := range s.shards {
-		if len(sh.heap) == 0 {
+		if sh.q.len() == 0 {
 			s.hasFloor[i] = false
 			continue
 		}
 		s.hasFloor[i] = true
-		s.floors[i] = sh.heap[0].at
-		if !ok || sh.heap[0].at.Before(best) {
-			best = sh.heap[0].at
+		s.floors[i] = sh.q.minAt()
+		if !ok || s.floors[i].Before(best) {
+			best = s.floors[i]
 			ok = true
 		}
 	}
@@ -606,10 +553,10 @@ func (s *ShardedScheduler) computeEnds(tg time.Time, okg bool, deadline time.Tim
 func (s *ShardedScheduler) minNodeShard() (int, bool) {
 	best := -1
 	for i, sh := range s.shards {
-		if len(sh.heap) == 0 {
+		if sh.q.len() == 0 {
 			continue
 		}
-		if best < 0 || sh.heap[0].less(&s.shards[best].heap[0]) {
+		if best < 0 || sh.q.keys[0].before(s.shards[best].q.keys[0]) {
 			best = i
 		}
 	}
@@ -720,7 +667,7 @@ func (s *ShardedScheduler) runWindowed(deadline time.Time) uint64 {
 		stalled := false
 		minEnd := time.Time{}
 		for i, sh := range s.shards {
-			s.preLens[i] = len(sh.heap)
+			s.preLens[i] = sh.q.len()
 			if s.hasFloor[i] && (minEnd.IsZero() || s.ends[i].Before(minEnd)) {
 				minEnd = s.ends[i]
 			}
@@ -772,13 +719,15 @@ func (s *ShardedScheduler) runWindowed(deadline time.Time) uint64 {
 // timestamp ties, matching the windowed loop.
 func (s *ShardedScheduler) runSequential(deadline time.Time) uint64 {
 	var n uint64
+	dl := deadline.UnixNano()
 	for {
-		tg, okg := s.global.NextAt()
+		okg := s.global.q.len() > 0
 		i, okn := s.minNodeShard()
-		if okg && (!okn || !tg.After(s.shards[i].heap[0].at)) {
-			if tg.After(deadline) {
+		if okg && (!okn || s.global.q.minNs() <= s.shards[i].q.minNs()) {
+			if s.global.q.minNs() > dl {
 				return n
 			}
+			tg := s.global.q.minAt()
 			if p := s.prof; p != nil {
 				t0 := time.Now()
 				n += s.global.RunUntil(tg)
@@ -795,10 +744,10 @@ func (s *ShardedScheduler) runSequential(deadline time.Time) uint64 {
 			return n
 		}
 		sh := s.shards[i]
-		if sh.heap[0].at.After(deadline) {
+		if sh.q.minNs() > dl {
 			return n
 		}
-		ev := sh.pop()
+		ev := sh.q.pop()
 		sh.processed++
 		s.nodeProcessed++
 		if ev.at.After(s.now) {

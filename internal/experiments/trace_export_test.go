@@ -10,9 +10,12 @@ import (
 
 // TestTracedFig4Export is the tracing acceptance test: a traced, profiled
 // Fig. 4 run on 8 workers must export a valid Chrome trace-event document
-// whose scheduler profile attributes at least 90% of the wall time to the
-// window/global/drain buckets. With GCOPSS_TRACE_OUT set the document is
-// also written to that path (CI uploads it as an artifact).
+// with a scheduler profile. With GCOPSS_TRACE_OUT set — the traced-fig4 CI
+// job, which runs this test alone — the profile must also attribute at least
+// 90% of the wall time to the window/global/drain buckets, and the document
+// is written to that path (CI uploads it as an artifact). In tier-1 that
+// wall-clock ratio is only checked for sanity: other packages' tests load
+// the host in parallel and push the unattributed share past any fixed gate.
 func TestTracedFig4Export(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the full microbenchmark")
@@ -33,7 +36,13 @@ func TestTracedFig4Export(t *testing.T) {
 	if prof.Windows == 0 {
 		t.Error("profiled run recorded no windows")
 	}
-	if frac := prof.AttributedFrac(); frac < 0.9 {
+	out := os.Getenv("GCOPSS_TRACE_OUT")
+	frac := prof.AttributedFrac()
+	t.Logf("profile attributes %.1f%% of wall time", frac*100)
+	if frac <= 0 || frac > 1 {
+		t.Errorf("attributed fraction %v outside (0, 1]", frac)
+	}
+	if out != "" && frac < 0.9 {
 		t.Errorf("profile attributes %.1f%% of wall time, want >= 90%%", frac*100)
 	}
 
@@ -60,11 +69,10 @@ func TestTracedFig4Export(t *testing.T) {
 		}
 	}
 
-	if out := os.Getenv("GCOPSS_TRACE_OUT"); out != "" {
+	if out != "" {
 		if err := os.WriteFile(out, buf.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("chrome trace written to %s (%d bytes, %d hops, attributed %.1f%%)",
-			out, buf.Len(), hops, prof.AttributedFrac()*100)
+		t.Logf("chrome trace written to %s (%d bytes, %d hops)", out, buf.Len(), hops)
 	}
 }

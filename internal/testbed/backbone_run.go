@@ -292,9 +292,11 @@ func RunBackbone(s *BackboneSetup) (*BackboneResult, error) {
 	// shard, publishing their stream as a shard-local event chain.
 	players := stream.Players()
 	accs := make([]backboneAcc, len(players))
+	names := make([]string, len(players)) // built once: publish runs per update
 	for pi := range players {
 		edge := edges[pi%len(edges)]
 		name := clientName(pi)
+		names[pi] = name
 		acc := &accs[pi]
 		tb.AddNodeOn(name, assign[edge], func(now time.Time, _ ndn.FaceID, pkt *wire.Packet, _ ndn.ActionSink) {
 			if pkt.Type == wire.TypeMulticast && pkt.Origin != name && pkt.Origin != core.FlushOrigin {
@@ -336,7 +338,7 @@ func RunBackbone(s *BackboneSetup) (*BackboneResult, error) {
 		}
 		cds := area.SubscriptionCDs()
 		tb.Schedule(subAt, func(now time.Time) {
-			tb.Emit(now, clientName(pi), []ndn.Action{{Face: 0, Packet: &wire.Packet{
+			tb.Emit(now, names[pi], []ndn.Action{{Face: 0, Packet: &wire.Packet{
 				Type: wire.TypeSubscribe,
 				CDs:  cds,
 			}}})
@@ -354,10 +356,10 @@ func RunBackbone(s *BackboneSetup) (*BackboneResult, error) {
 		u := acc.pending
 		acc.seq++
 		acc.published++
-		tb.Emit(now, clientName(pi), []ndn.Action{{Face: 0, Packet: &wire.Packet{
+		tb.Emit(now, names[pi], []ndn.Action{{Face: 0, Packet: &wire.Packet{
 			Type:    wire.TypeMulticast,
 			CDs:     []cd.CD{u.CD},
-			Origin:  clientName(pi),
+			Origin:  names[pi],
 			Seq:     acc.seq,
 			Payload: make([]byte, u.Size),
 			SentAt:  now.UnixNano(),
@@ -367,7 +369,7 @@ func RunBackbone(s *BackboneSetup) (*BackboneResult, error) {
 			return
 		}
 		acc.pending = next
-		if err := tb.ScheduleNode(start.Add(next.At), clientName(pi), publish, pl); err != nil {
+		if err := tb.ScheduleNode(start.Add(next.At), names[pi], publish, pl); err != nil {
 			panic(err) // node registered above; unreachable
 		}
 	}
@@ -377,7 +379,7 @@ func RunBackbone(s *BackboneSetup) (*BackboneResult, error) {
 			continue
 		}
 		accs[pi].pending = u
-		if err := tb.ScheduleNode(start.Add(u.At), clientName(pi), publish, event.Payload{Int: int64(pi)}); err != nil {
+		if err := tb.ScheduleNode(start.Add(u.At), names[pi], publish, event.Payload{Int: int64(pi)}); err != nil {
 			return nil, err
 		}
 	}

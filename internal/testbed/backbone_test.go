@@ -149,6 +149,12 @@ func TestBackbonePartitionAgreement(t *testing.T) {
 	}
 	for name, node := range tb.nodes {
 		for _, l := range node.links {
+			if l == nil {
+				continue
+			}
+			if tb.list[l.toIdx].name != l.to {
+				t.Errorf("link %s→%s carries index %d, which is node %s", name, l.to, l.toIdx, tb.list[l.toIdx].name)
+			}
 			wantShard, ok := tb.NodeShard(l.to)
 			if !ok {
 				t.Fatalf("link from %s to unknown node %s", name, l.to)
@@ -162,6 +168,52 @@ func TestBackbonePartitionAgreement(t *testing.T) {
 	for id := 0; id < g.NodeCount(); id++ {
 		if got, _ := tb.NodeShard(g.Name(topo.NodeID(id))); got != assign[id] {
 			t.Errorf("node %s on shard %d, partition assigned %d", g.Name(topo.NodeID(id)), got, assign[id])
+		}
+	}
+}
+
+// TestBackboneGolden pins the full observable fingerprint of three small
+// backbone scenarios to literals recorded at commit 32755a7, before the event
+// heap, the node/link indexing and the Bloom probe were rebuilt. The
+// determinism suites above only compare worker counts with each other, so a
+// change that reorders events the same way at every count passes them; it
+// cannot pass this.
+func TestBackboneGolden(t *testing.T) {
+	cases := []struct {
+		name    string
+		spec    string
+		migrate bool
+		want    BackboneObservables
+	}{
+		{name: "clean", want: BackboneObservables{
+			Published: 444, Deliveries: 60249, DeliveryHash: 0x34e452d7bb391ca7,
+			LatencyMeanBits: 0x407bbb41d0e95768, RPDeliveriesOld: 0x1bc,
+			PacketEvents: 0x11cc7, Bytes: 2.044377e+07}},
+		{name: "loss", spec: "loss=0.05", want: BackboneObservables{
+			Published: 444, Deliveries: 44719, DeliveryHash: 0x230e76ffdd1c7e24,
+			LatencyMeanBits: 0x40714e8cfbbfe1ce, RPDeliveriesOld: 0x17e,
+			TraceHash: 0xa484e090ca17460, PacketEvents: 0xd66d, Bytes: 1.5341561e+07}},
+		{name: "migrate", migrate: true, want: BackboneObservables{
+			Published: 444, Deliveries: 68585, DeliveryHash: 0xf50612321dfdb1bb,
+			LatencyMeanBits: 0x40832b54bf3ef6e4, RPDeliveriesOld: 0x161, RPDeliveriesNew: 0x5b,
+			Retransmissions: 0x2a, PacketEvents: 0x1538a, Bytes: 2.4021964e+07}},
+	}
+	for _, c := range cases {
+		for _, workers := range []int{1, 4} {
+			s, err := SmallBackboneSetup(400, 2*time.Second, 7)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.Workers = workers
+			s.FaultSpec, s.FaultSeed = c.spec, 3
+			s.Migrate = c.migrate
+			res, err := RunBackbone(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Obs != c.want {
+				t.Errorf("%s workers=%d:\n got %#v\nwant %#v", c.name, workers, res.Obs, c.want)
+			}
 		}
 	}
 }

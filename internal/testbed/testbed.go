@@ -82,6 +82,7 @@ type ProcFunc func(pkt *wire.Packet) time.Duration
 // directed link is transmitted on only by its sender node's shard.
 type link struct {
 	to      string
+	toIdx   int32 // the receiving node's slot in Testbed.list
 	toShard int
 	face    ndn.FaceID
 	delay   time.Duration
@@ -93,6 +94,23 @@ type link struct {
 	// by the sender's shard during windows and by the single-threaded
 	// barrier hook between them; always empty outside windows.
 	ring []txEntry
+}
+
+// dest packs the link's far end — receiving node index and face — into the
+// Payload.Int of a delivery event.
+func (l *link) dest() int64 { return int64(l.toIdx)<<32 | int64(l.face) }
+
+// maxFace bounds the face IDs Connect accepts: links sit in a slice indexed
+// by face, and deliveries carry the face in 32 bits.
+const maxFace = 1 << 16
+
+// link returns the wire attached to face f, or nil when f is unwired or out
+// of range.
+func (n *nodeState) link(f ndn.FaceID) *link {
+	if uint(f) >= uint(len(n.links)) {
+		return nil
+	}
+	return n.links[f]
 }
 
 // txEntry is one staged transmission in a link's burst ring: the arrival
@@ -108,11 +126,12 @@ type txEntry struct {
 // nodeState is one single-threaded network element.
 type nodeState struct {
 	name    string
+	idx     int32 // position in Testbed.list
 	shard   int
 	handle  Handler
 	proc    ProcFunc
 	perCopy time.Duration
-	links   map[ndn.FaceID]*link
+	links   []*link // indexed by FaceID; nil where no wire is attached
 
 	// selfID is the node's slot in the canonical-key ID space (shared with
 	// directed link IDs); with selfSeq it forms the tie-break key for
@@ -170,10 +189,13 @@ type Testbed struct {
 	sched   *event.ShardedScheduler
 	workers int
 	burst   bool
-	nodes   map[string]*nodeState
-	order   []string // node names in AddNode order (shard assignment)
-	faults  *faultnet.Injector
-	reg     *obs.Registry
+	// list holds the nodes in AddNode order; a node's position is the dense
+	// index delivery events carry, so the packet path never hashes a name.
+	// nodes finds them by name for the set-up and inspection API only.
+	list   []*nodeState
+	nodes  map[string]*nodeState
+	faults *faultnet.Injector
+	reg    *obs.Registry
 
 	nextLinkID uint32
 	minDelay   time.Duration
@@ -221,10 +243,10 @@ func New(opts ...Option) *Testbed {
 	tb.sched = event.NewSharded(time.Unix(0, 0), tb.workers)
 	tb.scratch = make([]ndn.SliceSink, tb.workers)
 	tb.deliver = func(now time.Time, pl event.Payload) {
-		tb.receive(now, pl.Str, ndn.FaceID(pl.Int), pl.Ptr.(*wire.Packet))
+		tb.receive(now, tb.list[pl.Int>>32], ndn.FaceID(uint32(pl.Int)), pl.Ptr.(*wire.Packet))
 	}
 	tb.deliverBurst = func(now time.Time, pl event.Payload) {
-		node, face := pl.Str, ndn.FaceID(pl.Int)
+		node, face := tb.list[pl.Int>>32], ndn.FaceID(uint32(pl.Int))
 		for _, pkt := range pl.Ptr.([]*wire.Packet) {
 			tb.receive(now, node, face, pkt)
 		}
@@ -303,7 +325,7 @@ func (tb *Testbed) transmit(n *nodeState, l *link, at time.Time, pkt *wire.Packe
 		}
 		return
 	}
-	pl := event.Payload{Str: l.to, Int: int64(l.face), Ptr: pkt}
+	pl := event.Payload{Int: l.dest(), Ptr: pkt}
 	for i := 0; i < copies; i++ {
 		key := uint64(l.id)<<32 | uint64(l.seq)
 		l.seq++
@@ -341,7 +363,7 @@ func (tb *Testbed) flushLink(src int, l *link) {
 		if j-i == 1 {
 			e := ring[i]
 			tb.sched.PostNode(src, l.toShard, e.at, e.key, tb.deliver,
-				event.Payload{Str: l.to, Int: int64(l.face), Ptr: e.pkt})
+				event.Payload{Int: l.dest(), Ptr: e.pkt})
 			i = j
 			continue
 		}
@@ -353,7 +375,7 @@ func (tb *Testbed) flushLink(src int, l *link) {
 		}
 		tb.coalesced++
 		tb.sched.PostNode(src, l.toShard, ring[i].at, ring[i].key, tb.deliverBurst,
-			event.Payload{Str: l.to, Int: int64(l.face), Ptr: pkts})
+			event.Payload{Int: l.dest(), Ptr: pkts})
 		i = j
 	}
 }
@@ -362,7 +384,7 @@ func (tb *Testbed) flushLink(src int, l *link) {
 // Nodes are assigned to worker shards round-robin in registration order; use
 // AddNodeOn to place a node topology-aware (see topo.Partition).
 func (tb *Testbed) AddNode(name string, handle Handler, proc ProcFunc, perCopy time.Duration) {
-	tb.AddNodeOn(name, len(tb.order)%tb.workers, handle, proc, perCopy)
+	tb.AddNodeOn(name, len(tb.list)%tb.workers, handle, proc, perCopy)
 }
 
 // AddNodeOn registers a node on an explicit worker shard. Hosts building on
@@ -378,16 +400,17 @@ func (tb *Testbed) AddNodeOn(name string, shard int, handle Handler, proc ProcFu
 		shard = shard % tb.workers
 	}
 	tb.nextLinkID++
-	tb.nodes[name] = &nodeState{
+	n := &nodeState{
 		name:    name,
+		idx:     int32(len(tb.list)),
 		shard:   shard,
 		handle:  handle,
 		proc:    proc,
 		perCopy: perCopy,
-		links:   make(map[ndn.FaceID]*link),
 		selfID:  tb.nextLinkID,
 	}
-	tb.order = append(tb.order, name)
+	tb.nodes[name] = n
+	tb.list = append(tb.list, n)
 }
 
 // Connect wires face fa of node a to face fb of node b with the given
@@ -403,16 +426,16 @@ func (tb *Testbed) Connect(a string, fa ndn.FaceID, b string, fb ndn.FaceID, del
 	if !ok {
 		return fmt.Errorf("testbed: unknown node %q", b)
 	}
-	if _, busy := na.links[fa]; busy {
-		return fmt.Errorf("testbed: %s face %d already wired", a, fa)
+	if err := na.faceFree(fa); err != nil {
+		return err
 	}
-	if _, busy := nb.links[fb]; busy {
-		return fmt.Errorf("testbed: %s face %d already wired", b, fb)
+	if err := nb.faceFree(fb); err != nil {
+		return err
 	}
 	tb.nextLinkID++
-	na.links[fa] = &link{to: b, toShard: nb.shard, face: fb, delay: delay, id: tb.nextLinkID}
+	na.attach(fa, &link{to: b, toIdx: nb.idx, toShard: nb.shard, face: fb, delay: delay, id: tb.nextLinkID})
 	tb.nextLinkID++
-	nb.links[fb] = &link{to: a, toShard: na.shard, face: fa, delay: delay, id: tb.nextLinkID}
+	nb.attach(fb, &link{to: a, toIdx: na.idx, toShard: na.shard, face: fa, delay: delay, id: tb.nextLinkID})
 	if !tb.hasLink || delay < tb.minDelay {
 		tb.minDelay = delay
 	}
@@ -420,11 +443,32 @@ func (tb *Testbed) Connect(a string, fa ndn.FaceID, b string, fb ndn.FaceID, del
 	return nil
 }
 
+// faceFree reports why face f of n cannot take a new wire, if it cannot.
+func (n *nodeState) faceFree(f ndn.FaceID) error {
+	if f < 0 || f > maxFace {
+		return fmt.Errorf("testbed: %s face %d outside [0, %d]", n.name, f, maxFace)
+	}
+	if n.link(f) != nil {
+		return fmt.Errorf("testbed: %s face %d already wired", n.name, f)
+	}
+	return nil
+}
+
+// attach wires l to face f, growing the face-indexed slice as needed.
+func (n *nodeState) attach(f ndn.FaceID, l *link) {
+	for int(f) >= len(n.links) {
+		n.links = append(n.links, nil)
+	}
+	n.links[f] = l
+}
+
 // Inject delivers a packet to a node's face at the given absolute time, as
 // if it arrived from the wire.
 func (tb *Testbed) Inject(at time.Time, node string, face ndn.FaceID, pkt *wire.Packet) {
 	tb.sched.At(at, func(now time.Time) {
-		tb.receive(now, node, face, pkt)
+		if n, ok := tb.nodes[node]; ok {
+			tb.receive(now, n, face, pkt)
+		}
 	})
 }
 
@@ -472,11 +516,7 @@ func (tb *Testbed) Preallocate(perShard int) { tb.sched.Preallocate(perShard) }
 
 // receive models FIFO service at a node: the packet waits for the node to
 // become idle, is handled, and its outputs leave when service completes.
-func (tb *Testbed) receive(now time.Time, node string, face ndn.FaceID, pkt *wire.Packet) {
-	n, ok := tb.nodes[node]
-	if !ok {
-		return
-	}
+func (tb *Testbed) receive(now time.Time, n *nodeState, face ndn.FaceID, pkt *wire.Packet) {
 	n.packetEvents++
 	start := now
 	if n.busyUntil.After(start) {
@@ -497,11 +537,9 @@ func (tb *Testbed) receive(now time.Time, node string, face ndn.FaceID, pkt *wir
 	n.busyUntil = finish
 	n.processed++
 	for _, a := range actions {
-		l, wired := n.links[a.Face]
-		if !wired {
-			continue
+		if l := n.link(a.Face); l != nil {
+			tb.transmit(n, l, finish, a.Packet)
 		}
-		tb.transmit(n, l, finish, a.Packet)
 	}
 	sink.Reset()
 }
@@ -517,11 +555,9 @@ func (tb *Testbed) Emit(now time.Time, node string, actions []ndn.Action) {
 		return
 	}
 	for _, a := range actions {
-		l, wired := n.links[a.Face]
-		if !wired {
-			continue
+		if l := n.link(a.Face); l != nil {
+			tb.transmit(n, l, now, a.Packet)
 		}
-		tb.transmit(n, l, now, a.Packet)
 	}
 }
 
@@ -535,11 +571,9 @@ type emitSink struct {
 
 // Emit implements ndn.ActionSink.
 func (s *emitSink) Emit(a ndn.Action) {
-	l, wired := s.n.links[a.Face]
-	if !wired {
-		return
+	if l := s.n.link(a.Face); l != nil {
+		s.tb.transmit(s.n, l, s.now, a.Packet)
 	}
-	s.tb.transmit(s.n, l, s.now, a.Packet)
 }
 
 // EmitTo invokes fn with a sink that transmits from node at now. It is the
@@ -570,9 +604,11 @@ func (tb *Testbed) latencyMatrix() [][]time.Duration {
 			m[i][j] = event.NoRoute
 		}
 	}
-	for _, name := range tb.order {
-		n := tb.nodes[name]
+	for _, n := range tb.list {
 		for _, l := range n.links {
+			if l == nil {
+				continue
+			}
 			if cur := m[n.shard][l.toShard]; cur == event.NoRoute || l.delay < cur {
 				m[n.shard][l.toShard] = l.delay
 			}
@@ -654,8 +690,7 @@ func (tb *Testbed) export() {
 
 // Stats returns aggregate counters.
 func (tb *Testbed) Stats() (packetEvents uint64, bytes float64) {
-	for _, name := range tb.order {
-		n := tb.nodes[name]
+	for _, n := range tb.list {
 		packetEvents += n.packetEvents
 		bytes += n.bytes
 	}

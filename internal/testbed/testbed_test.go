@@ -98,6 +98,66 @@ func TestConnectValidation(t *testing.T) {
 	if err := tb.Connect("a", 1, "b", 2, 0); err == nil {
 		t.Error("double-wired face accepted")
 	}
+	if err := tb.Connect("b", 3, "a", 1, 0); err == nil {
+		t.Error("double-wired far-end face accepted")
+	}
+	if err := tb.Connect("a", -1, "b", 4, 0); err == nil {
+		t.Error("negative face accepted")
+	}
+	if err := tb.Connect("a", 5, "b", maxFace+1, 0); err == nil {
+		t.Error("face beyond maxFace accepted")
+	}
+	if l := tb.nodes["a"].link(5); l != nil {
+		t.Error("a rejected Connect left a half-wired link behind")
+	}
+}
+
+// TestSparseAndUnwiredFaces: links sit in a slice indexed by face, so a node
+// wired on faces 0 and 40 only must deliver on both, and actions naming a
+// face in a gap, past the end or below zero must vanish without a trace, as
+// they did when links were a map.
+func TestSparseAndUnwiredFaces(t *testing.T) {
+	tb := New()
+	got := map[string]int{}
+	tb.AddNode("hub", func(_ time.Time, _ ndn.FaceID, pkt *wire.Packet, out ndn.ActionSink) {
+		for _, f := range []ndn.FaceID{0, 7, 40, 41, 1 << 30, -3} {
+			out.Emit(ndn.Action{Face: f, Packet: pkt})
+		}
+	}, func(*wire.Packet) time.Duration { return 0 }, 0)
+	leaf := func(name string) {
+		tb.AddNode(name, func(_ time.Time, from ndn.FaceID, _ *wire.Packet, _ ndn.ActionSink) {
+			if from != 9 {
+				t.Errorf("%s: packet arrived on face %d, want 9", name, from)
+			}
+			got[name]++
+		}, func(*wire.Packet) time.Duration { return 0 }, 0)
+	}
+	leaf("near")
+	leaf("far")
+	if err := tb.Connect("hub", 0, "near", 9, time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if err := tb.Connect("hub", 40, "far", 9, time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	t0 := tb.Now()
+	pkt := &wire.Packet{Type: wire.TypeInterest, Name: "/x"}
+	tb.Inject(t0, "hub", 3, pkt) // arrival faces need no wire
+	tb.Inject(t0, "nobody", 0, pkt)
+	tb.Emit(t0, "hub", []ndn.Action{{Face: 40, Packet: pkt}, {Face: 39, Packet: pkt}, {Face: 4096, Packet: pkt}})
+	tb.EmitTo(t0, "hub", func(sink ndn.ActionSink) {
+		sink.Emit(ndn.Action{Face: 0, Packet: pkt})
+		sink.Emit(ndn.Action{Face: 1, Packet: pkt})
+	})
+	if err := tb.Run(t0.Add(time.Second), 0); err != nil {
+		t.Fatal(err)
+	}
+	if got["near"] != 2 || got["far"] != 2 {
+		t.Errorf("deliveries = %v, want 2 at near (handler, EmitTo) and 2 at far (handler, Emit)", got)
+	}
+	if events, _ := tb.Stats(); events != 5 {
+		t.Errorf("packet events = %d, want 5 (1 at hub, 2 at each leaf)", events)
+	}
 }
 
 func TestBatchCodec(t *testing.T) {

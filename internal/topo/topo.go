@@ -6,7 +6,6 @@
 package topo
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"sort"
@@ -100,18 +99,43 @@ type pqItem struct {
 	dist float64
 }
 
+// pq is a binary min-heap of pqItems by distance. It is typed rather than a
+// container/heap.Interface because that boxes an item on every Push and Pop.
 type pq []pqItem
 
-func (q pq) Len() int            { return len(q) }
-func (q pq) Less(i, j int) bool  { return q[i].dist < q[j].dist }
-func (q pq) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *pq) Push(x interface{}) { *q = append(*q, x.(pqItem)) }
-func (q *pq) Pop() interface{} {
-	old := *q
-	n := len(old)
-	item := old[n-1]
-	*q = old[:n-1]
-	return item
+func (q *pq) push(it pqItem) {
+	*q = append(*q, it)
+	h := *q
+	for i := len(h) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if h[i].dist >= h[parent].dist {
+			break
+		}
+		h[i], h[parent] = h[parent], h[i]
+		i = parent
+	}
+}
+
+func (q *pq) pop() pqItem {
+	h := *q
+	n := len(h) - 1
+	h[0], h[n] = h[n], h[0]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && h[r].dist < h[c].dist {
+			c = r
+		}
+		if h[c].dist >= h[i].dist {
+			break
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+	*q = h[:n]
+	return h[n]
 }
 
 // Dijkstra computes single-source shortest paths. It returns per-node
@@ -127,11 +151,10 @@ func (g *Graph) Dijkstra(src NodeID) (dist []float64, prev []NodeID) {
 		prev[i] = -1
 	}
 	dist[src] = 0
-	q := &pq{{node: src}}
+	q := pq{{node: src}}
 	done := make([]bool, n)
-	for q.Len() > 0 {
-		it := heap.Pop(q).(pqItem)
-		u := it.node
+	for len(q) > 0 {
+		u := q.pop().node
 		if done[u] {
 			continue
 		}
@@ -141,7 +164,7 @@ func (g *Graph) Dijkstra(src NodeID) (dist []float64, prev []NodeID) {
 			if alt < dist[v] || (alt == dist[v] && prev[v] > u) {
 				dist[v] = alt
 				prev[v] = u
-				heap.Push(q, pqItem{node: v, dist: alt})
+				q.push(pqItem{node: v, dist: alt})
 			}
 		}
 	}

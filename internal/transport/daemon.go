@@ -122,13 +122,20 @@ func (d *Daemon) Router() *core.Router { return d.router }
 
 // Inspect runs fn on the daemon's event loop and waits for completion — the
 // safe way to read or reconfigure router state while the daemon is running.
+// Once Run has returned there is no loop: Inspect then returns without
+// running fn.
 func (d *Daemon) Inspect(fn func(r *core.Router)) {
-	done := make(chan struct{})
-	d.events <- faceEvent{fn: func() {
+	ran := make(chan struct{})
+	if !d.enqueue(faceEvent{fn: func() {
 		fn(d.router)
-		close(done)
-	}}
-	<-done
+		close(ran)
+	}}) {
+		return
+	}
+	select {
+	case <-ran:
+	case <-d.done:
+	}
 }
 
 // Listen binds the daemon's accept socket.
@@ -145,18 +152,21 @@ func (d *Daemon) Listen(addr string) (net.Addr, error) {
 // attachment is executed by the event loop, so it is safe to call while the
 // daemon runs (the events channel buffers attachments queued before Run).
 // The address is remembered: if the link later drops, the daemon re-dials it
-// with bounded exponential backoff.
+// with bounded exponential backoff. After Run has returned it fails.
 func (d *Daemon) ConnectRouter(addr string) error {
 	conn, err := Dial(addr, PeerRouter, d.name, 5*time.Second)
 	if err != nil {
 		return err
 	}
-	d.events <- faceEvent{fn: func() {
+	if !d.enqueue(faceEvent{fn: func() {
 		id := d.addFace(conn, core.FaceRouter)
 		d.mu.Lock()
 		d.neighbors[id] = addr
 		d.mu.Unlock()
-	}}
+	}}) {
+		conn.Close() //nolint:errcheck // shutting down
+		return d.errStopped()
+	}
 	return nil
 }
 
@@ -218,10 +228,17 @@ func (d *Daemon) readLoop(id ndn.FaceID, conn *Conn) {
 }
 
 // enqueue delivers an event to the loop unless the daemon has shut down.
-// Feeder goroutines must use it for every post-startup send: once Run exits
-// nothing drains events, and a blocked send there would deadlock closeAll's
-// wg.Wait.
+// Feeder goroutines and control calls must use it for every send: once Run
+// exits nothing drains events, and a blocked send there would hang the caller
+// (for a feeder, deadlock closeAll's wg.Wait). The shutdown check comes first
+// because the send alone could still win a place in the buffer, where the
+// event would never run.
 func (d *Daemon) enqueue(ev faceEvent) bool {
+	select {
+	case <-d.done:
+		return false
+	default:
+	}
 	select {
 	case d.events <- ev:
 		return true
@@ -230,20 +247,29 @@ func (d *Daemon) enqueue(ev faceEvent) bool {
 	}
 }
 
+func (d *Daemon) errStopped() error { return fmt.Errorf("daemon %s: stopped", d.name) }
+
 // BecomeRP makes this daemon's router host an RP and floods the
 // announcement over its current faces. It executes on the event loop, so the
 // daemon must be running (call after Run has started and neighbor links are
-// up).
+// up). After Run has returned it fails.
 func (d *Daemon) BecomeRP(info copss.RPInfo) error {
 	errc := make(chan error, 1)
-	d.events <- faceEvent{fn: func() {
+	if !d.enqueue(faceEvent{fn: func() {
 		actions, err := d.router.BecomeRP(info)
 		if err == nil {
 			d.dispatch(actions)
 		}
 		errc <- err
-	}}
-	return <-errc
+	}}) {
+		return d.errStopped()
+	}
+	select {
+	case err := <-errc:
+		return err
+	case <-d.done:
+		return d.errStopped()
+	}
 }
 
 // Run serves until the context is cancelled. It owns all router state.

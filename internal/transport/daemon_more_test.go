@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"github.com/icn-gaming/gcopss/internal/cd"
+	"github.com/icn-gaming/gcopss/internal/copss"
 	"github.com/icn-gaming/gcopss/internal/core"
 )
 
@@ -73,6 +74,58 @@ func TestConnectRouterFailure(t *testing.T) {
 	d.SetLogger(func(string, ...interface{}) {})
 	if err := d.ConnectRouter("127.0.0.1:1"); err == nil {
 		t.Error("ConnectRouter to dead port succeeded")
+	}
+}
+
+// TestControlCallsReturnAfterShutdown: once Run has returned nothing drains
+// the event queue, so Inspect, BecomeRP and ConnectRouter must notice the
+// shutdown instead of parking on it forever.
+func TestControlCallsReturnAfterShutdown(t *testing.T) {
+	peerCtx, stopPeer := context.WithCancel(context.Background())
+	defer stopPeer()
+	_, peerAddr := startDaemon(t, peerCtx, "peer") // a live target to dial
+
+	d := NewDaemon("stopped")
+	d.SetLogger(func(string, ...interface{}) {})
+	ctx, cancel := context.WithCancel(context.Background())
+	exited := make(chan struct{})
+	go func() {
+		d.Run(ctx) //nolint:errcheck // cancelled below
+		close(exited)
+	}()
+	d.Inspect(func(*core.Router) {}) // the loop is up
+	cancel()
+	<-exited
+
+	within := func(name string, call func()) {
+		t.Helper()
+		returned := make(chan struct{})
+		go func() {
+			call()
+			close(returned)
+		}()
+		select {
+		case <-returned:
+		case <-time.After(time.Second):
+			t.Fatalf("%s still blocked 1 s after Run returned", name)
+		}
+	}
+	// Repeated, because a send racing the shutdown signal used to win a
+	// buffer slot about half the time.
+	for i := 0; i < 20; i++ {
+		within("Inspect", func() {
+			d.Inspect(func(*core.Router) { t.Error("Inspect ran fn with no event loop") })
+		})
+		within("BecomeRP", func() {
+			if err := d.BecomeRP(copss.RPInfo{Name: "/rp", Prefixes: []cd.CD{cd.MustNew("1")}, Seq: 1}); err == nil {
+				t.Error("BecomeRP succeeded on a stopped daemon")
+			}
+		})
+		within("ConnectRouter", func() {
+			if err := d.ConnectRouter(peerAddr); err == nil {
+				t.Error("ConnectRouter succeeded on a stopped daemon")
+			}
+		})
 	}
 }
 
