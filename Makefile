@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint lint-audit test race fuzz bench bench-diff bench-smoke cover ci
+.PHONY: all build vet fmt-check lint lint-audit test race fuzz bench bench-smoke cover ci
 
 all: build lint test
 
@@ -10,10 +10,15 @@ build:
 vet:
 	$(GO) vet ./...
 
-# lint runs go vet plus the repo's own invariant checkers (cmd/gcopsslint):
-# clockfree, randinject, nopanic, cdctor, errcheckedfaces, obsnames,
-# sharedpkt, maporder, hotalloc, guardedby.
-lint: vet
+# fmt-check fails when gofmt would change any file (it lists them) or cannot
+# parse one (non-zero exit, error on stderr).
+fmt-check:
+	@out=$$(gofmt -l .) || exit 1; if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
+
+# lint runs go vet, the format gate and the repo's own invariant checkers
+# (cmd/gcopsslint): clockfree, randinject, nopanic, cdctor, errcheckedfaces,
+# obsnames, sharedpkt, maporder, hotalloc, guardedby.
+lint: vet fmt-check
 	$(GO) run ./cmd/gcopsslint ./...
 
 # lint-audit lists every //lint:allow waiver with its file:line, the waived
@@ -33,33 +38,19 @@ test:
 # {clean, faulted} sweep of the adaptive lookahead, and the burst data
 # plane's ring-flush equivalence against the per-packet path), plus the
 # flow-control chaos matrix (adaptive-vs-static gate on goodput and
-# retrans_abandoned_total, and same-seed replay determinism). RACE_TESTBED is
-# the testbed list; ci.yml's race and backbone-determinism jobs run the same
-# names — keep them in step.
+# retrans_abandoned_total, and same-seed replay determinism). CI's race job
+# calls this target, so the lists live here only.
 RACE_TESTBED = TestChaosHandoffStagesWorkers4|TestWorkersReproduceSequentialTrace|TestWindowLookaheadInvariant|TestShardedTieBreakOrdering|TestBackboneDeterminism|TestBackboneBurstDeterminism|TestBackboneGolden|TestBurstMatchesPerPacketTrace|TestFlowControlAdaptiveBeatsStatic|TestFlowChaosDeterminism
 race:
 	$(GO) test -race -count=1 ./internal/transport ./internal/core ./internal/flowctl ./internal/obs/... ./internal/event ./internal/copss ./internal/bloom .
 	$(GO) test -race -count=1 -run '$(RACE_TESTBED)' ./internal/testbed
 
-# bench runs the paper-experiment benchmarks (module root, including the
-# backbone-scale parallel sweep, the burst data-plane amortization and the
-# flow-control chaos matrix) and the telemetry hot-path benchmarks
-# (internal/obs) with -benchmem and writes BENCH_10.json (name -> ns/op,
-# B/op, allocs/op, custom metrics like ns/pkt and goodput-obj/s). One
-# iteration per experiment benchmark: the artifact records magnitudes, not
-# statistics. BENCH_9.json is the committed pre-flowctl baseline; compare
-# with bench-diff.
+# bench prints the go-test microbenchmarks (module root and the telemetry hot
+# paths) with -benchmem. They are for measuring while working on one layer;
+# the repository benchmark that judges a change is BENCHMARK.json, run with
+# `sh bench/run.sh`.
 bench:
-	{ $(GO) test -run='^$$' -bench=. -benchmem -benchtime=1x -count=1 . ; \
-	  $(GO) test -run='^$$' -bench=BenchmarkObs -benchmem -count=1 ./internal/obs ; } \
-	  | $(GO) run ./cmd/benchjson -out BENCH_10.json
-
-# bench-diff compares the fresh BENCH_10.json against the committed baseline.
-# Report-only by default; pass THRESHOLD=<pct> to fail on regressions beyond
-# that percentage.
-BENCH_BASELINE = BENCH_9.json
-bench-diff: bench
-	$(GO) run ./cmd/benchjson -diff $(if $(THRESHOLD),-threshold $(THRESHOLD)) $(BENCH_BASELINE) BENCH_10.json
+	$(GO) test -run='^$$' -bench=. -benchmem . ./internal/obs
 
 # bench-smoke compiles and smoke-tests the repository benchmark. bench/ is a
 # module of its own (BENCHMARK.json runs it with `sh bench/run.sh`), so
@@ -68,7 +59,7 @@ bench-diff: bench
 bench-smoke:
 	cd bench && $(GO) vet ./... && $(GO) test -count=1 ./...
 
-# fuzz is a short smoke of the native fuzz targets; CI runs the same.
+# fuzz is a short smoke of the native fuzz targets; CI's fuzz-smoke job calls it.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzDecode -fuzztime=20s ./internal/wire
 	$(GO) test -run='^$$' -fuzz=FuzzMigrationHandoff -fuzztime=30s ./internal/core

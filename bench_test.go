@@ -353,14 +353,15 @@ func benchRouterWithSubscriptions(b *testing.B, mode copss.MatchMode) *core.Rout
 	}
 	r := core.NewRouter("bench", core.WithMatchMode(mode))
 	face := ndn.FaceID(1)
+	var sink ndn.SliceSink // upstream propagation is not part of the fixture
 	for _, a := range m.Areas() {
 		for j := 0; j < 2; j++ {
 			face++
 			r.AddFace(face, core.FaceClient)
-			r.HandlePacket(time.Unix(0, 0), face, &wire.Packet{
+			r.HandlePacketTo(time.Unix(0, 0), face, &wire.Packet{
 				Type: wire.TypeSubscribe,
 				CDs:  a.SubscriptionCDs(),
-			})
+			}, &sink)
 		}
 	}
 	return r
@@ -395,11 +396,12 @@ func BenchmarkSTMulticastLookup(b *testing.B) {
 // router hosting an RP: decapsulation-equivalent dispatch plus fan-out.
 func BenchmarkRouterMulticastPath(b *testing.B) {
 	r := benchRouterWithSubscriptions(b, copss.MatchBloomVerified)
-	if _, err := r.BecomeRP(copss.RPInfo{
+	var sink ndn.SliceSink
+	if err := r.BecomeRPTo(copss.RPInfo{
 		Name:     "/rp",
 		Prefixes: copss.PartitionPrefixes([]string{"1", "2", "3", "4", "5"}),
 		Seq:      1,
-	}); err != nil {
+	}, &sink); err != nil {
 		b.Fatal(err)
 	}
 	pkt := &wire.Packet{
@@ -409,7 +411,6 @@ func BenchmarkRouterMulticastPath(b *testing.B) {
 		Payload: make([]byte, 200),
 	}
 	now := time.Unix(0, 0)
-	var sink ndn.SliceSink
 	r.HandlePacketTo(now, 2, pkt, &sink) // warm scratch and caches
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -429,11 +430,12 @@ func BenchmarkRouterMulticastBurst(b *testing.B) {
 	for _, width := range []int{1, 8, 16, 32} {
 		b.Run(fmt.Sprintf("width%d", width), func(b *testing.B) {
 			r := benchRouterWithSubscriptions(b, copss.MatchBloomVerified)
-			if _, err := r.BecomeRP(copss.RPInfo{
+			var sink ndn.SliceSink
+			if err := r.BecomeRPTo(copss.RPInfo{
 				Name:     "/rp",
 				Prefixes: copss.PartitionPrefixes([]string{"1", "2", "3", "4", "5"}),
 				Seq:      1,
-			}); err != nil {
+			}, &sink); err != nil {
 				b.Fatal(err)
 			}
 			r.AddFace(1000, core.FaceRouter)
@@ -451,7 +453,6 @@ func BenchmarkRouterMulticastBurst(b *testing.B) {
 				}
 			}
 			now := time.Unix(0, 0)
-			var sink ndn.SliceSink
 			r.HandleBurst(now, 1000, pkts, &sink) // warm scratch and caches
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -480,7 +481,10 @@ func BenchmarkAppendEncodeBurst(b *testing.B) {
 			SentAt:  123456789,
 		}
 	}
-	buf := make([]byte, 0, wire.SizeBurst(pkts))
+	buf, err := wire.AppendEncodeBurst(nil, pkts) // grow to the burst's size once
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -546,19 +550,20 @@ func BenchmarkWireRoundTrip(b *testing.B) {
 // BenchmarkRouterDistribute measures the zero-copy multicast fan-out in
 // isolation: one packet arriving on a router face, N subscribed client
 // faces. The allocation count must stay flat as N grows — one shared
-// forwarding copy plus one actions slice, never N clones.
+// forwarding copy, never N clones.
 func BenchmarkRouterDistribute(b *testing.B) {
-	// Sub-benchmark names avoid a trailing -<number>, which benchjson would
-	// mistake for the GOMAXPROCS suffix on single-CPU runners.
+	// Sub-benchmark names avoid a trailing -<number>, which benchmark tooling
+	// mistakes for the GOMAXPROCS suffix on single-CPU runners.
 	for _, n := range []int{4, 16, 64} {
 		b.Run(fmt.Sprintf("%dfaces", n), func(b *testing.B) {
 			r := core.NewRouter("bench")
 			r.AddFace(1000, core.FaceRouter)
 			sub := &wire.Packet{Type: wire.TypeSubscribe, CDs: []cd.CD{cd.MustParse("/1")}}
+			var sink ndn.SliceSink
 			for i := 0; i < n; i++ {
 				f := ndn.FaceID(i + 1)
 				r.AddFace(f, core.FaceClient)
-				r.HandlePacket(time.Unix(0, 0), f, sub)
+				r.HandlePacketTo(time.Unix(0, 0), f, sub, &sink)
 			}
 			c := cd.MustParse("/1/2")
 			pkt := &wire.Packet{
@@ -570,8 +575,7 @@ func BenchmarkRouterDistribute(b *testing.B) {
 			}
 			now := time.Unix(1, 0)
 			// The hot path pushes into a reused sink, exactly as the testbed
-			// shards do; the slice wrapper would charge its growth to us.
-			var sink ndn.SliceSink
+			// shards do.
 			r.HandlePacketTo(now, 1000, pkt, &sink) // warm scratch and caches
 			b.ReportAllocs()
 			b.ResetTimer()

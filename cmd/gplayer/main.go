@@ -121,9 +121,9 @@ func main() {
 
 func run() error {
 	var (
-		name     = flag.String("name", "player1", "player name")
-		router   = flag.String("router", "localhost:7000", "router address")
-		areaStr  = flag.String("area", "/1/1", "starting area on the map")
+		name      = flag.String("name", "player1", "player name")
+		router    = flag.String("router", "localhost:7000", "router address")
+		areaStr   = flag.String("area", "/1/1", "starting area on the map")
 		regions   = flag.Int("regions", 5, "map regions")
 		zones     = flag.Int("zones", 5, "zones per region")
 		logLevel  = flag.String("log-level", "info", "log level: debug, info, warn or error")

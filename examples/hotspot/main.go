@@ -40,13 +40,13 @@ func main() {
 	updates := sim.CompressRamp(tr.Updates, 3.2, 1.6)
 	costs := sim.PaperCosts()
 
-	fixed, err := sim.Replay(env, updates, sim.GCOPSSConfig{
+	fixed, err := sim.GCOPSSConfig{
 		RPs:   sim.DefaultRPPlacement(env, 1),
 		Costs: costs,
-	})
+	}.Run(env, updates)
 	check(err)
 
-	auto, err := sim.Replay(env, updates, sim.GCOPSSConfig{
+	auto, err := sim.GCOPSSConfig{
 		RPs:   sim.DefaultRPPlacement(env, 1),
 		Costs: costs,
 		Balance: &sim.AutoBalance{
@@ -57,7 +57,7 @@ func main() {
 			MigrationMs:    50,
 			Seed:           1,
 		},
-	})
+	}.Run(env, updates)
 	check(err)
 
 	fmt.Println("single overloaded RP vs automatic balancing (Fig. 5b/5c):")

@@ -124,6 +124,11 @@ type Network struct {
 	//
 	//gcopss:guardedby mu
 	queue []delivery
+	// sink collects one router call's actions for enqueue; reused across
+	// calls, so it never outlives the call that filled it.
+	//
+	//gcopss:guardedby mu
+	sink ndn.SliceSink
 	// dropped counts updates lost to full player channels.
 	//
 	//gcopss:guardedby mu
@@ -219,11 +224,11 @@ func (n *Network) StartRP(router, rpName string) error {
 	prefixes = append(prefixes,
 		cd.MustNew(broker.CtlComponent), cd.MustNew(broker.DataComponent))
 	n.rpSeq++
-	actions, err := r.BecomeRP(copss.RPInfo{Name: rpName, Prefixes: prefixes, Seq: n.rpSeq})
-	if err != nil {
+	n.sink.Reset()
+	if err := r.BecomeRPTo(copss.RPInfo{Name: rpName, Prefixes: prefixes, Seq: n.rpSeq}, &n.sink); err != nil {
 		return fmt.Errorf("gcopss: start RP: %w", err)
 	}
-	n.enqueue(router, actions)
+	n.enqueue(router, n.sink.Actions)
 	n.drain()
 	return nil
 }
@@ -257,7 +262,9 @@ func (n *Network) drain() {
 		if !ok {
 			continue
 		}
-		n.enqueue(d.router, r.HandlePacket(now, d.face, d.pkt))
+		n.sink.Reset()
+		r.HandlePacketTo(now, d.face, d.pkt, &n.sink)
+		n.enqueue(d.router, n.sink.Actions)
 	}
 }
 

@@ -7,8 +7,9 @@
 // paper's migration protocol promises cannot happen. The checked set is:
 //
 //   - every error-returning function and method of internal/wire;
-//   - the face-write methods of internal/transport (WritePacket, WriteHello,
-//     Send, Subscribe, Unsubscribe, Publish, AnnouncePrefix, Query).
+//   - the face-write methods of internal/transport (WritePacket, WriteBurst,
+//     SendHello, Send, Subscribe, Unsubscribe, Publish, AnnouncePrefix,
+//     Query).
 //
 // Discarding covers call statements, go/defer statements, and assignments of
 // the error result to the blank identifier.
@@ -31,7 +32,8 @@ var Analyzer = &analysis.Analyzer{
 // faceWrites is the transport method set whose errors are load-bearing.
 var faceWrites = map[string]bool{
 	"WritePacket":    true,
-	"WriteHello":     true,
+	"WriteBurst":     true,
+	"SendHello":      true,
 	"Send":           true,
 	"Subscribe":      true,
 	"Unsubscribe":    true,

@@ -10,6 +10,8 @@ func bad(c *transport.Conn, p *wire.Packet) {
 	c.WritePacket(p)            // want "error result of WritePacket is discarded"
 	go c.WritePacket(p)         // want "error result of WritePacket is discarded"
 	defer c.WritePacket(p)      // want "error result of WritePacket is discarded"
+	c.WriteBurst(nil)           // want "error result of WriteBurst is discarded"
+	_ = c.SendHello("r1")       // want "error result of SendHello is assigned to _"
 	_ = p.Validate()            // want "error result of Validate is assigned to _"
 	q, n, _ := wire.Decode(nil) // want "error result of Decode is assigned to _"
 	_, _ = q, n

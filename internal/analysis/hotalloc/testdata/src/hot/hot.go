@@ -71,7 +71,7 @@ func captures(n int) int {
 //gcopss:hotpath
 func converts(s lenString) int {
 	var i stringer
-	i = s // want "value-to-interface conversion at assignment on hot path converts"
+	i = s                        // want "value-to-interface conversion at assignment on hot path converts"
 	return i.Len() + useIface(s) // want "value-to-interface conversion at call argument on hot path converts"
 }
 

@@ -24,7 +24,7 @@
 //	use(&cp)
 //
 // The checker also enforces the sink-aliasing rule of the ActionSink API
-// (DESIGN.md §12): once an ndn.Action has been passed to Emit, the sink owns
+// (DESIGN.md §11): once an ndn.Action has been passed to Emit, the sink owns
 // the packet it carries. A sink is free to forward the action immediately —
 // the per-shard mailbox sinks do — so mutating the packet afterwards races
 // with delivery. Within a function body, any write through a local that was

@@ -11,14 +11,6 @@ import (
 	"github.com/icn-gaming/gcopss/internal/wire"
 )
 
-// tickActions drives the sink-based retransmission timer and collects the
-// resends, for tests that assert on them as a slice.
-func tickActions(r *Router, now time.Time) []ndn.Action {
-	var sink ndn.SliceSink
-	r.TickTo(now, &sink)
-	return sink.Actions
-}
-
 // arqPair builds two directly linked routers with R1 hosting /rp1.
 func arqPair(t *testing.T, opts ...Option) *harness {
 	t.Helper()
@@ -26,7 +18,7 @@ func arqPair(t *testing.T, opts ...Option) *harness {
 	h.addRouter("R1", opts...)
 	h.addRouter("R2", opts...)
 	h.connect("R1", 1, "R2", 1)
-	actions, err := h.routers["R1"].BecomeRPAt(time.Unix(0, 0), copss.RPInfo{
+	actions, err := becomeRPAt(h.routers["R1"], time.Unix(0, 0), copss.RPInfo{
 		Name:     "/rp1",
 		Prefixes: []cd.CD{cd.MustParse("/1")},
 		Seq:      1,
@@ -60,11 +52,11 @@ func TestARQRetransmitWithBackoffUntilAck(t *testing.T) {
 
 	t0 := time.Unix(0, 0)
 	// Before the RTO expires nothing is resent.
-	if out := tickActions(r1, t0.Add(DefaultARQRTO / 2)); len(out) != 0 {
+	if out := tickActions(r1, t0.Add(DefaultARQRTO/2)); len(out) != 0 {
 		t.Fatalf("premature retransmission: %v", out)
 	}
 	// After the RTO the packet is resent; backoff doubles each attempt.
-	out := tickActions(r1, t0.Add(DefaultARQRTO + time.Millisecond))
+	out := tickActions(r1, t0.Add(DefaultARQRTO+time.Millisecond))
 	if len(out) != 1 || out[0].Packet.Type != wire.TypeFIBAdd {
 		t.Fatalf("first retransmission = %v, want the FIBAdd", out)
 	}
@@ -72,7 +64,7 @@ func TestARQRetransmitWithBackoffUntilAck(t *testing.T) {
 		t.Fatalf("Retransmissions = %d, want 1", r1.Stats().Retransmissions)
 	}
 	// Immediately after, the doubled backoff suppresses another resend.
-	if out := tickActions(r1, t0.Add(DefaultARQRTO + 2*time.Millisecond)); len(out) != 0 {
+	if out := tickActions(r1, t0.Add(DefaultARQRTO+2*time.Millisecond)); len(out) != 0 {
 		t.Fatalf("backoff not applied: %v", out)
 	}
 	// Deliver the retransmission; the ack must clear the pending entry.
@@ -201,8 +193,8 @@ func TestARQDuplicateSuppressedButAcked(t *testing.T) {
 		Type: wire.TypeJoin, Name: "/rp1", Origin: "R9",
 		CDs: []cd.CD{cd.MustParse("/1/2")}, CtlSeq: 77,
 	}
-	first := r2.HandlePacket(time.Unix(0, 0), 1, join)
-	second := r2.HandlePacket(time.Unix(0, 0), 1, join.Clone())
+	first := handle(r2, time.Unix(0, 0), 1, join)
+	second := handle(r2, time.Unix(0, 0), 1, join)
 	if r2.Stats().JoinsIn != 1 {
 		t.Fatalf("JoinsIn = %d, want 1 (duplicate must not reprocess)", r2.Stats().JoinsIn)
 	}
@@ -228,13 +220,13 @@ func TestARQLegacyZeroCtlSeqNeverAcked(t *testing.T) {
 	h.run()
 	r2 := h.routers["R2"]
 	join := &wire.Packet{Type: wire.TypeJoin, Name: "/rp1", CDs: []cd.CD{cd.MustParse("/1/2")}}
-	for _, a := range r2.HandlePacket(time.Unix(0, 0), 1, join) {
+	for _, a := range handle(r2, time.Unix(0, 0), 1, join) {
 		if a.Packet.Type == wire.TypeAck {
 			t.Fatalf("legacy packet (CtlSeq=0) must not be acked: %v", a)
 		}
 	}
 	// And reprocessing is NOT suppressed for legacy packets.
-	r2.HandlePacket(time.Unix(0, 0), 1, join.Clone())
+	handle(r2, time.Unix(0, 0), 1, join)
 	if r2.Stats().JoinsIn != 2 {
 		t.Fatalf("JoinsIn = %d, want 2", r2.Stats().JoinsIn)
 	}
@@ -263,7 +255,7 @@ func TestARQStampsOnlyRouterFaces(t *testing.T) {
 	h.connect("R1", 1, "R2", 1)
 	h.attach("c", "R1", 10)
 	r1 := h.routers["R1"]
-	actions, err := r1.BecomeRPAt(time.Unix(0, 0), copss.RPInfo{
+	actions, err := becomeRPAt(r1, time.Unix(0, 0), copss.RPInfo{
 		Name: "/rp1", Prefixes: []cd.CD{cd.MustParse("/1")}, Seq: 1,
 	})
 	if err != nil {

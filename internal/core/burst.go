@@ -5,7 +5,6 @@ import (
 
 	"github.com/icn-gaming/gcopss/internal/ndn"
 	"github.com/icn-gaming/gcopss/internal/obs"
-	"github.com/icn-gaming/gcopss/internal/obs/trace"
 	"github.com/icn-gaming/gcopss/internal/wire"
 )
 
@@ -54,13 +53,7 @@ func (r *Router) HandleBurst(now time.Time, from ndn.FaceID, pkts []*wire.Packet
 		// is ST scratch, valid until the next ST query — nothing in the run
 		// loop below queries the ST, and the run ends before any fallback
 		// packet (which could mutate subscriptions) is processed.
-		c, _ := head.CD() //lint:allow errcheckedfaces fast path guarantees at least one CD
-		var faces []ndn.FaceID
-		if len(head.CDHashes) > 0 {
-			faces = r.st.FacesForFlat(c, head.CDHashes)
-		} else {
-			faces = r.st.FacesFor(c)
-		}
+		faces := r.st.FacesForFlat(head.CDs[0], head.CDHashes)
 		if slab == nil {
 			slab = make([]wire.Packet, len(pkts)-i) //lint:allow hotalloc one lazy slab per burst, amortized below 1 alloc/packet
 		}
@@ -75,20 +68,7 @@ func (r *Router) HandleBurst(now time.Time, from ndn.FaceID, pkts []*wire.Packet
 			slabNext++
 			*fwd = *pkt
 			fwd.HopCount++
-			for _, f := range faces {
-				if f == from {
-					continue
-				}
-				sink.Emit(ndn.Action{Face: f, Packet: fwd})
-				r.ctr.multicastOut.Inc()
-				r.record(now, obs.EvFanOut, f, pkt, "")
-				r.traceHop(now, trace.HopFanOut, f, pkt)
-				if pkt.SentAt != 0 && pkt.Origin != FlushOrigin && r.faces[f] == FaceClient {
-					if dt := now.UnixNano() - pkt.SentAt; dt >= 0 {
-						r.deliveryLatency.Observe(float64(dt) / 1e6)
-					}
-				}
-			}
+			r.fanOut(now, from, pkt, fwd, faces, sink)
 		}
 	}
 }

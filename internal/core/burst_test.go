@@ -25,7 +25,7 @@ func burstRouter(t testing.TB) *Router {
 		if i >= 5 {
 			sub = "/2"
 		}
-		r.HandlePacket(time.Unix(0, 0), f, &wire.Packet{
+		handle(r, time.Unix(0, 0), f, &wire.Packet{
 			Type: wire.TypeSubscribe, CDs: []cd.CD{cd.MustParse(sub)},
 		})
 	}
@@ -56,8 +56,8 @@ func mixedBurst() []*wire.Packet {
 		{Type: wire.TypeMulticast, CDs: []cd.CD{cd.MustParse("/1/2")},
 			Origin: FlushOrigin, Name: FlushOrigin + "/X"}, // fallback: marker
 		{Type: wire.TypeSubscribe, CDs: []cd.CD{cd.MustParse("/1/7")}}, // fallback: ST mutation
-		hashedMulticastFor("/1/2", 5, h12), // new run after the fallback break
-		{Type: wire.TypeAck, CtlSeq: 99},   // fallback: consumed silently
+		hashedMulticastFor("/1/2", 5, h12),                             // new run after the fallback break
+		{Type: wire.TypeAck, CtlSeq: 99},                               // fallback: consumed silently
 		{Type: wire.TypeMulticast, CDs: []cd.CD{cd.MustParse("/1/2")}}, // no hashes: FacesFor path
 	}
 }
@@ -68,14 +68,25 @@ func mixedBurst() []*wire.Packet {
 func TestHandleBurstMatchesSequential(t *testing.T) {
 	now := time.Unix(1, 0)
 	pkts := mixedBurst()
+	// Beside the fixture's client subscribers, a downstream router face
+	// subscribed to /1: fan-out to it is forwarding, not delivery, so it
+	// must add actions but no delivery-latency samples on either path.
+	build := func() *Router {
+		r := burstRouter(t)
+		r.AddFace(7, FaceRouter)
+		handle(r, time.Unix(0, 0), 7, &wire.Packet{
+			Type: wire.TypeSubscribe, CDs: []cd.CD{cd.MustParse("/1")},
+		})
+		return r
+	}
 
-	seq := burstRouter(t)
+	seq := build()
 	var seqSink ndn.SliceSink
 	for _, p := range pkts {
 		seq.HandlePacketTo(now, 1000, p, &seqSink)
 	}
 
-	bur := burstRouter(t)
+	bur := build()
 	var burSink ndn.SliceSink
 	bur.HandleBurst(now, 1000, pkts, &burSink)
 
@@ -98,6 +109,12 @@ func TestHandleBurstMatchesSequential(t *testing.T) {
 	}
 	if bur.Stats() != seq.Stats() {
 		t.Errorf("stats diverged:\nburst: %+v\nseq:   %+v", bur.Stats(), seq.Stats())
+	}
+	// Deliveries to client faces feed the latency histogram on both paths;
+	// the router-face subscriber and the unstamped packets do not.
+	bl, sl := bur.deliveryLatency.Count(), seq.deliveryLatency.Count()
+	if bl != sl || bl == 0 || bl >= uint64(len(seqSink.Actions)) {
+		t.Errorf("delivery-latency samples: burst %d, sequential %d, of %d actions", bl, sl, len(seqSink.Actions))
 	}
 }
 

@@ -36,7 +36,7 @@ func TestArbitraryDepthHierarchy(t *testing.T) {
 
 	// Prefix-free partition cutting across layers: rp1 serves the deep
 	// subtree /1/1 (with its rooms), rp2 the rest.
-	a1, err := h.routers["R1"].BecomeRP(copss.RPInfo{
+	a1, err := becomeRP(h.routers["R1"], copss.RPInfo{
 		Name:     "/rp1",
 		Prefixes: []cd.CD{cd.MustParse("/1/1")},
 		Seq:      1,
@@ -46,7 +46,7 @@ func TestArbitraryDepthHierarchy(t *testing.T) {
 	}
 	h.enqueueActions("R1", a1)
 	h.run()
-	a2, err := h.routers["R2"].BecomeRP(copss.RPInfo{
+	a2, err := becomeRP(h.routers["R2"], copss.RPInfo{
 		Name:     "/rp2",
 		Prefixes: []cd.CD{cd.MustNew(""), cd.MustParse("/1/2"), cd.MustParse("/1/"), cd.MustParse("/2")},
 		Seq:      2,

@@ -71,7 +71,7 @@ func TestPruneEdgeCases(t *testing.T) {
 		t.Errorf("unknown-RP prune: acts=%v stats=%+v", acts, r.Stats())
 	}
 	// Prune arriving at the RP itself is consumed.
-	if _, err := r.BecomeRP(copss.RPInfo{Name: "/rp", Prefixes: []cd.CD{cd.MustParse("/1")}, Seq: 1}); err != nil {
+	if _, err := becomeRP(r, copss.RPInfo{Name: "/rp", Prefixes: []cd.CD{cd.MustParse("/1")}, Seq: 1}); err != nil {
 		t.Fatal(err)
 	}
 	acts = emitted(func(s ndn.ActionSink) {
@@ -148,7 +148,7 @@ func TestPublishTowardWithoutRoute(t *testing.T) {
 	if err := r.RPTable().Set("/rp", []cd.CD{cd.MustParse("/1")}, 1); err != nil {
 		t.Fatal(err)
 	}
-	acts := r.HandlePacket(time.Unix(0, 0), 1, &wire.Packet{
+	acts := handle(r, time.Unix(0, 0), 1, &wire.Packet{
 		Type: wire.TypeMulticast, CDs: []cd.CD{cd.MustParse("/1/1")},
 		Origin: "p", Payload: []byte("x"),
 	})
@@ -163,7 +163,7 @@ func TestAnnouncementConflictDropped(t *testing.T) {
 	// A conflicting RP announcement (prefix /1/1 nested under /rp's /1).
 	h.attach("rogue", "R2", 41)
 	h.routers["R2"].AddFace(42, FaceRouter) // pretend a router face
-	h.routers["R2"].HandlePacket(time.Unix(0, 0), 42, &wire.Packet{
+	handle(h.routers["R2"], time.Unix(0, 0), 42, &wire.Packet{
 		Type: wire.TypeFIBAdd, Name: "/rogue", CDs: []cd.CD{cd.MustParse("/1/1")}, Seq: 3,
 	})
 	if got := h.routers["R2"].Stats().Dropped; got != before+1 {

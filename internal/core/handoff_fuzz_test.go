@@ -27,7 +27,7 @@ func FuzzMigrationHandoff(f *testing.F) {
 		h := fn.h
 
 		rpHost := fn.names[rnd.Intn(n)]
-		actions, err := h.routers[rpHost].BecomeRP(copss.RPInfo{
+		actions, err := becomeRP(h.routers[rpHost], copss.RPInfo{
 			Name: "/rpA", Prefixes: copss.PartitionPrefixes([]string{"1", "2"}), Seq: 1,
 		})
 		if err != nil {

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"github.com/icn-gaming/gcopss/internal/cd"
+	"github.com/icn-gaming/gcopss/internal/copss"
 	"github.com/icn-gaming/gcopss/internal/ndn"
 	"github.com/icn-gaming/gcopss/internal/wire"
 )
@@ -47,6 +48,34 @@ type netEvent struct {
 	router string
 	face   ndn.FaceID
 	pkt    *wire.Packet
+}
+
+// The router's emission API is sink-only; these four helpers are the tests'
+// slice view of it. Each returns the emitted actions (nil when there were
+// none).
+
+func handle(r *Router, now time.Time, from ndn.FaceID, pkt *wire.Packet) []ndn.Action {
+	var sink ndn.SliceSink
+	r.HandlePacketTo(now, from, pkt, &sink)
+	return sink.Actions
+}
+
+func becomeRP(r *Router, info copss.RPInfo) ([]ndn.Action, error) {
+	var sink ndn.SliceSink
+	err := r.BecomeRPTo(info, &sink)
+	return sink.Actions, err
+}
+
+func becomeRPAt(r *Router, now time.Time, info copss.RPInfo) ([]ndn.Action, error) {
+	var sink ndn.SliceSink
+	err := r.BecomeRPAt(now, info, &sink)
+	return sink.Actions, err
+}
+
+func tickActions(r *Router, now time.Time) []ndn.Action {
+	var sink ndn.SliceSink
+	r.TickTo(now, &sink)
+	return sink.Actions
 }
 
 func newHarness(t *testing.T) *harness {
@@ -121,7 +150,7 @@ func (h *harness) step() bool {
 		h.t.Fatal("harness: packet loop detected")
 	}
 	r := h.routers[ev.router]
-	h.enqueueActions(ev.router, r.HandlePacket(h.now, ev.face, ev.pkt))
+	h.enqueueActions(ev.router, handle(r, h.now, ev.face, ev.pkt))
 	return true
 }
 

@@ -124,7 +124,7 @@ func TestMigrationFuzz(t *testing.T) {
 
 			// RP at a random router.
 			rpHost := fn.names[rnd.Intn(n)]
-			actions, err := h.routers[rpHost].BecomeRP(copss.RPInfo{
+			actions, err := becomeRP(h.routers[rpHost], copss.RPInfo{
 				Name: "/rpA", Prefixes: prefixes, Seq: 1,
 			})
 			if err != nil {
@@ -244,7 +244,7 @@ func TestMigrationFuzzStrictLoss(t *testing.T) {
 			h := fn.h
 
 			rpHost := fn.names[rnd.Intn(n)]
-			actions, err := h.routers[rpHost].BecomeRP(copss.RPInfo{
+			actions, err := becomeRP(h.routers[rpHost], copss.RPInfo{
 				Name: "/rpA", Prefixes: copss.PartitionPrefixes([]string{"1", "2"}), Seq: 1,
 			})
 			if err != nil {

@@ -101,7 +101,7 @@ func TestCheckOverload(t *testing.T) {
 		Prefixes: []cd.CD{cd.MustParse("/1"), cd.MustParse("/2")},
 		Seq:      1,
 	}
-	if _, err := r.BecomeRP(info); err != nil {
+	if _, err := becomeRP(r, info); err != nil {
 		t.Fatal(err)
 	}
 	mon, ok := r.Monitor("/rp")
@@ -152,7 +152,7 @@ func migrationTopology(t *testing.T) *harness {
 		Prefixes: copss.PartitionPrefixes([]string{"1", "2", "3", "4", "5"}),
 		Seq:      1,
 	}
-	actions, err := h.routers["R1"].BecomeRP(info)
+	actions, err := becomeRP(h.routers["R1"], info)
 	if err != nil {
 		t.Fatal(err)
 	}

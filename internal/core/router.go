@@ -7,9 +7,9 @@
 // and an arriving packet and emits the resulting (face, packet) send actions
 // into an ndn.ActionSink. Hosts — the packet-level testbed, the TCP daemon,
 // and the trace-driven simulator — own queues, links and clocks, which is
-// also what makes the queueing behaviour measurable. Thin slice-returning
-// wrappers (HandlePacket, BecomeRP) remain at the public seam; timer-driven
-// retransmission is sink-only (TickTo).
+// also what makes the queueing behaviour measurable. Sinks are the only
+// emission API: a caller that wants the actions as a slice owns an
+// ndn.SliceSink and reads it back.
 package core
 
 import (
@@ -49,7 +49,7 @@ const InternalFace ndn.FaceID = -1
 
 // Stats counts router activity. Values are assembled by Stats() from the
 // router's registry-backed counters, so reading them is safe while another
-// goroutine drives HandlePacket.
+// goroutine drives HandlePacketTo.
 type Stats struct {
 	MulticastIn         uint64 // raw Multicast packets received
 	MulticastOut        uint64 // Multicast packets sent (per face)
@@ -241,22 +241,22 @@ func WithTracer(t *trace.Tracer) Option {
 // NewRouter creates a router with no faces.
 func NewRouter(name string, opts ...Option) *Router {
 	r := &Router{
-		name:           name,
-		ndnEngine:      ndn.NewEngine(),
-		rpt:            copss.NewRPTable(),
-		faces:          make(map[ndn.FaceID]FaceKind),
-		localRPs:       make(map[string]*LoadMonitor),
-		propagated:     make(map[string]*cd.Set),
-		upstream:       make(map[string]ndn.FaceID),
-		grafts:         make(map[string]*graft),
-		pendingJoins:   make(map[string][]pendingJoin),
-		announceSeq:    make(map[string]uint64),
-		arqPending: make(map[arqKey]*arqEntry),
-		arqSeen:    make(map[ndn.FaceID]*arqSeen),
-		arqEst:     make(map[ndn.FaceID]*flowctl.Estimator),
-		flow:       arqDefaults(flowctl.Config{}),
-		windowSize: DefaultLoadWindow,
-		matchMode:  copss.MatchBloomVerified,
+		name:         name,
+		ndnEngine:    ndn.NewEngine(),
+		rpt:          copss.NewRPTable(),
+		faces:        make(map[ndn.FaceID]FaceKind),
+		localRPs:     make(map[string]*LoadMonitor),
+		propagated:   make(map[string]*cd.Set),
+		upstream:     make(map[string]ndn.FaceID),
+		grafts:       make(map[string]*graft),
+		pendingJoins: make(map[string][]pendingJoin),
+		announceSeq:  make(map[string]uint64),
+		arqPending:   make(map[arqKey]*arqEntry),
+		arqSeen:      make(map[ndn.FaceID]*arqSeen),
+		arqEst:       make(map[ndn.FaceID]*flowctl.Estimator),
+		flow:         arqDefaults(flowctl.Config{}),
+		windowSize:   DefaultLoadWindow,
+		matchMode:    copss.MatchBloomVerified,
 	}
 	for _, o := range opts {
 		o(r)
@@ -492,19 +492,10 @@ func (r *Router) InstallRP(info copss.RPInfo, via ndn.FaceID) error {
 	return nil
 }
 
-// BecomeRP makes this router host the named RP serving the given prefix-free
-// CD prefixes. Slice-returning wrapper over BecomeRPTo; the actions flood
-// the announcement to all router faces.
-func (r *Router) BecomeRP(info copss.RPInfo) ([]ndn.Action, error) {
-	var sink ndn.SliceSink
-	if err := r.BecomeRPTo(info, &sink); err != nil {
-		return nil, err
-	}
-	return sink.Actions, nil
-}
-
-// BecomeRPTo makes this router host the named RP, emitting the announcement
-// flood into sink.
+// BecomeRPTo makes this router host the named RP serving the given
+// prefix-free CD prefixes, emitting the announcement flood to all router
+// faces into sink. The flood is fire-and-forget; hosts that drive TickTo
+// use BecomeRPAt.
 func (r *Router) BecomeRPTo(info copss.RPInfo, sink ndn.ActionSink) error {
 	if err := r.rpt.Set(info.Name, info.Prefixes, info.Seq); err != nil {
 		return fmt.Errorf("core: become RP: %w", err)
@@ -526,16 +517,11 @@ func (r *Router) BecomeRPTo(info copss.RPInfo, sink ndn.ActionSink) error {
 	return nil
 }
 
-// BecomeRPAt is BecomeRP with ARQ registration stamped at now: the returned
-// announcement flood is retransmitted by Tick until every neighbor acks, so
-// bootstrap survives lossy links. Plain BecomeRP keeps the unregistered
-// (fire-and-forget) behavior for hosts that do not drive Tick.
-func (r *Router) BecomeRPAt(now time.Time, info copss.RPInfo) ([]ndn.Action, error) {
-	var sink ndn.SliceSink
-	if err := r.BecomeRPTo(info, &relSink{r: r, now: now, dst: &sink}); err != nil {
-		return nil, err
-	}
-	return sink.Actions, nil
+// BecomeRPAt is BecomeRPTo with ARQ registration stamped at now: the
+// announcement flood emitted into sink is retransmitted by TickTo until every
+// neighbor acks, so bootstrap survives lossy links.
+func (r *Router) BecomeRPAt(now time.Time, info copss.RPInfo, sink ndn.ActionSink) error {
+	return r.BecomeRPTo(info, &relSink{r: r, now: now, dst: sink})
 }
 
 // floodExcept emits send actions for every router face except the given one
@@ -565,14 +551,6 @@ func (r *Router) floodExcept(except ndn.FaceID, pkt *wire.Packet, sink ndn.Actio
 	for _, id := range out {
 		sink.Emit(ndn.Action{Face: id, Packet: pkt})
 	}
-}
-
-// HandlePacket is the slice-returning wrapper over HandlePacketTo, kept at
-// the public seam for hosts that collect actions (the TCP daemon, tests).
-func (r *Router) HandlePacket(now time.Time, from ndn.FaceID, pkt *wire.Packet) []ndn.Action {
-	var sink ndn.SliceSink
-	r.HandlePacketTo(now, from, pkt, &sink)
-	return sink.Actions
 }
 
 // HandlePacketTo is the router's single entry point: it dispatches by packet
@@ -842,9 +820,7 @@ func (r *Router) publishToward(now time.Time, rpName string, inner *wire.Packet,
 }
 
 // distribute forwards a Multicast to every face whose subscriptions match a
-// prefix of the packet's CD, excluding the arrival face. Precomputed hash
-// pairs from the first hop are used when present. Deliveries to client faces
-// carrying a send timestamp feed the delivery-latency histogram.
+// prefix of the packet's CD, excluding the arrival face.
 //
 //gcopss:hotpath
 func (r *Router) distribute(now time.Time, from ndn.FaceID, pkt *wire.Packet, sink ndn.ActionSink) {
@@ -853,20 +829,26 @@ func (r *Router) distribute(now time.Time, from ndn.FaceID, pkt *wire.Packet, si
 		r.drop(now, from, pkt, "multicast without CD")
 		return
 	}
-	var faces []ndn.FaceID
-	if len(pkt.CDHashes) > 0 {
-		faces = r.st.FacesForFlat(c, pkt.CDHashes)
-	} else {
-		faces = r.st.FacesFor(c)
-	}
+	// With no (or an inconsistent) precomputed hash vector FacesForFlat
+	// hashes the prefixes itself, so one call covers stamped and unstamped
+	// packets.
+	faces := r.st.FacesForFlat(c, pkt.CDHashes)
 	if len(faces) == 0 {
 		return
 	}
-	// Zero-copy fan-out: every out-face shares one shallow forwarding copy
-	// (the packet is immutable-after-send), so an N-face fan-out costs one
-	// Packet struct, never N payload copies — and with the sink there is no
-	// intermediate actions slice either.
-	fwd := pkt.Forward()
+	r.fanOut(now, from, pkt, pkt.Forward(), faces, sink)
+}
+
+// fanOut is the router's one multicast fan-out loop, shared by distribute
+// and the HandleBurst fast path: it emits fwd, the forwarding copy of pkt,
+// to every face in faces except the arrival face. The fan-out is zero-copy —
+// every out-face shares the one forwarding copy (the packet is
+// immutable-after-send), so an N-face fan-out costs one Packet struct, never
+// N payload copies. Deliveries to client faces carrying a send timestamp
+// feed the delivery-latency histogram.
+//
+//gcopss:hotpath
+func (r *Router) fanOut(now time.Time, from ndn.FaceID, pkt, fwd *wire.Packet, faces []ndn.FaceID, sink ndn.ActionSink) {
 	for _, f := range faces {
 		if f == from {
 			continue

@@ -28,7 +28,7 @@ func lineTopology(t *testing.T) *harness {
 		Prefixes: copss.PartitionPrefixes([]string{"1", "2", "3", "4", "5"}),
 		Seq:      1,
 	}
-	actions, err := h.routers["R1"].BecomeRP(info)
+	actions, err := becomeRP(h.routers["R1"], info)
 	if err != nil {
 		t.Fatalf("BecomeRP: %v", err)
 	}
@@ -290,7 +290,7 @@ func TestInstallRPStatic(t *testing.T) {
 	r2 := h.addRouter("R2")
 	h.connect("R1", 1, "R2", 1)
 	info := copss.RPInfo{Name: "/rp", Prefixes: []cd.CD{cd.Root()}, Seq: 1}
-	if _, err := r1.BecomeRP(info); err != nil {
+	if _, err := becomeRP(r1, info); err != nil {
 		t.Fatal(err)
 	}
 	if err := r2.InstallRP(info, 1); err != nil {
@@ -328,21 +328,21 @@ func TestRouterMiscAccessors(t *testing.T) {
 		t.Error("fresh router should host no RPs")
 	}
 	// Unknown packet types are dropped, not crashed on.
-	if acts := r.HandlePacket(time.Unix(0, 0), 3, &wire.Packet{Type: wire.Type(99)}); acts != nil {
+	if acts := handle(r, time.Unix(0, 0), 3, &wire.Packet{Type: wire.Type(99)}); acts != nil {
 		t.Errorf("unknown type actions = %v", acts)
 	}
 	// Multicast from an unregistered face is dropped.
-	if acts := r.HandlePacket(time.Unix(0, 0), 77, mcast("/1", "x", 1, "p")); acts != nil {
+	if acts := handle(r, time.Unix(0, 0), 77, mcast("/1", "x", 1, "p")); acts != nil {
 		t.Errorf("unregistered face actions = %v", acts)
 	}
 }
 
 func TestBecomeRPRejectsConflict(t *testing.T) {
 	r := NewRouter("X")
-	if _, err := r.BecomeRP(copss.RPInfo{Name: "/a", Prefixes: []cd.CD{cd.MustParse("/1")}, Seq: 1}); err != nil {
+	if _, err := becomeRP(r, copss.RPInfo{Name: "/a", Prefixes: []cd.CD{cd.MustParse("/1")}, Seq: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.BecomeRP(copss.RPInfo{Name: "/b", Prefixes: []cd.CD{cd.MustParse("/1/1")}, Seq: 1}); err == nil {
+	if _, err := becomeRP(r, copss.RPInfo{Name: "/b", Prefixes: []cd.CD{cd.MustParse("/1/1")}, Seq: 1}); err == nil {
 		t.Error("conflicting RP accepted")
 	}
 }

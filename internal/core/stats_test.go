@@ -18,18 +18,18 @@ import (
 func TestStatsConcurrentWithHandlePacket(t *testing.T) {
 	r := NewRouter("R")
 	r.AddFace(1, FaceClient)
-	if _, err := r.BecomeRP(copss.RPInfo{Name: "/rp", Prefixes: []cd.CD{cd.MustParse("/1")}, Seq: 1}); err != nil {
+	if _, err := becomeRP(r, copss.RPInfo{Name: "/rp", Prefixes: []cd.CD{cd.MustParse("/1")}, Seq: 1}); err != nil {
 		t.Fatal(err)
 	}
 	now := time.Unix(0, 0)
-	r.HandlePacket(now, 1, sub("/1/2"))
+	handle(r, now, 1, sub("/1/2"))
 
 	var wg sync.WaitGroup
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 5000; i++ {
-			r.HandlePacket(now, 1, mcast("/1/2", "p", uint64(i), "x"))
+			handle(r, now, 1, mcast("/1/2", "p", uint64(i), "x"))
 		}
 	}()
 	go func() {
@@ -69,7 +69,7 @@ func statsTopology(t *testing.T) *harness {
 	h.addRouter("R3")
 	h.connect("R1", 1, "R2", 1)
 	h.connect("R2", 2, "R3", 1)
-	actions, err := h.routers["R1"].BecomeRP(copss.RPInfo{
+	actions, err := becomeRP(h.routers["R1"], copss.RPInfo{
 		Name:     "/rp1",
 		Prefixes: []cd.CD{cd.MustParse("/1"), cd.MustParse("/2")},
 		Seq:      1,

@@ -22,7 +22,7 @@ func traceNet(t *testing.T, tr *trace.Tracer) *harness {
 	h.attach("pub", "R1", 10)
 	h.attach("subA", "R1", 11)
 	h.attach("subB", "R2", 20)
-	actions, err := h.routers["R2"].BecomeRP(copss.RPInfo{
+	actions, err := becomeRP(h.routers["R2"], copss.RPInfo{
 		Name: "/rp1", Prefixes: []cd.CD{cd.MustParse("/1")}, Seq: 1,
 	})
 	if err != nil {
@@ -188,7 +188,7 @@ func TestTraceARQRetransmit(t *testing.T) {
 		t.Fatal("every=1 did not sample the control packet")
 	}
 	t0 := time.Unix(0, 0)
-	out := tickActions(r1, t0.Add(DefaultARQRTO + time.Millisecond))
+	out := tickActions(r1, t0.Add(DefaultARQRTO+time.Millisecond))
 	if len(out) != 1 {
 		t.Fatalf("retransmissions = %d, want 1", len(out))
 	}
@@ -216,7 +216,7 @@ func TestTracerAttachedDisabledAllocBudget(t *testing.T) {
 		for i := 0; i < 8; i++ {
 			f := ndn.FaceID(i + 1)
 			r.AddFace(f, FaceClient)
-			r.HandlePacket(time.Unix(0, 0), f, sub("/1"))
+			handle(r, time.Unix(0, 0), f, sub("/1"))
 		}
 		pkt := hashedMulticast()
 		now := time.Unix(1, 0)

@@ -21,7 +21,7 @@ func fanOutRouter(t testing.TB, nClients int) *Router {
 	for i := 0; i < nClients; i++ {
 		f := ndn.FaceID(i + 1)
 		r.AddFace(f, FaceClient)
-		r.HandlePacket(time.Unix(0, 0), f, &wire.Packet{
+		handle(r, time.Unix(0, 0), f, &wire.Packet{
 			Type: wire.TypeSubscribe, CDs: []cd.CD{cd.MustParse("/1")},
 		})
 	}
@@ -45,7 +45,7 @@ func hashedMulticast() *wire.Packet {
 func TestDistributeFanOutShares(t *testing.T) {
 	r := fanOutRouter(t, 8)
 	pkt := hashedMulticast()
-	out := r.HandlePacket(time.Unix(1, 0), 1000, pkt)
+	out := handle(r, time.Unix(1, 0), 1000, pkt)
 	if len(out) != 8 {
 		t.Fatalf("fan-out = %d actions, want 8", len(out))
 	}
@@ -102,7 +102,7 @@ func TestSharedFanOutNoConcurrentMutation(t *testing.T) {
 	const downstreams = 8
 	up := fanOutRouter(t, 2)
 	pkt := hashedMulticast()
-	out := up.HandlePacket(time.Unix(1, 0), 1000, pkt)
+	out := handle(up, time.Unix(1, 0), 1000, pkt)
 	if len(out) == 0 {
 		t.Fatal("no fan-out to exercise")
 	}
@@ -113,14 +113,14 @@ func TestSharedFanOutNoConcurrentMutation(t *testing.T) {
 		r := NewRouter(fmt.Sprintf("D%d", i))
 		r.AddFace(1000, FaceRouter)
 		r.AddFace(1, FaceClient)
-		r.HandlePacket(time.Unix(0, 0), 1, &wire.Packet{
+		handle(r, time.Unix(0, 0), 1, &wire.Packet{
 			Type: wire.TypeSubscribe, CDs: []cd.CD{cd.MustParse("/1")},
 		})
 		wg.Add(1)
 		go func(r *Router) {
 			defer wg.Done()
 			for k := 0; k < 50; k++ {
-				r.HandlePacket(time.Unix(2, 0), 1000, shared)
+				handle(r, time.Unix(2, 0), 1000, shared)
 				// Serialization reads every field; combined with the handler
 				// above it covers the full read surface of the fast path.
 				if _, err := wire.Encode(shared); err != nil {

@@ -161,9 +161,6 @@ func (s *ShardedScheduler) SetLookahead(w time.Duration) {
 	// A matrix is already installed; keep it (it is never narrower).
 }
 
-// Lookahead returns the configured uniform window width.
-func (s *ShardedScheduler) Lookahead() time.Duration { return s.lookahead }
-
 // SetLatencyMatrix installs per-shard-pair lookahead: m[src][dst] is the
 // minimum latency of any single event hop from a station on shard src to a
 // station on shard dst (the testbed uses the minimum link delay between the

@@ -10,13 +10,13 @@ import (
 // Fig5Series is one panel of Fig. 5: per-update min/avg/max latency over
 // packet index, downsampled.
 type Fig5Series struct {
-	Name    string
-	Index   []int
-	MinMs   []float32
-	AvgMs   []float32
-	MaxMs   []float32
-	Splits  []sim.SplitEvent
-	MeanMs  float64
+	Name   string
+	Index  []int
+	MinMs  []float32
+	AvgMs  []float32
+	MaxMs  []float32
+	Splits []sim.SplitEvent
+	MeanMs float64
 	// P50Ms/P99Ms are the run's delivery-latency quantiles (log-bucket
 	// interpolation over every delivery; NaN with no deliveries).
 	P50Ms   float64
@@ -43,7 +43,7 @@ func Fig5(w *Workbench) (*Fig5Result, error) {
 	costs := sim.PaperCosts()
 
 	run := func(name string, cfg sim.GCOPSSConfig) (*Fig5Series, error) {
-		r, err := sim.Replay(w.Env, updates, cfg)
+		r, err := cfg.Run(w.Env, updates)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: fig5 %s: %w", name, err)
 		}

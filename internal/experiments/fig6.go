@@ -41,17 +41,17 @@ func Fig6(w *Workbench) (*Fig6Result, error) {
 		if err := w.Env.RestrictPlayers(mask); err != nil {
 			return nil, err
 		}
-		gc, err := sim.Replay(w.Env, ups, sim.GCOPSSConfig{
+		gc, err := sim.GCOPSSConfig{
 			RPs:   sim.DefaultRPPlacement(w.Env, 3),
 			Costs: costs,
-		})
+		}.Run(w.Env, ups)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: fig6 gcopss %d players: %w", players, err)
 		}
-		srv, err := sim.Replay(w.Env, ups, sim.ServerConfig{
+		srv, err := sim.ServerConfig{
 			Servers: sim.DefaultServerPlacement(w.Env, 3),
 			Costs:   costs,
-		})
+		}.Run(w.Env, ups)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: fig6 server %d players: %w", players, err)
 		}

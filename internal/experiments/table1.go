@@ -34,10 +34,10 @@ func Table1(w *Workbench) (*Table1Result, error) {
 	costs := sim.PaperCosts()
 
 	for _, n := range []int{1, 2, 3, 4, 5} {
-		r, err := sim.Replay(w.Env, updates, sim.GCOPSSConfig{
+		r, err := sim.GCOPSSConfig{
 			RPs:   sim.DefaultRPPlacement(w.Env, n),
 			Costs: costs,
-		})
+		}.Run(w.Env, updates)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: table1 %d RPs: %w", n, err)
 		}
@@ -47,7 +47,7 @@ func Table1(w *Workbench) (*Table1Result, error) {
 		})
 		if n == 2 {
 			// The Auto row starts from 1 RP and lets the balancer split.
-			auto, err := sim.Replay(w.Env, updates, sim.GCOPSSConfig{
+			auto, err := sim.GCOPSSConfig{
 				RPs:   sim.DefaultRPPlacement(w.Env, 1),
 				Costs: costs,
 				Balance: &sim.AutoBalance{
@@ -58,7 +58,7 @@ func Table1(w *Workbench) (*Table1Result, error) {
 					MigrationMs:    50,
 					Seed:           w.Opts.Seed,
 				},
-			})
+			}.Run(w.Env, updates)
 			if err != nil {
 				return nil, fmt.Errorf("experiments: table1 auto: %w", err)
 			}
@@ -70,10 +70,10 @@ func Table1(w *Workbench) (*Table1Result, error) {
 		}
 	}
 	for _, n := range []int{1, 2, 3, 4, 5} {
-		r, err := sim.Replay(w.Env, updates, sim.ServerConfig{
+		r, err := sim.ServerConfig{
 			Servers: sim.DefaultServerPlacement(w.Env, n),
 			Costs:   costs,
-		})
+		}.Run(w.Env, updates)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: table1 %d servers: %w", n, err)
 		}

@@ -42,7 +42,7 @@ func Table2(w *Workbench) (*Table2Result, error) {
 		{"hybrid-G-COPSS", sim.HybridConfig{Groups: 6, Costs: costs}},
 	}
 	for _, s := range systems {
-		r, err := sim.Replay(w.Env, updates, s.runner)
+		r, err := s.runner.Run(w.Env, updates)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: table2 %s: %w", s.runner.Name(), err)
 		}

@@ -48,25 +48,25 @@ func TestParseSpecFull(t *testing.T) {
 
 func TestParseSpecErrors(t *testing.T) {
 	bad := []string{
-		"loss",                  // not key=value
-		"loss=x",                // bad float
-		"loss=1.5",              // out of range
-		"loss=-0.1",             // out of range
-		"loss=NaN",              // NaN
-		"dup=2",                 // out of range
-		"delay=-1ms",            // negative duration
-		"delay=zzz",             // unparsable duration
-		"part=10ms",             // not a window
-		"part=20ms..10ms",       // empty window
-		"part=5ms..5ms",         // empty window
-		"only=sometimes",        // unknown class
-		"speed=11",              // unknown key
-		"a-b-c:loss=0.1",        // too many separators
-		"-b:loss=0.1",           // empty endpoint
-		"a>:loss=0.1",           // empty endpoint
-		"bad link:loss=0.1",     // space in link
-		"R1-R2:R3-R4:loss=0.1",  // colon in params
-		":" + "loss=0.1",        // empty link
+		"loss",                 // not key=value
+		"loss=x",               // bad float
+		"loss=1.5",             // out of range
+		"loss=-0.1",            // out of range
+		"loss=NaN",             // NaN
+		"dup=2",                // out of range
+		"delay=-1ms",           // negative duration
+		"delay=zzz",            // unparsable duration
+		"part=10ms",            // not a window
+		"part=20ms..10ms",      // empty window
+		"part=5ms..5ms",        // empty window
+		"only=sometimes",       // unknown class
+		"speed=11",             // unknown key
+		"a-b-c:loss=0.1",       // too many separators
+		"-b:loss=0.1",          // empty endpoint
+		"a>:loss=0.1",          // empty endpoint
+		"bad link:loss=0.1",    // space in link
+		"R1-R2:R3-R4:loss=0.1", // colon in params
+		":" + "loss=0.1",       // empty link
 	}
 	for _, s := range bad {
 		if _, err := ParseSpec(s); err == nil {

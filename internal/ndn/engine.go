@@ -147,15 +147,6 @@ func (e *Engine) Stats() Stats {
 	}
 }
 
-// HandleInterest processes an Interest arriving on face from at time now.
-// It is the slice-returning wrapper over HandleInterestTo, kept at the
-// public seam for hosts that still collect actions.
-func (e *Engine) HandleInterest(now time.Time, from FaceID, pkt *wire.Packet) []Action {
-	var sink SliceSink
-	e.HandleInterestTo(now, from, pkt, &sink)
-	return sink.Actions
-}
-
 // HandleInterestTo processes an Interest arriving on face from at time now,
 // emitting forwarding decisions into sink.
 //
@@ -201,13 +192,6 @@ func (e *Engine) HandleInterestTo(now time.Time, from FaceID, pkt *wire.Packet, 
 	}
 }
 
-// HandleData is the slice-returning wrapper over HandleDataTo.
-func (e *Engine) HandleData(now time.Time, from FaceID, pkt *wire.Packet) []Action {
-	var sink SliceSink
-	e.HandleDataTo(now, from, pkt, &sink)
-	return sink.Actions
-}
-
 // HandleDataTo processes a Data packet: it caches the content and follows
 // the PIT bread crumbs back toward all requesters. Unsolicited Data (no PIT
 // entry) is dropped per NDN semantics.
@@ -229,16 +213,8 @@ func (e *Engine) HandleDataTo(now time.Time, from FaceID, pkt *wire.Packet, sink
 	}
 }
 
-// Handle dispatches an NDN packet by type; non-NDN packets are ignored with
-// a nil action list (the caller's COPSS layer owns them). Slice-returning
-// wrapper over HandleTo.
-func (e *Engine) Handle(now time.Time, from FaceID, pkt *wire.Packet) []Action {
-	var sink SliceSink
-	e.HandleTo(now, from, pkt, &sink)
-	return sink.Actions
-}
-
-// HandleTo dispatches an NDN packet by type into sink.
+// HandleTo dispatches an NDN packet by type into sink; non-NDN packets are
+// ignored (the caller's COPSS layer owns them).
 func (e *Engine) HandleTo(now time.Time, from FaceID, pkt *wire.Packet, sink ActionSink) {
 	switch pkt.Type {
 	case wire.TypeInterest:

@@ -212,13 +212,21 @@ func data(name, payload string) *wire.Packet {
 	return &wire.Packet{Type: wire.TypeData, Name: name, Payload: []byte(payload)}
 }
 
+// handle runs one packet through the engine and returns the actions it
+// emitted (nil when there were none).
+func handle(e *Engine, now time.Time, from FaceID, pkt *wire.Packet) []Action {
+	var sink SliceSink
+	e.HandleTo(now, from, pkt, &sink)
+	return sink.Actions
+}
+
 func TestEngineInterestDataFlow(t *testing.T) {
 	e := NewEngine()
 	e.FIB().Add("/content", 9) // upstream face
 	t0 := time.Unix(0, 0)
 
 	// Interest from face 1 is forwarded upstream.
-	acts := e.HandleInterest(t0, 1, interest("/content/x"))
+	acts := handle(e, t0, 1, interest("/content/x"))
 	if len(acts) != 1 || acts[0].Face != 9 || acts[0].Packet.Type != wire.TypeInterest {
 		t.Fatalf("forwarding actions = %+v", acts)
 	}
@@ -227,12 +235,12 @@ func TestEngineInterestDataFlow(t *testing.T) {
 	}
 
 	// A second Interest from face 2 aggregates (no forwarding).
-	if acts := e.HandleInterest(t0, 2, interest("/content/x")); acts != nil {
+	if acts := handle(e, t0, 2, interest("/content/x")); acts != nil {
 		t.Fatalf("aggregated interest produced actions: %+v", acts)
 	}
 
 	// Data from upstream fans out to both waiting faces.
-	acts = e.HandleData(t0, 9, data("/content/x", "payload"))
+	acts = handle(e, t0, 9, data("/content/x", "payload"))
 	if len(acts) != 2 {
 		t.Fatalf("data actions = %+v", acts)
 	}
@@ -242,7 +250,7 @@ func TestEngineInterestDataFlow(t *testing.T) {
 	}
 
 	// The content is now cached: a new Interest is answered locally.
-	acts = e.HandleInterest(t0, 3, interest("/content/x"))
+	acts = handle(e, t0, 3, interest("/content/x"))
 	if len(acts) != 1 || acts[0].Face != 3 || acts[0].Packet.Type != wire.TypeData {
 		t.Fatalf("cache hit actions = %+v", acts)
 	}
@@ -258,7 +266,7 @@ func TestEngineInterestDataFlow(t *testing.T) {
 
 func TestEngineDropsWithoutRoute(t *testing.T) {
 	e := NewEngine()
-	if acts := e.HandleInterest(time.Unix(0, 0), 1, interest("/nowhere")); acts != nil {
+	if acts := handle(e, time.Unix(0, 0), 1, interest("/nowhere")); acts != nil {
 		t.Errorf("actions = %+v", acts)
 	}
 	if e.Stats().InterestsDropped != 1 {
@@ -269,14 +277,14 @@ func TestEngineDropsWithoutRoute(t *testing.T) {
 func TestEngineDoesNotForwardBackToArrivalFace(t *testing.T) {
 	e := NewEngine()
 	e.FIB().Add("/c", 1)
-	if acts := e.HandleInterest(time.Unix(0, 0), 1, interest("/c/x")); acts != nil {
+	if acts := handle(e, time.Unix(0, 0), 1, interest("/c/x")); acts != nil {
 		t.Errorf("interest echoed to arrival face: %+v", acts)
 	}
 }
 
 func TestEngineUnsolicitedData(t *testing.T) {
 	e := NewEngine()
-	if acts := e.HandleData(time.Unix(0, 0), 1, data("/x", "p")); acts != nil {
+	if acts := handle(e, time.Unix(0, 0), 1, data("/x", "p")); acts != nil {
 		t.Errorf("unsolicited data forwarded: %+v", acts)
 	}
 	if e.Stats().DataUnsolicited != 1 {
@@ -284,7 +292,7 @@ func TestEngineUnsolicitedData(t *testing.T) {
 	}
 	// Unsolicited data must not be cached either (no cache hit afterwards).
 	e.FIB().Add("/x", 9)
-	acts := e.HandleInterest(time.Unix(0, 0), 2, interest("/x"))
+	acts := handle(e, time.Unix(0, 0), 2, interest("/x"))
 	if len(acts) != 1 || acts[0].Packet.Type != wire.TypeInterest {
 		t.Errorf("interest after unsolicited data = %+v", acts)
 	}
@@ -294,11 +302,11 @@ func TestEngineHandleDispatch(t *testing.T) {
 	e := NewEngine()
 	e.FIB().Add("/c", 9)
 	t0 := time.Unix(0, 0)
-	if acts := e.Handle(t0, 1, interest("/c/x")); len(acts) != 1 {
+	if acts := handle(e, t0, 1, interest("/c/x")); len(acts) != 1 {
 		t.Errorf("Handle(Interest) = %+v", acts)
 	}
 	sub := &wire.Packet{Type: wire.TypeSubscribe}
-	if acts := e.Handle(t0, 1, sub); acts != nil {
+	if acts := handle(e, t0, 1, sub); acts != nil {
 		t.Errorf("Handle(Subscribe) should be ignored by NDN engine: %+v", acts)
 	}
 }
@@ -307,7 +315,7 @@ func TestEngineExpire(t *testing.T) {
 	e := NewEngine(WithInterestLifetime(time.Second), WithContentStore(16, 0))
 	e.FIB().Add("/c", 9)
 	t0 := time.Unix(0, 0)
-	e.HandleInterest(t0, 1, interest("/c/x"))
+	handle(e, t0, 1, interest("/c/x"))
 	if e.PendingInterests() != 1 {
 		t.Fatal("missing PIT entry")
 	}
@@ -315,7 +323,7 @@ func TestEngineExpire(t *testing.T) {
 		t.Errorf("Expire = %d", n)
 	}
 	// Data after expiry is unsolicited.
-	if acts := e.HandleData(t0.Add(3*time.Second), 9, data("/c/x", "p")); acts != nil {
+	if acts := handle(e, t0.Add(3*time.Second), 9, data("/c/x", "p")); acts != nil {
 		t.Errorf("expired data forwarded: %+v", acts)
 	}
 }
@@ -428,6 +436,6 @@ func BenchmarkEngineInterest(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		pkt.Name = fmt.Sprintf("/c/x%d", i) // avoid PIT aggregation
-		e.HandleInterest(t0, 1, pkt)
+		handle(e, t0, 1, pkt)
 	}
 }

@@ -6,7 +6,7 @@ package ndn
 // hosts to stream actions straight onto the wire (or into a per-shard
 // mailbox) without an intermediate allocation per hop.
 //
-// Ownership rules (see DESIGN.md §12):
+// Ownership rules (see DESIGN.md §11):
 //
 //   - An Action passed to Emit is transferred to the sink. The emitter must
 //     not retain the Action value, nor mutate the packet it points to,
@@ -21,10 +21,9 @@ type ActionSink interface {
 	Emit(a Action)
 }
 
-// SliceSink is the slice-backed ActionSink: it simply collects emitted
-// actions in order. It is the bridge between the push-based handlers and
-// the legacy []Action seam — the thin slice-returning wrappers on Router
-// and Engine drain one of these.
+// SliceSink is the slice-backed ActionSink: it collects emitted actions in
+// order. Hosts and tests own one, read Actions after a handler returns, and
+// Reset it before the next call so the backing array is reused.
 type SliceSink struct {
 	Actions []Action
 }
@@ -34,21 +33,3 @@ func (s *SliceSink) Emit(a Action) { s.Actions = append(s.Actions, a) }
 
 // Reset empties the sink, keeping the backing array for reuse.
 func (s *SliceSink) Reset() { s.Actions = s.Actions[:0] }
-
-// Len returns the number of collected actions.
-func (s *SliceSink) Len() int { return len(s.Actions) }
-
-// Take returns the collected actions and detaches them from the sink, so
-// the caller owns the slice and the sink can be reused.
-func (s *SliceSink) Take() []Action {
-	out := s.Actions
-	s.Actions = nil
-	return out
-}
-
-// FuncSink adapts a function to the ActionSink interface, for hosts that
-// apply each action immediately (e.g. writing to a socket per emission).
-type FuncSink func(a Action)
-
-// Emit calls the function.
-func (f FuncSink) Emit(a Action) { f(a) }

@@ -250,8 +250,8 @@ func TestDebugMux(t *testing.T) {
 	fl := NewFlight(8)
 	fl.Record(Event{Kind: EvMulticast, CD: "/1"})
 	mux := NewDebugMux(
-		func(w io.Writer) { reg.WriteText(w) },     //nolint:errcheck // test shim
-		func(w io.Writer, n int) { fl.Dump(w, n) }, //nolint:errcheck // test shim
+		func(w io.Writer) { reg.WriteText(w) },                        //nolint:errcheck // test shim
+		func(w io.Writer, n int) { fl.Dump(w, n) },                    //nolint:errcheck // test shim
 		func(w io.Writer) { io.WriteString(w, `{"traceEvents":[]}`) }, //nolint:errcheck // test shim
 	)
 	srv := httptest.NewServer(mux)

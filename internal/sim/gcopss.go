@@ -402,12 +402,6 @@ func (cfg GCOPSSConfig) Run(env *Env, updates []trace.Update) (*Result, error) {
 	return res, nil
 }
 
-// RunGCOPSS is a convenience wrapper over GCOPSSConfig.Run kept for
-// call-site readability; prefer the Runner interface in new drivers.
-func RunGCOPSS(env *Env, updates []trace.Update, cfg GCOPSSConfig) (*Result, error) {
-	return cfg.Run(env, updates)
-}
-
 // subtract removes the moved prefixes from a serving set.
 func subtract(set, moved []cd.CD) []cd.CD {
 	rm := cd.NewSet(moved...)

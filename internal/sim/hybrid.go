@@ -161,9 +161,3 @@ func (cfg HybridConfig) Run(env *Env, updates []trace.Update) (*Result, error) {
 	res.finishLatency()
 	return res, nil
 }
-
-// RunHybrid is a convenience wrapper over HybridConfig.Run kept for
-// call-site readability; prefer the Runner interface in new drivers.
-func RunHybrid(env *Env, updates []trace.Update, cfg HybridConfig) (*Result, error) {
-	return cfg.Run(env, updates)
-}

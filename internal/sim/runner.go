@@ -12,8 +12,7 @@ import (
 // it, so experiment drivers can treat the three architectures uniformly —
 // same Run(env, updates) signature, same validation gate, same Result shape.
 //
-// Run performs the shared validation itself before replaying, so calling a
-// config's Run directly and going through Replay are equivalent.
+// Run performs the shared validation itself before replaying.
 type Runner interface {
 	// Name identifies the engine in error messages and reports
 	// ("gcopss", "hybrid", "ipserver").
@@ -22,13 +21,6 @@ type Runner interface {
 	Validate() error
 	// Run replays the update stream over env and aggregates the results.
 	Run(env *Env, updates []trace.Update) (*Result, error)
-}
-
-// Replay drives any Runner through the common entry point. It exists for
-// drivers that iterate over a heterogeneous []Runner; calling r.Run directly
-// is identical.
-func Replay(env *Env, updates []trace.Update, r Runner) (*Result, error) {
-	return r.Run(env, updates)
 }
 
 // precheck is the shared validation every Run method front-loads: a non-nil

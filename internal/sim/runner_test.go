@@ -20,7 +20,7 @@ func TestRunnerNamesAndValidation(t *testing.T) {
 }
 
 func TestReplayRejectsNilEnv(t *testing.T) {
-	_, err := Replay(nil, nil, HybridConfig{Groups: 1})
+	_, err := HybridConfig{Groups: 1}.Run(nil, nil)
 	if err == nil {
 		t.Fatal("nil environment accepted")
 	}
@@ -31,10 +31,10 @@ func TestReplayRejectsNilEnv(t *testing.T) {
 
 func TestRunnerErrorsCarryEngineName(t *testing.T) {
 	env := testEnv(t, 50)
-	if _, err := Replay(env, nil, ServerConfig{}); err == nil || !strings.Contains(err.Error(), "ipserver") {
+	if _, err := (ServerConfig{}).Run(env, nil); err == nil || !strings.Contains(err.Error(), "ipserver") {
 		t.Errorf("server validation error %v does not name the engine", err)
 	}
-	if _, err := Replay(env, nil, GCOPSSConfig{}); err == nil || !strings.Contains(err.Error(), "gcopss") {
+	if _, err := (GCOPSSConfig{}).Run(env, nil); err == nil || !strings.Contains(err.Error(), "gcopss") {
 		t.Errorf("gcopss validation error %v does not name the engine", err)
 	}
 }

@@ -134,12 +134,6 @@ func (cfg ServerConfig) Run(env *Env, updates []trace.Update) (*Result, error) {
 	return res, nil
 }
 
-// RunIPServer is a convenience wrapper over ServerConfig.Run kept for
-// call-site readability; prefer the Runner interface in new drivers.
-func RunIPServer(env *Env, updates []trace.Update, cfg ServerConfig) (*Result, error) {
-	return cfg.Run(env, updates)
-}
-
 // DefaultServerPlacement puts n servers on the first n core routers, the
 // same nodes the RPs use, for a like-for-like comparison.
 func DefaultServerPlacement(env *Env, n int) []topo.NodeID {

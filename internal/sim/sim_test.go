@@ -48,10 +48,10 @@ func testEnv(t *testing.T, nUpdates int) *Env {
 func TestRunGCOPSSBasics(t *testing.T) {
 	env := testEnv(t, 3000)
 	updates := Compress(env.Trace.Updates, 2.4)
-	res, err := RunGCOPSS(env, updates, GCOPSSConfig{
+	res, err := GCOPSSConfig{
 		RPs:   DefaultRPPlacement(env, 3),
 		Costs: PaperCosts(),
-	})
+	}.Run(env, updates)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,11 +83,11 @@ func TestRunGCOPSSCongestionWithOneRP(t *testing.T) {
 	updates := CompressRamp(env.Trace.Updates, 3.0, 1.8)
 
 	reg := obs.NewRegistry()
-	one, err := RunGCOPSS(env, updates, GCOPSSConfig{RPs: DefaultRPPlacement(env, 1), Costs: PaperCosts(), Obs: reg})
+	one, err := GCOPSSConfig{RPs: DefaultRPPlacement(env, 1), Costs: PaperCosts(), Obs: reg}.Run(env, updates)
 	if err != nil {
 		t.Fatal(err)
 	}
-	three, err := RunGCOPSS(env, updates, GCOPSSConfig{RPs: DefaultRPPlacement(env, 3), Costs: PaperCosts()})
+	three, err := GCOPSSConfig{RPs: DefaultRPPlacement(env, 3), Costs: PaperCosts()}.Run(env, updates)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestRunGCOPSSAutoBalance(t *testing.T) {
 	env := testEnv(t, 8000)
 	updates := CompressRamp(env.Trace.Updates, 3.0, 1.8)
 
-	auto, err := RunGCOPSS(env, updates, GCOPSSConfig{
+	auto, err := GCOPSSConfig{
 		RPs:   DefaultRPPlacement(env, 1),
 		Costs: PaperCosts(),
 		Balance: &AutoBalance{
@@ -143,14 +143,14 @@ func TestRunGCOPSSAutoBalance(t *testing.T) {
 			MigrationMs:    50,
 			Seed:           1,
 		},
-	})
+	}.Run(env, updates)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(auto.Splits) == 0 {
 		t.Fatal("auto-balancer never split")
 	}
-	fixed, err := RunGCOPSS(env, updates, GCOPSSConfig{RPs: DefaultRPPlacement(env, 1), Costs: PaperCosts()})
+	fixed, err := GCOPSSConfig{RPs: DefaultRPPlacement(env, 1), Costs: PaperCosts()}.Run(env, updates)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,11 +179,11 @@ func TestServerBaselineWorseThanGCOPSS(t *testing.T) {
 	env := testEnv(t, 8000)
 	updates := Compress(env.Trace.Updates, 2.4)
 
-	gc, err := RunGCOPSS(env, updates, GCOPSSConfig{RPs: DefaultRPPlacement(env, 3), Costs: PaperCosts()})
+	gc, err := GCOPSSConfig{RPs: DefaultRPPlacement(env, 3), Costs: PaperCosts()}.Run(env, updates)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := RunIPServer(env, updates, ServerConfig{Servers: DefaultServerPlacement(env, 3), Costs: PaperCosts()})
+	srv, err := ServerConfig{Servers: DefaultServerPlacement(env, 3), Costs: PaperCosts()}.Run(env, updates)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestServerKneeWithPlayerCount(t *testing.T) {
 		if err := env.RestrictPlayers(mask); err != nil {
 			t.Fatal(err)
 		}
-		res, err := RunIPServer(env, ups, ServerConfig{Servers: DefaultServerPlacement(env, 3), Costs: PaperCosts()})
+		res, err := ServerConfig{Servers: DefaultServerPlacement(env, 3), Costs: PaperCosts()}.Run(env, ups)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -241,7 +241,7 @@ func TestGCOPSSFlatWithPlayerCount(t *testing.T) {
 		if err := env.RestrictPlayers(mask); err != nil {
 			t.Fatal(err)
 		}
-		res, err := RunGCOPSS(env, ups, GCOPSSConfig{RPs: DefaultRPPlacement(env, 3), Costs: PaperCosts()})
+		res, err := GCOPSSConfig{RPs: DefaultRPPlacement(env, 3), Costs: PaperCosts()}.Run(env, ups)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -259,15 +259,15 @@ func TestHybridTradeoffs(t *testing.T) {
 	env := testEnv(t, 8000)
 	updates := Compress(env.Trace.Updates, 2.4)
 
-	gc, err := RunGCOPSS(env, updates, GCOPSSConfig{RPs: DefaultRPPlacement(env, 6), Costs: PaperCosts()})
+	gc, err := GCOPSSConfig{RPs: DefaultRPPlacement(env, 6), Costs: PaperCosts()}.Run(env, updates)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hy, err := RunHybrid(env, updates, HybridConfig{Groups: 6, Costs: PaperCosts()})
+	hy, err := HybridConfig{Groups: 6, Costs: PaperCosts()}.Run(env, updates)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := RunIPServer(env, updates, ServerConfig{Servers: DefaultServerPlacement(env, 6), Costs: PaperCosts()})
+	srv, err := ServerConfig{Servers: DefaultServerPlacement(env, 6), Costs: PaperCosts()}.Run(env, updates)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +284,7 @@ func TestHybridTradeoffs(t *testing.T) {
 	if hy.Deliveries != gc.Deliveries {
 		t.Errorf("hybrid deliveries %d != %d", hy.Deliveries, gc.Deliveries)
 	}
-	if _, err := RunHybrid(env, updates, HybridConfig{Groups: 0}); err == nil {
+	if _, err := (HybridConfig{Groups: 0}).Run(env, updates); err == nil {
 		t.Error("0 groups accepted")
 	}
 }
@@ -415,17 +415,17 @@ func TestTimescaleHelpers(t *testing.T) {
 
 func TestRunValidation(t *testing.T) {
 	env := testEnv(t, 100)
-	if _, err := RunGCOPSS(env, nil, GCOPSSConfig{}); err == nil {
+	if _, err := (GCOPSSConfig{}).Run(env, nil); err == nil {
 		t.Error("no RPs accepted")
 	}
 	bad := GCOPSSConfig{RPs: []RPPlacement{
 		{Node: env.Cores[0], Prefixes: []cd.CD{cd.MustParse("/1")}},
 		{Node: env.Cores[1], Prefixes: []cd.CD{cd.MustParse("/1/1")}},
 	}, Costs: PaperCosts()}
-	if _, err := RunGCOPSS(env, nil, bad); err == nil {
+	if _, err := bad.Run(env, nil); err == nil {
 		t.Error("prefix-free violation accepted")
 	}
-	if _, err := RunIPServer(env, nil, ServerConfig{}); err == nil {
+	if _, err := (ServerConfig{}).Run(env, nil); err == nil {
 		t.Error("no servers accepted")
 	}
 }

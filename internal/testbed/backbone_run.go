@@ -320,12 +320,12 @@ func RunBackbone(s *BackboneSetup) (*BackboneResult, error) {
 	t0 := time.Unix(0, 0)
 	regions := s.World.Map.RegionNames()
 	info := copss.RPInfo{Name: "/rpA", Prefixes: copss.PartitionPrefixes(regions), Seq: 1}
-	actions, err := routers[rp].BecomeRPAt(t0, info)
-	if err != nil {
+	var ann ndn.SliceSink
+	if err := routers[rp].BecomeRPAt(t0, info, &ann); err != nil {
 		return nil, err
 	}
 	tb.Schedule(t0.Add(time.Millisecond), func(now time.Time) {
-		tb.Emit(now, res.RPName, actions)
+		tb.Emit(now, res.RPName, ann.Actions)
 	})
 
 	// Subscriptions at half warmup (one-time global events).

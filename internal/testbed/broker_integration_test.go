@@ -37,11 +37,11 @@ func newBrokerScenario(t *testing.T) *brokerScenario {
 	// RP at R1 serving the game partition plus the snapshot namespaces.
 	prefixes := append(worldPartitionPrefixes(s),
 		cd.MustNew(broker.CtlComponent), cd.MustNew(broker.DataComponent))
-	actions, err := rn.routers["R1"].BecomeRP(copss.RPInfo{Name: "/rp1", Prefixes: prefixes, Seq: 1})
-	if err != nil {
+	var ann ndn.SliceSink
+	if err := rn.routers["R1"].BecomeRPTo(copss.RPInfo{Name: "/rp1", Prefixes: prefixes, Seq: 1}, &ann); err != nil {
 		t.Fatal(err)
 	}
-	tb.Schedule(tb.Now().Add(time.Millisecond), func(now time.Time) { tb.Emit(now, "R1", actions) })
+	tb.Schedule(tb.Now().Add(time.Millisecond), func(now time.Time) { tb.Emit(now, "R1", ann.Actions) })
 
 	// Broker serving zone /1/1 and region airspace /1/, attached to R4.
 	b := broker.New("broker1", []cd.CD{cd.MustParse("/1/1"), cd.MustParse("/1/")}, broker.WithDecay(0.95))

@@ -100,16 +100,16 @@ func runChaosCellWorkers(t *testing.T, loss float64, reorder bool, stage string,
 	})
 
 	// RP at R1; the announcement flood is ARQ-registered via BecomeRPAt.
-	actions, err := rn.routers["R1"].BecomeRPAt(time.Unix(0, 0), copss.RPInfo{
+	var ann ndn.SliceSink
+	if err := rn.routers["R1"].BecomeRPAt(time.Unix(0, 0), copss.RPInfo{
 		Name:     "/rpA",
 		Prefixes: copss.PartitionPrefixes([]string{"1", "2", "3", "4", "5"}),
 		Seq:      1,
-	})
-	if err != nil {
+	}, &ann); err != nil {
 		t.Fatal(err)
 	}
 	tb.Schedule(time.Unix(0, 0).Add(time.Millisecond), func(now time.Time) {
-		tb.Emit(now, "R1", actions)
+		tb.Emit(now, "R1", ann.Actions)
 	})
 
 	// ARQ retransmission timers on every router.

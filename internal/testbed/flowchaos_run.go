@@ -121,15 +121,15 @@ func RunFlowChaos(spec FlowChaosSpec) (FlowChaosResult, error) {
 	// subscriptions graft cleanly, then the network degrades.
 	tb.Schedule(t0.Add(90*time.Millisecond), func(time.Time) { tb.SetFaults(in) })
 
-	actions, err := rn.routers["R1"].BecomeRPAt(t0, copss.RPInfo{
+	var ann ndn.SliceSink
+	if err := rn.routers["R1"].BecomeRPAt(t0, copss.RPInfo{
 		Name:     "/rpA",
 		Prefixes: copss.PartitionPrefixes([]string{"1", "2", "3", "4", "5"}),
 		Seq:      1,
-	})
-	if err != nil {
+	}, &ann); err != nil {
 		return res, err
 	}
-	tb.Schedule(t0.Add(time.Millisecond), func(now time.Time) { tb.Emit(now, "R1", actions) })
+	tb.Schedule(t0.Add(time.Millisecond), func(now time.Time) { tb.Emit(now, "R1", ann.Actions) })
 
 	// ARQ retransmission timers on every router.
 	tb.Every(t0.Add(10*time.Millisecond), 10*time.Millisecond, func(now time.Time) {
@@ -170,15 +170,15 @@ func RunFlowChaos(spec FlowChaosSpec) (FlowChaosResult, error) {
 	// t=250ms, inside the R3–R6 partition window. The R3→R6 hop must be
 	// retried until the link heals; a retry budget that gives up earlier
 	// abandons the packet and shows up in retrans_abandoned_total.
-	reActions, err := rn.routers["R1"].BecomeRPAt(t0.Add(250*time.Millisecond), copss.RPInfo{
+	var reAnn ndn.SliceSink
+	if err := rn.routers["R1"].BecomeRPAt(t0.Add(250*time.Millisecond), copss.RPInfo{
 		Name:     "/rpA",
 		Prefixes: copss.PartitionPrefixes([]string{"1", "2", "3", "4", "5"}),
 		Seq:      2,
-	})
-	if err != nil {
+	}, &reAnn); err != nil {
 		return res, err
 	}
-	tb.Schedule(t0.Add(250*time.Millisecond), func(now time.Time) { tb.Emit(now, "R1", reActions) })
+	tb.Schedule(t0.Add(250*time.Millisecond), func(now time.Time) { tb.Emit(now, "R1", reAnn.Actions) })
 
 	// The QR workload under test: a broker on R4 serving a 64-object
 	// snapshot, fetched from R2 across the lossy-then-partitioned link.

@@ -53,13 +53,13 @@ func RunGCOPSS(s *Setup) (*MicroResult, error) {
 
 	// RP bootstrap: R1 announces, flood settles during warmup.
 	info := copss.RPInfo{Name: "/rp1", Prefixes: worldPartitionPrefixes(s), Seq: 1}
-	actions, err := rn.routers["R1"].BecomeRP(info)
-	if err != nil {
+	var ann ndn.SliceSink
+	if err := rn.routers["R1"].BecomeRPTo(info, &ann); err != nil {
 		return nil, err
 	}
 	t0 := tb.Now()
 	tb.Schedule(t0.Add(time.Millisecond), func(now time.Time) {
-		tb.Emit(now, "R1", actions)
+		tb.Emit(now, "R1", ann.Actions)
 	})
 
 	// Subscriptions at half warmup.

@@ -32,16 +32,16 @@ func TestMigrationUnderRealDelays(t *testing.T) {
 			}
 
 			// RP at R1 serving the world partition.
-			actions, err := rn.routers["R1"].BecomeRP(copss.RPInfo{
+			var ann ndn.SliceSink
+			if err := rn.routers["R1"].BecomeRPTo(copss.RPInfo{
 				Name:     "/rpA",
 				Prefixes: copss.PartitionPrefixes([]string{"1", "2", "3", "4", "5"}),
 				Seq:      1,
-			})
-			if err != nil {
+			}, &ann); err != nil {
 				t.Fatal(err)
 			}
 			tb.Schedule(tb.Now().Add(time.Millisecond), func(now time.Time) {
-				tb.Emit(now, "R1", actions)
+				tb.Emit(now, "R1", ann.Actions)
 			})
 
 			// Subscribers of region 2 on every router; one publisher on R5.

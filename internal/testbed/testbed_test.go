@@ -52,8 +52,9 @@ func TestLinkDelayAndPerCopy(t *testing.T) {
 	var received []time.Time
 	// a fans out two copies to b and c; per-copy surcharge 5ms.
 	tb.AddNode("a", func(now time.Time, _ ndn.FaceID, pkt *wire.Packet, out ndn.ActionSink) {
-		out.Emit(ndn.Action{Face: 1, Packet: pkt.Clone()})
-		out.Emit(ndn.Action{Face: 2, Packet: pkt.Clone()})
+		fwd := pkt.Forward()
+		out.Emit(ndn.Action{Face: 1, Packet: fwd})
+		out.Emit(ndn.Action{Face: 2, Packet: fwd})
 	}, func(*wire.Packet) time.Duration { return 10 * time.Millisecond }, 5*time.Millisecond)
 	sink := func(now time.Time, _ ndn.FaceID, _ *wire.Packet, _ ndn.ActionSink) {
 		received = append(received, now)

@@ -52,15 +52,15 @@ func runDeliveryMode(mode core.PublishMode, payload, subscribers int, wantFracti
 	if err != nil {
 		return nil, err
 	}
-	actions, err := rn.routers["R1"].BecomeRP(copss.RPInfo{
+	var ann ndn.SliceSink
+	if err := rn.routers["R1"].BecomeRPTo(copss.RPInfo{
 		Name:     "/rp1",
 		Prefixes: worldPartitionPrefixes(s),
 		Seq:      1,
-	})
-	if err != nil {
+	}, &ann); err != nil {
 		return nil, err
 	}
-	tb.Schedule(tb.Now().Add(time.Millisecond), func(now time.Time) { tb.Emit(now, "R1", actions) })
+	tb.Schedule(tb.Now().Add(time.Millisecond), func(now time.Time) { tb.Emit(now, "R1", ann.Actions) })
 
 	accs := make([]clientAcc, subscribers)
 	topic := cd.MustParse("/1/1")

@@ -142,7 +142,7 @@ func TestStreamRejectsDegenerateConfig(t *testing.T) {
 	w := streamWorld(t)
 	bad := []StreamConfig{
 		{},
-		{Players: 10, Duration: time.Second},                                                       // no intervals
+		{Players: 10, Duration: time.Second}, // no intervals
 		{Players: 10, Duration: time.Second, MinInterval: 2 * time.Second, MaxInterval: time.Second}, // inverted
 		{Players: 0, Duration: time.Second, MinInterval: time.Second, MaxInterval: time.Second},
 	}

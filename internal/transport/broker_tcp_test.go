@@ -8,6 +8,7 @@ import (
 	"github.com/icn-gaming/gcopss/internal/broker"
 	"github.com/icn-gaming/gcopss/internal/cd"
 	"github.com/icn-gaming/gcopss/internal/copss"
+	"github.com/icn-gaming/gcopss/internal/core"
 	"github.com/icn-gaming/gcopss/internal/flowctl"
 	"github.com/icn-gaming/gcopss/internal/wire"
 )
@@ -21,11 +22,10 @@ func TestBrokerOverTCP(t *testing.T) {
 	defer cancel()
 	d1, addr1 := startDaemon(t, ctx, "R1")
 	d2, addr2 := startDaemon(t, ctx, "R2")
-	_ = d1
 	if err := d2.ConnectRouter(addr1); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(100 * time.Millisecond)
+	linkUp(t, d1, d2)
 
 	info := copss.RPInfo{
 		Name:     "/rp1",
@@ -35,7 +35,7 @@ func TestBrokerOverTCP(t *testing.T) {
 	if err := d1.BecomeRP(info); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(100 * time.Millisecond)
+	waitFor(t, "announcement flood", func() bool { return knowsRP(d2, "/rp1") })
 
 	// Broker on R1 serving zone /1/1, running the gbroker logic inline.
 	b := broker.New("broker1", []cd.CD{cd.MustParse("/1/1")})
@@ -63,7 +63,12 @@ func TestBrokerOverTCP(t *testing.T) {
 			}
 		}
 	}()
-	time.Sleep(150 * time.Millisecond)
+	// The broker is subscribed at R1 and its prefix flood reached R2.
+	waitFor(t, "broker subscription and prefix flood", func() bool {
+		routed := false
+		d2.Inspect(func(r *core.Router) { _, _, routed = r.NDN().FIB().Lookup(broker.SnapshotPrefix) })
+		return routed && stLen(d1) > 0
+	})
 
 	// Publisher populates the zone.
 	pub, err := NewClient("pub", addr1)
@@ -71,14 +76,16 @@ func TestBrokerOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pub.Close()
-	time.Sleep(100 * time.Millisecond)
 	for i := 1; i <= 3; i++ {
 		payload := broker.EncodeUpdate("objA", []byte("state-change"))
 		if err := pub.Publish(cd.MustParse("/1/1"), uint64(i), payload); err != nil {
 			t.Fatal(err)
 		}
 	}
-	time.Sleep(200 * time.Millisecond)
+	waitFor(t, "broker to absorb the updates", func() bool {
+		updates, _, _ := b.Stats()
+		return updates == 3
+	})
 
 	// Mover on R2 fetches the snapshot via QR across the router link.
 	mover, err := NewClient("mover", addr2)
@@ -86,7 +93,6 @@ func TestBrokerOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer mover.Close()
-	time.Sleep(100 * time.Millisecond)
 
 	fetch := broker.NewFetch(cd.MustParse("/1/1"), flowctl.WithWindow(1, 5, 32))
 	for _, pkt := range fetch.StartAt(time.Now()) {

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bytes"
+	"encoding/binary"
 	"net"
 	"testing"
 
@@ -43,33 +44,94 @@ func TestBurstRoundTrip(t *testing.T) {
 	}
 	for i := range sent {
 		wb, _ := wire.Encode(sent[i]) //lint:allow errcheckedfaces fixture packets are known-valid
-		gb, _ := wire.Encode(got[i]) //lint:allow errcheckedfaces a decode-side failure shows up as unequal bytes
+		gb, _ := wire.Encode(got[i])  //lint:allow errcheckedfaces a decode-side failure shows up as unequal bytes
 		if !bytes.Equal(wb, gb) {
 			t.Errorf("packet %d differs after round trip", i)
 		}
 	}
 }
 
-// TestBurstReadsSinglePacketFrames pins interop: a WritePacket frame is a
-// one-packet burst to ReadBurst, and a one-packet WriteBurst frame is
-// readable by the legacy ReadPacket — the encodings are byte-identical.
+// rawFrame hand-builds one frame: the 4-byte big-endian length prefix, then
+// body verbatim.
+func rawFrame(body ...byte) []byte {
+	return append(binary.BigEndian.AppendUint32(nil, uint32(len(body))), body...)
+}
+
+// captureConn is a net.Conn that only implements Write, keeping the last
+// frame written (in a reused buffer, so steady-state writes do not allocate).
+type captureConn struct {
+	net.Conn
+	wrote []byte
+}
+
+func (c *captureConn) Write(p []byte) (int, error) {
+	c.wrote = append(c.wrote[:0], p...)
+	return len(p), nil
+}
+
+// TestBurstReadsSinglePacketFrames pins interop: a single packet is a burst
+// of one in both directions. WritePacket and a one-packet WriteBurst put the
+// same bytes on the wire — the 4-byte length prefix followed by the packet's
+// wire.Encode bytes, which is the frame every earlier peer wrote — and
+// ReadBurst returns exactly that one packet.
 func TestBurstReadsSinglePacketFrames(t *testing.T) {
+	pkt := testBurst(1, []byte("x"))[0]
+	enc, err := wire.Encode(pkt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := rawFrame(enc...)
+
+	var single, burst captureConn
+	if err := NewConn(&single).WritePacket(pkt); err != nil {
+		t.Fatal(err)
+	}
+	if err := NewConn(&burst).WriteBurst([]*wire.Packet{pkt}); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(single.wrote, want) {
+		t.Errorf("WritePacket frame = %x, want %x", single.wrote, want)
+	}
+	if !bytes.Equal(burst.wrote, want) {
+		t.Errorf("one-packet WriteBurst frame = %x, want %x", burst.wrote, want)
+	}
+
 	a, b := net.Pipe()
 	ca, cb := NewConn(a), NewConn(b)
 	defer ca.Close()
 	defer cb.Close()
-
-	pkt := testBurst(1, []byte("x"))[0]
-	go ca.WritePacket(pkt) //lint:allow errcheckedfaces pipe errors surface on the ReadBurst side
-	got, err := cb.ReadBurst(nil)
-	if err != nil || len(got) != 1 || got[0].Seq != pkt.Seq {
-		t.Fatalf("ReadBurst of WritePacket frame: %v packets, err %v", len(got), err)
+	for _, write := range []func() error{
+		func() error { return ca.WritePacket(pkt) },
+		func() error { return ca.WriteBurst([]*wire.Packet{pkt}) },
+	} {
+		errc := make(chan error, 1)
+		go func() { errc <- write() }()
+		got, err := cb.ReadBurst(nil)
+		if err != nil || len(got) != 1 || got[0].Seq != pkt.Seq {
+			t.Fatalf("ReadBurst of single-packet frame: %v packets, err %v", len(got), err)
+		}
+		if err := <-errc; err != nil {
+			t.Fatal(err)
+		}
 	}
+}
 
-	go ca.WriteBurst([]*wire.Packet{pkt}) //nolint:errcheck // pipe errors surface on read
-	single, err := cb.ReadPacket()
-	if err != nil || single.Seq != pkt.Seq {
-		t.Fatalf("ReadPacket of 1-packet WriteBurst frame: %+v, err %v", single, err)
+// TestWritePacketAllocFree pins the send budget: once the connection's write
+// buffer has grown to the frame size, WritePacket allocates nothing — the
+// burst of one it hands to the framing code stays on the stack.
+func TestWritePacketAllocFree(t *testing.T) {
+	pkt := testBurst(1, []byte("move"))[0]
+	c := NewConn(&captureConn{})
+	if err := c.WritePacket(pkt); err != nil { // warm wbuf
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		if err := c.WritePacket(pkt); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("WritePacket steady state: %v allocs/op, want 0", allocs)
 	}
 }
 

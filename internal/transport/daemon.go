@@ -67,16 +67,15 @@ type Daemon struct {
 	done   chan struct{} // closed when Run exits; unblocks feeder goroutines
 	wg     sync.WaitGroup
 
-	// sink and tx are event-loop-owned scratch: the reused action sink for
-	// burst arrivals and the per-flush packet collector of dispatch. Only
-	// the Run loop touches them, so neither needs a lock.
+	// sink and tx are event-loop-owned scratch: the reused action sink every
+	// router call on the loop emits into, and the per-flush packet collector
+	// of dispatch. Only the Run loop touches them, so neither needs a lock.
 	sink ndn.SliceSink
 	tx   []*wire.Packet
 }
 
 type faceEvent struct {
 	face   ndn.FaceID
-	pkt    *wire.Packet   // single arrival (timers, tests)
 	pkts   []*wire.Packet // burst arrival: one frame's worth of packets
 	closed bool
 	fn     func() // loop-executed command (face attach, RP setup)
@@ -256,9 +255,10 @@ func (d *Daemon) errStopped() error { return fmt.Errorf("daemon %s: stopped", d.
 func (d *Daemon) BecomeRP(info copss.RPInfo) error {
 	errc := make(chan error, 1)
 	if !d.enqueue(faceEvent{fn: func() {
-		actions, err := d.router.BecomeRP(info)
+		d.sink.Reset()
+		err := d.router.BecomeRPTo(info, &d.sink)
 		if err == nil {
-			d.dispatch(actions)
+			d.dispatch(d.sink.Actions)
 		}
 		errc <- err
 	}}) {
@@ -299,13 +299,10 @@ func (d *Daemon) Run(ctx context.Context) error {
 				ev.fn()
 			case ev.closed:
 				d.dropFace(ev.face)
-			case ev.pkts != nil:
+			default:
 				d.sink.Reset()
 				d.router.HandleBurst(time.Now(), ev.face, ev.pkts, &d.sink)
 				d.dispatch(d.sink.Actions)
-			default:
-				actions := d.router.HandlePacket(time.Now(), ev.face, ev.pkt)
-				d.dispatch(actions)
 			}
 		}
 	}
@@ -364,12 +361,16 @@ func (d *Daemon) dispatch(actions []ndn.Action) {
 			i = j
 			continue
 		}
+		link := ""
+		if d.faults != nil {
+			link = fmt.Sprintf("face%d", face)
+		}
 		tx := d.tx[:0]
 		for ; i < j; i++ {
 			pkt := actions[i].Packet
 			copies := 1
 			if d.faults != nil {
-				v := d.faults.Decide(time.Now(), fmt.Sprintf("face%d", face), pkt)
+				v := d.faults.Decide(time.Now(), link, pkt)
 				if v.Drop {
 					continue
 				}

@@ -20,33 +20,20 @@ func TestClientDisconnectDropsFaceAndSubscriptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(100 * time.Millisecond)
 	if err := c.Unsubscribe(cd.MustParse("/1")); err != nil { // exercise Unsubscribe
 		t.Fatal(err)
 	}
 	if err := c.Subscribe(cd.MustParse("/1")); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(100 * time.Millisecond)
-	stLen := func() int {
-		var n int
-		d.Inspect(func(r *core.Router) { n = r.ST().Len() })
-		return n
-	}
-	if got := stLen(); got != 1 {
-		t.Fatalf("ST entries = %d, want 1", got)
-	}
+	waitFor(t, "subscription", func() bool { return stLen(d) == 1 })
 	if c.Name() != "ghost" {
 		t.Errorf("Name = %q", c.Name())
 	}
 	c.Close() //nolint:errcheck
-	deadline := time.Now().Add(3 * time.Second)
-	for stLen() != 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("face/subscriptions not cleaned after disconnect")
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
+	waitFor(t, "face and subscriptions cleaned after disconnect", func() bool {
+		return stLen(d) == 0 && routerFaces(d) == 0
+	})
 }
 
 func TestDialFailures(t *testing.T) {

@@ -84,7 +84,7 @@ func TestDebugEndpointAfterPublicationExchange(t *testing.T) {
 	if err := d2.ConnectRouter(addr1); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(100 * time.Millisecond) // link attachment settles
+	linkUp(t, d1, d2)
 
 	if err := d1.BecomeRP(copss.RPInfo{
 		Name:     "/rp1",
@@ -93,7 +93,7 @@ func TestDebugEndpointAfterPublicationExchange(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(100 * time.Millisecond) // announcement flood settles
+	waitFor(t, "announcement flood", func() bool { return knowsRP(d2, "/rp1") })
 
 	sub, err := NewClient("soldier", addr2)
 	if err != nil {
@@ -107,8 +107,8 @@ func TestDebugEndpointAfterPublicationExchange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer pub.Close()                  //nolint:errcheck // test shutdown
-	time.Sleep(100 * time.Millisecond) // subscription propagation settles
+	defer pub.Close() //nolint:errcheck // test shutdown
+	waitFor(t, "subscription propagation", func() bool { return stLen(d2) == 1 && stLen(d1) == 1 })
 
 	if err := pub.Publish(cd.MustParse("/1/2"), 1, []byte("flyover")); err != nil {
 		t.Fatal(err)
@@ -216,8 +216,8 @@ func TestDebugTraceEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer pub.Close()                  //nolint:errcheck // test shutdown
-	time.Sleep(100 * time.Millisecond) // subscription settles
+	defer pub.Close() //nolint:errcheck // test shutdown
+	waitFor(t, "subscription", func() bool { return stLen(d) == 1 })
 
 	if err := pub.Publish(cd.MustParse("/1/2"), 1, []byte("flyover")); err != nil {
 		t.Fatal(err)

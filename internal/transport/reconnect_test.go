@@ -173,7 +173,14 @@ func TestClientFaultInjection(t *testing.T) {
 	if got := in.Stats().Dropped; got != 20 {
 		t.Fatalf("injector dropped %d, want 20", got)
 	}
-	time.Sleep(100 * time.Millisecond)
+	// FIFO fence: a Subscribe sent with the injector lifted is behind
+	// anything the uplink let through, so once it has landed the count of
+	// publications the router saw is final.
+	c.SetFaults(nil)
+	if err := c.Subscribe(cd.MustParse("/1/2")); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "fence subscription", func() bool { return stLen(d) == 1 })
 	var pubs uint64
 	d.Inspect(func(r *core.Router) { pubs = r.Stats().MulticastIn })
 	if pubs != 0 {

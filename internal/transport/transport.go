@@ -1,6 +1,7 @@
 // Package transport carries G-COPSS wire packets over TCP streams: a
-// 4-byte big-endian length prefix frames each packet. It also defines the
-// hello handshake with which a connecting peer declares whether it is a
+// 4-byte big-endian length prefix frames each burst of back-to-back packet
+// encodings, and a single packet travels as a burst of one. It also defines
+// the hello handshake with which a connecting peer declares whether it is a
 // router or an end host, so the accepting router can register the face with
 // the right kind (Fig. 2's faces are exactly such stream attachments).
 package transport
@@ -64,7 +65,7 @@ type Conn struct {
 // NewConn wraps an established stream.
 func NewConn(c net.Conn) *Conn { return &Conn{c: c} }
 
-// SetIdleTimeout arms a per-frame read deadline: every ReadPacket must
+// SetIdleTimeout arms a per-frame read deadline: every ReadBurst must
 // complete (header AND body) within d, or it fails with a timeout error.
 // This is the defense against a peer that completes the hello and then
 // stalls mid-frame — without it the reader goroutine blocks in io.ReadFull
@@ -80,40 +81,20 @@ func (c *Conn) RemoteAddr() net.Addr { return c.c.RemoteAddr() }
 // SetDeadline bounds the next read/write.
 func (c *Conn) SetDeadline(t time.Time) error { return c.c.SetDeadline(t) }
 
-// WritePacket frames and sends one packet. The frame (4-byte length prefix
-// plus body) is assembled in the connection-owned write buffer and flushed
-// with a single Write, so the steady-state send path neither allocates nor
-// risks a torn frame between two syscalls. Assembly happens under the write
-// lock: the buffer is guarded state, and holding the lock across encode keeps
-// concurrent writers from interleaving their frames.
+// WritePacket frames and sends one packet: a burst of one.
 func (c *Conn) WritePacket(pkt *wire.Packet) error {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	frame := append(c.wbuf[:0], 0, 0, 0, 0) // length prefix, patched below
-	frame, err := wire.AppendEncode(frame, pkt)
-	if err != nil {
-		return fmt.Errorf("transport: encode: %w", err)
-	}
-	c.wbuf = frame[:0] // keep any growth for the next frame
-	body := len(frame) - 4
-	if body > MaxFrame {
-		return fmt.Errorf("transport: frame too large: %d", body)
-	}
-	binary.BigEndian.PutUint32(frame[:4], uint32(body))
-	if _, err := c.c.Write(frame); err != nil {
-		return fmt.Errorf("transport: write frame: %w", err)
-	}
-	return nil
+	one := [1]*wire.Packet{pkt}
+	return c.WriteBurst(one[:])
 }
 
 // WriteBurst frames and sends a whole burst with a single Write: the packets
 // are packed back-to-back (wire.AppendEncodeBurst) into one frame whose body
 // is the concatenated encodings, so a flush costs one syscall however many
 // packets it carries. Bursts larger than MaxFrame are split into consecutive
-// frames inside the same Write. The receiver must use ReadBurst — frame
-// boundaries are burst boundaries, and a multi-packet frame is "trailing
-// garbage" to the single-packet ReadPacket. Single-packet frames remain
-// byte-identical to WritePacket's, so the two write paths interoperate.
+// frames inside the same Write; frame boundaries are burst boundaries for
+// ReadBurst. Frames are assembled in the connection-owned write buffer under
+// the write lock, so the steady-state send path neither allocates nor lets
+// concurrent writers interleave their frames.
 func (c *Conn) WriteBurst(pkts []*wire.Packet) error {
 	if len(pkts) == 0 {
 		return nil
@@ -136,27 +117,26 @@ func (c *Conn) WriteBurst(pkts []*wire.Packet) error {
 			return fmt.Errorf("transport: frame too large: %d", body)
 		}
 		hdr := len(buf)
-		buf = append(buf, 0, 0, 0, 0)
+		buf = append(buf, 0, 0, 0, 0) // length prefix, patched below
 		var err error
 		buf, err = wire.AppendEncodeBurst(buf, pkts[start:end])
 		if err != nil {
 			c.wbuf = buf[:0]
-			return fmt.Errorf("transport: encode burst: %w", err)
+			return fmt.Errorf("transport: encode: %w", err)
 		}
 		binary.BigEndian.PutUint32(buf[hdr:hdr+4], uint32(len(buf)-hdr-4))
 		start = end
 	}
 	c.wbuf = buf[:0] // keep any growth for the next burst
 	if _, err := c.c.Write(buf); err != nil {
-		return fmt.Errorf("transport: write burst: %w", err)
+		return fmt.Errorf("transport: write frame: %w", err)
 	}
 	return nil
 }
 
 // ReadBurst reads one frame and decodes every packet in it, appending them to
-// dst (which may be nil) and returning the extended slice. A frame written by
-// WritePacket yields exactly one packet, so ReadBurst is a strict superset of
-// ReadPacket and the preferred read loop primitive.
+// dst (which may be nil) and returning the extended slice. Bytes in the frame
+// that do not decode as a packet fail the whole read.
 func (c *Conn) ReadBurst(dst []*wire.Packet) ([]*wire.Packet, error) {
 	if c.idle > 0 {
 		if err := c.c.SetReadDeadline(time.Now().Add(c.idle)); err != nil {
@@ -186,35 +166,6 @@ func (c *Conn) ReadBurst(dst []*wire.Packet) ([]*wire.Packet, error) {
 	return dst, nil
 }
 
-// ReadPacket reads one framed packet.
-func (c *Conn) ReadPacket() (*wire.Packet, error) {
-	if c.idle > 0 {
-		if err := c.c.SetReadDeadline(time.Now().Add(c.idle)); err != nil {
-			return nil, fmt.Errorf("transport: set idle deadline: %w", err)
-		}
-	}
-	var hdr [4]byte
-	if _, err := io.ReadFull(c.c, hdr[:]); err != nil {
-		return nil, fmt.Errorf("transport: read header: %w", err)
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n == 0 || n > MaxFrame {
-		return nil, fmt.Errorf("transport: bad frame length %d", n)
-	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(c.c, body); err != nil {
-		return nil, fmt.Errorf("transport: read body: %w", err)
-	}
-	pkt, consumed, err := wire.Decode(body)
-	if err != nil {
-		return nil, fmt.Errorf("transport: decode: %w", err)
-	}
-	if consumed != len(body) {
-		return nil, fmt.Errorf("transport: trailing garbage in frame")
-	}
-	return pkt, nil
-}
-
 // SendHello announces this peer's kind and name.
 func (c *Conn) SendHello(kind PeerKind, name string) error {
 	return c.WritePacket(&wire.Packet{
@@ -233,10 +184,14 @@ func (c *Conn) ReadHello(timeout time.Duration) (PeerKind, string, error) {
 		}
 		defer c.c.SetReadDeadline(time.Time{}) //nolint:errcheck // best-effort reset
 	}
-	pkt, err := c.ReadPacket()
+	pkts, err := c.ReadBurst(nil)
 	if err != nil {
 		return 0, "", err
 	}
+	if len(pkts) != 1 {
+		return 0, "", fmt.Errorf("transport: hello frame holds %d packets, want 1", len(pkts))
+	}
+	pkt := pkts[0]
 	if pkt.Type != wire.TypeData || pkt.Name != helloName {
 		return 0, "", fmt.Errorf("transport: expected hello, got %v %q", pkt.Type, pkt.Name)
 	}

@@ -27,14 +27,17 @@ func TestFramingRoundTrip(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	go func() { done <- ca.WritePacket(want) }()
-	got, err := cb.ReadPacket()
+	pkts, err := cb.ReadBurst(nil)
 	if err != nil {
-		t.Fatalf("ReadPacket: %v", err)
+		t.Fatalf("ReadBurst: %v", err)
 	}
 	if err := <-done; err != nil {
 		t.Fatalf("WritePacket: %v", err)
 	}
-	if got.Origin != "p1" || got.Seq != 9 || string(got.Payload) != "hello" {
+	if len(pkts) != 1 {
+		t.Fatalf("WritePacket frame held %d packets, want 1", len(pkts))
+	}
+	if got := pkts[0]; got.Origin != "p1" || got.Seq != 9 || string(got.Payload) != "hello" {
 		t.Errorf("round trip corrupted: %+v", got)
 	}
 }
@@ -52,7 +55,7 @@ func TestFramingRejectsInvalid(t *testing.T) {
 		a.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF}) //nolint:errcheck
 		a.Close()                               //nolint:errcheck
 	}()
-	if _, err := cb.ReadPacket(); err == nil {
+	if _, err := cb.ReadBurst(nil); err == nil {
 		t.Error("oversized frame accepted")
 	}
 }
@@ -62,12 +65,14 @@ func TestHelloHandshake(t *testing.T) {
 	ca, cb := NewConn(a), NewConn(b)
 	defer ca.Close()
 	defer cb.Close()
-	go func() {
-		ca.SendHello(PeerClient, "alice") //nolint:errcheck
-	}()
+	sent := make(chan error, 1)
+	go func() { sent <- ca.SendHello(PeerClient, "alice") }()
 	kind, name, err := cb.ReadHello(time.Second)
 	if err != nil {
 		t.Fatalf("ReadHello: %v", err)
+	}
+	if err := <-sent; err != nil {
+		t.Fatalf("SendHello: %v", err)
 	}
 	if kind != PeerClient || name != "alice" {
 		t.Errorf("hello = %v %q", kind, name)
@@ -87,6 +92,39 @@ func TestHelloRejectsNonHello(t *testing.T) {
 	}
 }
 
+// TestHelloRejectsMalformedFrames: the hello arrives from outside the
+// program, so ReadHello must refuse a frame that is anything but exactly one
+// hello packet — a second packet riding along, or bytes after the packet.
+func TestHelloRejectsMalformedFrames(t *testing.T) {
+	hello := &wire.Packet{Type: wire.TypeData, Name: helloName, Origin: "alice", Payload: []byte("client")}
+	enc, err := wire.Encode(hello)
+	if err != nil {
+		t.Fatal(err)
+	}
+	readHello := func(raw []byte) (PeerKind, string, error) {
+		a, b := net.Pipe()
+		defer b.Close() //nolint:errcheck
+		go func() {
+			a.Write(raw) //nolint:errcheck // the reader's verdict is the assertion
+			a.Close()    //nolint:errcheck
+		}()
+		return NewConn(b).ReadHello(time.Second)
+	}
+	two := append(append([]byte(nil), enc...), enc...)
+	trailing := append(append([]byte(nil), enc...), 0xde, 0xad)
+	if _, _, err := readHello(rawFrame(two...)); err == nil {
+		t.Error("two-packet hello frame accepted")
+	}
+	if _, _, err := readHello(rawFrame(trailing...)); err == nil {
+		t.Error("hello frame with trailing bytes accepted")
+	}
+	// The well-formed frame built the same way is accepted, so the two above
+	// fail for the reason they claim.
+	if kind, name, err := readHello(rawFrame(enc...)); err != nil || kind != PeerClient || name != "alice" {
+		t.Errorf("hand-framed hello = %v %q, err %v", kind, name, err)
+	}
+}
+
 // startDaemon runs a silent daemon on a loopback listener.
 func startDaemon(t *testing.T, ctx context.Context, name string) (*Daemon, string) {
 	t.Helper()
@@ -100,6 +138,34 @@ func startDaemon(t *testing.T, ctx context.Context, name string) (*Daemon, strin
 	return d, addr.String()
 }
 
+// Readiness probes for waitFor: each reads router state on the daemon's event
+// loop, so a test proceeds when the attachment, flood or subscription it
+// depends on has landed, however long the host took.
+
+func routerFaces(d *Daemon) int {
+	var n int
+	d.Inspect(func(r *core.Router) { n = len(r.Faces()) })
+	return n
+}
+
+func stLen(d *Daemon) int {
+	var n int
+	d.Inspect(func(r *core.Router) { n = r.ST().Len() })
+	return n
+}
+
+func knowsRP(d *Daemon, name string) bool {
+	var ok bool
+	d.Inspect(func(r *core.Router) { _, ok = r.RPTable().Get(name) })
+	return ok
+}
+
+// linkUp waits until both ends of a router-router link registered the face.
+func linkUp(t *testing.T, a, b *Daemon) {
+	t.Helper()
+	waitFor(t, "router link attachment", func() bool { return routerFaces(a) >= 1 && routerFaces(b) >= 1 })
+}
+
 func TestDaemonEndToEndPubSub(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -110,7 +176,7 @@ func TestDaemonEndToEndPubSub(t *testing.T) {
 	if err := d2.ConnectRouter(addr1); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(100 * time.Millisecond) // link attachment settles
+	linkUp(t, d1, d2)
 
 	info := copss.RPInfo{
 		Name:     "/rp1",
@@ -120,7 +186,7 @@ func TestDaemonEndToEndPubSub(t *testing.T) {
 	if err := d1.BecomeRP(info); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(100 * time.Millisecond) // announcement flood settles
+	waitFor(t, "announcement flood", func() bool { return knowsRP(d2, "/rp1") })
 
 	sub, err := NewClient("soldier", addr2)
 	if err != nil {
@@ -136,7 +202,8 @@ func TestDaemonEndToEndPubSub(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pub.Close()
-	time.Sleep(100 * time.Millisecond) // subscriptions settle
+	// R2 holds the three subscriptions and has propagated them to the RP.
+	waitFor(t, "subscription propagation", func() bool { return stLen(d2) == 3 && stLen(d1) == 3 })
 
 	if err := pub.Publish(cd.MustParse("/1/"), 1, []byte("flyover")); err != nil {
 		t.Fatal(err)
@@ -199,7 +266,7 @@ func TestDaemonNDNQueryAcrossRouters(t *testing.T) {
 	if err := d2.ConnectRouter(addr1); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(100 * time.Millisecond)
+	linkUp(t, d1, d2)
 
 	// Producer attaches to R1 and registers a FIB route for its prefix on
 	// both routers (face 1 on R2 is its link to R1; the producer's face on
@@ -210,7 +277,7 @@ func TestDaemonNDNQueryAcrossRouters(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer producer.Close()
-	time.Sleep(100 * time.Millisecond)
+	waitFor(t, "producer attach", func() bool { return routerFaces(d1) == 2 })
 	// The producer is the second face of R1 (after R2's link). FIB edits on
 	// a running daemon go through Inspect.
 	d1.Inspect(func(r *core.Router) { r.NDN().FIB().Add("/content", 2) })
@@ -237,7 +304,6 @@ func TestDaemonNDNQueryAcrossRouters(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer consumer.Close()
-	time.Sleep(100 * time.Millisecond)
 	if err := consumer.Query("/content/map/v1"); err != nil {
 		t.Fatal(err)
 	}

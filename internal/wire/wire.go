@@ -14,7 +14,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 
 	"github.com/icn-gaming/gcopss/internal/cd"
 )
@@ -324,8 +323,8 @@ func bodyLen(p *Packet) int {
 //
 // where body is a sequence of (tag uvarint, len uvarint, value) fields. This
 // is the zero-allocation entry point for callers that reuse buffers (the TCP
-// transport frames through a pooled EncodeBuffer); Encode wraps it for
-// one-shot use.
+// transport assembles frames in its per-connection write buffer through
+// AppendEncodeBurst); Encode wraps it for one-shot use.
 //
 //gcopss:hotpath
 func AppendEncode(dst []byte, p *Packet) ([]byte, error) {
@@ -421,18 +420,6 @@ func AppendEncodeBurst(dst []byte, pkts []*Packet) ([]byte, error) {
 		dst, _ = AppendEncode(dst, p) //lint:allow errcheckedfaces Validate passed for every packet in the first pass
 	}
 	return dst, nil
-}
-
-// SizeBurst returns the total encoded size of the burst, the sum of Size over
-// its packets. Invalid packets contribute 0, matching Size.
-//
-//gcopss:hotpath
-func SizeBurst(pkts []*Packet) int {
-	n := 0
-	for _, p := range pkts {
-		n += Size(p)
-	}
-	return n
 }
 
 func appendBytesField(out []byte, tag uint64, val []byte) []byte {
@@ -567,17 +554,6 @@ func Size(p *Packet) int {
 	return 4 + uvarintLen(uint64(body)) + body
 }
 
-// Clone returns a deep copy of the packet, so routers can mutate per-branch
-// copies (e.g. HopCount) without aliasing. The forwarding fast path does not
-// use it: see Forward and the ownership discipline it documents.
-func (p *Packet) Clone() *Packet {
-	q := *p
-	q.CDs = append([]cd.CD(nil), p.CDs...)
-	q.Payload = append([]byte(nil), p.Payload...)
-	q.CDHashes = append([]uint64(nil), p.CDHashes...)
-	return &q
-}
-
 // Forward returns a shallow forwarding copy: a fresh Packet struct with
 // HopCount incremented that shares the CDs, Payload and CDHashes slices of
 // the original. It is the zero-copy fan-out primitive and relies on the
@@ -590,38 +566,6 @@ func (p *Packet) Forward() *Packet {
 	q := *p
 	q.HopCount++
 	return &q
-}
-
-// EncodeBuffer is a reusable encode scratch buffer vended by
-// GetEncodeBuffer. B always has length 0 and retains capacity across uses.
-type EncodeBuffer struct {
-	B []byte
-}
-
-// maxPooledEncode caps the capacity of buffers returned to the pool so one
-// jumbo packet cannot pin a large allocation forever.
-const maxPooledEncode = 1 << 16
-
-var encodePool = sync.Pool{
-	New: func() any { return &EncodeBuffer{B: make([]byte, 0, 512)} },
-}
-
-// GetEncodeBuffer returns a pooled encode buffer. Callers append an encoding
-// via AppendEncode(buf.B, ...), store the grown slice back into buf.B, and
-// return the buffer with PutEncodeBuffer once the bytes have been fully
-// consumed (e.g. written to a socket) — the buffer must not be reachable
-// afterwards.
-func GetEncodeBuffer() *EncodeBuffer {
-	return encodePool.Get().(*EncodeBuffer)
-}
-
-// PutEncodeBuffer recycles a buffer obtained from GetEncodeBuffer.
-func PutEncodeBuffer(buf *EncodeBuffer) {
-	if buf == nil || cap(buf.B) > maxPooledEncode {
-		return
-	}
-	buf.B = buf.B[:0]
-	encodePool.Put(buf)
 }
 
 // MaxPayload bounds payload sizes accepted by Encapsulate, preventing

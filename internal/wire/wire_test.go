@@ -201,17 +201,6 @@ func TestEncapsulateDecapsulate(t *testing.T) {
 	}
 }
 
-func TestClone(t *testing.T) {
-	p := &Packet{Type: TypeMulticast, CDs: []cd.CD{cd.MustParse("/1")}, Payload: []byte("abc"), HopCount: 1}
-	q := p.Clone()
-	q.Payload[0] = 'z'
-	q.HopCount = 5
-	q.CDs[0] = cd.MustParse("/2")
-	if p.Payload[0] != 'a' || p.HopCount != 1 || p.CDs[0] != cd.MustParse("/1") {
-		t.Error("Clone aliases the original")
-	}
-}
-
 func TestSize(t *testing.T) {
 	p := &Packet{Type: TypeMulticast, CDs: []cd.CD{cd.MustParse("/1/2")}, Payload: make([]byte, 200)}
 	if s := Size(p); s < 200 || s > 260 {

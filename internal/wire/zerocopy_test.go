@@ -96,15 +96,3 @@ func TestForwardShares(t *testing.T) {
 		t.Error("Forward copied the CD hash vector; it must share it")
 	}
 }
-
-func TestEncodeBufferPoolRoundTrip(t *testing.T) {
-	buf := GetEncodeBuffer()
-	if buf == nil || buf.B == nil || len(buf.B) != 0 {
-		t.Fatalf("GetEncodeBuffer: got %+v, want empty non-nil buffer", buf)
-	}
-	buf.B = append(buf.B, 1, 2, 3)
-	PutEncodeBuffer(buf)
-	// Oversized buffers are dropped rather than pinned in the pool.
-	big := &EncodeBuffer{B: make([]byte, 0, maxPooledEncode+1)}
-	PutEncodeBuffer(big) // must not panic; the buffer is discarded
-}
