@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt-check lint lint-audit test race fuzz bench bench-smoke cover ci
+.PHONY: all build vet fmt-check lint lint-audit test race fuzz bench bench-smoke cover loc ci
 
 all: build lint test
 
@@ -16,8 +16,9 @@ fmt-check:
 	@out=$$(gofmt -l .) || exit 1; if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 # lint runs go vet, the format gate and the repo's own invariant checkers
-# (cmd/gcopsslint): clockfree, randinject, nopanic, cdctor, errcheckedfaces,
-# obsnames, sharedpkt, maporder, hotalloc, guardedby.
+# (cmd/gcopsslint): the forbidden-identifier rules clockfree, randinject and
+# nopanic (one table-driven analyzer package), errcheckedfaces, obsnames,
+# sharedpkt, maporder, hotalloc, guardedby.
 lint: vet fmt-check
 	$(GO) run ./cmd/gcopsslint ./...
 
@@ -35,12 +36,12 @@ test:
 # while scrapers snapshot them), the scheduler profiler, and the
 # sharded-scheduler determinism suites (stage-A/B/C handoff under 4 workers,
 # the window/tie-break invariants, the backbone workers × seeds ×
-# {clean, faulted} sweep of the adaptive lookahead, and the burst data
+# {clean, faulted} sweep of the latency-matrix windows, and the burst data
 # plane's ring-flush equivalence against the per-packet path), plus the
 # flow-control chaos matrix (adaptive-vs-static gate on goodput and
 # retrans_abandoned_total, and same-seed replay determinism). CI's race job
 # calls this target, so the lists live here only.
-RACE_TESTBED = TestChaosHandoffStagesWorkers4|TestWorkersReproduceSequentialTrace|TestWindowLookaheadInvariant|TestShardedTieBreakOrdering|TestBackboneDeterminism|TestBackboneBurstDeterminism|TestBackboneGolden|TestBurstMatchesPerPacketTrace|TestFlowControlAdaptiveBeatsStatic|TestFlowChaosDeterminism
+RACE_TESTBED = TestChaosHandoffStagesWorkers4|TestWorkersReproduceOneShardTrace|TestWindowLookaheadInvariant|TestShardedTieBreakOrdering|TestBackboneDeterminism|TestBackboneBurstDeterminism|TestBackboneGolden|TestBurstMatchesPerPacketTrace|TestFlowControlAdaptiveBeatsStatic|TestFlowChaosDeterminism
 race:
 	$(GO) test -race -count=1 ./internal/transport ./internal/core ./internal/flowctl ./internal/obs/... ./internal/event ./internal/copss ./internal/bloom .
 	$(GO) test -race -count=1 -run '$(RACE_TESTBED)' ./internal/testbed
@@ -69,7 +70,7 @@ fuzz:
 
 # cover gates statement coverage on the reliability-critical packages: the
 # router core (ARQ, migration), the broker (QR fetch retry), the fault
-# injector itself, the sharded scheduler (adaptive lookahead windows) and
+# injector itself, the sharded scheduler (latency-matrix windows) and
 # the topology partitioner. The chaos and backbone matrices exercise them
 # but live in testbed, so the gate here is about each package's own unit
 # tests.
@@ -83,5 +84,12 @@ cover:
 	  awk -v p="$$pct" -v m=$(COVER_MIN) 'BEGIN{exit !(p>=m)}' || \
 	    { echo "FAIL: $$pkg coverage $$pct% is below $(COVER_MIN)%"; exit 1; }; \
 	done
+
+# loc prints the two size figures ROADMAP tracks: lines of non-test Go and of
+# _test.go, both outside bench/ and testdata.
+LOC_FIND = find . -name '*.go' -not -path './bench/*' -not -path '*/testdata/*'
+loc:
+	@echo "non-test Go: $$($(LOC_FIND) -not -name '*_test.go' | xargs cat | wc -l)"
+	@echo "_test.go:    $$($(LOC_FIND) -name '*_test.go' | xargs cat | wc -l)"
 
 ci: build lint test bench-smoke race cover fuzz

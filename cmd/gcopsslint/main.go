@@ -3,7 +3,7 @@
 //
 //	gcopsslint ./...                  # everything, tests included
 //	gcopsslint -tests=false ./...     # production code only
-//	gcopsslint -checks nopanic,cdctor ./internal/wire
+//	gcopsslint -checks nopanic,sharedpkt ./internal/wire
 //	gcopsslint -json ./...            # machine-readable diagnostics (CI artifact)
 //	gcopsslint -audit ./...           # list every //lint:allow waiver
 //
@@ -13,7 +13,6 @@
 //	clockfree        no time.Now/Since in the deterministic core
 //	randinject       no global math/rand outside package main
 //	nopanic          no panic in packet-handling packages
-//	cdctor           CDs built only via the cd package's constructors
 //	errcheckedfaces  wire/transport errors must be handled
 //	obsnames         telemetry metric names are literal and well-formed
 //	sharedpkt        handler-received packets are immutable; mutate via COW copies
@@ -21,9 +20,10 @@
 //	hotalloc         //gcopss:hotpath functions must not allocate (transitively)
 //	guardedby        //gcopss:guardedby fields only accessed with their mutex held
 //
-// Packages are analyzed in dependency order with a shared fact store, so the
-// interprocedural checkers (maporder, hotalloc, guardedby) see summaries of
-// every already-analyzed dependency.
+// The first three are the rules of one table-driven analyzer package
+// (internal/analysis/forbidden). Packages are analyzed in dependency order
+// with a shared fact store, so the interprocedural checkers (maporder,
+// hotalloc, guardedby) see summaries of every already-analyzed dependency.
 //
 // A finding is waived in place with `//lint:allow <checker> <reason>` on the
 // flagged line or the line above it; for maporder/hotalloc/guardedby the
@@ -36,35 +36,29 @@ import (
 	"fmt"
 	"go/token"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 
 	"github.com/icn-gaming/gcopss/internal/analysis"
-	"github.com/icn-gaming/gcopss/internal/analysis/cdctor"
-	"github.com/icn-gaming/gcopss/internal/analysis/clockfree"
 	"github.com/icn-gaming/gcopss/internal/analysis/errcheckedfaces"
+	"github.com/icn-gaming/gcopss/internal/analysis/forbidden"
 	"github.com/icn-gaming/gcopss/internal/analysis/guardedby"
 	"github.com/icn-gaming/gcopss/internal/analysis/hotalloc"
 	"github.com/icn-gaming/gcopss/internal/analysis/load"
 	"github.com/icn-gaming/gcopss/internal/analysis/maporder"
-	"github.com/icn-gaming/gcopss/internal/analysis/nopanic"
 	"github.com/icn-gaming/gcopss/internal/analysis/obsnames"
-	"github.com/icn-gaming/gcopss/internal/analysis/randinject"
 	"github.com/icn-gaming/gcopss/internal/analysis/sharedpkt"
 )
 
-var all = []*analysis.Analyzer{
-	clockfree.Analyzer,
-	randinject.Analyzer,
-	nopanic.Analyzer,
-	cdctor.Analyzer,
+var all = append(slices.Clone(forbidden.Analyzers),
 	errcheckedfaces.Analyzer,
 	obsnames.Analyzer,
 	sharedpkt.Analyzer,
 	maporder.Analyzer,
 	hotalloc.Analyzer,
 	guardedby.Analyzer,
-}
+)
 
 func main() {
 	os.Exit(run())

@@ -9,14 +9,12 @@ package bloom
 
 import (
 	"encoding/binary"
-	"fmt"
 	"hash/fnv"
-	"math"
 	"math/bits"
 )
 
 // Filter is a fixed-size Bloom filter. The zero value is unusable; construct
-// with New or NewWithEstimates.
+// with New.
 type Filter struct {
 	bits []uint64
 	m    uint64 // number of bits, a power of two: probes index with h & (m-1)
@@ -39,21 +37,6 @@ func New(m, k uint64) *Filter {
 		k = 32
 	}
 	return &Filter{bits: make([]uint64, m/64), m: m, k: k}
-}
-
-// NewWithEstimates creates a filter sized for n expected elements at the
-// given target false-positive probability p (0 < p < 1). New's rounding only
-// adds bits, so the rate can only come out lower than asked.
-func NewWithEstimates(n uint64, p float64) *Filter {
-	if n == 0 {
-		n = 1
-	}
-	if p <= 0 || p >= 1 {
-		p = 0.01
-	}
-	m := uint64(math.Ceil(float64(n) * math.Log(p) / math.Log(1/math.Pow(2, math.Ln2))))
-	k := uint64(math.Round(float64(m) / float64(n) * math.Ln2))
-	return New(m, k)
 }
 
 // HashPair is the precomputed double-hashing state of one key. The paper's
@@ -147,70 +130,9 @@ func (f *Filter) Bits() uint64 { return f.m }
 // Hashes returns the number of hash functions.
 func (f *Filter) Hashes() uint64 { return f.k }
 
-// FillRatio returns the fraction of set bits, a congestion indicator for
-// deciding when to rebuild the filter larger.
-func (f *Filter) FillRatio() float64 {
-	var set int
-	for _, w := range f.bits {
-		set += bits.OnesCount64(w)
-	}
-	return float64(set) / float64(f.m)
-}
-
-// EstimatedFalsePositiveRate returns the expected false-positive probability
-// for the current fill, (1 - e^{-kn/m})^k.
-func (f *Filter) EstimatedFalsePositiveRate() float64 {
-	return math.Pow(1-math.Exp(-float64(f.k)*float64(f.n)/float64(f.m)), float64(f.k))
-}
-
-// Union merges other into f. Both filters must have identical geometry.
-func (f *Filter) Union(other *Filter) error {
-	if f.m != other.m || f.k != other.k {
-		return fmt.Errorf("bloom: geometry mismatch: (%d,%d) vs (%d,%d)", f.m, f.k, other.m, other.k)
-	}
-	for i := range f.bits {
-		f.bits[i] |= other.bits[i]
-	}
-	f.n += other.n
-	return nil
-}
-
 // Clone returns an independent copy.
 func (f *Filter) Clone() *Filter {
 	out := &Filter{bits: make([]uint64, len(f.bits)), m: f.m, k: f.k, n: f.n}
 	copy(out.bits, f.bits)
 	return out
-}
-
-// MarshalBinary encodes the filter geometry and bits. It implements
-// encoding.BinaryMarshaler so filters can travel in control packets (the
-// paper's first-hop hash optimization ships precomputed hash state).
-func (f *Filter) MarshalBinary() ([]byte, error) {
-	out := make([]byte, 24+len(f.bits)*8)
-	binary.BigEndian.PutUint64(out[0:], f.m)
-	binary.BigEndian.PutUint64(out[8:], f.k)
-	binary.BigEndian.PutUint64(out[16:], f.n)
-	for i, w := range f.bits {
-		binary.BigEndian.PutUint64(out[24+i*8:], w)
-	}
-	return out, nil
-}
-
-// UnmarshalBinary decodes a filter previously encoded with MarshalBinary.
-func (f *Filter) UnmarshalBinary(data []byte) error {
-	if len(data) < 24 {
-		return fmt.Errorf("bloom: short buffer: %d bytes", len(data))
-	}
-	m := binary.BigEndian.Uint64(data[0:])
-	k := binary.BigEndian.Uint64(data[8:])
-	n := binary.BigEndian.Uint64(data[16:])
-	if m < 64 || m&(m-1) != 0 || uint64(len(data)-24) != m/8 {
-		return fmt.Errorf("bloom: inconsistent geometry m=%d len=%d", m, len(data))
-	}
-	f.m, f.k, f.n = m, k, n
-	f.bits = make([]uint64, m/64)
-	for i := range f.bits {
-		f.bits[i] = binary.BigEndian.Uint64(data[24+i*8:])
-	}
-	return nil
 }

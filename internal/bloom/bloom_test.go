@@ -3,6 +3,7 @@ package bloom
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -25,7 +26,7 @@ func TestAddTest(t *testing.T) {
 
 func TestNoFalseNegativesProperty(t *testing.T) {
 	f := func(keys []string) bool {
-		bf := NewWithEstimates(uint64(len(keys))+1, 0.01)
+		bf := New(10*uint64(len(keys)+1), 7)
 		for _, k := range keys {
 			bf.AddString(k)
 		}
@@ -43,7 +44,7 @@ func TestNoFalseNegativesProperty(t *testing.T) {
 
 func TestFalsePositiveRateBounded(t *testing.T) {
 	const n = 5000
-	bf := NewWithEstimates(n, 0.01)
+	bf := New(1<<16, 7) // the geometry for n elements at a 1% target, rounded up
 	r := rand.New(rand.NewSource(1))
 	for i := 0; i < n; i++ {
 		bf.AddString(fmt.Sprintf("member-%d-%d", i, r.Int63()))
@@ -59,9 +60,6 @@ func TestFalsePositiveRateBounded(t *testing.T) {
 	if rate > 0.03 { // 3× the design target leaves headroom for hash variance
 		t.Errorf("false positive rate %.4f exceeds bound", rate)
 	}
-	if est := bf.EstimatedFalsePositiveRate(); est > 0.02 {
-		t.Errorf("estimated fp rate %.4f unexpectedly high", est)
-	}
 }
 
 func TestGeometryClamping(t *testing.T) {
@@ -73,10 +71,6 @@ func TestGeometryClamping(t *testing.T) {
 	if f.Bits() != 128 || f.Hashes() != 32 {
 		t.Errorf("clamped geometry = (%d,%d)", f.Bits(), f.Hashes())
 	}
-	f = NewWithEstimates(0, 2.0) // degenerate inputs fall back to defaults
-	if f.Bits() == 0 {
-		t.Error("NewWithEstimates produced empty filter")
-	}
 }
 
 func TestReset(t *testing.T) {
@@ -86,24 +80,8 @@ func TestReset(t *testing.T) {
 	if f.TestString("x") {
 		t.Error("Reset did not clear bits")
 	}
-	if f.Count() != 0 || f.FillRatio() != 0 {
+	if f.Count() != 0 || !slices.Equal(f.bits, make([]uint64, len(f.bits))) {
 		t.Error("Reset did not clear counters")
-	}
-}
-
-func TestUnion(t *testing.T) {
-	a, b := New(256, 3), New(256, 3)
-	a.AddString("a")
-	b.AddString("b")
-	if err := a.Union(b); err != nil {
-		t.Fatalf("Union: %v", err)
-	}
-	if !a.TestString("a") || !a.TestString("b") {
-		t.Error("Union lost members")
-	}
-	c := New(512, 3)
-	if err := a.Union(c); err == nil {
-		t.Error("Union should reject geometry mismatch")
 	}
 }
 
@@ -112,47 +90,11 @@ func TestCloneIndependence(t *testing.T) {
 	a.AddString("a")
 	b := a.Clone()
 	b.AddString("b")
-	if a.TestString("b") && a.FillRatio() == b.FillRatio() {
+	if slices.Equal(a.bits, b.bits) {
 		t.Error("Clone shares storage with original")
 	}
 	if !b.TestString("a") {
 		t.Error("Clone lost member")
-	}
-}
-
-func TestMarshalRoundTrip(t *testing.T) {
-	a := New(512, 5)
-	for i := 0; i < 40; i++ {
-		a.AddString(fmt.Sprintf("k%d", i))
-	}
-	data, err := a.MarshalBinary()
-	if err != nil {
-		t.Fatalf("MarshalBinary: %v", err)
-	}
-	var b Filter
-	if err := b.UnmarshalBinary(data); err != nil {
-		t.Fatalf("UnmarshalBinary: %v", err)
-	}
-	for i := 0; i < 40; i++ {
-		if !b.TestString(fmt.Sprintf("k%d", i)) {
-			t.Errorf("member k%d lost in round trip", i)
-		}
-	}
-	if b.Bits() != a.Bits() || b.Hashes() != a.Hashes() || b.Count() != a.Count() {
-		t.Error("geometry lost in round trip")
-	}
-	if err := b.UnmarshalBinary(data[:10]); err == nil {
-		t.Error("UnmarshalBinary should reject short buffers")
-	}
-	if err := b.UnmarshalBinary(data[:30]); err == nil {
-		t.Error("UnmarshalBinary should reject inconsistent lengths")
-	}
-	// 192 bits with a matching body: consistent, but not a size the masked
-	// probe can index.
-	odd := make([]byte, 24+192/8)
-	odd[7], odd[15] = 192, 3
-	if err := b.UnmarshalBinary(odd); err == nil {
-		t.Error("UnmarshalBinary should reject a size that is not a power of two")
 	}
 }
 
@@ -213,24 +155,8 @@ func TestRoundsUpToPowerOfTwo(t *testing.T) {
 	}
 }
 
-func TestFillRatioMonotone(t *testing.T) {
-	f := New(1024, 4)
-	prev := 0.0
-	for i := 0; i < 100; i++ {
-		f.AddString(fmt.Sprintf("k%d", i))
-		cur := f.FillRatio()
-		if cur < prev {
-			t.Fatalf("fill ratio decreased: %f -> %f", prev, cur)
-		}
-		prev = cur
-	}
-	if prev <= 0 || prev > 1 {
-		t.Errorf("fill ratio out of range: %f", prev)
-	}
-}
-
 func BenchmarkAdd(b *testing.B) {
-	f := NewWithEstimates(10000, 0.01)
+	f := New(1<<17, 7)
 	key := []byte("/1/2/some-object-name")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -239,7 +165,7 @@ func BenchmarkAdd(b *testing.B) {
 }
 
 func BenchmarkTest(b *testing.B) {
-	f := NewWithEstimates(10000, 0.01)
+	f := New(1<<17, 7)
 	for i := 0; i < 1000; i++ {
 		f.AddString(fmt.Sprintf("/k/%d", i))
 	}

@@ -190,18 +190,6 @@ func FlattenHashes(pairs []bloom.HashPair) []uint64 {
 	return out
 }
 
-// UnflattenHashes inverts FlattenHashes; it returns nil for odd inputs.
-func UnflattenHashes(flat []uint64) []bloom.HashPair {
-	if len(flat)%2 != 0 {
-		return nil
-	}
-	out := make([]bloom.HashPair, len(flat)/2)
-	for i := range out {
-		out[i] = bloom.HashPair{H1: flat[i*2], H2: flat[i*2+1]}
-	}
-	return out
-}
-
 // FacesFor returns the faces a Multicast packet for CD c must be forwarded
 // to: every face whose subscription set contains a prefix of c (including c
 // itself). The result is sorted, is nil when empty, and — like all ST
@@ -223,8 +211,8 @@ func (st *ST) FacesForHashed(c cd.CD, pairs []bloom.HashPair) []ndn.FaceID {
 
 // FacesForFlat is FacesForHashed taking the flat on-the-wire hash vector
 // (wire.Packet.CDHashes: H1,H2 per prefix, shortest first) directly, so the
-// per-hop forwarding path avoids the UnflattenHashes allocation. The result
-// is valid only until the next query on this ST.
+// per-hop forwarding path allocates no pair slice. The result is valid only
+// until the next query on this ST.
 //
 //gcopss:hotpath
 func (st *ST) FacesForFlat(c cd.CD, flat []uint64) []ndn.FaceID {

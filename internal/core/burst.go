@@ -8,7 +8,7 @@ import (
 	"github.com/icn-gaming/gcopss/internal/wire"
 )
 
-// Burst forwarding (DESIGN.md §16): hosts that receive several packets at
+// Burst forwarding (DESIGN.md §15): hosts that receive several packets at
 // once — a testbed link delivering a coalesced cross-shard burst, the TCP
 // daemon draining everything buffered on a face — hand the whole slice to
 // HandleBurst instead of looping over HandlePacketTo. The router then

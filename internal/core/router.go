@@ -216,13 +216,6 @@ func WithNDNOptions(opts ...ndn.Option) Option {
 	return func(r *Router) { r.ndnEngine = ndn.NewEngine(opts...) }
 }
 
-// WithObs binds the router's metrics to an externally owned registry (hosts
-// share one registry per process and expose it over HTTP). By default each
-// router records into a private registry.
-func WithObs(reg *obs.Registry) Option {
-	return func(r *Router) { r.obsReg = reg }
-}
-
 // WithFlightRecorder attaches a packet-path flight recorder. Without one,
 // recording is disabled (Record on a nil Flight is a no-op).
 func WithFlightRecorder(f *obs.Flight) Option {
@@ -266,9 +259,7 @@ func NewRouter(name string, opts ...Option) *Router {
 	if r.tracer != nil {
 		r.tring = r.tracer.Ring(name)
 	}
-	if r.obsReg == nil {
-		r.obsReg = obs.NewRegistry()
-	}
+	r.obsReg = obs.NewRegistry()
 	r.instrument()
 	return r
 }

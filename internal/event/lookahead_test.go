@@ -12,6 +12,22 @@ func noopCall(time.Time, Payload) {}
 // ms builds a duration in milliseconds — matrix entries read better.
 func ms(n int64) time.Duration { return time.Duration(n) * time.Millisecond }
 
+// setUniformLatency declares every shard pair reachable in w: the matrix of a
+// host whose only lookahead knowledge is one minimum hop latency.
+func setUniformLatency(t testing.TB, s *ShardedScheduler, w time.Duration) {
+	t.Helper()
+	m := make([][]time.Duration, s.Workers())
+	for i := range m {
+		m[i] = make([]time.Duration, len(m))
+		for j := range m[i] {
+			m[i][j] = w
+		}
+	}
+	if err := s.SetLatencyMatrix(m); err != nil {
+		t.Fatalf("SetLatencyMatrix: %v", err)
+	}
+}
+
 func TestLatencyMatrixValidation(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -44,7 +60,7 @@ func TestLatencyMatrixValidation(t *testing.T) {
 func TestLatencyClosureShortensPaths(t *testing.T) {
 	// Direct 0→2 costs 50ms but routing through shard 1 costs 10+10; the
 	// closure must take the cheaper chain, and unreachable pairs must stay
-	// NoRoute.
+	// unreachable.
 	s := NewSharded(laOrigin, 4)
 	err := s.SetLatencyMatrix([][]time.Duration{
 		{ms(1), ms(10), ms(50), NoRoute},
@@ -55,12 +71,12 @@ func TestLatencyClosureShortensPaths(t *testing.T) {
 	if err != nil {
 		t.Fatalf("SetLatencyMatrix: %v", err)
 	}
-	c := s.LatencyClosure()
+	c := s.closure
 	if got, want := c[0][2], ms(20); got != want {
 		t.Errorf("closure[0][2] = %v, want %v (via shard 1)", got, want)
 	}
-	if got := c[0][3]; got != NoRoute {
-		t.Errorf("closure[0][3] = %v, want NoRoute", got)
+	if got := c[0][3]; got < infDur {
+		t.Errorf("closure[0][3] = %v, want unreachable", got)
 	}
 	// Shard 3 reaches everything through shard 0.
 	if got, want := c[3][2], ms(5)+ms(20); got != want {
@@ -252,7 +268,7 @@ func TestIsolatedShardsFinishInOneWindow(t *testing.T) {
 	}
 	// Each shard runs a 100-step self-chain at 1ms intervals; with no
 	// inbound routes the adaptive ends hit the deadline immediately, so the
-	// whole run is one window. The uniform 1ms lookahead would need ~100.
+	// whole run is one window. A 1ms route between them would need ~100.
 	var counts [2]int
 	var chain func(shard int) CallHandler
 	chain = func(shard int) CallHandler {
@@ -269,14 +285,14 @@ func TestIsolatedShardsFinishInOneWindow(t *testing.T) {
 	if n != 200 || counts[0] != 100 || counts[1] != 100 {
 		t.Fatalf("ran %d events (shard counts %v), want 200", n, counts)
 	}
-	if s.Windows() != 1 {
-		t.Errorf("took %d windows, want 1 (no inbound routes)", s.Windows())
+	if s.windows != 1 {
+		t.Errorf("took %d windows, want 1 (no inbound routes)", s.windows)
 	}
 }
 
 func TestPendingCountsMailboxResidents(t *testing.T) {
 	s := NewSharded(laOrigin, 2)
-	s.SetLookahead(ms(5))
+	setUniformLatency(t, s, ms(5))
 	// Simulate mid-window state: a cross-shard post staged in shard 0's
 	// mailbox for shard 1 must count as pending before the barrier drain.
 	s.parallel = true
@@ -312,14 +328,14 @@ func TestQueueHighWaterCountsMailboxResidents(t *testing.T) {
 	}, Payload{})
 	s.PostNode(1, 1, laOrigin.Add(ms(1)), 1, noopCall, Payload{})
 	s.RunUntil(laOrigin.Add(ms(100)))
-	if got, want := s.QueueHighWater(1), 1+fanout; got != want {
-		t.Errorf("QueueHighWater(1) = %d, want %d (1 resident + %d mailbox arrivals)", got, want, fanout)
+	if got, want := s.shards[1].maxDepth, 1+fanout; got != want {
+		t.Errorf("shard 1 maxDepth = %d, want %d (1 resident + %d mailbox arrivals)", got, want, fanout)
 	}
 }
 
 func TestPostNodeSteadyStateAllocFree(t *testing.T) {
 	s := NewSharded(laOrigin, 2)
-	s.SetLookahead(ms(1))
+	setUniformLatency(t, s, ms(1))
 	s.Preallocate(1024)
 	at := laOrigin.Add(ms(1))
 	allocs := testing.AllocsPerRun(1000, func() {
@@ -357,5 +373,21 @@ func TestPostNodeSteadyStateAllocFree(t *testing.T) {
 	s.parallel = false
 	if allocs != 0 {
 		t.Errorf("cross-shard PostNode allocated %.1f per op in steady state, want 0", allocs)
+	}
+	// One shard runs the loop inline: no goroutine, no channel, so a whole
+	// RunUntil — global phase, window, barrier — allocates nothing either.
+	one := NewSharded(laOrigin, 1)
+	one.Preallocate(16)
+	one.global.q.grow(16)
+	allocs = testing.AllocsPerRun(1000, func() {
+		now := one.Now()
+		one.At(now.Add(ms(1)), tick)
+		one.PostNode(0, 0, now.Add(ms(1)), 7, noopCall, Payload{})
+		if n := one.RunUntil(now.Add(ms(2))); n != 2 {
+			t.Fatalf("RunUntil ran %d events, want 2", n)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("one-shard RunUntil allocated %.1f per call, want 0", allocs)
 	}
 }

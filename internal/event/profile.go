@@ -4,13 +4,15 @@ import "time"
 
 // ShardProfile is one shard's accumulated execution accounting.
 type ShardProfile struct {
-	// ExecNs is wall time the shard spent executing events.
+	// ExecNs is wall time the shard spent executing events. The coordinator
+	// is worker 0, so shard 0's figure also carries each window's end
+	// computation and dispatch.
 	ExecNs int64
 	// BarrierWaitNs is wall time the shard sat idle at window barriers
 	// waiting for the slowest shard: per window, windowWall − exec. Summed
 	// with ExecNs it equals the total windowed wall time exactly, so the
 	// two buckets partition every window (attribution algebra the traced
-	// benchmark asserts on).
+	// benchmark asserts on). A single shard never waits: it reads 0.
 	BarrierWaitNs int64
 	// Events is the number of node events the shard executed.
 	Events uint64
@@ -56,12 +58,13 @@ type SchedProfile struct {
 	WindowStalls uint64
 	// WallNs is total wall time inside RunUntil.
 	WallNs int64
-	// WindowNs is wall time inside node windows (dispatch to last done;
-	// in the sequential fallback, time executing node events).
+	// WindowNs is wall time inside node windows: from the start of the end
+	// computation to the last shard's finish.
 	WindowNs int64
 	// GlobalNs is wall time running single-threaded global events.
 	GlobalNs int64
-	// DrainNs is wall time draining cross-shard mailboxes at barriers.
+	// DrainNs is wall time of the serial barrier work after each window:
+	// the barrier hook and the cross-shard mailbox drain.
 	DrainNs int64
 	// WidthSumNs sums the virtual width of every window — the widest
 	// working shard's end minus the window floor; divide by Windows for
@@ -150,10 +153,11 @@ func (p *SchedProfile) MeanWindowWidth() time.Duration {
 	return time.Duration(p.WidthSumNs / int64(p.Windows))
 }
 
-// schedProf is the live profiler state. Workers write curExec/curEvents for
-// their own shard index during a window; the coordinator reads them only
-// after receiving every shard's done signal, so the done channel provides
-// the happens-before edge and no locks are needed.
+// schedProf is the live profiler state. Each shard's executor (the
+// coordinator for shard 0, a worker goroutine otherwise) writes
+// curExec/curEvents for its own index during a window; the coordinator reads
+// them only after receiving every worker's done signal, so the done channel
+// provides the happens-before edge and no locks are needed.
 type schedProf struct {
 	epoch       time.Time
 	timelineCap int
@@ -174,7 +178,7 @@ type schedProf struct {
 // EnableProfiling turns on wall-clock instrumentation. timelineCap bounds
 // the number of retained per-(window, shard) records (0 keeps aggregates
 // only). Call before RunUntil; enabling mid-run is not supported. The
-// profiler costs two time.Now calls per window per shard — negligible next
+// profiler costs a few clock reads per window per shard — negligible next
 // to window execution, but nonzero, so benchmarks enable it only on the
 // configurations under diagnosis.
 func (s *ShardedScheduler) EnableProfiling(timelineCap int) {
@@ -189,9 +193,6 @@ func (s *ShardedScheduler) EnableProfiling(timelineCap int) {
 		shards:      make([]ShardProfile, len(s.shards)),
 	}
 }
-
-// ProfilingEnabled reports whether EnableProfiling has been called.
-func (s *ShardedScheduler) ProfilingEnabled() bool { return s.prof != nil }
 
 // Profile snapshots the accumulated profile, or returns nil when profiling
 // is disabled. Call between RunUntil invocations (single-threaded).
@@ -221,10 +222,10 @@ func (s *ShardedScheduler) Profile() *SchedProfile {
 }
 
 // recordWindow folds one finished window into the aggregates and timeline.
-// wall is the window's wall time; tn is the window floor, widest the
-// furthest any working shard was allowed to run, and ends the per-shard
-// adaptive window ends. Called at the barrier, single-threaded, after
-// every done has been received.
+// wall is the window's wall time (up to the last shard's finish); tn is the
+// window floor, widest the furthest any working shard was allowed to run,
+// and ends the per-shard window ends. Called at the barrier,
+// single-threaded, after every done has been received.
 func (p *schedProf) recordWindow(window uint64, wall int64, tn, widest time.Time, ends []time.Time) {
 	p.windowNs += wall
 	p.widthSumNs += int64(widest.Sub(tn))

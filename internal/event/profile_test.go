@@ -9,9 +9,9 @@ import (
 // profWorkload drives a sharded scheduler through a mixed global + windowed
 // load: every node event reposts a successor one lookahead later on the
 // next shard (cross-shard traffic through the mailboxes).
-func profWorkload(s *ShardedScheduler, origin time.Time, rounds int) *atomic.Uint64 {
+func profWorkload(t testing.TB, s *ShardedScheduler, origin time.Time, rounds int) *atomic.Uint64 {
 	const la = time.Millisecond
-	s.SetLookahead(la)
+	setUniformLatency(t, s, la)
 	w := s.Workers()
 	var executed atomic.Uint64
 	var relay CallHandler
@@ -34,7 +34,7 @@ func profWorkload(s *ShardedScheduler, origin time.Time, rounds int) *atomic.Uin
 // TestProfileDisabledNil: no EnableProfiling, no profile, no overhead path.
 func TestProfileDisabledNil(t *testing.T) {
 	s := NewSharded(time.Unix(0, 0), 4)
-	if s.ProfilingEnabled() {
+	if s.prof != nil {
 		t.Error("profiling enabled by default")
 	}
 	if s.Profile() != nil {
@@ -50,7 +50,7 @@ func TestProfileAttributionAlgebra(t *testing.T) {
 	origin := time.Unix(0, 0)
 	s := NewSharded(origin, 4)
 	s.EnableProfiling(1024)
-	profWorkload(s, origin, 50)
+	profWorkload(t, s, origin, 50)
 	p := s.Profile()
 	if p == nil {
 		t.Fatal("Profile() nil after EnableProfiling")
@@ -93,7 +93,7 @@ func TestProfileTimeline(t *testing.T) {
 	origin := time.Unix(0, 0)
 	s := NewSharded(origin, 2)
 	s.EnableProfiling(6) // 3 windows' worth for 2 shards
-	profWorkload(s, origin, 50)
+	profWorkload(t, s, origin, 50)
 	p := s.Profile()
 	if len(p.Timeline) != 6 {
 		t.Fatalf("timeline len = %d, want cap 6", len(p.Timeline))
@@ -114,22 +114,36 @@ func TestProfileTimeline(t *testing.T) {
 	}
 }
 
-// TestProfileSequentialMode: the single-shard / no-lookahead fallback still
-// attributes execution into the window and global buckets.
-func TestProfileSequentialMode(t *testing.T) {
+// TestProfileOneShard: one shard runs the same windowed loop with the
+// coordinator as its only worker, so the profile must say what that is — no
+// barrier wait, no imbalance, a critical path equal to the work — and obey
+// the same per-shard algebra as four shards.
+func TestProfileOneShard(t *testing.T) {
 	origin := time.Unix(0, 0)
 	s := NewSharded(origin, 1)
 	s.EnableProfiling(0)
-	profWorkload(s, origin, 20)
+	profWorkload(t, s, origin, 20)
 	p := s.Profile()
-	if p.Shards[0].Events == 0 {
-		t.Error("sequential mode recorded no events")
+	if p.Windows == 0 {
+		t.Error("one shard executed no windows")
 	}
-	if p.WindowNs <= 0 {
-		t.Errorf("sequential WindowNs = %d, want > 0", p.WindowNs)
+	if p.Shards[0].Events == 0 || p.GlobalNs <= 0 {
+		t.Errorf("Events = %d, GlobalNs = %d: want node and global work recorded", p.Shards[0].Events, p.GlobalNs)
 	}
-	if p.WallNs < p.WindowNs+p.GlobalNs {
-		t.Errorf("wall %d < attributed %d", p.WallNs, p.WindowNs+p.GlobalNs)
+	if got := p.CritPathSpeedup(); got != 1 {
+		t.Errorf("CritPathSpeedup = %v, want exactly 1 (CritNs %d, ExecNs %d)", got, p.CritNs, p.Shards[0].ExecNs)
+	}
+	if got := p.LoadImbalanceFrac(); got != 0 {
+		t.Errorf("LoadImbalanceFrac = %v, want 0", got)
+	}
+	if got := p.Shards[0].BarrierWaitNs; got != 0 {
+		t.Errorf("BarrierWaitNs = %d, want 0: a lone shard waits for nobody", got)
+	}
+	if got := p.Shards[0].ExecNs + p.Shards[0].BarrierWaitNs; got != p.WindowNs || got <= 0 {
+		t.Errorf("ExecNs+BarrierWaitNs = %d, want WindowNs = %d > 0", got, p.WindowNs)
+	}
+	if p.WallNs < p.WindowNs+p.GlobalNs+p.DrainNs {
+		t.Errorf("wall %d < attributed %d", p.WallNs, p.WindowNs+p.GlobalNs+p.DrainNs)
 	}
 	if len(p.Timeline) != 0 {
 		t.Errorf("timeline cap 0 retained %d records", len(p.Timeline))
@@ -142,14 +156,14 @@ func TestProfileSequentialMode(t *testing.T) {
 func TestProfileDoesNotChangeExecution(t *testing.T) {
 	origin := time.Unix(0, 0)
 	plain := NewSharded(origin, 4)
-	got := profWorkload(plain, origin, 40).Load()
+	got := profWorkload(t, plain, origin, 40).Load()
 	profiled := NewSharded(origin, 4)
 	profiled.EnableProfiling(128)
-	got2 := profWorkload(profiled, origin, 40).Load()
+	got2 := profWorkload(t, profiled, origin, 40).Load()
 	if got != got2 {
 		t.Errorf("profiled run executed %d events, unprofiled %d", got2, got)
 	}
-	if plain.Windows() != profiled.Windows() {
-		t.Errorf("windows diverged: %d vs %d", plain.Windows(), profiled.Windows())
+	if plain.windows != profiled.windows {
+		t.Errorf("windows diverged: %d vs %d", plain.windows, profiled.windows)
 	}
 }

@@ -6,20 +6,23 @@ import (
 	"time"
 )
 
-// ShardedScheduler is a conservative parallel discrete-event executor in the
-// classic lookahead style: hosts partition their stations (testbed nodes)
-// across shards, and the scheduler alternates between
+// ShardedScheduler is a conservative discrete-event executor in the classic
+// lookahead style. Hosts partition their stations (testbed nodes) across
+// shards, and one loop (runWindowed) alternates between
 //
 //   - global phases — ordinary Handler events (timers, injections, recurring
-//     ticks) run single-threaded, exactly like the sequential Scheduler, and
+//     ticks) run single-threaded, exactly like the plain Scheduler, and
 //   - node windows — every shard i executes its queued node events with
-//     at < end_i concurrently, where end_i is the earliest timestamp any
-//     event still queued elsewhere could cause to land in shard i.
+//     at < end_i, where end_i is the earliest timestamp any event still
+//     queued elsewhere could cause to land in shard i.
 //
-// Window ends are per shard and adaptive: SetLatencyMatrix installs the
-// minimum event-chain latency between every pair of shards (the testbed
-// derives it from link delays and the node→shard assignment), and each
-// window computes
+// The coordinator is worker 0: it executes shard 0's window itself and only
+// shards 1…n−1 get goroutines, so one shard runs the same loop inline with
+// no goroutine and no channel operation.
+//
+// SetLatencyMatrix is the one window rule. It installs the minimum
+// event-chain latency between every pair of shards (the testbed derives it
+// from link delays and the node→shard assignment), and each window computes
 //
 //	end_i = min(tg, deadline,
 //	            min over shards j≠i of floor_j + C[j][i],
@@ -31,44 +34,47 @@ import (
 // and returns (a shard's own events bound its window too: their descendants
 // can re-enter through another shard, riding mailboxes the next barrier's
 // floors cannot see). A shard whose only inbound chains are slow therefore
-// runs far ahead of the global floor instead of stalling at a barrier every
-// global-minimum-latency step. The uniform SetLookahead(W) configuration is
-// the special case C[j][i] = W for every pair (ret[i] = 2W), and per-shard
-// ends are then never narrower than the old conservative global window
-// min(tn+W, tg) — an invariant the unit suite pins.
+// runs far ahead of the global floor, and a single shard — which has no
+// inbound chains at all — runs to min(tg, deadline).
 //
 // The lookahead invariant makes windows safe: an event executing at time t
 // on shard j may cause an arrival on shard i (j ≠ i, possibly via other
 // shards) only at t + C[j][i] or later, and an arrival back on its own
 // shard only at t + ret[j] or later, so nothing executed during a window
 // can land inside any shard's window, and the set of events a window
-// executes is fixed at its barrier. Cross-shard
-// posts are staged in per-(src,dst) mailboxes owned by the posting shard
-// (no locks) and drained at the next barrier. Posts within a shard go
-// straight into its heap and are picked up in (at, key) order by the same
-// window — which is why the closure treats intra-shard chaining as free.
+// executes is fixed at its barrier. Cross-shard posts are staged in
+// per-(src,dst) mailboxes owned by the posting shard (no locks) and drained
+// at the next barrier. Posts within a shard go straight into its heap and
+// are picked up in (at, key) order by the same window — which is why the
+// closure treats intra-shard chaining as free. A fresh scheduler's closure
+// declares no route between any two shards; a cross-shard post during a
+// window over a pair the closure marks unreachable is a host bug (its
+// windows were computed as if the post could not happen) and panics.
 //
 // Determinism does not depend on the worker count: node events are totally
 // ordered by (at, key) with caller-chosen canonical keys (the testbed uses
 // linkID<<32|perLinkSeq), every event of one station lives on one shard and
 // executes in that order, and at a timestamp tie between a global event and
 // a node event the global event runs first. Window boundaries do depend on
-// the partition — that is the point of adaptivity — but boundaries only
-// decide when work happens on the wall clock, never which events execute at
-// which virtual time, so workers ∈ {1,2,...} produce identical traces.
-//
-// With neither a matrix nor a positive lookahead there is no safe window
-// and RunUntil falls back to a strictly sequential merge of the global and
-// shard queues.
+// the partition, but boundaries only decide when work happens on the wall
+// clock, never which events execute at which virtual time, so workers ∈
+// {1,2,...} produce identical traces.
 type ShardedScheduler struct {
-	global    *Scheduler
-	shards    []*shard
-	lookahead time.Duration
-	closure   [][]time.Duration // shortest-path latency closure; nil until built
-	ret       []time.Duration   // min round-trip leaving shard i and returning
-	now       time.Time
+	global  *Scheduler
+	shards  []*shard
+	closure [][]time.Duration // shortest-path latency closure of the installed matrix
+	ret     []time.Duration   // min round-trip leaving shard i and returning
+	now     time.Time
 
 	parallel bool // true only while a node window is executing
+
+	// Worker plumbing of runWindowed, kept here so a call allocates nothing
+	// of its own: starts[i] hands shard i ≥ 1 its window end (starts[0]
+	// stays nil — shard 0 is the coordinator's), done carries each worker's
+	// event count back, one slot per worker so a send never blocks.
+	starts []chan time.Time
+	done   chan int
+	wg     sync.WaitGroup
 
 	nodeProcessed uint64
 	windows       uint64
@@ -100,6 +106,11 @@ type ShardedScheduler struct {
 // produce an event on the destination shard.
 const NoRoute = time.Duration(-1)
 
+// undeclaredRoute is PostNode's panic message for a cross-shard post over a
+// pair the latency closure marks unreachable; a constant, so the hot path
+// formats nothing.
+const undeclaredRoute = "event: cross-shard PostNode during a window over a shard pair the latency matrix declares unreachable"
+
 // infDur is the internal "unreachable" distance. Small enough that one
 // Floyd–Warshall addition cannot overflow, large enough that no real
 // latency sum reaches it.
@@ -112,7 +123,12 @@ type shard struct {
 
 	processed  uint64
 	crossPosts uint64
-	maxDepth   int
+	// maxDepth is the deepest the queue got: the maximum, over time, of the
+	// heap depth plus the events resident in other shards' mailboxes for this
+	// one. drainMail measures the mailbox term at each barrier as (heap length
+	// at window start + inbound mail), so events executed and replaced by
+	// cross-shard arrivals within one window still register as pressure.
+	maxDepth int
 }
 
 // nodeEvent is one station-local event as it waits in a mailbox. key is a
@@ -136,29 +152,26 @@ func NewSharded(origin time.Time, workers int) *ShardedScheduler {
 		global:   NewScheduler(origin),
 		shards:   make([]*shard, workers),
 		now:      origin,
+		starts:   make([]chan time.Time, workers),
+		done:     make(chan int, workers-1),
 		floors:   make([]time.Time, workers),
 		hasFloor: make([]bool, workers),
 		ends:     make([]time.Time, workers),
 		preLens:  make([]int, workers),
 	}
+	// Until SetLatencyMatrix says otherwise no event chain links two shards.
+	s.closure = make([][]time.Duration, workers)
 	for i := range s.shards {
 		s.shards[i] = &shard{mail: make([][]nodeEvent, workers)}
+		s.closure[i] = make([]time.Duration, workers)
+		for j := range s.closure[i] {
+			if j != i {
+				s.closure[i][j] = infDur
+			}
+		}
 	}
+	s.ret = returnBounds(s.closure)
 	return s
-}
-
-// SetLookahead sets the uniform conservative window width W: the minimum
-// delay between a node event executing and any node event it may post on
-// another shard. Hosts without per-shard latency information set it to
-// their minimum link latency before running. W <= 0 with no matrix set
-// disables node windows entirely (sequential fallback). SetLatencyMatrix
-// supersedes the uniform width.
-func (s *ShardedScheduler) SetLookahead(w time.Duration) {
-	s.lookahead = w
-	if s.closure == nil || w <= 0 {
-		return
-	}
-	// A matrix is already installed; keep it (it is never narrower).
 }
 
 // SetLatencyMatrix installs per-shard-pair lookahead: m[src][dst] is the
@@ -246,46 +259,6 @@ func returnBounds(d [][]time.Duration) []time.Duration {
 	return ret
 }
 
-// LatencyClosure returns the installed shortest-path closure (nil when only
-// a uniform lookahead is configured). Off-diagonal entries of infinite
-// distance are reported as NoRoute.
-func (s *ShardedScheduler) LatencyClosure() [][]time.Duration {
-	if s.closure == nil {
-		return nil
-	}
-	out := make([][]time.Duration, len(s.closure))
-	for i, row := range s.closure {
-		out[i] = make([]time.Duration, len(row))
-		for j, v := range row {
-			if v >= infDur {
-				v = NoRoute
-			}
-			out[i][j] = v
-		}
-	}
-	return out
-}
-
-// ensureClosure materializes the uniform-lookahead matrix when no explicit
-// one was installed, so the windowed loop has a single code path.
-func (s *ShardedScheduler) ensureClosure() {
-	if s.closure != nil {
-		return
-	}
-	k := len(s.shards)
-	d := make([][]time.Duration, k)
-	for i := range d {
-		d[i] = make([]time.Duration, k)
-		for j := range d[i] {
-			if i != j {
-				d[i][j] = s.lookahead
-			}
-		}
-	}
-	s.closure = d
-	s.ret = returnBounds(d)
-}
-
 // Preallocate grows every shard's queue and mailbox backing arrays to hold
 // perShard events without reallocation, so the hot PostNode path performs
 // no slice growth during the run. Call before Run; growing later is only a
@@ -315,10 +288,8 @@ func (s *ShardedScheduler) Preallocate(perShard int) {
 // end. A PostNode issued from the hook goes straight to the destination heap
 // (no window is executing) and is not clamped forward (s.now still holds the
 // pre-window value), so deferring an in-window cross-shard post to the hook is
-// timing-equivalent to routing it through a mailbox. Only the windowed loop
-// has barriers: with one worker or no lookahead the sequential merge runs and
-// the hook never fires, which is exactly right — hosts that stage work for
-// the hook must do so only while InWindow reports true.
+// timing-equivalent to routing it through a mailbox. Hosts that stage work
+// for the hook must do so only while InWindow reports true.
 func (s *ShardedScheduler) SetBarrierHook(fn func()) { s.barrierHook = fn }
 
 // InWindow reports whether a node window is currently executing, i.e. whether
@@ -326,8 +297,8 @@ func (s *ShardedScheduler) SetBarrierHook(fn func()) { s.barrierHook = fn }
 // its end. Hosts use it to decide between posting an event immediately and
 // staging it for the barrier hook. Like PostNode's use of the same flag, the
 // read is race-free for code running on a shard: the coordinator writes the
-// flag strictly before starts and after done, the worker's channel operations
-// order the access.
+// flag strictly before starts and after done, and either runs the shard
+// itself or is ordered with its worker by those channel operations.
 func (s *ShardedScheduler) InWindow() bool { return s.parallel }
 
 // Workers returns the shard count.
@@ -361,32 +332,6 @@ func (s *ShardedScheduler) Processed() uint64 {
 	return s.global.Processed() + s.nodeProcessed
 }
 
-// Windows returns the number of node windows executed.
-func (s *ShardedScheduler) Windows() uint64 { return s.windows }
-
-// WindowStalls returns the number of windows in which at least one shard
-// executed no work — the load-imbalance gauge.
-func (s *ShardedScheduler) WindowStalls() uint64 { return s.windowStalls }
-
-// CrossShardPosts returns the total number of node events routed through
-// mailboxes (posted by one shard for another during a window).
-func (s *ShardedScheduler) CrossShardPosts() uint64 {
-	var n uint64
-	for _, sh := range s.shards {
-		n += sh.crossPosts
-	}
-	return n
-}
-
-// QueueHighWater returns the deepest queue shard i reached: the maximum,
-// over time, of its heap depth plus the events resident in other shards'
-// mailboxes for it. The mailbox term is measured at each barrier as
-// (heap length at window start + inbound mail at the barrier), so events
-// that were executed and replaced by cross-shard arrivals within one window
-// still register as pressure — the bare heap high-water undercounted them
-// and made the profiler's queue gauges misleading mid-window.
-func (s *ShardedScheduler) QueueHighWater(i int) int { return s.shards[i].maxDepth }
-
 // At schedules a global event. Global events run single-threaded between
 // node windows; they must only be scheduled before Run or from other global
 // events, never from node events executing inside a window.
@@ -404,7 +349,11 @@ func (s *ShardedScheduler) After(d time.Duration, fn Handler) { s.At(s.Now().Add
 // src is the posting shard (the shard whose event is executing); use src ==
 // dst or any value outside a window. During a window a cross-shard post is
 // staged in the src shard's mailbox and becomes visible at the next barrier —
-// the lookahead invariant guarantees it cannot be due before then.
+// the lookahead invariant guarantees it cannot be due before then. The window
+// ends were computed from the latency closure, so such a post over a pair the
+// closure marks unreachable means the host never declared the route (forgot
+// SetLatencyMatrix, or left the pair out of it): it panics rather than let a
+// window that assumed the post impossible run past it.
 //
 // at must be a virtual instant (see Scheduler.At): the queues order events by
 // (at.UnixNano(), key), taking the nanoseconds after the clamp to the current
@@ -414,6 +363,9 @@ func (s *ShardedScheduler) After(d time.Duration, fn Handler) { s.At(s.Now().Add
 func (s *ShardedScheduler) PostNode(src, dst int, at time.Time, key uint64, call CallHandler, pl Payload) {
 	if s.parallel {
 		if src != dst {
+			if s.closure[src][dst] >= infDur {
+				panic(undeclaredRoute)
+			}
 			sh := s.shards[src]
 			sh.mail[dst] = append(sh.mail[dst], nodeEvent{at: at, key: key, call: call, pl: pl})
 			sh.crossPosts++
@@ -545,40 +497,15 @@ func (s *ShardedScheduler) computeEnds(tg time.Time, okg bool, deadline time.Tim
 	return widest
 }
 
-// minNodeShard returns the shard holding the globally earliest (at, key)
-// node event, for the sequential fallback.
-func (s *ShardedScheduler) minNodeShard() (int, bool) {
-	best := -1
-	for i, sh := range s.shards {
-		if sh.q.len() == 0 {
-			continue
-		}
-		if best < 0 || sh.q.keys[0].before(s.shards[best].q.keys[0]) {
-			best = i
-		}
-	}
-	return best, best >= 0
-}
-
-// RunUntil executes events with time ≤ deadline; later events stay queued.
-// It returns the number executed.
-//
-// A single shard takes the sequential merge even when a lookahead is set:
-// window bookkeeping buys nothing without parallelism, and both loops
-// execute the same canonical (time, global-first, key) order — the
-// determinism suite compares one against the other directly.
+// RunUntil executes events with time ≤ deadline, in the canonical (time,
+// global-first, key) order; later events stay queued. It returns the number
+// executed.
 func (s *ShardedScheduler) RunUntil(deadline time.Time) uint64 {
 	var t0 time.Time
 	if s.prof != nil {
 		t0 = time.Now()
 	}
-	var n uint64
-	if len(s.shards) == 1 || (s.closure == nil && s.lookahead <= 0) {
-		n = s.runSequential(deadline)
-	} else {
-		s.ensureClosure()
-		n = s.runWindowed(deadline)
-	}
+	n := s.runWindowed(deadline)
 	if s.now.Before(deadline) {
 		s.now = deadline
 	}
@@ -588,24 +515,19 @@ func (s *ShardedScheduler) RunUntil(deadline time.Time) uint64 {
 	return n
 }
 
-// runWindowed is the conservative parallel loop; only entered with at least
-// two shards (a single shard takes the sequential merge). Workers are
+// runWindowed is the scheduler's one loop. The coordinator is worker 0: it
+// computes every shard's window end, hands shards 1…n−1 theirs over a start
+// channel, executes shard 0's window itself and then collects the others'
+// done values. With one shard the starts[1:] loops are empty — no goroutine,
+// no channel operation, and end_0 = min(next global, deadline). Workers are
 // spawned per call and torn down on return.
 func (s *ShardedScheduler) runWindowed(deadline time.Time) uint64 {
-	var (
-		n      uint64
-		starts []chan time.Time
-		done   chan int
-		wg     sync.WaitGroup
-	)
-	nw := len(s.shards)
-	starts = make([]chan time.Time, nw)
-	done = make(chan int, nw)
-	for i := range starts {
-		starts[i] = make(chan time.Time)
-		wg.Add(1)
-		go func(i int, c chan time.Time) {
-			defer wg.Done()
+	for i := 1; i < len(s.starts); i++ {
+		c := make(chan time.Time)
+		s.starts[i] = c
+		s.wg.Add(1)
+		go func(i int) {
+			defer s.wg.Done()
 			// prof is fixed before RunUntil; the coordinator reads
 			// curExec/curEvents only after receiving this shard's done
 			// value, so the channel is the happens-before edge.
@@ -616,19 +538,20 @@ func (s *ShardedScheduler) runWindowed(deadline time.Time) uint64 {
 					k := s.runShard(i, end)
 					p.curExec[i] = int64(time.Since(t0))
 					p.curEvents[i] = k
-					done <- k
+					s.done <- k
 				} else {
-					done <- s.runShard(i, end)
+					s.done <- s.runShard(i, end)
 				}
 			}
-		}(i, starts[i])
+		}(i)
 	}
 	defer func() {
-		for _, c := range starts {
+		for _, c := range s.starts[1:] {
 			close(c)
 		}
-		wg.Wait()
+		s.wg.Wait()
 	}()
+	var n uint64
 	for {
 		tg, okg := s.global.NextAt()
 		tn, okn := s.computeFloors()
@@ -661,7 +584,6 @@ func (s *ShardedScheduler) runWindowed(deadline time.Time) uint64 {
 		}
 		widest := s.computeEnds(tg, okg, deadline)
 		s.windows++
-		stalled := false
 		minEnd := time.Time{}
 		for i, sh := range s.shards {
 			s.preLens[i] = sh.q.len()
@@ -670,35 +592,52 @@ func (s *ShardedScheduler) runWindowed(deadline time.Time) uint64 {
 			}
 		}
 		s.parallel = true
-		for i, c := range starts {
-			c <- s.ends[i]
+		for i, c := range s.starts[1:] {
+			c <- s.ends[i+1]
 		}
-		for i := 0; i < nw; i++ {
-			k := <-done
-			if k == 0 {
+		k := s.runShard(0, s.ends[0])
+		stalled := k == 0
+		// The window's wall time runs to the last shard's finish. Shard 0's
+		// execution is everything the coordinator did up to its own finish
+		// (end computation and dispatch included — worker 0's work), so with
+		// one shard wall == exec exactly and no barrier wait is invented.
+		var wall int64
+		if p != nil {
+			wall = int64(time.Since(wStart))
+			p.curExec[0], p.curEvents[0] = wall, k
+		}
+		for range s.starts[1:] {
+			ki := <-s.done
+			if p != nil {
+				wall = int64(time.Since(wStart))
+			}
+			if ki == 0 {
 				stalled = true
 			}
-			s.nodeProcessed += uint64(k)
-			n += uint64(k)
+			k += ki
 		}
 		s.parallel = false
+		s.nodeProcessed += uint64(k)
+		n += uint64(k)
+		if stalled {
+			s.windowStalls++
+		}
 		// The barrier hook runs before the mailbox drain and before s.now
 		// advances to minEnd: its PostNode calls land unclamped in the
 		// destination heaps, merged by (at, key) with the drained mail —
-		// indistinguishable from having ridden a mailbox themselves.
+		// indistinguishable from having ridden a mailbox themselves. Like
+		// the drain it is serial barrier work, and is timed with it.
+		var dStart time.Time
+		if p != nil {
+			p.recordWindow(s.windows-1, wall, tn, widest, s.ends)
+			dStart = time.Now()
+		}
 		if s.barrierHook != nil {
 			s.barrierHook()
 		}
+		s.drainMail()
 		if p != nil {
-			p.recordWindow(s.windows-1, int64(time.Since(wStart)), tn, widest, s.ends)
-			t0 := time.Now()
-			s.drainMail()
-			p.drainNs += int64(time.Since(t0))
-		} else {
-			s.drainMail()
-		}
-		if stalled {
-			s.windowStalls++
+			p.drainNs += int64(time.Since(dStart))
 		}
 		// The global clock advances to the narrowest window end: everything
 		// strictly before it has executed; wider shards merely ran ahead.
@@ -708,61 +647,5 @@ func (s *ShardedScheduler) runWindowed(deadline time.Time) uint64 {
 		if s.now.After(deadline) {
 			s.now = deadline
 		}
-	}
-}
-
-// runSequential merges the global queue and every shard heap into one
-// strictly ordered execution — the no-window fallback. Global events win
-// timestamp ties, matching the windowed loop.
-func (s *ShardedScheduler) runSequential(deadline time.Time) uint64 {
-	var n uint64
-	dl := deadline.UnixNano()
-	for {
-		okg := s.global.q.len() > 0
-		i, okn := s.minNodeShard()
-		if okg && (!okn || s.global.q.minNs() <= s.shards[i].q.minNs()) {
-			if s.global.q.minNs() > dl {
-				return n
-			}
-			tg := s.global.q.minAt()
-			if p := s.prof; p != nil {
-				t0 := time.Now()
-				n += s.global.RunUntil(tg)
-				p.globalNs += int64(time.Since(t0))
-			} else {
-				n += s.global.RunUntil(tg)
-			}
-			if g := s.global.Now(); g.After(s.now) {
-				s.now = g
-			}
-			continue
-		}
-		if !okn {
-			return n
-		}
-		sh := s.shards[i]
-		if sh.q.minNs() > dl {
-			return n
-		}
-		ev := sh.q.pop()
-		sh.processed++
-		s.nodeProcessed++
-		if ev.at.After(s.now) {
-			s.now = ev.at
-		}
-		// With no windows there is no barrier, so every node event is pure
-		// execution; charge it to its shard and to the window bucket so
-		// AttributedFrac keeps the same meaning in both modes.
-		if p := s.prof; p != nil {
-			t0 := time.Now()
-			ev.call(ev.at, ev.pl)
-			d := int64(time.Since(t0))
-			p.shards[i].ExecNs += d
-			p.shards[i].Events++
-			p.windowNs += d
-		} else {
-			ev.call(ev.at, ev.pl)
-		}
-		n++
 	}
 }

@@ -27,7 +27,7 @@ type Options struct {
 	// Seed drives all randomness.
 	Seed int64
 	// Workers is the number of scheduler shards the testbed experiments
-	// (Fig. 4) run on. 0 or 1 selects sequential execution; any value
+	// (Fig. 4) run on. 0 or 1 is one shard, run inline; any value
 	// produces bit-identical results, so Workers is intentionally not part
 	// of the Provenance replay line.
 	Workers int

@@ -74,12 +74,6 @@ func WithInterestLifetime(d time.Duration) Option {
 	return func(e *Engine) { e.interestLifetime = d }
 }
 
-// WithObs binds the engine's metrics to an externally owned registry; by
-// default each engine records into a private one.
-func WithObs(reg *obs.Registry) Option {
-	return func(e *Engine) { e.reg = reg }
-}
-
 // NewEngine creates an engine with a 1024-entry content store by default.
 func NewEngine(opts ...Option) *Engine {
 	e := &Engine{
@@ -89,10 +83,7 @@ func NewEngine(opts ...Option) *Engine {
 	for _, o := range opts {
 		o(e)
 	}
-	if e.reg == nil {
-		e.reg = obs.NewRegistry()
-	}
-	e.Instrument(e.reg)
+	e.Instrument(obs.NewRegistry())
 	return e
 }
 

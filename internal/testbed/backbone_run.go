@@ -40,7 +40,10 @@ type BackboneSetup struct {
 	HostDelay time.Duration
 	Warmup    time.Duration
 	Drain     time.Duration
-	Workers   int
+	// Workers is the shard count topo.Partition splits the routers into
+	// (clients ride with their edge router); below 1 means 1, which the
+	// scheduler's loop runs inline. Observables are identical at every count.
+	Workers int
 
 	// Burst runs the testbed's burst data plane (WithBurst): per-link tx
 	// rings flushed at window barriers. Observables are bit-identical to the

@@ -10,12 +10,12 @@ import (
 	"github.com/icn-gaming/gcopss/internal/wire"
 )
 
-// TestWorkersReproduceSequentialTrace is the parallel-correctness
+// TestWorkersReproduceOneShardTrace is the parallel-correctness
 // acceptance check: the chaos acceptance cell (5% loss, reordering,
-// stage-B partition) must produce a bit-identical result — fault trace
-// hash, delivery counts, retransmissions, fetch outcome — at every worker
-// count, across several seeds.
-func TestWorkersReproduceSequentialTrace(t *testing.T) {
+// stage-B partition) must produce the bit-identical result — fault trace
+// hash, delivery counts, retransmissions, fetch outcome — with one shard
+// (the loop run inline) and with many, across several seeds.
+func TestWorkersReproduceOneShardTrace(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos replay matrix is slow")
 	}
@@ -23,12 +23,12 @@ func TestWorkersReproduceSequentialTrace(t *testing.T) {
 	for _, seed := range seeds {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			sequential := runChaosCellWorkers(t, 0.05, true, "B", seed, 1)
+			one := runChaosCellWorkers(t, 0.05, true, "B", seed, 1)
 			for _, workers := range []int{2, 4, 8} {
 				got := runChaosCellWorkers(t, 0.05, true, "B", seed, workers)
-				if got != sequential {
-					t.Errorf("workers=%d diverged from sequential:\n  seq %+v\n  got %+v",
-						workers, sequential, got)
+				if got != one {
+					t.Errorf("workers=%d diverged from one shard:\n  one %+v\n  got %+v",
+						workers, one, got)
 				}
 			}
 		})
@@ -62,7 +62,6 @@ func TestShardedTieBreakOrdering(t *testing.T) {
 	for _, workers := range []int{1, 2, 4} {
 		var order []string
 		s := event.NewSharded(time.Unix(0, 0), workers)
-		s.SetLookahead(time.Millisecond)
 		record := func(tag string) event.CallHandler {
 			return func(time.Time, event.Payload) { order = append(order, tag) }
 		}
@@ -85,7 +84,7 @@ func TestShardedTieBreakOrdering(t *testing.T) {
 // to end on a two-node ping-pong: with a 1 ms link, every delivery lands at
 // least one lookahead after the event that produced it, and the sharded run
 // (nodes on distinct shards, so every post crosses shards) matches the
-// sequential timings exactly.
+// one-shard timings exactly.
 func TestWindowLookaheadInvariant(t *testing.T) {
 	run := func(workers int) []time.Duration {
 		tb := New(WithWorkers(workers))
@@ -112,7 +111,7 @@ func TestWindowLookaheadInvariant(t *testing.T) {
 	}
 	seq := run(1)
 	if len(seq) != 8 {
-		t.Fatalf("sequential run handled %d packets, want 8", len(seq))
+		t.Fatalf("one-shard run handled %d packets, want 8", len(seq))
 	}
 	for i, d := range seq {
 		// Injection at t=0, then one 1 ms hop per bounce.
@@ -126,6 +125,6 @@ func TestWindowLookaheadInvariant(t *testing.T) {
 	// covers synchronization in the chaos tests.
 	par := run(2)
 	if fmt.Sprint(par) != fmt.Sprint(seq) {
-		t.Errorf("2-worker timings %v != sequential %v", par, seq)
+		t.Errorf("2-worker timings %v != one-shard %v", par, seq)
 	}
 }

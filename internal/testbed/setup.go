@@ -32,8 +32,9 @@ type Setup struct {
 	Drain time.Duration
 
 	// Workers is the number of scheduler shards packet processing is
-	// partitioned across (0 or 1 = single-threaded). Results are identical
-	// at every worker count.
+	// partitioned across; 0 or 1 is one shard, run inline on the calling
+	// goroutine by the same loop. Results are identical at every worker
+	// count.
 	Workers int
 
 	// Tracer, when non-nil, attaches causal packet tracing to the G-COPSS

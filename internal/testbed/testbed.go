@@ -13,22 +13,22 @@
 // magnitude cheaper, server game-loop processing ≈ 6 ms).
 //
 // The testbed executes on event.ShardedScheduler: nodes are partitioned
-// round-robin across worker shards (WithWorkers), packet deliveries run in
-// conservative time windows bounded by the minimum link delay, and timers
-// (Schedule/Every/Inject/Emit) run single-threaded between windows. Node
-// event ordering is canonical — deliveries tie-break on (linkID, per-link
-// sequence) — so every worker count executes the identical packet trace.
+// across worker shards (WithWorkers), packet deliveries run in conservative
+// time windows whose per-shard ends come from the shard-to-shard latency
+// matrix Run derives from the link delays (one shard: windows run to the next
+// timer), and timers (Schedule/Every/Inject/Emit) run single-threaded between
+// windows. Node event ordering is canonical — deliveries tie-break on
+// (linkID, per-link sequence) — so every worker count executes the identical
+// packet trace.
 package testbed
 
 import (
 	"fmt"
-	"strconv"
 	"time"
 
 	"github.com/icn-gaming/gcopss/internal/event"
 	"github.com/icn-gaming/gcopss/internal/faultnet"
 	"github.com/icn-gaming/gcopss/internal/ndn"
-	"github.com/icn-gaming/gcopss/internal/obs"
 	"github.com/icn-gaming/gcopss/internal/wire"
 )
 
@@ -159,21 +159,11 @@ type nodeState struct {
 type Option func(*Testbed)
 
 // WithWorkers partitions nodes across n worker shards; packet deliveries in
-// disjoint shards execute concurrently. n <= 1 runs the same windowed loop
-// inline. Every worker count produces the identical packet trace.
+// disjoint shards execute concurrently. n <= 1 is one shard, which the
+// scheduler's loop runs inline on the calling goroutine. Every worker count
+// produces the identical packet trace.
 func WithWorkers(n int) Option {
 	return func(tb *Testbed) { tb.workers = n }
-}
-
-// WithFaults installs a fault injector on every link (see SetFaults).
-func WithFaults(in *faultnet.Injector) Option {
-	return func(tb *Testbed) { tb.faults = in }
-}
-
-// WithObs attaches a metrics registry; Run exports per-shard queue depth,
-// window-stall and cross-shard-traffic gauges on it.
-func WithObs(reg *obs.Registry) Option {
-	return func(tb *Testbed) { tb.reg = reg }
 }
 
 // WithBurst turns on the burst data plane: cross-shard deliveries staged
@@ -182,8 +172,8 @@ func WithObs(reg *obs.Registry) Option {
 // single burst event whose handler replays each packet through the normal
 // receive path. The packet trace is bit-identical to the per-packet path —
 // coalescing only merges events that are provably adjacent in the canonical
-// (time, linkID<<32|seq) order — and with one worker (no windows) burst mode
-// degenerates to exactly the per-packet path.
+// (time, linkID<<32|seq) order — and with one worker (no cross-shard link)
+// burst mode degenerates to exactly the per-packet path.
 func WithBurst() Option {
 	return func(tb *Testbed) { tb.burst = true }
 }
@@ -199,11 +189,8 @@ type Testbed struct {
 	list   []*nodeState
 	nodes  map[string]*nodeState
 	faults *faultnet.Injector
-	reg    *obs.Registry
 
 	nextLinkID uint32
-	minDelay   time.Duration
-	hasLink    bool
 
 	// deliver is the pre-bound receive callback for node events: binding the
 	// method value once here means transmit schedules deliveries without
@@ -393,7 +380,7 @@ func (tb *Testbed) AddNode(name string, handle Handler, proc ProcFunc, perCopy t
 
 // AddNodeOn registers a node on an explicit worker shard. Hosts building on
 // a topo.Graph pass topo.Partition assignments here so that most links stay
-// shard-internal and the adaptive lookahead windows stay wide. Shards
+// shard-internal and the lookahead windows stay wide. Shards
 // outside [0, workers) are clamped. Call before Connect: link routing
 // captures the endpoint shards at wiring time.
 func (tb *Testbed) AddNodeOn(name string, shard int, handle Handler, proc ProcFunc, perCopy time.Duration) {
@@ -418,10 +405,15 @@ func (tb *Testbed) AddNodeOn(name string, shard int, handle Handler, proc ProcFu
 }
 
 // Connect wires face fa of node a to face fb of node b with the given
-// propagation delay (both directions). Directed link IDs are assigned in
-// call order, so topology construction order fixes the canonical delivery
+// propagation delay (both directions). The delay must be positive: it is the
+// lookahead the scheduler's windows are built from, and no finite window is
+// safe against a zero-delay hop. Directed link IDs are assigned in call
+// order, so topology construction order fixes the canonical delivery
 // ordering for every worker count.
 func (tb *Testbed) Connect(a string, fa ndn.FaceID, b string, fb ndn.FaceID, delay time.Duration) error {
+	if delay <= 0 {
+		return fmt.Errorf("testbed: link %s–%s needs a positive delay, got %v", a, b, delay)
+	}
 	na, ok := tb.nodes[a]
 	if !ok {
 		return fmt.Errorf("testbed: unknown node %q", a)
@@ -440,10 +432,6 @@ func (tb *Testbed) Connect(a string, fa ndn.FaceID, b string, fb ndn.FaceID, del
 	na.attach(fa, &link{to: b, toIdx: nb.idx, toShard: nb.shard, face: fb, delay: delay, id: tb.nextLinkID})
 	tb.nextLinkID++
 	nb.attach(fb, &link{to: a, toIdx: na.idx, toShard: na.shard, face: fa, delay: delay, id: tb.nextLinkID})
-	if !tb.hasLink || delay < tb.minDelay {
-		tb.minDelay = delay
-	}
-	tb.hasLink = true
 	return nil
 }
 
@@ -627,21 +615,13 @@ func (tb *Testbed) Run(deadline time.Time, maxEvents uint64) error {
 	if maxEvents == 0 {
 		maxEvents = 100_000_000
 	}
-	// The conservative window width is the minimum link latency: a packet
-	// handled at t cannot be delivered anywhere before t + minDelay. With
-	// positive delays on every link the per-shard-pair matrix refines that
-	// into adaptive windows; a zero-delay link (allowed for hosts wired
-	// straight into a router) forces the uniform fallback.
-	tb.sched.SetLookahead(tb.minDelay)
-	if tb.hasLink && tb.minDelay > 0 && tb.workers > 1 {
-		if err := tb.sched.SetLatencyMatrix(tb.latencyMatrix()); err != nil {
-			return fmt.Errorf("testbed: building lookahead matrix: %w", err)
-		}
+	if err := tb.sched.SetLatencyMatrix(tb.latencyMatrix()); err != nil {
+		return fmt.Errorf("testbed: building lookahead matrix: %w", err)
 	}
 	if tb.burst {
-		// Barriers only exist in the windowed loop; with one worker the hook
-		// never fires and transmit never stages (InWindow is always false),
-		// so burst mode is exactly the per-packet path there.
+		// With one worker no link crosses shards, so transmit never stages
+		// and the hook finds nothing to flush: burst mode is exactly the
+		// per-packet path there.
 		tb.sched.SetBarrierHook(tb.flushRings)
 	}
 	for tb.sched.Pending() > 0 {
@@ -656,40 +636,7 @@ func (tb *Testbed) Run(deadline time.Time, maxEvents uint64) error {
 			break
 		}
 	}
-	tb.export()
 	return nil
-}
-
-// export publishes the parallel-execution gauges on the attached registry.
-func (tb *Testbed) export() {
-	if tb.reg == nil {
-		return
-	}
-	tb.reg.Gauge("testbed_workers").Set(int64(tb.workers))
-	tb.reg.Gauge("testbed_windows_total").Set(int64(tb.sched.Windows()))
-	tb.reg.Gauge("testbed_window_stalls_total").Set(int64(tb.sched.WindowStalls()))
-	tb.reg.Gauge("testbed_cross_shard_posts_total").Set(int64(tb.sched.CrossShardPosts()))
-	if tb.burst {
-		tb.reg.Gauge("testbed_burst_coalesced_total").Set(int64(tb.coalesced))
-	}
-	depth := tb.reg.GaugeVec("testbed_shard_queue_high_water", "shard")
-	for i := 0; i < tb.workers; i++ {
-		depth.With(strconv.Itoa(i)).Set(int64(tb.sched.QueueHighWater(i)))
-	}
-	if prof := tb.sched.Profile(); prof != nil {
-		tb.reg.Gauge("testbed_sched_wall_ns").Set(prof.WallNs)
-		tb.reg.Gauge("testbed_sched_window_ns").Set(prof.WindowNs)
-		tb.reg.Gauge("testbed_sched_global_ns").Set(prof.GlobalNs)
-		tb.reg.Gauge("testbed_sched_drain_ns").Set(prof.DrainNs)
-		tb.reg.Gauge("testbed_sched_barrier_wait_permille").Set(int64(prof.BarrierWaitFrac() * 1000))
-		tb.reg.Gauge("testbed_sched_mean_window_width_ns").Set(int64(prof.MeanWindowWidth()))
-		exec := tb.reg.GaugeVec("testbed_sched_shard_exec_ns", "shard")
-		wait := tb.reg.GaugeVec("testbed_sched_shard_barrier_wait_ns", "shard")
-		for i := range prof.Shards {
-			exec.With(strconv.Itoa(i)).Set(prof.Shards[i].ExecNs)
-			wait.With(strconv.Itoa(i)).Set(prof.Shards[i].BarrierWaitNs)
-		}
-	}
 }
 
 // Stats returns aggregate counters.

@@ -90,23 +90,28 @@ func TestConnectValidation(t *testing.T) {
 	tb := New()
 	tb.AddNode("a", nil, func(*wire.Packet) time.Duration { return 0 }, 0)
 	tb.AddNode("b", nil, func(*wire.Packet) time.Duration { return 0 }, 0)
-	if err := tb.Connect("a", 1, "zzz", 1, 0); err == nil {
+	if err := tb.Connect("a", 1, "zzz", 1, time.Millisecond); err == nil {
 		t.Error("unknown node accepted")
 	}
-	if err := tb.Connect("a", 1, "b", 1, 0); err != nil {
+	if err := tb.Connect("a", 1, "b", 1, time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	if err := tb.Connect("a", 1, "b", 2, 0); err == nil {
+	if err := tb.Connect("a", 1, "b", 2, time.Millisecond); err == nil {
 		t.Error("double-wired face accepted")
 	}
-	if err := tb.Connect("b", 3, "a", 1, 0); err == nil {
+	if err := tb.Connect("b", 3, "a", 1, time.Millisecond); err == nil {
 		t.Error("double-wired far-end face accepted")
 	}
-	if err := tb.Connect("a", -1, "b", 4, 0); err == nil {
+	if err := tb.Connect("a", -1, "b", 4, time.Millisecond); err == nil {
 		t.Error("negative face accepted")
 	}
-	if err := tb.Connect("a", 5, "b", maxFace+1, 0); err == nil {
+	if err := tb.Connect("a", 5, "b", maxFace+1, time.Millisecond); err == nil {
 		t.Error("face beyond maxFace accepted")
+	}
+	for _, d := range []time.Duration{0, -time.Millisecond} {
+		if err := tb.Connect("a", 5, "b", 6, d); err == nil {
+			t.Errorf("delay %v accepted: no window is safe against a zero-delay hop", d)
+		}
 	}
 	if l := tb.nodes["a"].link(5); l != nil {
 		t.Error("a rejected Connect left a half-wired link behind")
