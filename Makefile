@@ -39,11 +39,13 @@ test:
 # {clean, faulted} sweep of the latency-matrix windows, and the burst data
 # plane's ring-flush equivalence against the per-packet path), plus the
 # flow-control chaos matrix (adaptive-vs-static gate on goodput and
-# retrans_abandoned_total, and same-seed replay determinism). CI's race job
-# calls this target, so the lists live here only.
+# retrans_abandoned_total, and same-seed replay determinism), the wire decoder
+# (its string table is touched from reader goroutines) and the NDN tables
+# (FIB slices are handed across calls). CI's race job calls this target, so
+# the lists live here only.
 RACE_TESTBED = TestChaosHandoffStagesWorkers4|TestWorkersReproduceOneShardTrace|TestWindowLookaheadInvariant|TestShardedTieBreakOrdering|TestBackboneDeterminism|TestBackboneBurstDeterminism|TestBackboneGolden|TestBurstMatchesPerPacketTrace|TestFlowControlAdaptiveBeatsStatic|TestFlowChaosDeterminism
 race:
-	$(GO) test -race -count=1 ./internal/transport ./internal/core ./internal/flowctl ./internal/obs/... ./internal/event ./internal/copss ./internal/bloom .
+	$(GO) test -race -count=1 ./internal/transport ./internal/core ./internal/flowctl ./internal/obs/... ./internal/event ./internal/copss ./internal/bloom ./internal/wire ./internal/ndn .
 	$(GO) test -race -count=1 -run '$(RACE_TESTBED)' ./internal/testbed
 
 # bench prints the go-test microbenchmarks (module root and the telemetry hot
@@ -63,6 +65,7 @@ bench-smoke:
 # fuzz is a short smoke of the native fuzz targets; CI's fuzz-smoke job calls it.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzDecode -fuzztime=20s ./internal/wire
+	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=10s ./internal/cd
 	$(GO) test -run='^$$' -fuzz=FuzzMigrationHandoff -fuzztime=30s ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzFaultSchedule -fuzztime=20s ./internal/faultnet
 	$(GO) test -run='^$$' -fuzz=FuzzWindowEstimator -fuzztime=20s ./internal/flowctl

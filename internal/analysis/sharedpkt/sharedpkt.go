@@ -37,7 +37,8 @@
 // through a second alias (q := pkt; q.X = ...) are not caught, and
 // reassigning the parameter itself (pkt = &cp) is legal and ends the
 // parameter's association with the shared packet. Package internal/wire is
-// exempt — it owns the representation (Decode fills packets in place).
+// exempt — it owns the representation (Decode fills the packet of the record
+// it has just allocated, before anyone else can hold it).
 package sharedpkt
 
 import (

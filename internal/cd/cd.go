@@ -69,15 +69,22 @@ func MustNew(components ...string) CD {
 //	"/"     → the top airspace leaf (one empty component)
 //	"/a/b"  → ["a" "b"]
 //	"/a/"   → ["a" ""]
+//
+// The textual form is the canonical one, so Parse validates s in place — a
+// leading '/' and no empty component before the last, i.e. no "//" — and the
+// returned CD holds s itself: the success path allocates nothing (the wire
+// decoder calls it once per CD field).
 func Parse(s string) (CD, error) {
 	if s == "" {
 		return CD{}, nil
 	}
-	if !strings.HasPrefix(s, "/") {
+	if s[0] != '/' {
 		return CD{}, fmt.Errorf("%w: %q does not start with '/'", ErrInvalid, s)
 	}
-	comps := strings.Split(s[1:], "/")
-	return New(comps...)
+	if strings.Contains(s, "//") {
+		return CD{}, fmt.Errorf("%w: %q has an empty component not in final position", ErrInvalid, s)
+	}
+	return CD{s: s}, nil
 }
 
 // MustParse is Parse but panics on error.

@@ -128,6 +128,12 @@ type Router struct {
 	announceSeq map[string]uint64
 
 	pubSeq uint64
+	// nameBuf is publishToward's scratch for the encapsulation name.
+	nameBuf []byte
+
+	// dec decapsulates at the RP; its table holds the origins and CD keys
+	// publishers keep sending.
+	dec wire.Decoder
 
 	// Control-plane ARQ state (see arq.go): sender-side pending
 	// retransmissions keyed by (face, CtlSeq), the per-router stamp
@@ -620,7 +626,7 @@ func (r *Router) handleInterest(now time.Time, from ndn.FaceID, pkt *wire.Packet
 		return
 	}
 	if r.IsRP(rpName) {
-		inner, err := wire.Decapsulate(pkt)
+		inner, err := r.dec.Decapsulate(pkt)
 		if err != nil {
 			r.drop(now, from, pkt, "malformed encapsulation")
 			return
@@ -796,7 +802,13 @@ func (r *Router) publishToward(now time.Time, rpName string, inner *wire.Packet,
 		return
 	}
 	r.pubSeq++
-	outer.Name = outer.Name + "/" + inner.Origin + "/" + strconv.FormatUint(r.pubSeq, 36)
+	name := append(r.nameBuf[:0], outer.Name...)
+	name = append(name, '/')
+	name = append(name, inner.Origin...)
+	name = append(name, '/')
+	name = strconv.AppendUint(name, r.pubSeq, 36)
+	outer.Name = string(name)
+	r.nameBuf = name[:0]
 	faces, _, ok := r.ndnEngine.FIB().Lookup(rpName)
 	if !ok {
 		r.drop(now, InternalFace, inner, "no route to RP")

@@ -8,6 +8,7 @@ package ndn
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -17,42 +18,38 @@ import (
 type FaceID int
 
 // FIB is the Forwarding Information Base: name prefixes mapped to the set of
-// faces that lead toward potential sources of matching Data. The zero value
-// is ready to use.
+// faces that lead toward potential sources of matching Data, each set kept
+// as a FaceID-sorted slice. The zero value is ready to use.
 type FIB struct {
-	entries map[string]map[FaceID]struct{}
+	entries map[string][]FaceID
 }
 
 // Add registers face as a next hop for the given name prefix. Prefixes use
-// the textual form "/a/b"; the root prefix is "/".
+// the textual form "/a/b"; the root prefix is "/". Add and Remove are
+// copy-on-write: they store a new slice and never write one Lookup has
+// handed out.
 func (f *FIB) Add(prefix string, face FaceID) {
 	if f.entries == nil {
-		f.entries = make(map[string]map[FaceID]struct{})
+		f.entries = make(map[string][]FaceID)
 	}
 	p := canonicalPrefix(prefix)
-	m, ok := f.entries[p]
-	if !ok {
-		m = make(map[FaceID]struct{})
-		f.entries[p] = m
-	}
-	m[face] = struct{}{}
+	f.entries[p] = withFace(f.entries[p], face)
 }
 
 // Remove unregisters face from the prefix; it reports whether the entry
 // existed. Removing the last face of a prefix removes the prefix.
 func (f *FIB) Remove(prefix string, face FaceID) bool {
 	p := canonicalPrefix(prefix)
-	m, ok := f.entries[p]
+	old := f.entries[p]
+	i, ok := slices.BinarySearch(old, face)
 	if !ok {
 		return false
 	}
-	if _, ok := m[face]; !ok {
-		return false
-	}
-	delete(m, face)
-	if len(m) == 0 {
+	if len(old) == 1 {
 		delete(f.entries, p)
+		return true
 	}
+	f.entries[p] = append(slices.Clone(old[:i]), old[i+1:]...)
 	return true
 }
 
@@ -67,13 +64,15 @@ func (f *FIB) RemovePrefix(prefix string) bool {
 }
 
 // Lookup returns the faces of the longest registered prefix matching name,
-// and the matched prefix. Match is component-wise: prefix "/a" matches
-// "/a/b" but not "/ab".
+// in FaceID order, and the matched prefix. Match is component-wise: prefix
+// "/a" matches "/a/b" but not "/ab". The slice is the stored one, not a copy:
+// the caller must not write it, and the FIB never writes it again either
+// (Add and Remove are copy-on-write), so it stays valid across later updates.
 func (f *FIB) Lookup(name string) ([]FaceID, string, bool) {
 	n := canonicalPrefix(name)
 	for p := n; ; {
-		if m, ok := f.entries[p]; ok && len(m) > 0 {
-			return faceSlice(m), p, true
+		if faces := f.entries[p]; len(faces) > 0 {
+			return faces, p, true
 		}
 		if p == "/" {
 			return nil, "", false
@@ -88,13 +87,9 @@ func (f *FIB) Lookup(name string) ([]FaceID, string, bool) {
 }
 
 // NextHops returns the faces for an exact prefix, mostly for tests and
-// introspection.
+// introspection. Like Lookup it returns the stored, read-only slice.
 func (f *FIB) NextHops(prefix string) []FaceID {
-	m, ok := f.entries[canonicalPrefix(prefix)]
-	if !ok {
-		return nil
-	}
-	return faceSlice(m)
+	return f.entries[canonicalPrefix(prefix)]
 }
 
 // Prefixes returns all registered prefixes in sorted order.
@@ -110,13 +105,15 @@ func (f *FIB) Prefixes() []string {
 // Len returns the number of registered prefixes.
 func (f *FIB) Len() int { return len(f.entries) }
 
-func faceSlice(m map[FaceID]struct{}) []FaceID {
-	out := make([]FaceID, 0, len(m))
-	for id := range m {
-		out = append(out, id)
+// withFace returns faces with face in it, FaceID-sorted: faces itself when
+// face is already there, otherwise a fresh slice (clipped to its length,
+// faces has no room to insert into). It never writes faces.
+func withFace(faces []FaceID, face FaceID) []FaceID {
+	i, ok := slices.BinarySearch(faces, face)
+	if ok {
+		return faces
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return slices.Insert(slices.Clip(faces), i, face)
 }
 
 // canonicalPrefix normalizes a name: ensures a leading '/', strips a single

@@ -78,6 +78,31 @@ func TestFIBRemove(t *testing.T) {
 	}
 }
 
+// TestFIBLookupResultSurvivesUpdates pins the copy-on-write rule: Lookup
+// hands out the stored slice, so a later Add or Remove on the same prefix
+// must leave a slice handed out earlier exactly as it was.
+func TestFIBLookupResultSurvivesUpdates(t *testing.T) {
+	var fib FIB
+	fib.Add("/a", 5)
+	fib.Add("/a", 2)
+	fib.Add("/a", 9)
+	held, _, ok := fib.Lookup("/a/b")
+	want := []FaceID{2, 5, 9}
+	if !ok || !reflect.DeepEqual(held, want) {
+		t.Fatalf("Lookup = %v, %v, want %v", held, ok, want)
+	}
+	fib.Add("/a", 1)
+	fib.Add("/a", 7)
+	fib.Remove("/a", 5)
+	fib.Remove("/a", 2)
+	if !reflect.DeepEqual(held, want) {
+		t.Errorf("held Lookup result changed to %v after Add/Remove, want %v", held, want)
+	}
+	if got := fib.NextHops("/a"); !reflect.DeepEqual(got, []FaceID{1, 7, 9}) {
+		t.Errorf("NextHops after updates = %v, want [1 7 9]", got)
+	}
+}
+
 func TestFIBCanonicalForms(t *testing.T) {
 	var fib FIB
 	fib.Add("a/b", 1) // missing leading slash
@@ -193,6 +218,26 @@ func TestContentStoreUpdateExisting(t *testing.T) {
 	}
 	if v, _ := cs.Get("/a", t0.Add(time.Millisecond)); string(v) != "v2" {
 		t.Errorf("Get = %q", v)
+	}
+}
+
+// TestContentStorePutLeavesHandedOutPayload is the regression test for Put
+// rewriting an entry in place: Get's slice rides out on an emitted Data
+// packet, so replacing the entry must not change it.
+func TestContentStorePutLeavesHandedOutPayload(t *testing.T) {
+	cs := NewContentStore(2, 0)
+	t0 := time.Unix(0, 0)
+	cs.Put("/a", []byte("first"), t0)
+	held, ok := cs.Get("/a", t0)
+	if !ok {
+		t.Fatal("Get missed")
+	}
+	cs.Put("/a", []byte("other"), t0)
+	if string(held) != "first" {
+		t.Errorf("slice handed out by Get now reads %q, want %q", held, "first")
+	}
+	if v, _ := cs.Get("/a", t0); string(v) != "other" {
+		t.Errorf("Get after replace = %q, want %q", v, "other")
 	}
 }
 

@@ -14,7 +14,7 @@ type PIT struct {
 }
 
 type pitEntry struct {
-	faces   map[FaceID]struct{}
+	faces   []FaceID // FaceID-sorted
 	expires time.Time
 }
 
@@ -35,20 +35,21 @@ func (p *PIT) Insert(name string, face FaceID, now time.Time, lifetime time.Dura
 	n := canonicalPrefix(name)
 	e, ok := p.entries[n]
 	if ok && now.Before(e.expires) {
-		e.faces[face] = struct{}{}
+		e.faces = withFace(e.faces, face)
 		if exp := now.Add(lifetime); exp.After(e.expires) {
 			e.expires = exp
 		}
 		return false
 	}
 	p.entries[n] = &pitEntry{
-		faces:   map[FaceID]struct{}{face: {}},
+		faces:   []FaceID{face},
 		expires: now.Add(lifetime),
 	}
 	return true
 }
 
-// Consume removes the entry for name and returns the faces waiting for it.
+// Consume removes the entry for name and returns the faces waiting for it in
+// FaceID order; the slice is the entry's own, handed over with the entry gone.
 // Data packets call this to learn where to go; per NDN semantics one Data
 // consumes the pending Interests.
 func (p *PIT) Consume(name string, now time.Time) []FaceID {
@@ -61,7 +62,7 @@ func (p *PIT) Consume(name string, now time.Time) []FaceID {
 	if now.After(e.expires) {
 		return nil
 	}
-	return faceSlice(e.faces)
+	return e.faces
 }
 
 // Expire drops all entries whose lifetime has passed and returns how many

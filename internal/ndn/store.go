@@ -37,8 +37,11 @@ func NewContentStore(capacity int, maxAge time.Duration) *ContentStore {
 	}
 }
 
-// Put caches the payload under name, evicting the least recently used entry
-// if the store is full.
+// Put caches a copy of payload under name, evicting the least recently used
+// entry if the store is full. The store is the one place that retains payload
+// bytes, so it always copies: a cached object never pins the frame it arrived
+// in, and replacing an entry never writes the array an earlier Get handed out
+// (an emitted Data packet may still carry it; DESIGN.md §11 rule 1).
 func (c *ContentStore) Put(name string, payload []byte, now time.Time) {
 	if c.capacity <= 0 {
 		return
@@ -46,7 +49,7 @@ func (c *ContentStore) Put(name string, payload []byte, now time.Time) {
 	n := canonicalPrefix(name)
 	if el, ok := c.items[n]; ok {
 		item := el.Value.(*csItem)
-		item.payload = append(item.payload[:0], payload...)
+		item.payload = append([]byte(nil), payload...)
 		item.inserted = now
 		c.order.MoveToFront(el)
 		return

@@ -60,6 +60,13 @@ type Conn struct {
 	//
 	//gcopss:guardedby wmu
 	wbuf []byte
+
+	// hdr and dec belong to the connection's single reader: the length
+	// prefix is read into a field because a local array escapes through
+	// io.ReadFull (one allocation per frame), and the decoder remembers the
+	// origins and CD keys this peer keeps sending.
+	hdr [4]byte
+	dec wire.Decoder
 }
 
 // NewConn wraps an established stream.
@@ -137,17 +144,21 @@ func (c *Conn) WriteBurst(pkts []*wire.Packet) error {
 // ReadBurst reads one frame and decodes every packet in it, appending them to
 // dst (which may be nil) and returning the extended slice. Bytes in the frame
 // that do not decode as a packet fail the whole read.
+//
+// The frame body is one fresh allocation per frame that belongs to the
+// packets decoded from it (their payloads are sub-slices of it; DESIGN.md §11
+// rule 4): it is never reused, so a caller may hold a burst's packets across
+// later ReadBursts for as long as it likes. One reader at a time.
 func (c *Conn) ReadBurst(dst []*wire.Packet) ([]*wire.Packet, error) {
 	if c.idle > 0 {
 		if err := c.c.SetReadDeadline(time.Now().Add(c.idle)); err != nil {
 			return dst, fmt.Errorf("transport: set idle deadline: %w", err)
 		}
 	}
-	var hdr [4]byte
-	if _, err := io.ReadFull(c.c, hdr[:]); err != nil {
+	if _, err := io.ReadFull(c.c, c.hdr[:]); err != nil {
 		return dst, fmt.Errorf("transport: read header: %w", err)
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(c.hdr[:])
 	if n == 0 || n > MaxFrame {
 		return dst, fmt.Errorf("transport: bad frame length %d", n)
 	}
@@ -156,7 +167,7 @@ func (c *Conn) ReadBurst(dst []*wire.Packet) ([]*wire.Packet, error) {
 		return dst, fmt.Errorf("transport: read body: %w", err)
 	}
 	for len(body) > 0 {
-		pkt, consumed, err := wire.Decode(body)
+		pkt, consumed, err := c.dec.Decode(body)
 		if err != nil {
 			return dst, fmt.Errorf("transport: decode: %w", err)
 		}

@@ -439,9 +439,70 @@ func Encode(p *Packet) ([]byte, error) {
 	return AppendEncode(nil, p)
 }
 
+// Decoder decodes packets for one reader and remembers the short strings it
+// has seen: a face carries a handful of origins and CD keys for its whole
+// session, so after the first packet they come out of a table instead of
+// being allocated again (Name is not looked up: encapsulation names are
+// unique per publication by design). The zero value is ready, a nil *Decoder
+// decodes without a table, and a Decoder is not for concurrent use — a
+// connection's single reader owns one, a router owns one for Decapsulate.
+//
+// The table is bounded: it holds at most internMaxEntries strings of at most
+// internMaxLen bytes and starts over when full, so a hostile peer can make it
+// churn but never grow.
+type Decoder struct {
+	strs map[string]string
+}
+
+const (
+	internMaxEntries = 1024
+	internMaxLen     = 128
+)
+
+// intern returns val as a string, from the table when it has been seen.
+func (d *Decoder) intern(val []byte) string {
+	if d == nil || len(val) > internMaxLen {
+		return string(val)
+	}
+	if s, ok := d.strs[string(val)]; ok { // the conversion in a map index does not allocate
+		return s
+	}
+	if d.strs == nil || len(d.strs) >= internMaxEntries {
+		d.strs = make(map[string]string)
+	}
+	s := string(val)
+	d.strs[s] = s
+	return s
+}
+
+// decoded is the one allocation Decode makes for a packet: the Packet, the
+// CD slot of the single-CD types and room for a hash vector of up to
+// inlineHashes words (two per prefix, root included: a CD three components
+// deep). Multi-CD control packets and longer vectors fall back to
+// append/make.
+type decoded struct {
+	pkt    Packet
+	cd     [1]cd.CD
+	hashes [inlineHashes]uint64
+}
+
+const inlineHashes = 8
+
+// Decode parses one packet from buf without a string table; see
+// Decoder.Decode for the contract.
+func Decode(buf []byte) (*Packet, int, error) { return (*Decoder)(nil).Decode(buf) }
+
 // Decode parses one packet from buf and returns it together with the number
 // of bytes consumed, allowing streams of back-to-back packets.
-func Decode(buf []byte) (*Packet, int, error) {
+//
+// Decode's result borrows buf; the caller gives buf up. Payload is a
+// sub-slice of buf (capacity-clipped, so an append can never reach a
+// neighbouring packet), not a copy: buf must not be written or reused while
+// any packet decoded from it is reachable, and the garbage collector frees it
+// when the last one goes (DESIGN.md §11 rule 4). Strings are copied out or
+// taken from the table, never aliased, so a retained CD key or origin does
+// not keep buf alive.
+func (d *Decoder) Decode(buf []byte) (*Packet, int, error) {
 	if len(buf) < 5 {
 		return nil, 0, ErrShortPacket
 	}
@@ -451,7 +512,6 @@ func Decode(buf []byte) (*Packet, int, error) {
 	if buf[2] != version {
 		return nil, 0, fmt.Errorf("%w: %d", ErrBadVersion, buf[2])
 	}
-	p := &Packet{Type: Type(buf[3])}
 	rest := buf[4:]
 	bodyLen, n := binary.Uvarint(rest)
 	if n <= 0 {
@@ -463,6 +523,9 @@ func Decode(buf []byte) (*Packet, int, error) {
 	}
 	consumed := 4 + n + int(bodyLen)
 	body := rest[:bodyLen]
+	rec := &decoded{}
+	p := &rec.pkt
+	p.Type = Type(buf[3])
 	for len(body) > 0 {
 		tag, tn := binary.Uvarint(body)
 		if tn <= 0 {
@@ -473,21 +536,30 @@ func Decode(buf []byte) (*Packet, int, error) {
 		if ln <= 0 || uint64(len(body)-ln) < flen {
 			return nil, 0, ErrShortPacket
 		}
-		val := body[ln : ln+int(flen)]
-		body = body[ln+int(flen):]
+		end := ln + int(flen)
+		val := body[ln:end:end]
+		body = body[end:]
 		switch tag {
 		case fieldName:
 			p.Name = string(val)
 		case fieldCD:
-			c, err := cd.FromKey(string(val))
+			c, err := cd.FromKey(d.intern(val))
 			if err != nil {
 				return nil, 0, fmt.Errorf("wire: bad CD field: %w", err)
 			}
-			p.CDs = append(p.CDs, c)
+			if p.CDs == nil {
+				rec.cd[0] = c
+				p.CDs = rec.cd[:]
+			} else {
+				p.CDs = append(p.CDs, c)
+			}
 		case fieldPayload:
-			p.Payload = append([]byte(nil), val...)
+			p.Payload = val
+			if len(val) == 0 {
+				p.Payload = nil // an empty field is no payload, as Encode omits it
+			}
 		case fieldOrigin:
-			p.Origin = string(val)
+			p.Origin = d.intern(val)
 		case fieldSeq:
 			v, vn := binary.Uvarint(val)
 			if vn <= 0 {
@@ -508,7 +580,11 @@ func Decode(buf []byte) (*Packet, int, error) {
 			if len(val)%8 != 0 {
 				return nil, 0, ErrShortPacket
 			}
-			p.CDHashes = make([]uint64, len(val)/8)
+			if n := len(val) / 8; n <= inlineHashes {
+				p.CDHashes = rec.hashes[:n:n]
+			} else {
+				p.CDHashes = make([]uint64, n)
+			}
 			for i := range p.CDHashes {
 				p.CDHashes[i] = binary.BigEndian.Uint64(val[i*8:])
 			}
@@ -602,12 +678,18 @@ func Encapsulate(rpName string, inner *Packet) (*Packet, error) {
 	}, nil
 }
 
+// Decapsulate recovers the inner Multicast packet from an RP-bound Interest
+// without a string table; see Decoder.Decapsulate.
+func Decapsulate(outer *Packet) (*Packet, error) { return (*Decoder)(nil).Decapsulate(outer) }
+
 // Decapsulate recovers the inner Multicast packet from an RP-bound Interest.
-func Decapsulate(outer *Packet) (*Packet, error) {
+// The inner packet borrows outer.Payload under Decode's contract, which an
+// immutable-after-send payload satisfies.
+func (d *Decoder) Decapsulate(outer *Packet) (*Packet, error) {
 	if outer.Type != TypeInterest {
 		return nil, fmt.Errorf("wire: can only decapsulate Interest, got %v", outer.Type)
 	}
-	inner, _, err := Decode(outer.Payload)
+	inner, _, err := d.Decode(outer.Payload)
 	if err != nil {
 		return nil, fmt.Errorf("wire: decapsulation failed: %w", err)
 	}
