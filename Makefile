@@ -36,14 +36,14 @@ test:
 # while scrapers snapshot them), the scheduler profiler, and the
 # sharded-scheduler determinism suites (stage-A/B/C handoff under 4 workers,
 # the window/tie-break invariants, the backbone workers × seeds ×
-# {clean, faulted} sweep of the latency-matrix windows, and the burst data
-# plane's ring-flush equivalence against the per-packet path), plus the
-# flow-control chaos matrix (adaptive-vs-static gate on goodput and
+# {clean, faulted} sweep of the latency-matrix windows, and the backbone and
+# Fig. 3b lab goldens at several worker counts), plus the flow-control chaos
+# matrix (adaptive-vs-static gate on goodput and
 # retrans_abandoned_total, and same-seed replay determinism), the wire decoder
 # (its string table is touched from reader goroutines) and the NDN tables
 # (FIB slices are handed across calls). CI's race job calls this target, so
 # the lists live here only.
-RACE_TESTBED = TestChaosHandoffStagesWorkers4|TestWorkersReproduceOneShardTrace|TestWindowLookaheadInvariant|TestShardedTieBreakOrdering|TestBackboneDeterminism|TestBackboneBurstDeterminism|TestBackboneGolden|TestBurstMatchesPerPacketTrace|TestFlowControlAdaptiveBeatsStatic|TestFlowChaosDeterminism
+RACE_TESTBED = TestChaosHandoffStagesWorkers4|TestWorkersReproduceOneShardTrace|TestWindowLookaheadInvariant|TestShardedTieBreakOrdering|TestBackboneDeterminism|TestBackboneGolden|TestMicrobenchGolden|TestFlowControlAdaptiveBeatsStatic|TestFlowChaosDeterminism
 race:
 	$(GO) test -race -count=1 ./internal/transport ./internal/core ./internal/flowctl ./internal/obs/... ./internal/event ./internal/copss ./internal/bloom ./internal/wire ./internal/ndn .
 	$(GO) test -race -count=1 -run '$(RACE_TESTBED)' ./internal/testbed

@@ -351,7 +351,9 @@ func (n *Network) AttachBroker(router, name string, areaPaths ...string) error {
 }
 
 // installSnapshotRoutes BFSes from the broker's router outward, pointing
-// every router's /snapshot route back along the tree. Caller holds the lock.
+// every router's /snapshot route back along the tree. Each router's wires are
+// visited in ascending face order, so where two equal-hop paths lead back to
+// the broker the choice is the same on every run. Caller holds the lock.
 //
 //gcopss:locked mu
 func (n *Network) installSnapshotRoutes(origin string, brokerFace ndn.FaceID) {
@@ -362,8 +364,9 @@ func (n *Network) installSnapshotRoutes(origin string, brokerFace ndn.FaceID) {
 	for len(frontier) > 0 {
 		cur := frontier[0]
 		frontier = frontier[1:]
-		for key, dest := range n.wires {
-			if key.router != cur || dest.router == "" || visited[dest.router] {
+		for f := ndn.FaceID(1); f <= n.nextFace[cur]; f++ {
+			dest, wired := n.wires[wireKey{cur, f}]
+			if !wired || dest.router == "" || visited[dest.router] {
 				continue
 			}
 			visited[dest.router] = true

@@ -3,6 +3,8 @@ package gcopss
 import (
 	"fmt"
 	"testing"
+
+	"github.com/icn-gaming/gcopss/internal/broker"
 )
 
 // smallNet builds a 3-router fabric with an RP, over the 5×5 map.
@@ -336,5 +338,41 @@ func TestSlowConsumerDropsOldest(t *testing.T) {
 	}
 	if last.Seq != uint64(updateBuffer+50) {
 		t.Errorf("newest seq = %d, want %d", last.Seq, updateBuffer+50)
+	}
+}
+
+// TestSnapshotRoutesDeterministic: with two equal-hop paths back to the
+// broker (diamond R1–R2–R4 / R1–R3–R4), R4's /snapshot next hop must not
+// depend on map iteration order. The breadth-first walk visits each router's
+// wires in ascending face order, so R4 always routes via R2 (its face 1).
+func TestSnapshotRoutesDeterministic(t *testing.T) {
+	for i := 0; i < 64; i++ {
+		n, err := New(5, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range []string{"R1", "R2", "R3", "R4"} {
+			if err := n.AddRouter(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, l := range [][2]string{{"R1", "R2"}, {"R1", "R3"}, {"R2", "R4"}, {"R3", "R4"}} {
+			if err := n.Link(l[0], l[1]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := n.StartRP("R1", "/rp1"); err != nil {
+			t.Fatal(err)
+		}
+		if err := n.AttachBroker("R1", "broker"); err != nil {
+			t.Fatal(err)
+		}
+		n.mu.Lock()
+		faces, _, ok := n.routers["R4"].NDN().FIB().Lookup(broker.SnapshotPrefix)
+		n.mu.Unlock()
+		n.Close()
+		if !ok || len(faces) != 1 || faces[0] != 1 {
+			t.Fatalf("build %d: R4 routes %s via %v (ok=%v), want face 1 toward R2", i, broker.SnapshotPrefix, faces, ok)
+		}
 	}
 }

@@ -8,10 +8,10 @@ import (
 	"github.com/icn-gaming/gcopss/internal/wire"
 )
 
-// Burst forwarding (DESIGN.md §15): hosts that receive several packets at
-// once — a testbed link delivering a coalesced cross-shard burst, the TCP
-// daemon draining everything buffered on a face — hand the whole slice to
-// HandleBurst instead of looping over HandlePacketTo. The router then
+// Burst forwarding (DESIGN.md §15): a host that receives several packets at
+// once — in production the TCP daemon, draining everything buffered on a
+// face — hands the whole slice to HandleBurst instead of looping over
+// HandlePacketTo. The router then
 // amortizes the dominant per-packet costs across each maximal run of
 // multicasts that share a CD-hash vector: one Subscription Table lookup and
 // one forwarding-copy slab serve the run, while emission order stays exactly

@@ -64,7 +64,7 @@ type SchedProfile struct {
 	// GlobalNs is wall time running single-threaded global events.
 	GlobalNs int64
 	// DrainNs is wall time of the serial barrier work after each window:
-	// the barrier hook and the cross-shard mailbox drain.
+	// the cross-shard mailbox drain.
 	DrainNs int64
 	// WidthSumNs sums the virtual width of every window — the widest
 	// working shard's end minus the window floor; divide by Windows for

@@ -91,14 +91,6 @@ type ShardedScheduler struct {
 	// profile.go). internal/event is exempt from the clockfree rule: the
 	// profiler measures real execution cost, not virtual time.
 	prof *schedProf
-
-	// barrierHook, when non-nil, runs single-threaded at every window
-	// barrier, after the shards stop and before the clock advances. Hosts
-	// that stage coalesced cross-shard work in their own rings (the
-	// testbed's burst tx rings) flush them here: PostNode calls made from
-	// the hook land in destination heaps at exactly the instant a mailbox
-	// drain would have delivered the equivalent per-packet events.
-	barrierHook func()
 }
 
 // NoRoute marks a shard pair with no event path in a latency matrix handed
@@ -283,24 +275,6 @@ func (s *ShardedScheduler) Preallocate(perShard int) {
 	}
 }
 
-// SetBarrierHook installs fn to run single-threaded at every window barrier,
-// between the shards stopping and the clock advancing to the window's minimum
-// end. A PostNode issued from the hook goes straight to the destination heap
-// (no window is executing) and is not clamped forward (s.now still holds the
-// pre-window value), so deferring an in-window cross-shard post to the hook is
-// timing-equivalent to routing it through a mailbox. Hosts that stage work
-// for the hook must do so only while InWindow reports true.
-func (s *ShardedScheduler) SetBarrierHook(fn func()) { s.barrierHook = fn }
-
-// InWindow reports whether a node window is currently executing, i.e. whether
-// the caller is running inside a shard worker between a barrier's start and
-// its end. Hosts use it to decide between posting an event immediately and
-// staging it for the barrier hook. Like PostNode's use of the same flag, the
-// read is race-free for code running on a shard: the coordinator writes the
-// flag strictly before starts and after done, and either runs the shard
-// itself or is ordered with its worker by those channel operations.
-func (s *ShardedScheduler) InWindow() bool { return s.parallel }
-
 // Workers returns the shard count.
 func (s *ShardedScheduler) Workers() int { return len(s.shards) }
 
@@ -336,14 +310,6 @@ func (s *ShardedScheduler) Processed() uint64 {
 // node windows; they must only be scheduled before Run or from other global
 // events, never from node events executing inside a window.
 func (s *ShardedScheduler) At(at time.Time, fn Handler) { s.global.At(at, fn) }
-
-// AtCall schedules a global pre-bound event (see Scheduler.AtCall).
-func (s *ShardedScheduler) AtCall(at time.Time, fn CallHandler, pl Payload) {
-	s.global.AtCall(at, fn, pl)
-}
-
-// After schedules a global event after a delay from the current time.
-func (s *ShardedScheduler) After(d time.Duration, fn Handler) { s.At(s.Now().Add(d), fn) }
 
 // PostNode schedules a node event on shard dst with canonical tie-break key.
 // src is the posting shard (the shard whose event is executing); use src ==
@@ -622,18 +588,11 @@ func (s *ShardedScheduler) runWindowed(deadline time.Time) uint64 {
 		if stalled {
 			s.windowStalls++
 		}
-		// The barrier hook runs before the mailbox drain and before s.now
-		// advances to minEnd: its PostNode calls land unclamped in the
-		// destination heaps, merged by (at, key) with the drained mail —
-		// indistinguishable from having ridden a mailbox themselves. Like
-		// the drain it is serial barrier work, and is timed with it.
+		// The mailbox drain is serial barrier work, timed on its own.
 		var dStart time.Time
 		if p != nil {
 			p.recordWindow(s.windows-1, wall, tn, widest, s.ends)
 			dStart = time.Now()
-		}
-		if s.barrierHook != nil {
-			s.barrierHook()
 		}
 		s.drainMail()
 		if p != nil {

@@ -45,9 +45,7 @@ type BackboneSetup struct {
 	// scheduler's loop runs inline. Observables are identical at every count.
 	Workers int
 
-	// Burst runs the testbed's burst data plane (WithBurst): per-link tx
-	// rings flushed at window barriers. Observables are bit-identical to the
-	// per-packet path at every worker count — the determinism suite pins it.
+	// Deprecated: has no effect; bench/sim.go:187 still sets it.
 	Burst bool
 
 	// Migrate hands every region prefix from the primary RP to the backup
@@ -216,58 +214,27 @@ func RunBackbone(s *BackboneSetup) (*BackboneResult, error) {
 		workers = 1
 	}
 	assign := topo.Partition(g, workers)
-	opts := []Option{WithWorkers(workers)}
-	if s.Burst {
-		opts = append(opts, WithBurst())
-	}
-	tb := New(opts...)
+	tb := New(WithWorkers(workers))
 	if s.Profile {
 		tb.EnableProfiling(0)
 	}
 
 	// Routers, placed per the graph partition.
-	n := g.NodeCount()
-	routers := make([]*core.Router, n)
-	nextFace := make([]ndn.FaceID, n)
-	faceToward := make(map[topo.NodeID]map[topo.NodeID]ndn.FaceID, n)
-	for id := 0; id < n; id++ {
-		name := g.Name(topo.NodeID(id))
-		r := core.NewRouter(name)
-		routers[id] = r
-		faceToward[topo.NodeID(id)] = make(map[topo.NodeID]ndn.FaceID)
-		tb.AddNodeOn(name, assign[id], r.HandlePacketTo,
-			func(*wire.Packet) time.Duration { return s.Costs.RouterProc },
-			s.Costs.PerCopy)
+	rn, err := buildRouters(tb, g, assign, s.Costs, func(a, b topo.NodeID) time.Duration {
+		ms, _ := g.LinkDelay(a, b)
+		return time.Duration(ms * float64(time.Millisecond))
+	})
+	if err != nil {
+		return nil, err
 	}
-	allocFace := func(id topo.NodeID) ndn.FaceID {
-		nextFace[id]++
-		return nextFace[id]
-	}
-	for a := topo.NodeID(0); a < topo.NodeID(n); a++ {
-		for _, b := range g.Neighbors(a) {
-			if b < a {
-				continue
-			}
-			delayMs, _ := g.LinkDelay(a, b)
-			fa, fb := allocFace(a), allocFace(b)
-			routers[a].AddFace(fa, core.FaceRouter)
-			routers[b].AddFace(fb, core.FaceRouter)
-			faceToward[a][b] = fa
-			faceToward[b][a] = fb
-			delay := time.Duration(delayMs * float64(time.Millisecond))
-			if err := tb.Connect(g.Name(a), fa, g.Name(b), fb, delay); err != nil {
-				return nil, err
-			}
-		}
-	}
+	routers := rn.routers
 
 	// RP selection: the core with the smallest eccentricity (max shortest-
 	// path delay to any node); the runner-up is the migration target.
-	paths := g.AllPairs()
 	ecc := func(id topo.NodeID) float64 {
 		worst := 0.0
-		for v := 0; v < n; v++ {
-			if d := paths.Delay(id, topo.NodeID(v)); d > worst {
+		for v := range routers {
+			if d := rn.paths.Delay(id, topo.NodeID(v)); d > worst {
 				worst = d
 			}
 		}
@@ -309,9 +276,7 @@ func RunBackbone(s *BackboneSetup) (*BackboneResult, error) {
 				acc.hash = fnvMix(acc.hash, pkt.Seq, uint64(now.UnixNano()))
 			}
 		}, func(*wire.Packet) time.Duration { return s.Costs.HostProc }, 0)
-		f := allocFace(edge)
-		routers[edge].AddFace(f, core.FaceClient)
-		if err := tb.Connect(g.Name(edge), f, name, 0, s.HostDelay); err != nil {
+		if _, err := rn.attachClient(rn.names[edge], name, core.FaceClient, s.HostDelay); err != nil {
 			return nil, err
 		}
 	}
@@ -405,11 +370,8 @@ func RunBackbone(s *BackboneSetup) (*BackboneResult, error) {
 	// or a migration is staged.
 	if s.FaultSpec != "" || s.Migrate {
 		tb.Every(t0.Add(10*time.Millisecond), 10*time.Millisecond, func(now time.Time) {
-			for id := 0; id < n; id++ {
-				r := routers[id]
-				tb.EmitTo(now, g.Name(topo.NodeID(id)), func(sink ndn.ActionSink) {
-					r.TickTo(now, sink)
-				})
+			for id, r := range routers {
+				tb.EmitTo(now, rn.names[id], func(sink ndn.ActionSink) { r.TickTo(now, sink) })
 			}
 		})
 	}
@@ -417,19 +379,9 @@ func RunBackbone(s *BackboneSetup) (*BackboneResult, error) {
 	// Optional staged handoff of every region halfway through the publish
 	// phase, along the shortest RP→backup path.
 	if s.Migrate {
-		hops := paths.Path(rp, backup)
-		if len(hops) < 2 {
+		path := rn.handoffPath(rp, backup)
+		if len(path) < 2 {
 			return nil, fmt.Errorf("testbed: no path from RP %s to backup %s", res.RPName, res.BackupName)
-		}
-		path := make([]core.PathHop, len(hops))
-		for i, id := range hops {
-			path[i].Router = routers[id]
-			if i+1 < len(hops) {
-				path[i].FaceUp = faceToward[id][hops[i+1]]
-			}
-			if i > 0 {
-				path[i].FaceDown = faceToward[id][hops[i-1]]
-			}
 		}
 		move := make([]cd.CD, 0, len(regions))
 		for _, r := range regions {
@@ -463,8 +415,8 @@ func RunBackbone(s *BackboneSetup) (*BackboneResult, error) {
 	}
 	res.Obs.RPDeliveriesOld = routers[rp].Stats().RPDeliveries
 	res.Obs.RPDeliveriesNew = routers[backup].Stats().RPDeliveries
-	for id := 0; id < n; id++ {
-		res.Obs.Retransmissions += routers[id].Stats().Retransmissions
+	for _, r := range routers {
+		res.Obs.Retransmissions += r.Stats().Retransmissions
 	}
 	res.Obs.PacketEvents, res.Obs.Bytes = tb.Stats()
 	res.Sched = tb.SchedProfile()

@@ -13,11 +13,6 @@ import (
 // migration, so the determinism fingerprint covers ARQ retransmissions and
 // the handoff sequence too.
 func backboneCell(t *testing.T, workers int, seed int64, faulted bool) *BackboneResult {
-	return backboneCellBurst(t, workers, seed, faulted, false)
-}
-
-// backboneCellBurst is backboneCell with the burst data plane switchable.
-func backboneCellBurst(t *testing.T, workers int, seed int64, faulted, burst bool) *BackboneResult {
 	t.Helper()
 	s, err := SmallBackboneSetup(96, 2*time.Second, seed)
 	if err != nil {
@@ -25,7 +20,6 @@ func backboneCellBurst(t *testing.T, workers int, seed int64, faulted, burst boo
 	}
 	s.Workers = workers
 	s.Drain = 3 * time.Second
-	s.Burst = burst
 	if faulted {
 		s.FaultSpec = "*:only=ctl,loss=0.05,reorder=0.2"
 		s.FaultSeed = seed
@@ -83,33 +77,6 @@ func TestBackboneDeterminism(t *testing.T) {
 	}
 }
 
-// TestBackboneBurstDeterminism pins the burst data plane against the
-// per-packet reference: the full observable fingerprint — delivery hash,
-// counts, latency mean bits, RP migration sequence, retransmissions, fault
-// trace hash, packet events and bytes — must be bit-identical to the
-// single-packet path at workers ∈ {1, 4, 8}, on clean and faulted runs.
-// Coalescing merges only events provably adjacent in the canonical order, so
-// any divergence here is a burst-path ordering bug, not tolerance noise.
-func TestBackboneBurstDeterminism(t *testing.T) {
-	if testing.Short() {
-		t.Skip("backbone burst determinism sweep is slow")
-	}
-	const seed = 1
-	for _, faulted := range []bool{false, true} {
-		base := backboneCell(t, 1, seed, faulted)
-		if base.Obs.Published == 0 || base.Obs.Deliveries == 0 {
-			t.Fatalf("faulted=%v: degenerate baseline %+v", faulted, base.Obs)
-		}
-		for _, w := range []int{1, 4, 8} {
-			got := backboneCellBurst(t, w, seed, faulted, true)
-			if got.Obs != base.Obs {
-				t.Errorf("faulted=%v: burst workers=%d diverged from per-packet workers=1\n got %+v\nwant %+v",
-					faulted, w, got.Obs, base.Obs)
-			}
-		}
-	}
-}
-
 // TestBackboneSeedsDiffer guards the fingerprint's liveness: if two seeds
 // produced the same delivery hash, the determinism suite would be comparing
 // constants.
@@ -155,18 +122,18 @@ func TestBackbonePartitionAgreement(t *testing.T) {
 			if tb.list[l.toIdx].name != l.to {
 				t.Errorf("link %s→%s carries index %d, which is node %s", name, l.to, l.toIdx, tb.list[l.toIdx].name)
 			}
-			wantShard, ok := tb.NodeShard(l.to)
+			to, ok := tb.nodes[l.to]
 			if !ok {
 				t.Fatalf("link from %s to unknown node %s", name, l.to)
 			}
-			if l.toShard != wantShard {
+			if wantShard := to.shard; l.toShard != wantShard {
 				t.Errorf("link %s→%s routes to shard %d, assignment says %d", name, l.to, l.toShard, wantShard)
 			}
 		}
 	}
 	// And the assignment the links agree with is the partition itself.
 	for id := 0; id < g.NodeCount(); id++ {
-		if got, _ := tb.NodeShard(g.Name(topo.NodeID(id))); got != assign[id] {
+		if got := tb.nodes[g.Name(topo.NodeID(id))].shard; got != assign[id] {
 			t.Errorf("node %s on shard %d, partition assigned %d", g.Name(topo.NodeID(id)), got, assign[id])
 		}
 	}

@@ -38,7 +38,7 @@ func newBrokerScenario(t *testing.T) *brokerScenario {
 	prefixes := append(worldPartitionPrefixes(s),
 		cd.MustNew(broker.CtlComponent), cd.MustNew(broker.DataComponent))
 	var ann ndn.SliceSink
-	if err := rn.routers["R1"].BecomeRPTo(copss.RPInfo{Name: "/rp1", Prefixes: prefixes, Seq: 1}, &ann); err != nil {
+	if err := rn.router("R1").BecomeRPTo(copss.RPInfo{Name: "/rp1", Prefixes: prefixes, Seq: 1}, &ann); err != nil {
 		t.Fatal(err)
 	}
 	tb.Schedule(tb.Now().Add(time.Millisecond), func(now time.Time) { tb.Emit(now, "R1", ann.Actions) })
@@ -55,16 +55,8 @@ func newBrokerScenario(t *testing.T) *brokerScenario {
 		t.Fatal(err)
 	}
 	// NDN routes for the snapshot namespace: toward R4, then the broker.
-	rn.routers["R4"].NDN().FIB().Add(broker.SnapshotPrefix, bFace)
-	for _, rname := range rn.names {
-		if rname == "R4" {
-			continue
-		}
-		face, ok := rn.nextHopFace(rname, "R4")
-		if !ok {
-			t.Fatalf("no route %s→R4", rname)
-		}
-		rn.routers[rname].NDN().FIB().Add(broker.SnapshotPrefix, face)
+	if err := rn.routePrefix(broker.SnapshotPrefix, rn.id("R4"), bFace); err != nil {
+		t.Fatal(err)
 	}
 	// Broker subscriptions (serving leaves + control channels).
 	tb.Schedule(tb.Now().Add(100*time.Millisecond), func(now time.Time) {

@@ -101,7 +101,7 @@ func runChaosCellWorkers(t *testing.T, loss float64, reorder bool, stage string,
 
 	// RP at R1; the announcement flood is ARQ-registered via BecomeRPAt.
 	var ann ndn.SliceSink
-	if err := rn.routers["R1"].BecomeRPAt(time.Unix(0, 0), copss.RPInfo{
+	if err := rn.router("R1").BecomeRPAt(time.Unix(0, 0), copss.RPInfo{
 		Name:     "/rpA",
 		Prefixes: copss.PartitionPrefixes([]string{"1", "2", "3", "4", "5"}),
 		Seq:      1,
@@ -114,9 +114,8 @@ func runChaosCellWorkers(t *testing.T, loss float64, reorder bool, stage string,
 
 	// ARQ retransmission timers on every router.
 	tb.Every(time.Unix(0, 0).Add(10*time.Millisecond), 10*time.Millisecond, func(now time.Time) {
-		for _, name := range rn.names {
-			r := rn.routers[name]
-			tb.EmitTo(now, name, func(sink ndn.ActionSink) { r.TickTo(now, sink) })
+		for id, r := range rn.routers {
+			tb.EmitTo(now, rn.names[id], func(sink ndn.ActionSink) { r.TickTo(now, sink) })
 		}
 	})
 
@@ -230,13 +229,8 @@ func runChaosCellWorkers(t *testing.T, loss float64, reorder bool, stage string,
 	// Handoff /2 (and /4, /5) from rpA@R1 to rpB@R6, path R1-R3-R6 — the
 	// partitioned link is in the middle of the handoff path.
 	tb.Schedule(start.Add(150*time.Millisecond), func(now time.Time) {
-		path := []core.PathHop{
-			{Router: rn.routers["R1"], FaceUp: rn.faceToward["R1"]["R3"]},
-			{Router: rn.routers["R3"], FaceUp: rn.faceToward["R3"]["R6"], FaceDown: rn.faceToward["R3"]["R1"]},
-			{Router: rn.routers["R6"], FaceDown: rn.faceToward["R6"]["R3"]},
-		}
 		move := []cd.CD{cd.MustNew("2"), cd.MustNew("4"), cd.MustNew("5")}
-		acts, err := core.PrepareHandoff(now, "/rpA", "/rpB", move, 2, path)
+		acts, err := core.PrepareHandoff(now, "/rpA", "/rpB", move, 2, rn.handoffPath(rn.id("R1"), rn.id("R6")))
 		if err != nil {
 			t.Errorf("PrepareHandoff: %v", err)
 			return
@@ -253,13 +247,13 @@ func runChaosCellWorkers(t *testing.T, loss float64, reorder bool, stage string,
 	res := chaosResult{
 		trace:        in.TraceHash(),
 		dropped:      reg.Counter("faultnet_dropped_total").Value(),
-		newRPActive:  rn.routers["R6"].Stats().RPDeliveries > 0,
+		newRPActive:  rn.router("R6").Stats().RPDeliveries > 0,
 		fetchDone:    fetch.Done(),
 		fetchFailed:  fetch.Failed(),
 		fetchRetries: fetch.Retransmissions(),
 	}
-	for _, name := range rn.names {
-		res.retrans += rn.routers[name].Stats().Retransmissions
+	for _, r := range rn.routers {
+		res.retrans += r.Stats().Retransmissions
 	}
 	for i := range rn.names {
 		state := subs[fmt.Sprintf("s%d", i)]

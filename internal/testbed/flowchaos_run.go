@@ -122,7 +122,7 @@ func RunFlowChaos(spec FlowChaosSpec) (FlowChaosResult, error) {
 	tb.Schedule(t0.Add(90*time.Millisecond), func(time.Time) { tb.SetFaults(in) })
 
 	var ann ndn.SliceSink
-	if err := rn.routers["R1"].BecomeRPAt(t0, copss.RPInfo{
+	if err := rn.router("R1").BecomeRPAt(t0, copss.RPInfo{
 		Name:     "/rpA",
 		Prefixes: copss.PartitionPrefixes([]string{"1", "2", "3", "4", "5"}),
 		Seq:      1,
@@ -133,9 +133,8 @@ func RunFlowChaos(spec FlowChaosSpec) (FlowChaosResult, error) {
 
 	// ARQ retransmission timers on every router.
 	tb.Every(t0.Add(10*time.Millisecond), 10*time.Millisecond, func(now time.Time) {
-		for _, name := range rn.names {
-			r := rn.routers[name]
-			tb.EmitTo(now, name, func(sink ndn.ActionSink) { r.TickTo(now, sink) })
+		for id, r := range rn.routers {
+			tb.EmitTo(now, rn.names[id], func(sink ndn.ActionSink) { r.TickTo(now, sink) })
 		}
 	})
 
@@ -171,7 +170,7 @@ func RunFlowChaos(spec FlowChaosSpec) (FlowChaosResult, error) {
 	// retried until the link heals; a retry budget that gives up earlier
 	// abandons the packet and shows up in retrans_abandoned_total.
 	var reAnn ndn.SliceSink
-	if err := rn.routers["R1"].BecomeRPAt(t0.Add(250*time.Millisecond), copss.RPInfo{
+	if err := rn.router("R1").BecomeRPAt(t0.Add(250*time.Millisecond), copss.RPInfo{
 		Name:     "/rpA",
 		Prefixes: copss.PartitionPrefixes([]string{"1", "2", "3", "4", "5"}),
 		Seq:      2,
@@ -285,8 +284,8 @@ func RunFlowChaos(spec FlowChaosSpec) (FlowChaosResult, error) {
 		span = res.FetchDoneAt
 	}
 	res.GoodputPerSec = float64(res.Fetched) / span.Seconds()
-	for _, name := range rn.names {
-		st := rn.routers[name].Stats()
+	for _, r := range rn.routers {
+		st := r.Stats()
 		res.Retrans += st.Retransmissions
 		res.RetransAbandoned += st.RetransAbandoned
 	}

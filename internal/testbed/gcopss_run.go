@@ -54,7 +54,7 @@ func RunGCOPSS(s *Setup) (*MicroResult, error) {
 	// RP bootstrap: R1 announces, flood settles during warmup.
 	info := copss.RPInfo{Name: "/rp1", Prefixes: worldPartitionPrefixes(s), Seq: 1}
 	var ann ndn.SliceSink
-	if err := rn.routers["R1"].BecomeRPTo(info, &ann); err != nil {
+	if err := rn.router("R1").BecomeRPTo(info, &ann); err != nil {
 		return nil, err
 	}
 	t0 := tb.Now()

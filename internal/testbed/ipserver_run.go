@@ -1,7 +1,6 @@
 package testbed
 
 import (
-	"fmt"
 	"strings"
 	"time"
 
@@ -41,57 +40,44 @@ func RunIPServer(s *Setup) (*MicroResult, error) {
 		ipNames[pi] = ipAddr(clientNames[pi])
 	}
 
-	// Static routing: next hop per destination node, derived from the
-	// benchmark topology.
-	g, ids := topo.Benchmark()
-	paths := g.AllPairs()
-	names := []string{"R1", "R2", "R3", "R4", "R5", "R6"}
-
-	// Face plan: on each router, face i+10 leads to neighbor names[i]; client
-	// faces are allocated from 100 upward.
-	faceToward := make(map[string]map[string]ndn.FaceID)
-	for _, n := range names {
-		faceToward[n] = make(map[string]ndn.FaceID)
-	}
-	// hostRouter maps every endpoint (clients + server) to its router and
-	// the router-side face.
-	type hostPort struct {
-		router string
-		face   ndn.FaceID
-	}
-	hosts := make(map[string]hostPort)
-
-	routes := make(map[string]map[string]ndn.FaceID) // router → dest endpoint → face
-	for _, n := range names {
-		routes[n] = make(map[string]ndn.FaceID)
-	}
-
-	// Router handler: forward by destination address. routes is read-only
-	// once Run starts, so concurrent shards may share it.
-	for _, n := range names {
-		n := n
-		tb.AddNode(n, func(now time.Time, _ ndn.FaceID, pkt *wire.Packet, sink ndn.ActionSink) {
-			dest := strings.TrimPrefix(pkt.Name, "/ip/")
-			face, ok := routes[n][dest]
-			if !ok {
-				return
+	// Forwarders in the Fig. 3b topology; routes maps router → destination
+	// endpoint → face. It is read-only once Run starts, so concurrent shards
+	// may share it.
+	g, _ := topo.Benchmark()
+	routes := make([]map[string]ndn.FaceID, g.NodeCount())
+	for id := range routes {
+		table := make(map[string]ndn.FaceID)
+		routes[id] = table
+		tb.AddNode(g.Name(topo.NodeID(id)), func(now time.Time, _ ndn.FaceID, pkt *wire.Packet, sink ndn.ActionSink) {
+			if face, ok := table[strings.TrimPrefix(pkt.Name, "/ip/")]; ok {
+				sink.Emit(ndn.Action{Face: face, Packet: pkt.Forward()})
 			}
-			sink.Emit(ndn.Action{Face: face, Packet: pkt.Forward()})
 		}, func(*wire.Packet) time.Duration { return s.Costs.IPForward }, 0)
 	}
-	type edge struct{ a, b string }
-	var nextFace = map[string]ndn.FaceID{}
-	alloc := func(r string) ndn.FaceID {
-		nextFace[r]++
-		return nextFace[r]
+	rn, err := wireGraph(tb, g, func(_, _ topo.NodeID) time.Duration { return s.LinkDelay })
+	if err != nil {
+		return nil, err
 	}
-	for _, e := range []edge{{"R1", "R2"}, {"R1", "R3"}, {"R2", "R4"}, {"R2", "R5"}, {"R3", "R6"}} {
-		fa, fb := alloc(e.a), alloc(e.b)
-		faceToward[e.a][e.b] = fa
-		faceToward[e.b][e.a] = fb
-		if err := tb.Connect(e.a, fa, e.b, fb, s.LinkDelay); err != nil {
-			return nil, err
+	// attachHost wires an endpoint's face 0 to a new face on its router and
+	// routes the endpoint's address there from every router.
+	attachHost := func(host, router string) error {
+		at := rn.id(router)
+		f := rn.newFace(at)
+		if err := tb.Connect(host, 0, router, f, s.LinkDelay); err != nil {
+			return err
 		}
+		for id, table := range routes {
+			if topo.NodeID(id) == at {
+				table[host] = f
+				continue
+			}
+			face, err := rn.nextHopFace(topo.NodeID(id), at)
+			if err != nil {
+				return err
+			}
+			table[host] = face
+		}
+		return nil
 	}
 
 	// Server endpoint on R1: resolves recipients and unicasts copies. The
@@ -112,46 +98,21 @@ func RunIPServer(s *Setup) (*MicroResult, error) {
 			sink.Emit(ndn.Action{Face: 0, Packet: &cp})
 		}
 	}, func(*wire.Packet) time.Duration { return s.Costs.ServerBase }, s.Costs.ServerPerRecipient)
-	sf := alloc("R1")
-	if err := tb.Connect(serverName, 0, "R1", sf, s.LinkDelay); err != nil {
+	if err := attachHost(serverName, "R1"); err != nil {
 		return nil, err
 	}
-	hosts[serverName] = hostPort{router: "R1", face: sf}
 
 	// Player endpoints, accumulating deliveries per client (merged in player
 	// order after the run).
 	accs := make([]clientAcc, len(s.Trace.Players))
 	for pi := range s.Trace.Players {
-		name := clientName(pi)
 		acc := &accs[pi]
-		tb.AddNode(name, func(now time.Time, _ ndn.FaceID, pkt *wire.Packet, _ ndn.ActionSink) {
+		tb.AddNode(clientNames[pi], func(now time.Time, _ ndn.FaceID, pkt *wire.Packet, _ ndn.ActionSink) {
 			acc.lat.Add(float64(now.UnixNano()-pkt.SentAt) / 1e6)
 			acc.deliveries++
 		}, func(*wire.Packet) time.Duration { return s.Costs.HostProc }, 0)
-		rf := alloc(attach[pi])
-		if err := tb.Connect(name, 0, attach[pi], rf, s.LinkDelay); err != nil {
+		if err := attachHost(clientNames[pi], attach[pi]); err != nil {
 			return nil, err
-		}
-		hosts[name] = hostPort{router: attach[pi], face: rf}
-	}
-
-	// Routing tables: for every endpoint, every router forwards toward the
-	// endpoint's attachment router, then onto the host port.
-	for dest, hp := range hosts {
-		for _, r := range names {
-			if r == hp.router {
-				routes[r][dest] = hp.face
-				continue
-			}
-			nh, ok := paths.NextHop(ids[r], ids[hp.router])
-			if !ok {
-				return nil, fmt.Errorf("testbed: no route %s→%s", r, hp.router)
-			}
-			for name, id := range ids {
-				if id == nh {
-					routes[r][dest] = faceToward[r][name]
-				}
-			}
 		}
 	}
 

@@ -33,7 +33,7 @@ func TestMigrationUnderRealDelays(t *testing.T) {
 
 			// RP at R1 serving the world partition.
 			var ann ndn.SliceSink
-			if err := rn.routers["R1"].BecomeRPTo(copss.RPInfo{
+			if err := rn.router("R1").BecomeRPTo(copss.RPInfo{
 				Name:     "/rpA",
 				Prefixes: copss.PartitionPrefixes([]string{"1", "2", "3", "4", "5"}),
 				Seq:      1,
@@ -91,13 +91,8 @@ func TestMigrationUnderRealDelays(t *testing.T) {
 
 			// Handoff /2 (and /4, /5) from rpA@R1 to rpB@R6, path R1-R3-R6.
 			tb.Schedule(start.Add(150*time.Millisecond), func(now time.Time) {
-				path := []core.PathHop{
-					{Router: rn.routers["R1"], FaceUp: rn.faceToward["R1"]["R3"]},
-					{Router: rn.routers["R3"], FaceUp: rn.faceToward["R3"]["R6"], FaceDown: rn.faceToward["R3"]["R1"]},
-					{Router: rn.routers["R6"], FaceDown: rn.faceToward["R6"]["R3"]},
-				}
 				move := []cd.CD{cd.MustNew("2"), cd.MustNew("4"), cd.MustNew("5")}
-				acts, err := core.PrepareHandoff(now, "/rpA", "/rpB", move, 2, path)
+				acts, err := core.PrepareHandoff(now, "/rpA", "/rpB", move, 2, rn.handoffPath(rn.id("R1"), rn.id("R6")))
 				if err != nil {
 					t.Errorf("PrepareHandoff: %v", err)
 					return
@@ -120,7 +115,7 @@ func TestMigrationUnderRealDelays(t *testing.T) {
 				}
 			}
 			// And the new RP actually took over.
-			if rn.routers["R6"].Stats().RPDeliveries == 0 {
+			if rn.router("R6").Stats().RPDeliveries == 0 {
 				t.Error("new RP never delivered")
 			}
 		})

@@ -2,7 +2,6 @@ package testbed
 
 import (
 	"encoding/binary"
-	"fmt"
 	"strconv"
 	"strings"
 	"time"
@@ -11,6 +10,20 @@ import (
 	"github.com/icn-gaming/gcopss/internal/ndn"
 	"github.com/icn-gaming/gcopss/internal/stats"
 	"github.com/icn-gaming/gcopss/internal/wire"
+)
+
+// The NDN query/response solution's parameters (Section V-A).
+const (
+	// ndnPipeline is the number of outstanding Interests a consumer keeps
+	// per producer: "a set of at most N (N = 3 ...) queries outstanding at
+	// any time".
+	ndnPipeline = 3
+	// ndnAccumulate is the producer's update-accumulation interval t: "we
+	// send a response every t ms", t = 50.
+	ndnAccumulate = 50 * time.Millisecond
+	// ndnRefresh is the consumer's Interest refresh period, the PIT lifetime
+	// of 4 s.
+	ndnRefresh = 4 * time.Second
 )
 
 // ndnName builds the content name for producer pi's batch number seq. It is
@@ -120,48 +133,27 @@ func RunNDN(s *Setup) (*MicroResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	vis, err := visibilityIndex(s)
-	if err != nil {
-		return nil, err
-	}
 	attach := attachment(len(s.Trace.Players))
 	nPlayers := len(s.Trace.Players)
 
-	// Peer sets: all peers, or only AoI-visible ones.
-	visiblePeers := func(pi int) []int {
-		var out []int
-		if s.NDN.QueryAllPeers {
-			for j := 0; j < nPlayers; j++ {
-				if j != pi {
-					out = append(out, j)
-				}
-			}
-			return out
-		}
-		area, _ := s.World.Map.Area(s.Trace.Players[pi].Area)
-		seen := map[int]bool{}
-		for _, leaf := range area.VisibleLeaves() {
-			for _, j := range vis[leaf.Key()] {
-				if j != pi && !seen[j] {
-					seen[j] = true
-					out = append(out, j)
-				}
-			}
-		}
-		return out
-	}
-
+	// "Every player queries all the possible players": each polls every
+	// other player, visible or not.
 	players := make([]*ndnPlayer, nPlayers)
 	for pi := 0; pi < nPlayers; pi++ {
-		players[pi] = &ndnPlayer{
+		p := &ndnPlayer{
 			idx:        pi,
 			name:       clientName(pi),
 			pending:    make(map[uint64]bool),
 			nextAnswer: 1,
 			answered:   make(map[int]uint64),
 			expressed:  make(map[int]uint64),
-			peers:      visiblePeers(pi),
 		}
+		for j := 0; j < nPlayers; j++ {
+			if j != pi {
+				p.peers = append(p.peers, j)
+			}
+		}
+		players[pi] = p
 	}
 
 	// express emits an Interest from player pi for (peer, seq). Emit iterates
@@ -209,7 +201,7 @@ func RunNDN(s *Setup) (*MicroResult, error) {
 				}
 				p.answered[peer] = seq
 				// Refill the pipeline.
-				for p.expressed[peer] < seq+uint64(s.NDN.PipelineWindow) {
+				for p.expressed[peer] < seq+ndnPipeline {
 					p.expressed[peer]++
 					sink.Emit(ndn.Action{Face: 0, Packet: &wire.Packet{
 						Type: wire.TypeInterest,
@@ -225,16 +217,8 @@ func RunNDN(s *Setup) (*MicroResult, error) {
 		}
 		// FIB: the attachment router reaches the producer on its client
 		// face; every other router routes the prefix toward it.
-		rn.routers[attach[pi]].NDN().FIB().Add(ndnPrefix(pi), clientFace)
-		for _, rname := range rn.names {
-			if rname == attach[pi] {
-				continue
-			}
-			face, ok := rn.nextHopFace(rname, attach[pi])
-			if !ok {
-				return nil, fmt.Errorf("testbed: no route %s→%s", rname, attach[pi])
-			}
-			rn.routers[rname].NDN().FIB().Add(ndnPrefix(pi), face)
+		if err := rn.routePrefix(ndnPrefix(pi), rn.id(attach[pi]), clientFace); err != nil {
+			return nil, err
 		}
 	}
 
@@ -243,8 +227,7 @@ func RunNDN(s *Setup) (*MicroResult, error) {
 	end := start.Add(s.Trace.Duration)
 
 	// PIT housekeeping on every router.
-	for _, rname := range rn.names {
-		r := rn.routers[rname]
+	for _, r := range rn.routers {
 		var expire func(now time.Time)
 		expire = func(now time.Time) {
 			r.NDN().Expire(now)
@@ -261,7 +244,7 @@ func RunNDN(s *Setup) (*MicroResult, error) {
 		at := start.Add(time.Duration(pi) * time.Millisecond)
 		tb.Schedule(at, func(now time.Time) {
 			for _, peer := range p.peers {
-				for k := 1; k <= s.NDN.PipelineWindow; k++ {
+				for k := 1; k <= ndnPipeline; k++ {
 					p.expressed[peer] = uint64(k)
 					express(now, p.idx, peer, uint64(k))
 				}
@@ -276,10 +259,10 @@ func RunNDN(s *Setup) (*MicroResult, error) {
 				}
 			}
 			if now.Before(end) {
-				tb.Schedule(now.Add(s.NDN.Refresh), refresh)
+				tb.Schedule(now.Add(ndnRefresh), refresh)
 			}
 		}
-		tb.Schedule(at.Add(s.NDN.Refresh), refresh)
+		tb.Schedule(at.Add(ndnRefresh), refresh)
 
 		// Producer accumulation tick.
 		var tick func(now time.Time)
@@ -304,7 +287,7 @@ func RunNDN(s *Setup) (*MicroResult, error) {
 				}}})
 			}
 			if now.Before(end.Add(s.Drain / 2)) {
-				tb.Schedule(now.Add(s.NDN.Accumulate), tick)
+				tb.Schedule(now.Add(ndnAccumulate), tick)
 			}
 		}
 		tb.Schedule(start.Add(time.Duration(pi)*time.Millisecond), tick)

@@ -3,6 +3,7 @@ package testbed
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"time"
 
 	"github.com/icn-gaming/gcopss/internal/cd"
@@ -47,27 +48,6 @@ type Setup struct {
 	// MicroResult.Sched. Profiling observes wall-clock time, so it changes
 	// no virtual-time results but does cost a few timestamps per window.
 	Profile bool
-
-	// NDN configures the query/response baseline.
-	NDN NDNOptions
-}
-
-// NDNOptions parameterizes the NDN (VoCCN/ACT-style) solution of the
-// microbenchmark.
-type NDNOptions struct {
-	// PipelineWindow is the number of outstanding Interests a consumer
-	// keeps per producer ("a set of at most N (N = 3 ...) queries
-	// outstanding at any time").
-	PipelineWindow int
-	// Accumulate is the producer's update-accumulation interval t ("we send
-	// a response every t ms").
-	Accumulate time.Duration
-	// Refresh is the consumer's Interest refresh period (PIT lifetime).
-	Refresh time.Duration
-	// QueryAllPeers makes every player poll every other player ("every
-	// player queries all the possible players"); false restricts polling to
-	// the AoI-visible peers.
-	QueryAllPeers bool
 }
 
 // PaperSetup builds the Section V-A scenario: 5×5 map, paper object
@@ -92,12 +72,6 @@ func PaperSetup() (*Setup, error) {
 		LinkDelay: 100 * time.Microsecond,
 		Warmup:    time.Second,
 		Drain:     60 * time.Second,
-		NDN: NDNOptions{
-			PipelineWindow: 3,
-			Accumulate:     50 * time.Millisecond,
-			Refresh:        4 * time.Second,
-			QueryAllPeers:  true,
-		},
 	}, nil
 }
 
@@ -181,87 +155,161 @@ func visibilityIndex(s *Setup) (map[string][]int, error) {
 	return out, nil
 }
 
-// routerNet wires six core.Routers in the Fig. 3b topology onto a testbed.
+// routerNet is a topo.Graph wired onto a testbed: graph node id is testbed
+// node names[id] (routers[id] its core.Router, in scenarios that run them),
+// its faces 1…len(nbrs[id]) lead to its neighbors in nbrs order, and the
+// faces after those attach hosts.
 type routerNet struct {
 	tb       *Testbed
-	routers  map[string]*core.Router
-	nextFace map[string]ndn.FaceID
-	// faceToward[a][b] is the face on router a of the a–b link.
-	faceToward map[string]map[string]ndn.FaceID
-	paths      *topo.Paths
-	ids        map[string]topo.NodeID
-	names      []string
+	g        *topo.Graph
+	paths    *topo.Paths
+	names    []string
+	nbrs     [][]topo.NodeID
+	routers  []*core.Router
+	nextFace []ndn.FaceID
 }
 
-// buildRouterNet creates the routers (with the given per-router options) and
-// links them per the benchmark topology.
-func buildRouterNet(tb *Testbed, s *Setup, opts ...core.Option) (*routerNet, error) {
-	g, ids := topo.Benchmark()
-	rn := &routerNet{
-		tb:         tb,
-		routers:    make(map[string]*core.Router),
-		nextFace:   make(map[string]ndn.FaceID),
-		faceToward: make(map[string]map[string]ndn.FaceID),
-		paths:      g.AllPairs(),
-		ids:        ids,
-		names:      []string{"R1", "R2", "R3", "R4", "R5", "R6"},
+// wireGraph links the nodes of g, already registered on tb under their graph
+// names, in ascending (a, b > a) order with delay(a, b), numbering each
+// node's faces 1, 2, … as its links are made. Graph.Neighbors is sorted, so
+// face k of node a leads to nbrs[a][k-1]. Connect assigns link IDs, the high
+// half of every canonical delivery key, in this order: changing it re-times
+// the traces TestMicrobenchGolden and TestBackboneGolden pin.
+func wireGraph(tb *Testbed, g *topo.Graph, delay func(a, b topo.NodeID) time.Duration) (*routerNet, error) {
+	n := g.NodeCount()
+	rn := &routerNet{tb: tb, g: g, paths: g.AllPairs(), names: make([]string, n),
+		nbrs: make([][]topo.NodeID, n), nextFace: make([]ndn.FaceID, n)}
+	for id := range rn.names {
+		rn.names[id] = g.Name(topo.NodeID(id))
+		rn.nbrs[id] = g.Neighbors(topo.NodeID(id))
 	}
-	for _, name := range rn.names {
-		r := core.NewRouter(name, opts...)
-		rn.routers[name] = r
-		rn.faceToward[name] = make(map[string]ndn.FaceID)
-		router := r
-		tb.AddNode(name, router.HandlePacketTo,
-			func(*wire.Packet) time.Duration { return s.Costs.RouterProc },
-			s.Costs.PerCopy)
-	}
-	type edge struct{ a, b string }
-	for _, e := range []edge{{"R1", "R2"}, {"R1", "R3"}, {"R2", "R4"}, {"R2", "R5"}, {"R3", "R6"}} {
-		fa, fb := rn.allocFace(e.a), rn.allocFace(e.b)
-		rn.routers[e.a].AddFace(fa, core.FaceRouter)
-		rn.routers[e.b].AddFace(fb, core.FaceRouter)
-		rn.faceToward[e.a][e.b] = fa
-		rn.faceToward[e.b][e.a] = fb
-		if err := tb.Connect(e.a, fa, e.b, fb, s.LinkDelay); err != nil {
-			return nil, err
+	for a, nbrs := range rn.nbrs {
+		for _, b := range nbrs {
+			if int(b) < a {
+				continue
+			}
+			fa, fb := rn.newFace(topo.NodeID(a)), rn.newFace(b)
+			if err := tb.Connect(rn.names[a], fa, rn.names[b], fb, delay(topo.NodeID(a), b)); err != nil {
+				return nil, err
+			}
 		}
 	}
 	return rn, nil
 }
 
-func (rn *routerNet) allocFace(router string) ndn.FaceID {
-	rn.nextFace[router]++
-	return rn.nextFace[router]
+// buildRouters registers one core.Router per node of g on tb, in ID order —
+// node id on shard assign[id], round robin when assign is nil — and wires
+// them with wireGraph.
+func buildRouters(tb *Testbed, g *topo.Graph, assign []int, costs Costs,
+	delay func(a, b topo.NodeID) time.Duration, opts ...core.Option) (*routerNet, error) {
+	routers := make([]*core.Router, g.NodeCount())
+	proc := func(*wire.Packet) time.Duration { return costs.RouterProc }
+	for id := range routers {
+		r := core.NewRouter(g.Name(topo.NodeID(id)), opts...)
+		routers[id] = r
+		if assign == nil {
+			tb.AddNode(r.Name(), r.HandlePacketTo, proc, costs.PerCopy)
+		} else {
+			tb.AddNodeOn(r.Name(), assign[id], r.HandlePacketTo, proc, costs.PerCopy)
+		}
+	}
+	rn, err := wireGraph(tb, g, delay)
+	if err != nil {
+		return nil, err
+	}
+	for id, r := range routers {
+		for f := ndn.FaceID(1); f <= rn.nextFace[id]; f++ {
+			r.AddFace(f, core.FaceRouter)
+		}
+	}
+	rn.routers = routers
+	return rn, nil
 }
+
+// buildRouterNet creates the Fig. 3b lab's routers (with the given per-router
+// options) from topo.Benchmark, every link s.LinkDelay long.
+func buildRouterNet(tb *Testbed, s *Setup, opts ...core.Option) (*routerNet, error) {
+	g, _ := topo.Benchmark()
+	return buildRouters(tb, g, nil, s.Costs, func(_, _ topo.NodeID) time.Duration { return s.LinkDelay }, opts...)
+}
+
+// newFace hands out the next face of node id.
+func (rn *routerNet) newFace(id topo.NodeID) ndn.FaceID {
+	rn.nextFace[id]++
+	return rn.nextFace[id]
+}
+
+// id resolves a router name; the lab scenarios name routers R1…R6.
+func (rn *routerNet) id(name string) topo.NodeID {
+	id, ok := rn.g.Lookup(name)
+	if !ok {
+		panic("testbed: no router " + name) // scenario bug: names are fixed
+	}
+	return id
+}
+
+// router returns the named core router.
+func (rn *routerNet) router(name string) *core.Router { return rn.routers[rn.id(name)] }
 
 // attachClient wires a client node to a router and returns the router-side
 // face (the client's own face is always 0).
 func (rn *routerNet) attachClient(router, client string, kind core.FaceKind, delay time.Duration) (ndn.FaceID, error) {
-	f := rn.allocFace(router)
-	rn.routers[router].AddFace(f, kind)
+	id := rn.id(router)
+	f := rn.newFace(id)
+	rn.routers[id].AddFace(f, kind)
 	if err := rn.tb.Connect(router, f, client, 0, delay); err != nil {
 		return 0, err
 	}
 	return f, nil
 }
 
-// nextHopFace returns the face on router `at` leading one hop along the
-// shortest path toward router `dest`.
-func (rn *routerNet) nextHopFace(at, dest string) (ndn.FaceID, bool) {
-	nh, ok := rn.paths.NextHop(rn.ids[at], rn.ids[dest])
-	if !ok {
-		return 0, false
-	}
-	return rn.faceToward[at][rn.nameOf(nh)], true
+// linkFace returns the face on node a of its link to neighbor b.
+func (rn *routerNet) linkFace(a, b topo.NodeID) ndn.FaceID {
+	return ndn.FaceID(slices.Index(rn.nbrs[a], b) + 1)
 }
 
-func (rn *routerNet) nameOf(id topo.NodeID) string {
-	for name, nid := range rn.ids {
-		if nid == id {
-			return name
+// nextHopFace returns the face on node at leading one hop along the
+// shortest path toward node dest.
+func (rn *routerNet) nextHopFace(at, dest topo.NodeID) (ndn.FaceID, error) {
+	nh, ok := rn.paths.NextHop(at, dest)
+	if !ok {
+		return 0, fmt.Errorf("testbed: no route %s→%s", rn.names[at], rn.names[dest])
+	}
+	return rn.linkFace(at, nh), nil
+}
+
+// routePrefix installs an NDN route for prefix toward router dest on every
+// router: dest forwards it on face, every other router one hop along its
+// shortest path to dest.
+func (rn *routerNet) routePrefix(prefix string, dest topo.NodeID, face ndn.FaceID) error {
+	for id, r := range rn.routers {
+		f := face
+		if topo.NodeID(id) != dest {
+			var err error
+			if f, err = rn.nextHopFace(topo.NodeID(id), dest); err != nil {
+				return err
+			}
+		}
+		r.NDN().FIB().Add(prefix, f)
+	}
+	return nil
+}
+
+// handoffPath returns core.PrepareHandoff's path along the shortest route
+// from router from to router to (empty when there is none).
+func (rn *routerNet) handoffPath(from, to topo.NodeID) []core.PathHop {
+	hops := rn.paths.Path(from, to)
+	path := make([]core.PathHop, len(hops))
+	for i, id := range hops {
+		path[i].Router = rn.routers[id]
+		if i+1 < len(hops) {
+			path[i].FaceUp = rn.linkFace(id, hops[i+1])
+		}
+		if i > 0 {
+			path[i].FaceDown = rn.linkFace(id, hops[i-1])
 		}
 	}
-	return ""
+	return path
 }
 
 // worldPartitionPrefixes returns the RP serving set for the 5×5 map.

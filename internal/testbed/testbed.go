@@ -92,12 +92,6 @@ type link struct {
 	delay   time.Duration
 	id      uint32
 	seq     uint32
-
-	// ring is the link's burst tx ring: cross-shard transmissions staged
-	// during a node window (burst mode only), flushed at the barrier. Owned
-	// by the sender's shard during windows and by the single-threaded
-	// barrier hook between them; always empty outside windows.
-	ring []txEntry
 }
 
 // dest packs the link's far end — receiving node index and face — into the
@@ -115,16 +109,6 @@ func (n *nodeState) link(f ndn.FaceID) *link {
 		return nil
 	}
 	return n.links[f]
-}
-
-// txEntry is one staged transmission in a link's burst ring: the arrival
-// time (link delay and any fault delay already applied) and the canonical
-// delivery key computed at transmit time, so flushing preserves the exact
-// (at, key) order the per-packet path would have posted.
-type txEntry struct {
-	at  time.Time
-	key uint64
-	pkt *wire.Packet
 }
 
 // nodeState is one single-threaded network element.
@@ -166,26 +150,13 @@ func WithWorkers(n int) Option {
 	return func(tb *Testbed) { tb.workers = n }
 }
 
-// WithBurst turns on the burst data plane: cross-shard deliveries staged
-// during a node window collect in per-link tx rings and flush once at the
-// window barrier, with same-timestamp consecutive-key runs coalesced into a
-// single burst event whose handler replays each packet through the normal
-// receive path. The packet trace is bit-identical to the per-packet path —
-// coalescing only merges events that are provably adjacent in the canonical
-// (time, linkID<<32|seq) order — and with one worker (no cross-shard link)
-// burst mode degenerates to exactly the per-packet path.
-func WithBurst() Option {
-	return func(tb *Testbed) { tb.burst = true }
-}
-
 // Testbed wires nodes and runs the discrete-event loop.
 type Testbed struct {
 	sched   *event.ShardedScheduler
 	workers int
-	burst   bool
 	// list holds the nodes in AddNode order; a node's position is the dense
 	// index delivery events carry, so the packet path never hashes a name.
-	// nodes finds them by name for the set-up and inspection API only.
+	// nodes finds them by name for the set-up API only.
 	list   []*nodeState
 	nodes  map[string]*nodeState
 	faults *faultnet.Injector
@@ -197,26 +168,9 @@ type Testbed struct {
 	// allocating a closure per packet.
 	deliver event.CallHandler
 
-	// deliverBurst is the pre-bound callback for coalesced ring flushes: it
-	// replays every packet of the burst through receive at the shared arrival
-	// time, so FIFO service starts (busyUntil chaining) and every counter are
-	// identical to the packets arriving as separate events.
-	deliverBurst event.CallHandler
-
 	// scratch is the per-shard action sink handlers emit into; each shard
 	// owns exactly one, so windows never share them.
 	scratch []ndn.SliceSink
-
-	// dirty[s] lists links whose ring gained its first entry this window,
-	// appended only by shard s during windows and drained single-threaded by
-	// the barrier hook — the same ownership discipline as the scheduler's
-	// mailboxes.
-	dirty [][]*link
-
-	// coalesced counts burst events posted by ring flushes (runs of length
-	// >= 2); staged singletons and the per-packet path don't count. Touched
-	// only by the single-threaded barrier hook.
-	coalesced uint64
 }
 
 // New creates an empty testbed starting at virtual time zero.
@@ -236,13 +190,6 @@ func New(opts ...Option) *Testbed {
 	tb.deliver = func(now time.Time, pl event.Payload) {
 		tb.receive(now, tb.list[pl.Int>>32], ndn.FaceID(uint32(pl.Int)), pl.Ptr.(*wire.Packet))
 	}
-	tb.deliverBurst = func(now time.Time, pl event.Payload) {
-		node, face := tb.list[pl.Int>>32], ndn.FaceID(uint32(pl.Int))
-		for _, pkt := range pl.Ptr.([]*wire.Packet) {
-			tb.receive(now, node, face, pkt)
-		}
-	}
-	tb.dirty = make([][]*link, tb.workers)
 	return tb
 }
 
@@ -257,9 +204,6 @@ func (tb *Testbed) EnableProfiling(timelineCap int) { tb.sched.EnableProfiling(t
 // SchedProfile snapshots the scheduler profile, or nil when profiling is
 // off. Call after Run.
 func (tb *Testbed) SchedProfile() *event.SchedProfile { return tb.sched.Profile() }
-
-// Workers returns the worker shard count.
-func (tb *Testbed) Workers() int { return tb.workers }
 
 // SetFaults installs a fault injector on every link: each transmitted packet
 // consults it and may be dropped, duplicated, delayed or reordered. Link
@@ -297,77 +241,11 @@ func (tb *Testbed) transmit(n *nodeState, l *link, at time.Time, pkt *wire.Packe
 		at = at.Add(v.Delay)
 	}
 	n.bytes += float64(wire.Size(pkt))
-	// Burst mode stages in-window cross-shard deliveries in the link's tx
-	// ring instead of the scheduler's mailbox; the barrier hook flushes them
-	// at the same instant the mailbox drain would have, so only the event
-	// granularity changes. Fault decisions and byte accounting above run
-	// before staging, keeping their order identical to the per-packet path.
-	// Intra-shard posts must not be deferred: they execute within the current
-	// window, so ring-parking them would reorder the trace.
-	if tb.burst && n.shard != l.toShard && tb.sched.InWindow() {
-		if len(l.ring) == 0 {
-			tb.dirty[n.shard] = append(tb.dirty[n.shard], l)
-		}
-		arrive := at.Add(l.delay)
-		for i := 0; i < copies; i++ {
-			key := uint64(l.id)<<32 | uint64(l.seq)
-			l.seq++
-			l.ring = append(l.ring, txEntry{at: arrive, key: key, pkt: pkt})
-		}
-		return
-	}
 	pl := event.Payload{Int: l.dest(), Ptr: pkt}
 	for i := 0; i < copies; i++ {
 		key := uint64(l.id)<<32 | uint64(l.seq)
 		l.seq++
 		tb.sched.PostNode(n.shard, l.toShard, at.Add(l.delay), key, tb.deliver, pl)
-	}
-}
-
-// flushRings is the barrier hook of burst mode: single-threaded, it empties
-// every dirty link's tx ring into the scheduler. Ring entries are in key
-// order (transmit staged them with monotonically increasing per-link seqs),
-// so a maximal run sharing one arrival time with consecutive keys is
-// coalesced into one burst event at the run's first (at, key) — sound
-// because consecutive integer keys admit no other event strictly between
-// them in the canonical (time, key) order, making the run's events adjacent
-// in every execution. A fault delay breaks the timestamp and therefore the
-// run; singletons post exactly as the per-packet path would.
-func (tb *Testbed) flushRings() {
-	for src, links := range tb.dirty {
-		for _, l := range links {
-			tb.flushLink(src, l)
-			clear(l.ring)
-			l.ring = l.ring[:0]
-		}
-		tb.dirty[src] = links[:0]
-	}
-}
-
-func (tb *Testbed) flushLink(src int, l *link) {
-	ring := l.ring
-	for i := 0; i < len(ring); {
-		j := i + 1
-		for j < len(ring) && ring[j].at.Equal(ring[i].at) && ring[j].key == ring[j-1].key+1 {
-			j++
-		}
-		if j-i == 1 {
-			e := ring[i]
-			tb.sched.PostNode(src, l.toShard, e.at, e.key, tb.deliver,
-				event.Payload{Int: l.dest(), Ptr: e.pkt})
-			i = j
-			continue
-		}
-		// The burst slice is freshly allocated per flush: the scheduler holds
-		// it until delivery, so the ring's backing array cannot be shared.
-		pkts := make([]*wire.Packet, j-i)
-		for k := i; k < j; k++ {
-			pkts[k-i] = ring[k].pkt
-		}
-		tb.coalesced++
-		tb.sched.PostNode(src, l.toShard, ring[i].at, ring[i].key, tb.deliverBurst,
-			event.Payload{Int: l.dest(), Ptr: pkts})
-		i = j
 	}
 }
 
@@ -492,15 +370,6 @@ func (tb *Testbed) ScheduleNode(at time.Time, node string, call event.CallHandle
 	return nil
 }
 
-// NodeShard reports which worker shard a node was placed on.
-func (tb *Testbed) NodeShard(name string) (int, bool) {
-	n, ok := tb.nodes[name]
-	if !ok {
-		return 0, false
-	}
-	return n.shard, true
-}
-
 // Preallocate grows the scheduler's per-shard queues to hold the expected
 // steady-state event count without reallocation on the hot path. Call after
 // topology construction, before Run.
@@ -618,12 +487,6 @@ func (tb *Testbed) Run(deadline time.Time, maxEvents uint64) error {
 	if err := tb.sched.SetLatencyMatrix(tb.latencyMatrix()); err != nil {
 		return fmt.Errorf("testbed: building lookahead matrix: %w", err)
 	}
-	if tb.burst {
-		// With one worker no link crosses shards, so transmit never stages
-		// and the hook finds nothing to flush: burst mode is exactly the
-		// per-packet path there.
-		tb.sched.SetBarrierHook(tb.flushRings)
-	}
 	for tb.sched.Pending() > 0 {
 		if tb.sched.Processed() > maxEvents {
 			return fmt.Errorf("testbed: event budget exhausted (%d)", maxEvents)
@@ -646,13 +509,4 @@ func (tb *Testbed) Stats() (packetEvents uint64, bytes float64) {
 		bytes += n.bytes
 	}
 	return packetEvents, bytes
-}
-
-// NodeStats returns per-node processed counts and worst queueing delay.
-func (tb *Testbed) NodeStats(name string) (processed uint64, maxQueue time.Duration, ok bool) {
-	n, found := tb.nodes[name]
-	if !found {
-		return 0, 0, false
-	}
-	return n.processed, n.maxQueue, true
 }

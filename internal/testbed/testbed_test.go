@@ -35,15 +35,11 @@ func TestNodeFIFOQueueing(t *testing.T) {
 		}
 	}
 	// The third packet arrives at 3ms while the node is busy until 21ms.
-	_, maxQ, ok := tb.NodeStats("n")
-	if !ok || maxQ != 18*time.Millisecond {
+	if maxQ := tb.nodes["n"].maxQueue; maxQ != 18*time.Millisecond {
 		t.Errorf("maxQueue = %v, want 18ms", maxQ)
 	}
-	if processed, _, _ := tb.NodeStats("n"); processed != 3 {
+	if processed := tb.nodes["n"].processed; processed != 3 {
 		t.Errorf("processed = %d", processed)
-	}
-	if _, _, ok := tb.NodeStats("ghost"); ok {
-		t.Error("stats for unknown node")
 	}
 }
 

@@ -53,7 +53,7 @@ func runDeliveryMode(mode core.PublishMode, payload, subscribers int, wantFracti
 		return nil, err
 	}
 	var ann ndn.SliceSink
-	if err := rn.routers["R1"].BecomeRPTo(copss.RPInfo{
+	if err := rn.router("R1").BecomeRPTo(copss.RPInfo{
 		Name:     "/rp1",
 		Prefixes: worldPartitionPrefixes(s),
 		Seq:      1,
