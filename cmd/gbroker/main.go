@@ -13,11 +13,10 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
-	"net"
-	"net/http"
 	"os"
 	"strings"
 	"sync"
@@ -81,17 +80,9 @@ func run() error {
 		leaves = m.Leaves()
 	} else {
 		for _, s := range strings.Split(*areas, ",") {
-			s = strings.TrimSpace(s)
-			if s == "/" {
-				s = ""
-			}
-			c, err := cd.Parse(s)
+			area, err := m.Lookup(strings.TrimSpace(s))
 			if err != nil {
-				return fmt.Errorf("bad area %q: %w", s, err)
-			}
-			area, ok := m.Area(c)
-			if !ok {
-				return fmt.Errorf("area %q not on the %dx%d map", s, *regions, *zones)
+				return err
 			}
 			leaves = append(leaves, area.LeafCD())
 		}
@@ -144,17 +135,11 @@ func run() error {
 			defer host.mu.Unlock()
 			host.b.Obs().WriteText(w)
 		}, nil, nil)
-		ln, err := net.Listen("tcp", *debugAddr)
+		da, err := obs.ServeDebug(context.Background(), *debugAddr, mux, obs.Printf(lg))
 		if err != nil {
-			return fmt.Errorf("debug listen: %w", err)
+			return err
 		}
-		srv := &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second}
-		go func() {
-			if err := srv.Serve(ln); err != nil && err != http.ErrServerClosed {
-				lg.Error("debug server", "err", err)
-			}
-		}()
-		lg.Info("debug endpoint up", "addr", ln.Addr().String())
+		lg.Info("debug endpoint up", "addr", da.String())
 	}
 
 	// Cyclic session pacing.

@@ -19,12 +19,11 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"flag"
 	"fmt"
 	"io"
 	"log/slog"
-	"net"
-	"net/http"
 	"os"
 	"strings"
 	"sync"
@@ -143,13 +142,9 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	areaCD, err := cd.Parse(normalizeArea(*areaStr))
+	area, err := m.Lookup(*areaStr)
 	if err != nil {
-		return fmt.Errorf("bad area %q: %w", *areaStr, err)
-	}
-	area, ok := m.Area(areaCD)
-	if !ok {
-		return fmt.Errorf("area %q not on the %dx%d map", *areaStr, *regions, *zones)
+		return err
 	}
 	player := gamemap.NewPlayer(*name, area)
 
@@ -177,17 +172,11 @@ func run() error {
 		mux := obs.NewDebugMux(func(w io.Writer) {
 			reg.WriteText(w) //nolint:errcheck // exposition write failure surfaces as a truncated scrape
 		}, nil, nil)
-		ln, err := net.Listen("tcp", *debugAddr)
+		da, err := obs.ServeDebug(context.Background(), *debugAddr, mux, obs.Printf(lg))
 		if err != nil {
-			return fmt.Errorf("debug listen: %w", err)
+			return err
 		}
-		srv := &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second}
-		go func() {
-			if err := srv.Serve(ln); err != nil && err != http.ErrServerClosed {
-				lg.Error("debug server", "err", err)
-			}
-		}()
-		lg.Info("debug endpoint up", "addr", ln.Addr().String())
+		lg.Info("debug endpoint up", "addr", da.String())
 	}
 
 	if err := client.Subscribe(player.SubscriptionCDs()...); err != nil {
@@ -214,15 +203,9 @@ func run() error {
 		case line == "/quit":
 			return nil
 		case strings.HasPrefix(line, "/move "):
-			destStr := normalizeArea(strings.TrimSpace(strings.TrimPrefix(line, "/move ")))
-			destCD, err := cd.Parse(destStr)
+			dest, err := m.Lookup(strings.TrimSpace(strings.TrimPrefix(line, "/move ")))
 			if err != nil {
 				lg.Warn("bad area", "err", err)
-				continue
-			}
-			dest, ok := m.Area(destCD)
-			if !ok {
-				lg.Warn("no such area", "area", destStr)
 				continue
 			}
 			res, err := player.Move(dest)
@@ -257,13 +240,6 @@ func run() error {
 		}
 	}
 	return sc.Err()
-}
-
-func normalizeArea(s string) string {
-	if s == "/" {
-		return ""
-	}
-	return s
 }
 
 func receiveLoop(client *transport.Client, self string, mgr *fetchMgr, resubscribe func() error, lg *slog.Logger) {

@@ -28,6 +28,7 @@
 package gcopss
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -60,29 +61,38 @@ type Update struct {
 // oldest pending update (games prefer fresh state over stale backlog).
 const updateBuffer = 256
 
-type wireKey struct {
-	router string
-	face   ndn.FaceID
+// errClosed is what every mutating method returns once Close has run.
+var errClosed = errors.New("gcopss: network closed")
+
+// node is one router and its face table.
+type node struct {
+	r *core.Router
+	// faces[f-1] is the far end of face f. Faces are numbered from 1 in the
+	// order they are wired and never reused.
+	faces []endpoint
 }
 
-type endpointKind int
+// endpoint is the far end of a face: another router's face, a player or a
+// broker. The zero value is a face whose player has left.
+type endpoint struct {
+	router *node
+	face   ndn.FaceID
+	player *Player
+	broker *brokerHost
+}
 
-const (
-	endpointPlayer endpointKind = iota + 1
-	endpointBroker
-)
-
-type wireDest struct {
-	router   string
-	face     ndn.FaceID
-	endpoint string
-	kind     endpointKind
+// addFace wires the next face of nd to far and returns its ID.
+func (nd *node) addFace(kind core.FaceKind, far endpoint) ndn.FaceID {
+	nd.faces = append(nd.faces, far)
+	f := ndn.FaceID(len(nd.faces))
+	nd.r.AddFace(f, kind)
+	return f
 }
 
 type delivery struct {
-	router string
-	face   ndn.FaceID
-	pkt    *wire.Packet
+	to   *node
+	face ndn.FaceID
+	pkt  *wire.Packet
 }
 
 // Network is an in-process G-COPSS fabric. All methods are safe for
@@ -95,14 +105,10 @@ type Network struct {
 	// gameMap is immutable after New; reads need no lock.
 	gameMap *gamemap.Map
 
-	// routers maps router names to their cores.
+	// routers maps router names to their nodes.
 	//
 	//gcopss:guardedby mu
-	routers map[string]*core.Router
-	// wires maps (router, face) to the far end of the link.
-	//
-	//gcopss:guardedby mu
-	wires map[wireKey]wireDest
+	routers map[string]*node
 	// players maps player names to their in-process endpoints.
 	//
 	//gcopss:guardedby mu
@@ -111,15 +117,11 @@ type Network struct {
 	//
 	//gcopss:guardedby mu
 	brokers map[string]*brokerHost
-	// nextFace is the per-router face ID allocator.
-	//
-	//gcopss:guardedby mu
-	nextFace map[string]ndn.FaceID
 
-	// rpSeq numbers RP announcements.
+	// announceSeq numbers the FIBAdd floods of StartRP and AttachBroker.
 	//
 	//gcopss:guardedby mu
-	rpSeq uint64
+	announceSeq uint64
 	// queue holds deliveries drained by the synchronous pump.
 	//
 	//gcopss:guardedby mu
@@ -140,9 +142,9 @@ type Network struct {
 }
 
 type brokerHost struct {
-	b      *broker.Broker
-	router string
-	face   ndn.FaceID
+	b    *broker.Broker
+	at   *node
+	face ndn.FaceID
 }
 
 // New creates a fabric over a uniform hierarchical map with the given
@@ -153,12 +155,10 @@ func New(regions, zones int) (*Network, error) {
 		return nil, fmt.Errorf("gcopss: %w", err)
 	}
 	return &Network{
-		gameMap:  m,
-		routers:  make(map[string]*core.Router),
-		wires:    make(map[wireKey]wireDest),
-		players:  make(map[string]*Player),
-		brokers:  make(map[string]*brokerHost),
-		nextFace: make(map[string]ndn.FaceID),
+		gameMap: m,
+		routers: make(map[string]*node),
+		players: make(map[string]*Player),
+		brokers: make(map[string]*brokerHost),
 	}, nil
 }
 
@@ -170,41 +170,45 @@ func (n *Network) AddRouter(name string) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.closed {
-		return fmt.Errorf("gcopss: network closed")
+		return errClosed
 	}
 	if _, dup := n.routers[name]; dup {
 		return fmt.Errorf("gcopss: duplicate router %q", name)
 	}
-	n.routers[name] = core.NewRouter(name)
+	n.routers[name] = &node{r: core.NewRouter(name)}
 	return nil
+}
+
+// router looks up a router by name. Caller holds the lock.
+//
+//gcopss:locked mu
+func (n *Network) router(name string) (*node, error) {
+	nd, ok := n.routers[name]
+	if !ok {
+		return nil, fmt.Errorf("gcopss: unknown router %q", name)
+	}
+	return nd, nil
 }
 
 // Link connects two routers bidirectionally.
 func (n *Network) Link(a, b string) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	ra, ok := n.routers[a]
-	if !ok {
-		return fmt.Errorf("gcopss: unknown router %q", a)
+	if n.closed {
+		return errClosed
 	}
-	rb, ok := n.routers[b]
-	if !ok {
-		return fmt.Errorf("gcopss: unknown router %q", b)
+	na, err := n.router(a)
+	if err != nil {
+		return err
 	}
-	fa, fb := n.allocFace(a), n.allocFace(b)
-	ra.AddFace(fa, core.FaceRouter)
-	rb.AddFace(fb, core.FaceRouter)
-	n.wires[wireKey{a, fa}] = wireDest{router: b, face: fb}
-	n.wires[wireKey{b, fb}] = wireDest{router: a, face: fa}
+	nb, err := n.router(b)
+	if err != nil {
+		return err
+	}
+	fa := na.addFace(core.FaceRouter, endpoint{})
+	fb := nb.addFace(core.FaceRouter, endpoint{router: na, face: fa})
+	na.faces[fa-1] = endpoint{router: nb, face: fb}
 	return nil
-}
-
-// allocFace hands out the next face ID on a router. Caller holds the lock.
-//
-//gcopss:locked mu
-func (n *Network) allocFace(router string) ndn.FaceID {
-	n.nextFace[router]++
-	return n.nextFace[router]
 }
 
 // StartRP makes a router host a Rendezvous Point serving the entire map
@@ -213,40 +217,44 @@ func (n *Network) allocFace(router string) ndn.FaceID {
 func (n *Network) StartRP(router, rpName string) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	r, ok := n.routers[router]
-	if !ok {
-		return fmt.Errorf("gcopss: unknown router %q", router)
+	if n.closed {
+		return errClosed
 	}
-	prefixes := []cd.CD{cd.MustNew("")}
-	for _, region := range n.gameMap.RegionNames() {
-		prefixes = append(prefixes, cd.MustNew(region))
+	nd, err := n.router(router)
+	if err != nil {
+		return err
 	}
-	prefixes = append(prefixes,
+	prefixes := append(copss.PartitionPrefixes(n.gameMap.RegionNames()),
 		cd.MustNew(broker.CtlComponent), cd.MustNew(broker.DataComponent))
-	n.rpSeq++
+	n.announceSeq++
 	n.sink.Reset()
-	if err := r.BecomeRPTo(copss.RPInfo{Name: rpName, Prefixes: prefixes, Seq: n.rpSeq}, &n.sink); err != nil {
+	if err := nd.r.BecomeRPTo(copss.RPInfo{Name: rpName, Prefixes: prefixes, Seq: n.announceSeq}, &n.sink); err != nil {
 		return fmt.Errorf("gcopss: start RP: %w", err)
 	}
-	n.enqueue(router, n.sink.Actions)
+	n.enqueue(nd, n.sink.Actions)
 	n.drain()
 	return nil
 }
 
-// enqueue resolves actions into deliveries. Caller holds the lock.
+// enqueue hands actions to the far end of their faces: players and brokers
+// take them at once, routers through the queue. Caller holds the lock.
 //
 //gcopss:locked mu
-func (n *Network) enqueue(fromRouter string, actions []ndn.Action) {
+func (n *Network) enqueue(from *node, actions []ndn.Action) {
 	for _, a := range actions {
-		dest, wired := n.wires[wireKey{fromRouter, a.Face}]
-		if !wired {
+		if a.Face < 1 || int(a.Face) > len(from.faces) {
 			continue
 		}
-		if dest.endpoint != "" {
-			n.deliverEndpoint(dest, a.Packet)
-			continue
+		switch far := from.faces[a.Face-1]; {
+		case far.router != nil:
+			n.inject(far.router, far.face, a.Packet)
+		case far.player != nil:
+			far.player.handlePacket(a.Packet)
+		case far.broker != nil:
+			for _, out := range far.broker.b.HandlePacket(a.Packet) {
+				n.inject(from, a.Face, out)
+			}
 		}
-		n.queue = append(n.queue, delivery{router: dest.router, face: dest.face, pkt: a.Packet})
 	}
 }
 
@@ -258,65 +266,44 @@ func (n *Network) drain() {
 	for len(n.queue) > 0 {
 		d := n.queue[0]
 		n.queue = n.queue[1:]
-		r, ok := n.routers[d.router]
-		if !ok {
-			continue
-		}
 		n.sink.Reset()
-		r.HandlePacketTo(now, d.face, d.pkt, &n.sink)
-		n.enqueue(d.router, n.sink.Actions)
+		d.to.r.HandlePacketTo(now, d.face, d.pkt, &n.sink)
+		n.enqueue(d.to, n.sink.Actions)
 	}
 }
 
-// deliverEndpoint hands a packet to a player or broker. Caller holds the
-// lock.
+// inject queues a packet arriving at a router face. Caller holds the lock.
 //
 //gcopss:locked mu
-func (n *Network) deliverEndpoint(dest wireDest, pkt *wire.Packet) {
-	switch dest.kind {
-	case endpointPlayer:
-		p := n.players[dest.endpoint]
-		if p != nil {
-			p.handlePacket(pkt)
-		}
-	case endpointBroker:
-		bh := n.brokers[dest.endpoint]
-		if bh != nil {
-			for _, out := range bh.b.HandlePacket(pkt) {
-				n.inject(bh.router, bh.face, out)
-			}
-		}
-	}
-}
-
-// inject queues a packet as if sent by an endpoint attached at (router,
-// face). Caller holds the lock.
-//
-//gcopss:locked mu
-func (n *Network) inject(router string, face ndn.FaceID, pkt *wire.Packet) {
-	n.queue = append(n.queue, delivery{router: router, face: face, pkt: pkt})
+func (n *Network) inject(to *node, face ndn.FaceID, pkt *wire.Packet) {
+	n.queue = append(n.queue, delivery{to: to, face: face, pkt: pkt})
 }
 
 // send injects and drains. Caller holds the lock.
 //
 //gcopss:locked mu
-func (n *Network) send(router string, face ndn.FaceID, pkts ...*wire.Packet) {
+func (n *Network) send(to *node, face ndn.FaceID, pkts ...*wire.Packet) {
 	for _, p := range pkts {
-		n.inject(router, face, p)
+		n.inject(to, face, p)
 	}
 	n.drain()
 }
 
 // AttachBroker creates a snapshot broker on a router, serving the given
-// area paths (empty means every leaf of the map). The broker immediately
-// subscribes to its serving leaves and control channels, and the router
-// learns an NDN route for the snapshot namespace.
+// area paths (empty means every leaf of the map). The broker subscribes to
+// its serving leaves and control channels and announces the snapshot
+// namespace as gbroker does, with a FIBAdd flood: every router routes
+// /snapshot toward the face it first hears the flood on, so the latest
+// broker attached wins.
 func (n *Network) AttachBroker(router, name string, areaPaths ...string) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	r, ok := n.routers[router]
-	if !ok {
-		return fmt.Errorf("gcopss: unknown router %q", router)
+	if n.closed {
+		return errClosed
+	}
+	nd, err := n.router(router)
+	if err != nil {
+		return err
 	}
 	if _, dup := n.brokers[name]; dup {
 		return fmt.Errorf("gcopss: duplicate broker %q", name)
@@ -324,73 +311,22 @@ func (n *Network) AttachBroker(router, name string, areaPaths ...string) error {
 	var leaves []cd.CD
 	if len(areaPaths) == 0 {
 		leaves = n.gameMap.Leaves()
-	} else {
-		for _, p := range areaPaths {
-			area, err := n.lookupArea(p)
-			if err != nil {
-				return err
-			}
-			leaves = append(leaves, area.LeafCD())
-		}
 	}
-	b := broker.New(name, leaves)
-	face := n.allocFace(router)
-	r.AddFace(face, core.FaceClient)
-	n.wires[wireKey{router, face}] = wireDest{endpoint: name, kind: endpointBroker}
-	n.brokers[name] = &brokerHost{b: b, router: router, face: face}
-
-	// NDN routes for the snapshot namespace: every router forwards toward
-	// this broker's router by flooding-free static setup (shortest paths on
-	// the router graph are not tracked here; a spanning propagation via
-	// existing wires keeps it simple and loop-free because FIB entries are
-	// only set once per router).
-	n.installSnapshotRoutes(router, face)
-
-	n.send(router, face, &wire.Packet{Type: wire.TypeSubscribe, CDs: b.SubscriptionCDs()})
+	for _, p := range areaPaths {
+		area, err := n.gameMap.Lookup(p)
+		if err != nil {
+			return err
+		}
+		leaves = append(leaves, area.LeafCD())
+	}
+	bh := &brokerHost{b: broker.New(name, leaves), at: nd}
+	bh.face = nd.addFace(core.FaceClient, endpoint{broker: bh})
+	n.brokers[name] = bh
+	n.announceSeq++
+	n.send(nd, bh.face,
+		&wire.Packet{Type: wire.TypeSubscribe, CDs: bh.b.SubscriptionCDs()},
+		&wire.Packet{Type: wire.TypeFIBAdd, Name: broker.SnapshotPrefix, Seq: n.announceSeq, Origin: name})
 	return nil
-}
-
-// installSnapshotRoutes BFSes from the broker's router outward, pointing
-// every router's /snapshot route back along the tree. Each router's wires are
-// visited in ascending face order, so where two equal-hop paths lead back to
-// the broker the choice is the same on every run. Caller holds the lock.
-//
-//gcopss:locked mu
-func (n *Network) installSnapshotRoutes(origin string, brokerFace ndn.FaceID) {
-	n.routers[origin].NDN().FIB().RemovePrefix(broker.SnapshotPrefix)
-	n.routers[origin].NDN().FIB().Add(broker.SnapshotPrefix, brokerFace)
-	visited := map[string]bool{origin: true}
-	frontier := []string{origin}
-	for len(frontier) > 0 {
-		cur := frontier[0]
-		frontier = frontier[1:]
-		for f := ndn.FaceID(1); f <= n.nextFace[cur]; f++ {
-			dest, wired := n.wires[wireKey{cur, f}]
-			if !wired || dest.router == "" || visited[dest.router] {
-				continue
-			}
-			visited[dest.router] = true
-			n.routers[dest.router].NDN().FIB().RemovePrefix(broker.SnapshotPrefix)
-			n.routers[dest.router].NDN().FIB().Add(broker.SnapshotPrefix, dest.face)
-			frontier = append(frontier, dest.router)
-		}
-	}
-}
-
-// lookupArea resolves an area path like "/1/2", "" or "/" (the world).
-func (n *Network) lookupArea(path string) (*gamemap.Area, error) {
-	if path == "/" {
-		path = ""
-	}
-	c, err := cd.Parse(path)
-	if err != nil {
-		return nil, fmt.Errorf("gcopss: bad area path %q: %w", path, err)
-	}
-	area, ok := n.gameMap.Area(c)
-	if !ok {
-		return nil, fmt.Errorf("gcopss: no area %q on the map", path)
-	}
-	return area, nil
 }
 
 // Stats reports fabric counters.

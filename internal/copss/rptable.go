@@ -128,31 +128,13 @@ func (t *RPTable) Clone() *RPTable {
 // PartitionPrefixes builds the canonical prefix-free serving sets for a
 // hierarchical map with the given region identifiers: one prefix per region
 // ("/1", "/2", …) plus the world airspace leaf ("/"). Distributing these
-// sets over n RPs round-robin yields the paper's initial RP configurations
-// (e.g. "3 RPs" in Table I).
+// sets over n RPs round-robin (sim.DefaultRPPlacement) yields the paper's
+// initial RP configurations (e.g. "3 RPs" in Table I).
 func PartitionPrefixes(regions []string) []cd.CD {
 	out := make([]cd.CD, 0, len(regions)+1)
 	out = append(out, cd.MustNew("")) // the world airspace leaf "/"
 	for _, r := range regions {
 		out = append(out, cd.MustNew(r))
 	}
-	return out
-}
-
-// Distribute splits a prefix-free set of CD prefixes over n RPs named
-// baseName1..baseNameN, round-robin. It returns the per-RP serving sets.
-func Distribute(prefixes []cd.CD, n int, baseName string) []RPInfo {
-	if n < 1 {
-		n = 1
-	}
-	out := make([]RPInfo, n)
-	for i := range out {
-		out[i].Name = fmt.Sprintf("%s%d", baseName, i+1)
-		out[i].Seq = 1
-	}
-	for i, p := range prefixes {
-		out[i%n].Prefixes = append(out[i%n].Prefixes, p)
-	}
-	// An RP with no prefixes is legal but useless; keep all n for symmetry.
 	return out
 }

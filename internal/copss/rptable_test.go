@@ -113,30 +113,3 @@ func TestPartitionPrefixes(t *testing.T) {
 		t.Errorf("first prefix = %v, want world airspace leaf", ps[0])
 	}
 }
-
-func TestDistribute(t *testing.T) {
-	ps := PartitionPrefixes([]string{"1", "2", "3", "4", "5"})
-	rps := Distribute(ps, 3, "/rp")
-	if len(rps) != 3 {
-		t.Fatalf("len = %d", len(rps))
-	}
-	total := 0
-	var all []cd.CD
-	for _, rp := range rps {
-		total += len(rp.Prefixes)
-		all = append(all, rp.Prefixes...)
-	}
-	if total != len(ps) {
-		t.Errorf("prefixes lost: %d != %d", total, len(ps))
-	}
-	if err := cd.PrefixFree(all); err != nil {
-		t.Errorf("distributed set not prefix-free: %v", err)
-	}
-	if rps[0].Name != "/rp1" || rps[2].Name != "/rp3" {
-		t.Errorf("names = %v %v", rps[0].Name, rps[2].Name)
-	}
-	// Degenerate n.
-	if got := Distribute(ps, 0, "/rp"); len(got) != 1 || len(got[0].Prefixes) != len(ps) {
-		t.Errorf("Distribute(0) = %+v", got)
-	}
-}

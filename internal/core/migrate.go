@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 	"time"
 
@@ -11,109 +10,6 @@ import (
 	"github.com/icn-gaming/gcopss/internal/obs"
 	"github.com/icn-gaming/gcopss/internal/wire"
 )
-
-// DefaultLoadWindow is the sliding-window length (packets) over which an RP
-// attributes recent load to CDs, per Section IV-B ("the router monitors the
-// traffic for each CD in a sliding window fashion of the recent N packets").
-const DefaultLoadWindow = 1000
-
-// LoadMonitor attributes the most recent N publications handled by an RP to
-// the CD prefixes they belong to.
-type LoadMonitor struct {
-	window []cd.CD
-	next   int
-	filled bool
-}
-
-// NewLoadMonitor creates a monitor over a window of n packets.
-func NewLoadMonitor(n int) *LoadMonitor {
-	if n < 1 {
-		n = 1
-	}
-	return &LoadMonitor{window: make([]cd.CD, n)}
-}
-
-// Record notes one publication to CD c.
-func (m *LoadMonitor) Record(c cd.CD) {
-	m.window[m.next] = c
-	m.next++
-	if m.next == len(m.window) {
-		m.next = 0
-		m.filled = true
-	}
-}
-
-// Counts returns, for each served prefix, how many packets in the window
-// were covered by it.
-func (m *LoadMonitor) Counts(served []cd.CD) map[cd.CD]int {
-	out := make(map[cd.CD]int, len(served))
-	n := m.next
-	if m.filled {
-		n = len(m.window)
-	}
-	for i := 0; i < n; i++ {
-		if p, ok := cd.Cover(served, m.window[i]); ok {
-			out[p]++
-		}
-	}
-	return out
-}
-
-// Total returns the number of recorded packets currently in the window.
-func (m *LoadMonitor) Total() int {
-	if m.filled {
-		return len(m.window)
-	}
-	return m.next
-}
-
-// SplitByLoad partitions the served prefixes into a kept half and a moved
-// half of approximately equal recent load, using a greedy assignment of
-// prefixes in decreasing load order ("the CD selection function divides the
-// CDs into 2 groups based on the capabilities of both the RPs"). When rnd is
-// non-nil, ties are broken randomly, matching the paper's random selection.
-// The kept half always retains at least one prefix, as does the moved half
-// when len(served) > 1.
-func (m *LoadMonitor) SplitByLoad(served []cd.CD, rnd *rand.Rand) (keep, move []cd.CD) {
-	if len(served) < 2 {
-		return append([]cd.CD(nil), served...), nil
-	}
-	counts := m.Counts(served)
-	order := append([]cd.CD(nil), served...)
-	sort.Slice(order, func(i, j int) bool {
-		ci, cj := counts[order[i]], counts[order[j]]
-		if ci != cj {
-			return ci > cj
-		}
-		return order[i].Compare(order[j]) < 0
-	})
-	var keepLoad, moveLoad int
-	for _, p := range order {
-		toKeep := keepLoad < moveLoad
-		if keepLoad == moveLoad {
-			if rnd != nil {
-				toKeep = rnd.Intn(2) == 0
-			} else {
-				toKeep = len(keep) <= len(move)
-			}
-		}
-		if toKeep {
-			keep = append(keep, p)
-			keepLoad += counts[p]
-		} else {
-			move = append(move, p)
-			moveLoad += counts[p]
-		}
-	}
-	if len(keep) == 0 {
-		keep, move = move[:1], move[1:]
-	}
-	if len(move) == 0 && len(keep) > 1 {
-		move = keep[len(keep)-1:]
-		keep = keep[:len(keep)-1]
-	}
-	return keep, move
-}
 
 // PathHop describes one router along the handoff path together with its
 // faces toward the previous and next hop. For the first hop FaceDown is
@@ -171,7 +67,7 @@ func PrepareHandoff(now time.Time, oldRP, newRP string, move []cd.CD, seq uint64
 	if err := applyHandoff(newHost, oldRP, newRP, move, seq); err != nil {
 		return nil, fmt.Errorf("core: new host: %w", err)
 	}
-	newHost.localRPs[newRP] = NewLoadMonitor(newHost.windowSize)
+	newHost.localRPs[newRP] = struct{}{}
 	newHost.ndnEngine.FIB().RemovePrefix(newRP)
 	newHost.ndnEngine.FIB().Add(newRP, InternalFace)
 	delete(newHost.upstream, newRP)
@@ -665,40 +561,4 @@ func (r *Router) drainPendingJoins(now time.Time, rpName string, sink ndn.Action
 			Origin: pj.origin,
 		}, sink)
 	}
-}
-
-// AutoBalanceDecision is returned by CheckOverload when an RP should split.
-type AutoBalanceDecision struct {
-	RPName string
-	Keep   []cd.CD
-	Move   []cd.CD
-}
-
-// CheckOverload inspects a hosted RP's recent load and, when queueLen
-// exceeds threshold and the RP serves more than one prefix, proposes a split
-// ("when the packet queue at a router R that serves as an RP is above a
-// certain threshold, the creation of a new RP is triggered automatically").
-// The host owns queue accounting and executes the returned decision with
-// PrepareHandoff; rnd breaks load ties as the paper's random selection does.
-func (r *Router) CheckOverload(rpName string, queueLen, threshold int, rnd *rand.Rand) (AutoBalanceDecision, bool) {
-	mon, ok := r.localRPs[rpName]
-	if !ok || queueLen < threshold {
-		return AutoBalanceDecision{}, false
-	}
-	info, ok := r.rpt.Get(rpName)
-	if !ok || len(info.Prefixes) < 2 {
-		return AutoBalanceDecision{}, false
-	}
-	keep, move := mon.SplitByLoad(info.Prefixes, rnd)
-	if len(move) == 0 {
-		return AutoBalanceDecision{}, false
-	}
-	return AutoBalanceDecision{RPName: rpName, Keep: keep, Move: move}, true
-}
-
-// Monitor returns the load monitor of a hosted RP, for tests and the
-// simulator's balancer.
-func (r *Router) Monitor(rpName string) (*LoadMonitor, bool) {
-	m, ok := r.localRPs[rpName]
-	return m, ok
 }

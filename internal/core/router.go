@@ -1,7 +1,8 @@
 // Package core implements the G-COPSS router: the composition of an NDN
 // forwarding engine and a COPSS pub/sub engine described in Fig. 2 of the
-// paper, plus the gaming add-ons of Section IV (automatic RP load balancing
-// with a loss-free migration protocol).
+// paper, plus the loss-free RP migration protocol of Section IV. The trigger
+// that decides when an RP splits and which CDs move (sliding-window load per
+// CD, the CD selection function) belongs to internal/sim, which runs it.
 //
 // A Router is pure with respect to I/O: every handler takes the current time
 // and an arriving packet and emits the resulting (face, packet) send actions
@@ -100,8 +101,8 @@ type Router struct {
 
 	faces map[ndn.FaceID]FaceKind
 
-	// localRPs maps RP names hosted on this router to their load monitors.
-	localRPs map[string]*LoadMonitor
+	// localRPs is the set of RP names hosted on this router.
+	localRPs map[string]struct{}
 
 	// propagated tracks, per RP name, the narrowed CDs for which this router
 	// has already sent a Subscribe (or Join) upstream — the paper's
@@ -158,8 +159,7 @@ type Router struct {
 	tracer *trace.Tracer
 	tring  *trace.Ring
 
-	windowSize int
-	matchMode  copss.MatchMode
+	matchMode copss.MatchMode
 
 	// hashes memoizes the flat prefix-hash vectors this router stamps into
 	// client publications at the first hop (Section III-C), so republishing
@@ -211,12 +211,6 @@ func WithMatchMode(m copss.MatchMode) Option {
 	return func(r *Router) { r.matchMode = m }
 }
 
-// WithLoadWindow sets the sliding-window size (packets) used by hosted RPs
-// to attribute load to CDs for the auto-balancer.
-func WithLoadWindow(n int) Option {
-	return func(r *Router) { r.windowSize = n }
-}
-
 // WithNDNOptions forwards options to the embedded NDN engine.
 func WithNDNOptions(opts ...ndn.Option) Option {
 	return func(r *Router) { r.ndnEngine = ndn.NewEngine(opts...) }
@@ -244,7 +238,7 @@ func NewRouter(name string, opts ...Option) *Router {
 		ndnEngine:    ndn.NewEngine(),
 		rpt:          copss.NewRPTable(),
 		faces:        make(map[ndn.FaceID]FaceKind),
-		localRPs:     make(map[string]*LoadMonitor),
+		localRPs:     make(map[string]struct{}),
 		propagated:   make(map[string]*cd.Set),
 		upstream:     make(map[string]ndn.FaceID),
 		grafts:       make(map[string]*graft),
@@ -254,7 +248,6 @@ func NewRouter(name string, opts ...Option) *Router {
 		arqSeen:      make(map[ndn.FaceID]*arqSeen),
 		arqEst:       make(map[ndn.FaceID]*flowctl.Estimator),
 		flow:         arqDefaults(flowctl.Config{}),
-		windowSize:   DefaultLoadWindow,
 		matchMode:    copss.MatchBloomVerified,
 	}
 	for _, o := range opts {
@@ -500,7 +493,7 @@ func (r *Router) BecomeRPTo(info copss.RPInfo, sink ndn.ActionSink) error {
 	if seq := r.announceSeq[info.Name]; info.Seq > seq {
 		r.announceSeq[info.Name] = info.Seq
 	}
-	r.localRPs[info.Name] = NewLoadMonitor(r.windowSize)
+	r.localRPs[info.Name] = struct{}{}
 	r.ndnEngine.FIB().RemovePrefix(info.Name)
 	r.ndnEngine.FIB().Add(info.Name, InternalFace)
 	delete(r.upstream, info.Name)
@@ -661,16 +654,14 @@ func (r *Router) rpBoundName(name string) (string, bool) {
 }
 
 // deliverAsRP multicasts a decapsulated publication down the subscription
-// tree and records its CD for the load balancer. Stage-B redirection: if the
-// CD is no longer served here (it was handed off), the publication is
-// re-encapsulated toward the now-covering RP.
+// tree. Stage-B redirection: if the CD is no longer served here (it was
+// handed off), the publication is re-encapsulated toward the now-covering RP.
 func (r *Router) deliverAsRP(now time.Time, rpName string, inner *wire.Packet, sink ndn.ActionSink) {
 	c, err := inner.CD()
 	if err != nil {
 		r.drop(now, InternalFace, inner, "publication without CD")
 		return
 	}
-	mon := r.localRPs[rpName]
 	info, _ := r.rpt.Get(rpName)
 	// Any service through the RP path happens after every earlier emission,
 	// so queued handoff Prunes can be flushed safely here. They go first so
@@ -688,9 +679,6 @@ func (r *Router) deliverAsRP(now time.Time, rpName string, inner *wire.Packet, s
 		r.traceHop(now, trace.HopRedirect, InternalFace, inner)
 		r.publishToward(now, newRP, inner, sink)
 		return
-	}
-	if mon != nil {
-		mon.Record(c)
 	}
 	if inner.Name == TwoStepRequest {
 		r.deliverTwoStep(now, rpName, inner, sink)
@@ -770,9 +758,6 @@ func (r *Router) handleMulticast(now time.Time, from ndn.FaceID, pkt *wire.Packe
 			// Publisher attached directly to the RP: skip encapsulation.
 			// Delivery matches the encapsulated path (all matching faces,
 			// including the publisher's own if subscribed).
-			if mon := r.localRPs[rpName]; mon != nil {
-				mon.Record(c)
-			}
 			r.drainPendingPrunes(sink)
 			if pkt.Name == TwoStepRequest {
 				r.deliverTwoStep(now, rpName, pkt, sink)

@@ -112,6 +112,23 @@ func (m *Map) Area(c cd.CD) (*Area, bool) {
 	return a, ok
 }
 
+// Lookup resolves an area path as players and operators type it: an area's
+// node CD ("/1/2" a zone, "/1" a region, "" the world) or the leaf CD of its
+// airspace ("/1/" region 1, "/" the world).
+func (m *Map) Lookup(path string) (*Area, error) {
+	c, err := cd.Parse(path)
+	if err != nil {
+		return nil, fmt.Errorf("gamemap: bad area path: %w", err)
+	}
+	if a, ok := m.byCD[c.Key()]; ok {
+		return a, nil
+	}
+	if a, ok := m.byLeaf[c.Key()]; ok {
+		return a, nil
+	}
+	return nil, fmt.Errorf("gamemap: no area %q on the map", path)
+}
+
 // AreaOfLeaf looks up the area represented by a leaf CD (zone or airspace).
 func (m *Map) AreaOfLeaf(c cd.CD) (*Area, bool) {
 	a, ok := m.byLeaf[c.Key()]

@@ -26,6 +26,33 @@ func area(t *testing.T, m *Map, key string) *Area {
 	return a
 }
 
+func TestLookup(t *testing.T) {
+	m := grid55(t)
+	for _, tc := range []struct {
+		path string
+		want string // node CD key of the resolved area; "-" for an error
+	}{
+		{"", ""},         // the world
+		{"/", ""},        // the world's airspace is the world
+		{"/1", "/1"},     // a region
+		{"/1/2", "/1/2"}, // a zone
+		{"/1/", "/1"},    // region 1's airspace is region 1
+		{"/9", "-"},      // not on the map
+		{"//", "-"},      // malformed
+	} {
+		a, err := m.Lookup(tc.path)
+		if tc.want == "-" {
+			if err == nil {
+				t.Errorf("Lookup(%q) = %v, want an error", tc.path, a.CD())
+			}
+			continue
+		}
+		if err != nil || a.CD().Key() != tc.want {
+			t.Errorf("Lookup(%q) = %v, %v; want area %q", tc.path, a, err, tc.want)
+		}
+	}
+}
+
 func TestGridStructure(t *testing.T) {
 	m := grid55(t)
 	// 31 leaves: 25 zones + 5 region airspaces + 1 world airspace.

@@ -2,11 +2,15 @@ package obs
 
 import (
 	"bufio"
+	"context"
+	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/pprof"
 	"sort"
 	"strconv"
+	"time"
 )
 
 // WriteText renders every registered metric in the Prometheus text
@@ -149,4 +153,25 @@ func NewDebugMux(metrics func(io.Writer), flight func(io.Writer, int), trace fun
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return mux
+}
+
+// ServeDebug serves handler over HTTP on addr until ctx is cancelled and
+// returns the bound address (addr may use port 0). Serve errors go to logf.
+func ServeDebug(ctx context.Context, addr string, handler http.Handler, logf func(string, ...interface{})) (net.Addr, error) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, fmt.Errorf("debug listen: %w", err)
+	}
+	srv := &http.Server{Handler: handler, ReadHeaderTimeout: 5 * time.Second}
+	context.AfterFunc(ctx, func() {
+		shutCtx, cancel := context.WithTimeout(context.Background(), time.Second)
+		defer cancel()
+		srv.Shutdown(shutCtx) //nolint:errcheck // best-effort shutdown
+	})
+	go func() {
+		if err := srv.Serve(ln); err != nil && err != http.ErrServerClosed {
+			logf("debug server %s: %v", ln.Addr(), err)
+		}
+	}()
+	return ln.Addr(), nil
 }

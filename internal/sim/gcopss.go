@@ -7,7 +7,7 @@ import (
 	"time"
 
 	"github.com/icn-gaming/gcopss/internal/cd"
-	"github.com/icn-gaming/gcopss/internal/core"
+	"github.com/icn-gaming/gcopss/internal/copss"
 	"github.com/icn-gaming/gcopss/internal/obs"
 	"github.com/icn-gaming/gcopss/internal/stats"
 	"github.com/icn-gaming/gcopss/internal/topo"
@@ -190,7 +190,7 @@ type rpState struct {
 	node       topo.NodeID
 	prefixes   []cd.CD
 	lastDepart float64
-	monitor    *core.LoadMonitor
+	monitor    *LoadMonitor
 	name       string
 
 	maxDepth int
@@ -232,7 +232,7 @@ func (cfg GCOPSSConfig) Run(env *Env, updates []trace.Update) (*Result, error) {
 		return nil, err
 	}
 	rps := make([]*rpState, len(cfg.RPs))
-	window := core.DefaultLoadWindow
+	window := DefaultLoadWindow
 	if cfg.Balance != nil && cfg.Balance.Window > 0 {
 		window = cfg.Balance.Window
 	}
@@ -240,7 +240,7 @@ func (cfg GCOPSSConfig) Run(env *Env, updates []trace.Update) (*Result, error) {
 		rps[i] = &rpState{
 			node:     p.Node,
 			prefixes: append([]cd.CD(nil), p.Prefixes...),
-			monitor:  core.NewLoadMonitor(window),
+			monitor:  NewLoadMonitor(window),
 			name:     fmt.Sprintf("/rp%d", i+1),
 		}
 	}
@@ -294,7 +294,7 @@ func (cfg GCOPSSConfig) Run(env *Env, updates []trace.Update) (*Result, error) {
 			rps = append(rps, &rpState{
 				node:     pending.node,
 				prefixes: pending.moved,
-				monitor:  core.NewLoadMonitor(window),
+				monitor:  NewLoadMonitor(window),
 				name:     fmt.Sprintf("/rp%d", len(rps)+1),
 			})
 			pl.invalidateLeavesUnder(pending.moved)
@@ -414,11 +414,12 @@ func subtract(set, moved []cd.CD) []cd.CD {
 	return out
 }
 
-// DefaultRPPlacement spreads the world partition of the game map over n RPs
-// hosted on the first n core routers (round-robin prefix assignment), the
-// initial configuration of Table I.
+// DefaultRPPlacement spreads the world partition of the game map (the world
+// airspace leaf plus one prefix per region) over n RPs hosted on the first n
+// core routers (round-robin prefix assignment), the initial configuration of
+// Table I.
 func DefaultRPPlacement(env *Env, n int) []RPPlacement {
-	prefixes := worldPartition(env)
+	prefixes := copss.PartitionPrefixes(env.Game.Map.RegionNames())
 	out := make([]RPPlacement, n)
 	for i := range out {
 		out[i].Node = env.Cores[i%len(env.Cores)]
@@ -427,14 +428,4 @@ func DefaultRPPlacement(env *Env, n int) []RPPlacement {
 		out[i%n].Prefixes = append(out[i%n].Prefixes, p)
 	}
 	return out
-}
-
-// worldPartition returns the canonical prefix-free partition of the game
-// map: the world airspace leaf plus one prefix per region.
-func worldPartition(env *Env) []cd.CD {
-	prefixes := []cd.CD{cd.MustNew("")}
-	for _, r := range env.Game.Map.RegionNames() {
-		prefixes = append(prefixes, cd.MustNew(r))
-	}
-	return prefixes
 }

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"github.com/icn-gaming/gcopss/internal/cd"
+	"github.com/icn-gaming/gcopss/internal/copss"
 	"github.com/icn-gaming/gcopss/internal/stats"
 	"github.com/icn-gaming/gcopss/internal/topo"
 	"github.com/icn-gaming/gcopss/internal/trace"
@@ -45,7 +46,7 @@ func (cfg HybridConfig) Run(env *Env, updates []trace.Update) (*Result, error) {
 	}
 
 	// Map every leaf CD to a group via its high-level (level-1) prefix.
-	high := worldPartition(env) // world airspace + regions
+	high := copss.PartitionPrefixes(env.Game.Map.RegionNames()) // world airspace + regions
 	groupOfHigh := make(map[string]int, len(high))
 	for i, h := range high {
 		groupOfHigh[h.Key()] = i % cfg.Groups

@@ -35,7 +35,7 @@ func newBrokerScenario(t *testing.T) *brokerScenario {
 	}
 
 	// RP at R1 serving the game partition plus the snapshot namespaces.
-	prefixes := append(worldPartitionPrefixes(s),
+	prefixes := append(copss.PartitionPrefixes(s.World.Map.RegionNames()),
 		cd.MustNew(broker.CtlComponent), cd.MustNew(broker.DataComponent))
 	var ann ndn.SliceSink
 	if err := rn.router("R1").BecomeRPTo(copss.RPInfo{Name: "/rp1", Prefixes: prefixes, Seq: 1}, &ann); err != nil {

@@ -52,7 +52,7 @@ func RunGCOPSS(s *Setup) (*MicroResult, error) {
 	}
 
 	// RP bootstrap: R1 announces, flood settles during warmup.
-	info := copss.RPInfo{Name: "/rp1", Prefixes: worldPartitionPrefixes(s), Seq: 1}
+	info := copss.RPInfo{Name: "/rp1", Prefixes: copss.PartitionPrefixes(s.World.Map.RegionNames()), Seq: 1}
 	var ann ndn.SliceSink
 	if err := rn.router("R1").BecomeRPTo(info, &ann); err != nil {
 		return nil, err

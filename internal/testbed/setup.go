@@ -6,7 +6,6 @@ import (
 	"slices"
 	"time"
 
-	"github.com/icn-gaming/gcopss/internal/cd"
 	"github.com/icn-gaming/gcopss/internal/core"
 	"github.com/icn-gaming/gcopss/internal/event"
 	"github.com/icn-gaming/gcopss/internal/gamemap"
@@ -310,13 +309,4 @@ func (rn *routerNet) handoffPath(from, to topo.NodeID) []core.PathHop {
 		}
 	}
 	return path
-}
-
-// worldPartitionPrefixes returns the RP serving set for the 5×5 map.
-func worldPartitionPrefixes(s *Setup) []cd.CD {
-	prefixes := []cd.CD{cd.MustNew("")}
-	for _, r := range s.World.Map.RegionNames() {
-		prefixes = append(prefixes, cd.MustNew(r))
-	}
-	return prefixes
 }

@@ -55,7 +55,7 @@ func runDeliveryMode(mode core.PublishMode, payload, subscribers int, wantFracti
 	var ann ndn.SliceSink
 	if err := rn.router("R1").BecomeRPTo(copss.RPInfo{
 		Name:     "/rp1",
-		Prefixes: worldPartitionPrefixes(s),
+		Prefixes: copss.PartitionPrefixes(s.World.Map.RegionNames()),
 		Seq:      1,
 	}, &ann); err != nil {
 		return nil, err

@@ -2,11 +2,9 @@ package transport
 
 import (
 	"context"
-	"fmt"
 	"io"
 	"net"
 	"net/http"
-	"time"
 
 	"github.com/icn-gaming/gcopss/internal/core"
 	"github.com/icn-gaming/gcopss/internal/obs"
@@ -46,24 +44,8 @@ func (d *Daemon) DebugHandler() http.Handler {
 	return obs.NewDebugMux(metrics, flight, traceDump)
 }
 
-// ServeDebug binds an HTTP server for DebugHandler on addr and serves until
-// ctx is cancelled. It returns the bound address (addr may use port 0).
+// ServeDebug serves DebugHandler on addr until ctx is cancelled. It returns
+// the bound address (addr may use port 0).
 func (d *Daemon) ServeDebug(ctx context.Context, addr string) (net.Addr, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("daemon %s: debug listen: %w", d.name, err)
-	}
-	srv := &http.Server{Handler: d.DebugHandler(), ReadHeaderTimeout: 5 * time.Second}
-	go func() {
-		<-ctx.Done()
-		shutCtx, cancel := context.WithTimeout(context.Background(), time.Second)
-		defer cancel()
-		srv.Shutdown(shutCtx) //nolint:errcheck // best-effort shutdown
-	}()
-	go func() {
-		if err := srv.Serve(ln); err != nil && err != http.ErrServerClosed {
-			d.logf("daemon %s: debug server: %v", d.name, err)
-		}
-	}()
-	return ln.Addr(), nil
+	return obs.ServeDebug(ctx, addr, d.DebugHandler(), d.logf)
 }

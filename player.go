@@ -20,7 +20,7 @@ import (
 type Player struct {
 	net    *Network
 	id     string
-	router string
+	at     *node
 	face   ndn.FaceID
 	player *gamemap.Player
 	seq    uint64
@@ -47,32 +47,29 @@ func (n *Network) Join(id, router, areaPath string) (*Player, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.closed {
-		return nil, fmt.Errorf("gcopss: network closed")
+		return nil, errClosed
 	}
-	r, ok := n.routers[router]
-	if !ok {
-		return nil, fmt.Errorf("gcopss: unknown router %q", router)
+	nd, err := n.router(router)
+	if err != nil {
+		return nil, err
 	}
 	if _, dup := n.players[id]; dup {
 		return nil, fmt.Errorf("gcopss: duplicate player %q", id)
 	}
-	area, err := n.lookupArea(areaPath)
+	area, err := n.gameMap.Lookup(areaPath)
 	if err != nil {
 		return nil, err
 	}
-	face := n.allocFace(router)
-	r.AddFace(face, core.FaceClient)
 	p := &Player{
 		net:     n,
 		id:      id,
-		router:  router,
-		face:    face,
+		at:      nd,
 		player:  gamemap.NewPlayer(id, area),
 		updates: make(chan Update, updateBuffer),
 	}
-	n.wires[wireKey{router, face}] = wireDest{endpoint: id, kind: endpointPlayer}
+	p.face = nd.addFace(core.FaceClient, endpoint{player: p})
 	n.players[id] = p
-	n.send(router, face, &wire.Packet{Type: wire.TypeSubscribe, CDs: p.player.SubscriptionCDs()})
+	n.send(nd, p.face, &wire.Packet{Type: wire.TypeSubscribe, CDs: p.player.SubscriptionCDs()})
 	return p, nil
 }
 
@@ -93,7 +90,7 @@ func (p *Player) Publish(objectID string, data []byte) error {
 	p.net.mu.Lock()
 	defer p.net.mu.Unlock()
 	if p.net.closed {
-		return fmt.Errorf("gcopss: network closed")
+		return errClosed
 	}
 	p.seq++
 	pkt := &wire.Packet{
@@ -104,7 +101,7 @@ func (p *Player) Publish(objectID string, data []byte) error {
 		Payload: broker.EncodeUpdate(objectID, data),
 		SentAt:  time.Now().UnixNano(),
 	}
-	p.net.send(p.router, p.face, pkt)
+	p.net.send(p.at, p.face, pkt)
 	return nil
 }
 
@@ -113,7 +110,10 @@ func (p *Player) Publish(objectID string, data []byte) error {
 func (p *Player) PublishTo(areaPath, objectID string, data []byte) error {
 	p.net.mu.Lock()
 	defer p.net.mu.Unlock()
-	area, err := p.net.lookupArea(areaPath)
+	if p.net.closed {
+		return errClosed
+	}
+	area, err := p.net.gameMap.Lookup(areaPath)
 	if err != nil {
 		return err
 	}
@@ -126,7 +126,7 @@ func (p *Player) PublishTo(areaPath, objectID string, data []byte) error {
 		Payload: broker.EncodeUpdate(objectID, data),
 		SentAt:  time.Now().UnixNano(),
 	}
-	p.net.send(p.router, p.face, pkt)
+	p.net.send(p.at, p.face, pkt)
 	return nil
 }
 
@@ -233,9 +233,9 @@ func (p *Player) MoveTo(areaPath string, mode SnapshotMode) (*MoveReport, error)
 	p.net.mu.Lock()
 	defer p.net.mu.Unlock()
 	if p.net.closed {
-		return nil, fmt.Errorf("gcopss: network closed")
+		return nil, errClosed
 	}
-	dest, err := p.net.lookupArea(areaPath)
+	dest, err := p.net.gameMap.Lookup(areaPath)
 	if err != nil {
 		return nil, err
 	}
@@ -251,10 +251,10 @@ func (p *Player) MoveTo(areaPath string, mode SnapshotMode) (*MoveReport, error)
 		report.Subscribed = append(report.Subscribed, c.Key())
 	}
 	if len(res.Unsubscribe) > 0 {
-		p.net.send(p.router, p.face, &wire.Packet{Type: wire.TypeUnsubscribe, CDs: res.Unsubscribe})
+		p.net.send(p.at, p.face, &wire.Packet{Type: wire.TypeUnsubscribe, CDs: res.Unsubscribe})
 	}
 	if len(res.Subscribe) > 0 {
-		p.net.send(p.router, p.face, &wire.Packet{Type: wire.TypeSubscribe, CDs: res.Subscribe})
+		p.net.send(p.at, p.face, &wire.Packet{Type: wire.TypeSubscribe, CDs: res.Subscribe})
 	}
 	if len(res.Snapshots) > 0 && len(p.net.brokers) > 0 {
 		n, err := p.fetchSnapshots(res.Snapshots, mode)
@@ -292,7 +292,7 @@ func (p *Player) fetchSnapshots(leaves []cd.CD, mode SnapshotMode) (int, error) 
 			return 0, fmt.Errorf("gcopss: unknown snapshot mode %d", mode)
 		}
 	}
-	p.net.send(p.router, p.face, initial...)
+	p.net.send(p.at, p.face, initial...)
 	p.pumpFetch()
 
 	// Cyclic sessions need broker rotation ticks; drive them until every
@@ -311,7 +311,7 @@ func (p *Player) fetchSnapshots(leaves []cd.CD, mode SnapshotMode) (int, error) 
 		for _, name := range names {
 			bh := p.net.brokers[name]
 			for _, out := range bh.b.Tick() {
-				p.net.inject(bh.router, bh.face, out)
+				p.net.inject(bh.at, bh.face, out)
 			}
 		}
 		p.net.drain()
@@ -336,7 +336,7 @@ func (p *Player) pumpFetch() {
 	for len(p.fetch.out) > 0 {
 		out := p.fetch.out
 		p.fetch.out = nil
-		p.net.send(p.router, p.face, out...)
+		p.net.send(p.at, p.face, out...)
 	}
 	for key, f := range p.fetch.qr {
 		if f.Done() {
@@ -362,9 +362,9 @@ func (p *Player) Suspend() error {
 	p.net.mu.Lock()
 	defer p.net.mu.Unlock()
 	if p.net.closed {
-		return fmt.Errorf("gcopss: network closed")
+		return errClosed
 	}
-	p.net.send(p.router, p.face, &wire.Packet{
+	p.net.send(p.at, p.face, &wire.Packet{
 		Type: wire.TypeUnsubscribe,
 		CDs:  p.player.SubscriptionCDs(),
 	})
@@ -387,9 +387,9 @@ func (p *Player) Resume() (*ResumeReport, error) {
 	p.net.mu.Lock()
 	defer p.net.mu.Unlock()
 	if p.net.closed {
-		return nil, fmt.Errorf("gcopss: network closed")
+		return nil, errClosed
 	}
-	p.net.send(p.router, p.face, &wire.Packet{
+	p.net.send(p.at, p.face, &wire.Packet{
 		Type: wire.TypeSubscribe,
 		CDs:  p.player.SubscriptionCDs(),
 	})
@@ -409,7 +409,7 @@ func (p *Player) Resume() (*ResumeReport, error) {
 			}
 		}
 		p.fetch.onData = collect
-		p.net.send(p.router, p.face, &wire.Packet{
+		p.net.send(p.at, p.face, &wire.Packet{
 			Type: wire.TypeInterest,
 			Name: broker.RecentName(leaf),
 		})
@@ -442,13 +442,12 @@ func (p *Player) Leave() error {
 	if _, ok := p.net.players[p.id]; !ok {
 		return nil
 	}
-	p.net.send(p.router, p.face, &wire.Packet{
+	p.net.send(p.at, p.face, &wire.Packet{
 		Type: wire.TypeUnsubscribe,
 		CDs:  p.player.SubscriptionCDs(),
 	})
-	r := p.net.routers[p.router]
-	r.RemoveFace(p.face)
-	delete(p.net.wires, wireKey{p.router, p.face})
+	p.at.r.RemoveFace(p.face)
+	p.at.faces[p.face-1] = endpoint{}
 	delete(p.net.players, p.id)
 	close(p.updates)
 	return nil
