@@ -423,8 +423,8 @@ func BenchmarkRouterMulticastPath(b *testing.B) {
 // BenchmarkRouterMulticastBurst measures the burst data path at the same
 // router as BenchmarkRouterMulticastPath: a burst of hashed multicasts
 // arriving on a router face is grouped by CD/hash vector so one ST lookup
-// and one fan-out face set serve the whole group, with forwarding copies
-// carved from one slab. The ns/pkt metric is the amortized per-packet cost —
+// and one fan-out face set serve the whole group, each packet forwarded
+// as received. The ns/pkt metric is the amortized per-packet cost —
 // the acceptance criterion is >= 2x below the single-packet path at width 32.
 func BenchmarkRouterMulticastBurst(b *testing.B) {
 	for _, width := range []int{1, 8, 16, 32} {

@@ -30,8 +30,8 @@
 // with delivery. Within a function body, any write through a local that was
 // emitted (either the *wire.Packet named in the Action literal, or the
 // .Packet field of an emitted ndn.Action variable) is flagged. Rebinding the
-// local (pkt = pkt.Forward(), a.Packet = &cp) ends its association with the
-// emitted packet, exactly like the parameter rule above.
+// local (pkt = &cp, a.Packet = &cp) ends its association with the emitted
+// packet, exactly like the parameter rule above.
 //
 // The check is syntactic per identifier, not a points-to analysis: writes
 // through a second alias (q := pkt; q.X = ...) are not caught, and

@@ -6,16 +6,10 @@ package wire
 type Type uint8
 
 type Packet struct {
-	Type     Type
-	Name     string
-	CDs      []string
-	Payload  []byte
-	HopCount uint32
-	CtlSeq   uint64
-}
-
-func (p *Packet) Forward() *Packet {
-	q := *p
-	q.HopCount++
-	return &q
+	Type    Type
+	Name    string
+	CDs     []string
+	Payload []byte
+	Seq     uint64
+	CtlSeq  uint64
 }

@@ -13,7 +13,7 @@ func badBurstFieldWrite(pkts []*wire.Packet) {
 
 func badBurstIncrement(pkts []*wire.Packet) {
 	for i := range pkts {
-		pkts[i].HopCount++ // want "write to field HopCount of an element of shared burst parameter pkts"
+		pkts[i].Seq++ // want "write to field Seq of an element of shared burst parameter pkts"
 	}
 }
 
@@ -37,7 +37,7 @@ func badBurstClosureParam() func([]*wire.Packet) {
 
 func goodBurstCopyOnWrite(pkts []*wire.Packet) *wire.Packet {
 	cp := *pkts[0] // fresh object: private to this call
-	cp.HopCount++
+	cp.Seq++
 	return &cp
 }
 
@@ -45,7 +45,7 @@ func goodBurstSlab(pkts []*wire.Packet) []wire.Packet {
 	slab := make([]wire.Packet, len(pkts))
 	for i, p := range pkts {
 		slab[i] = *p
-		slab[i].HopCount++ // slab cell is a local copy, not the shared element
+		slab[i].Seq++ // slab cell is a local copy, not the shared element
 	}
 	return slab
 }

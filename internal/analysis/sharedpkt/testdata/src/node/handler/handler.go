@@ -9,7 +9,7 @@ func badFieldWrite(pkt *wire.Packet) {
 }
 
 func badIncrement(pkt *wire.Packet) {
-	pkt.HopCount++ // want "write to field HopCount of shared packet parameter pkt"
+	pkt.Seq++ // want "write to field Seq of shared packet parameter pkt"
 }
 
 func badCompound(pkt *wire.Packet) {
@@ -33,7 +33,7 @@ func badClosureParam() func(*wire.Packet) {
 func goodCopyOnWrite(pkt *wire.Packet) *wire.Packet {
 	cp := *pkt
 	cp.Name = "/rewritten" // fresh object: private to this call
-	cp.HopCount++
+	cp.Seq++
 	return &cp
 }
 
@@ -55,7 +55,7 @@ func goodRead(pkt *wire.Packet) string {
 }
 
 func goodForward(pkt *wire.Packet) *wire.Packet {
-	return pkt.Forward()
+	return pkt // forwarding re-emits the received packet unchanged
 }
 
 func allowed(pkt *wire.Packet) {

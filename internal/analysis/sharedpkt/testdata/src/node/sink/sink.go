@@ -16,7 +16,7 @@ func badPacketFieldAfterEmit(s ndn.ActionSink) {
 func badPacketIncrementAfterEmit(s ndn.ActionSink) {
 	pkt := &wire.Packet{}
 	s.Emit(ndn.Action{Face: 1, Packet: pkt})
-	pkt.HopCount++ // want "mutation of packet pkt after Emit"
+	pkt.Seq++ // want "mutation of packet pkt after Emit"
 }
 
 func badAddressedLocalAfterEmit(s ndn.ActionSink, in *wire.Packet) {
@@ -46,7 +46,7 @@ func badPositionalLiteral(s ndn.ActionSink) {
 func badActionPacketWrite(s ndn.ActionSink, pkt *wire.Packet) {
 	a := ndn.Action{Face: 1, Packet: pkt}
 	s.Emit(a)
-	a.Packet.HopCount++ // want "write through a.Packet after a was emitted"
+	a.Packet.Seq++ // want "write through a.Packet after a was emitted"
 }
 
 func badActionPacketDeref(s ndn.ActionSink, pkt *wire.Packet) {
@@ -62,10 +62,11 @@ func goodWriteBeforeEmit(s ndn.ActionSink, in *wire.Packet) {
 }
 
 func goodRebindAfterEmit(s ndn.ActionSink, in *wire.Packet) {
-	pkt := in.Forward()
+	pkt := in
 	s.Emit(ndn.Action{Face: 1, Packet: pkt})
-	pkt = pkt.Forward() // fresh copy: the emitted packet is untouched
-	pkt.HopCount++
+	cp := *pkt
+	pkt = &cp // fresh copy: the emitted packet is untouched
+	pkt.Seq++
 	s.Emit(ndn.Action{Face: 2, Packet: pkt})
 }
 
@@ -93,13 +94,13 @@ func goodFanOutSharing(s ndn.ActionSink, pkt *wire.Packet) {
 func goodLoopFreshPacket(s ndn.ActionSink) {
 	for i := 0; i < 4; i++ {
 		pkt := &wire.Packet{}
-		pkt.HopCount = uint32(i) // builder owns it until the emit below
+		pkt.Seq = uint64(i) // builder owns it until the emit below
 		s.Emit(ndn.Action{Face: 1, Packet: pkt})
 	}
 }
 
 func goodClosureScoping(s ndn.ActionSink, in *wire.Packet) func() {
-	pkt := in.Forward()
+	pkt := in
 	s.Emit(ndn.Action{Face: 1, Packet: pkt})
 	// The closure body is checked independently: nothing was emitted within
 	// it, and flow order between closure and emit is unknowable statically.

@@ -13,17 +13,16 @@ import (
 // face — hands the whole slice to HandleBurst instead of looping over
 // HandlePacketTo. The router then
 // amortizes the dominant per-packet costs across each maximal run of
-// multicasts that share a CD-hash vector: one Subscription Table lookup and
-// one forwarding-copy slab serve the run, while emission order stays exactly
-// what per-packet processing would produce.
+// multicasts that share a CD-hash vector: one Subscription Table lookup
+// serves the run, while emission order stays exactly what per-packet
+// processing would produce.
 
 // HandleBurst processes pkts, which arrived back-to-back on one face at one
 // time, strictly in slice order. Maximal consecutive runs of router-to-router
 // Multicasts with equal CD and CD-hash vector take the grouped fast path:
-// the ST is probed once for the run and every packet fans out to that face
-// set via a forwarding copy carved from a single per-burst slab (amortized
-// <1 alloc/packet). Every other packet — control traffic, QR, client-face
-// publications, flush markers — falls back to HandlePacketTo in place, so
+// the ST is probed once for the run and every packet itself fans out to that
+// face set, allocating nothing. Every other packet — control traffic, QR,
+// client-face publications, flush markers — falls back to HandlePacketTo in place, so
 // the emitted action stream is identical to calling HandlePacketTo on each
 // packet in order. Packets in pkts are immutable-after-send (DESIGN.md §11):
 // HandleBurst never writes through them, and neither may any other burst
@@ -31,12 +30,6 @@ import (
 //
 //gcopss:hotpath
 func (r *Router) HandleBurst(now time.Time, from ndn.FaceID, pkts []*wire.Packet, sink ndn.ActionSink) {
-	// Forwarding copies cannot come from reusable router scratch: the sink
-	// owns emitted packets and may retain them indefinitely (ARQ, queues).
-	// One slab per burst, carved sequentially, keeps the fan-out zero-copy
-	// while costing a single allocation however wide the burst is.
-	var slab []wire.Packet
-	slabNext := 0
 	i := 0
 	for i < len(pkts) {
 		head := pkts[i]
@@ -54,21 +47,11 @@ func (r *Router) HandleBurst(now time.Time, from ndn.FaceID, pkts []*wire.Packet
 		// loop below queries the ST, and the run ends before any fallback
 		// packet (which could mutate subscriptions) is processed.
 		faces := r.st.FacesForFlat(head.CDs[0], head.CDHashes)
-		if slab == nil {
-			slab = make([]wire.Packet, len(pkts)-i) //lint:allow hotalloc one lazy slab per burst, amortized below 1 alloc/packet
-		}
 		for ; i < j; i++ {
 			pkt := pkts[i]
 			r.record(now, obs.EvMulticast, from, pkt, "")
 			r.ctr.multicastIn.Inc()
-			if len(faces) == 0 {
-				continue
-			}
-			fwd := &slab[slabNext]
-			slabNext++
-			*fwd = *pkt
-			fwd.HopCount++
-			r.fanOut(now, from, pkt, fwd, faces, sink)
+			r.fanOut(now, from, pkt, faces, sink)
 		}
 	}
 }

@@ -192,7 +192,7 @@ func (r *Router) handlePrune(now time.Time, from ndn.FaceID, pkt *wire.Packet, s
 	for _, c := range pkt.CDs {
 		r.st.Remove(face, c)
 	}
-	sink.Emit(ndn.Action{Face: face, Packet: pkt.Forward()})
+	sink.Emit(ndn.Action{Face: face, Packet: pkt})
 }
 
 // applyHandoff updates a router's RP table for a handoff: shrink the old RP,
@@ -317,7 +317,7 @@ func (r *Router) handleHandoffAnnouncement(now time.Time, from ndn.FaceID, pkt *
 	// Release joins that raced ahead of this announcement.
 	r.drainPendingJoins(now, newRP, sink)
 
-	r.floodExcept(from, pkt.Forward(), sink)
+	r.floodExcept(from, pkt, sink)
 }
 
 // regraft moves this router's tree membership for the moved prefixes from
@@ -477,7 +477,7 @@ func (r *Router) handleJoin(now time.Time, from ndn.FaceID, pkt *wire.Packet, si
 		return
 	}
 	g.joinSent = true
-	sink.Emit(ndn.Action{Face: upFace, Packet: pkt.Forward()})
+	sink.Emit(ndn.Action{Face: upFace, Packet: pkt})
 }
 
 // handleConfirm completes this router's graft: it releases downstream

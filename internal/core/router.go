@@ -399,12 +399,11 @@ func (r *Router) traceHop(now time.Time, ev trace.HopEvent, face ndn.FaceID, pkt
 		return
 	}
 	r.tring.Append(trace.Hop{
-		TraceID:  pkt.TraceID,
-		At:       now.UnixNano(),
-		Face:     int64(face),
-		Seq:      pkt.Seq,
-		Event:    ev,
-		HopIndex: pkt.HopCount,
+		TraceID: pkt.TraceID,
+		At:      now.UnixNano(),
+		Face:    int64(face),
+		Seq:     pkt.Seq,
+		Event:   ev,
 	})
 }
 
@@ -632,7 +631,7 @@ func (r *Router) handleInterest(now time.Time, from ndn.FaceID, pkt *wire.Packet
 		r.drop(now, from, pkt, "no route to RP")
 		return
 	}
-	sink.Emit(ndn.Action{Face: faces[0], Packet: pkt.Forward()})
+	sink.Emit(ndn.Action{Face: faces[0], Packet: pkt})
 }
 
 // rpBoundName reports whether an Interest name targets a known RP, returning
@@ -799,7 +798,6 @@ func (r *Router) publishToward(now time.Time, rpName string, inner *wire.Packet,
 		r.drop(now, InternalFace, inner, "no route to RP")
 		return
 	}
-	outer.HopCount = inner.HopCount + 1
 	r.record(now, obs.EvEncapsulate, faces[0], inner, rpName)
 	// The hop is recorded against the inner publication (its Seq identifies
 	// the trace span); the outer carries the same TraceID on the wire.
@@ -824,24 +822,23 @@ func (r *Router) distribute(now time.Time, from ndn.FaceID, pkt *wire.Packet, si
 	if len(faces) == 0 {
 		return
 	}
-	r.fanOut(now, from, pkt, pkt.Forward(), faces, sink)
+	r.fanOut(now, from, pkt, faces, sink)
 }
 
 // fanOut is the router's one multicast fan-out loop, shared by distribute
-// and the HandleBurst fast path: it emits fwd, the forwarding copy of pkt,
-// to every face in faces except the arrival face. The fan-out is zero-copy —
-// every out-face shares the one forwarding copy (the packet is
-// immutable-after-send), so an N-face fan-out costs one Packet struct, never
-// N payload copies. Deliveries to client faces carrying a send timestamp
+// and the HandleBurst fast path: it emits pkt itself to every face in faces
+// except the arrival face. The fan-out copies nothing — every out-face shares
+// the received packet (it is immutable-after-send), so an N-face fan-out
+// allocates nothing. Deliveries to client faces carrying a send timestamp
 // feed the delivery-latency histogram.
 //
 //gcopss:hotpath
-func (r *Router) fanOut(now time.Time, from ndn.FaceID, pkt, fwd *wire.Packet, faces []ndn.FaceID, sink ndn.ActionSink) {
+func (r *Router) fanOut(now time.Time, from ndn.FaceID, pkt *wire.Packet, faces []ndn.FaceID, sink ndn.ActionSink) {
 	for _, f := range faces {
 		if f == from {
 			continue
 		}
-		sink.Emit(ndn.Action{Face: f, Packet: fwd})
+		sink.Emit(ndn.Action{Face: f, Packet: pkt})
 		r.ctr.multicastOut.Inc()
 		r.record(now, obs.EvFanOut, f, pkt, "")
 		r.traceHop(now, trace.HopFanOut, f, pkt)
@@ -1008,7 +1005,7 @@ func (r *Router) handleAnnouncement(now time.Time, from ndn.FaceID, pkt *wire.Pa
 		r.announceSeq[pkt.Name] = pkt.Seq
 		r.ndnEngine.FIB().RemovePrefix(pkt.Name)
 		r.ndnEngine.FIB().Add(pkt.Name, from)
-		r.floodExcept(from, pkt.Forward(), sink)
+		r.floodExcept(from, pkt, sink)
 		return
 	}
 	if err := r.rpt.Set(pkt.Name, pkt.CDs, pkt.Seq); err != nil {
@@ -1020,7 +1017,7 @@ func (r *Router) handleAnnouncement(now time.Time, from ndn.FaceID, pkt *wire.Pa
 	r.ndnEngine.FIB().Add(pkt.Name, from)
 	r.upstream[pkt.Name] = from
 	r.drainPendingJoins(now, pkt.Name, sink)
-	r.floodExcept(from, pkt.Forward(), sink)
+	r.floodExcept(from, pkt, sink)
 }
 
 // deeper returns the more specific of two intersecting CDs.

@@ -1,6 +1,10 @@
 package core
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -97,27 +101,64 @@ func TestTraceEndToEnd(t *testing.T) {
 	}
 }
 
-// TestTraceHopIndexAdvances: hop records carry the packet's HopCount, which
-// Forward() increments per hop — so the fan-out hop at the downstream router
-// (R1, one Forward past the RP) has a strictly larger index than the RP's.
-func TestTraceHopIndexAdvances(t *testing.T) {
+// TestTraceExportHopOrder traces one publication across encapsulate → RP
+// deliver → fan-out → downstream fan-out, advancing the clock one
+// millisecond per delivered packet, and exports it with the Chrome exporter:
+// the "hop" args of the trace's instants must count 0, 1, 2, … in time
+// order, with equal-time records in ring-position order.
+func TestTraceExportHopOrder(t *testing.T) {
 	tr := trace.NewTracer(1, 42, 64)
 	h := traceNet(t, tr)
 	h.fromClient("pub", mcast("/1/2", "p1", 9, "move"))
-	h.run()
-	rpIdx, downIdx := uint32(0), uint32(0)
-	for _, hop := range tr.Ring("R2").Snapshot() {
-		if hop.Event == trace.HopFanOut {
-			rpIdx = hop.HopIndex
+	for h.step() {
+		h.now = h.now.Add(time.Millisecond)
+	}
+	var buf bytes.Buffer
+	if err := trace.WriteChromeTrace(&buf, tr, nil); err != nil {
+		t.Fatalf("WriteChromeTrace: %v", err)
+	}
+	var f struct {
+		TraceEvents []struct {
+			Name string  `json:"name"`
+			Ph   string  `json:"ph"`
+			Ts   float64 `json:"ts"`
+			Pid  int     `json:"pid"`
+			Args struct {
+				Hop int `json:"hop"`
+			} `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &f); err != nil {
+		t.Fatalf("unmarshal: %v", err)
+	}
+	// Pids are 1 for R1 and 2 for R2 (rings sorted by router name).
+	want := []string{
+		"encapsulate@1", // R1, first hop
+		"rp-deliver@2",  // R2, one link later
+		"fan-out@2",     // R2 → subB, same instant: ring position breaks the tie
+		"fan-out@2",     // R2 → R1
+		"fan-out@1",     // R1 → subA, one link later again
+	}
+	got := make([]string, len(want))
+	ts := make([]float64, len(want))
+	n := 0
+	for _, ev := range f.TraceEvents {
+		if ev.Ph != "i" {
+			continue
+		}
+		n++
+		if hop := ev.Args.Hop; hop >= 0 && hop < len(want) && got[hop] == "" {
+			got[hop] = fmt.Sprintf("%s@%d", ev.Name, ev.Pid)
+			ts[hop] = ev.Ts
 		}
 	}
-	for _, hop := range tr.Ring("R1").Snapshot() {
-		if hop.Event == trace.HopFanOut {
-			downIdx = hop.HopIndex
-		}
+	if n != len(want) || !reflect.DeepEqual(got, want) {
+		t.Fatalf("%d hop instants, by hop label %q, want %q", n, got, want)
 	}
-	if downIdx <= rpIdx {
-		t.Errorf("downstream fan-out hop index %d not past RP fan-out index %d", downIdx, rpIdx)
+	for i := 1; i < len(ts); i++ {
+		if ts[i] < ts[i-1] {
+			t.Errorf("hop %d at %v µs precedes hop %d at %v µs", i, ts[i], i-1, ts[i-1])
+		}
 	}
 }
 

@@ -165,15 +165,14 @@ func (e *Engine) HandleInterestTo(now time.Time, from FaceID, pkt *wire.Packet, 
 		return
 	}
 	e.ctr.fibHits.Inc()
-	// One shared shallow forwarding copy for all out-faces (packets are
-	// immutable-after-send; see wire.Packet.Forward).
-	fwd := pkt.Forward()
+	// Every out-face gets the received packet itself (packets are
+	// immutable-after-send, DESIGN.md §11).
 	sent := 0
 	for _, f := range faces {
 		if f == from {
 			continue
 		}
-		sink.Emit(Action{Face: f, Packet: fwd})
+		sink.Emit(Action{Face: f, Packet: pkt})
 		sent++
 	}
 	if sent == 0 {
@@ -194,12 +193,11 @@ func (e *Engine) HandleDataTo(now time.Time, from FaceID, pkt *wire.Packet, sink
 		return
 	}
 	e.store.Put(pkt.Name, pkt.Payload, now)
-	fwd := pkt.Forward()
 	for _, f := range faces {
 		if f == from {
 			continue
 		}
-		sink.Emit(Action{Face: f, Packet: fwd})
+		sink.Emit(Action{Face: f, Packet: pkt})
 		e.ctr.dataForwarded.Inc()
 	}
 }

@@ -271,12 +271,13 @@ func TestEngineInterestDataFlow(t *testing.T) {
 	t0 := time.Unix(0, 0)
 
 	// Interest from face 1 is forwarded upstream.
-	acts := handle(e, t0, 1, interest("/content/x"))
-	if len(acts) != 1 || acts[0].Face != 9 || acts[0].Packet.Type != wire.TypeInterest {
+	in := interest("/content/x")
+	acts := handle(e, t0, 1, in)
+	if len(acts) != 1 || acts[0].Face != 9 {
 		t.Fatalf("forwarding actions = %+v", acts)
 	}
-	if acts[0].Packet.HopCount != 1 {
-		t.Errorf("HopCount = %d", acts[0].Packet.HopCount)
+	if acts[0].Packet != in {
+		t.Errorf("forwarded %p, want the received Interest %p itself", acts[0].Packet, in)
 	}
 
 	// A second Interest from face 2 aggregates (no forwarding).

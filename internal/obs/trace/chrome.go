@@ -16,7 +16,8 @@ import (
 //	pid 0            "packets"   — one tid per sampled trace, an "X"
 //	                  complete span covering first→last hop in virtual time
 //	pid 1..R         one per router (sorted by name) — "i" instant events,
-//	                  one per hop record, ts in virtual time
+//	                  one per hop record, ts in virtual time; args.hop is the
+//	                  record's ordinal within its trace in time order
 //	pid R+1          "scheduler" — one tid per shard, alternating "execute"
 //	                  and "barrier-wait" "X" spans from the profiler
 //	                  timeline, ts in wall time since profiling was enabled
@@ -55,26 +56,24 @@ func WriteChromeTrace(w io.Writer, tr *Tracer, prof *event.SchedProfile) error {
 
 	if tr != nil {
 		rings := tr.Rings()
-		// Per-trace span bounds across every router.
-		type span struct{ lo, hi int64 }
-		spans := make(map[uint64]*span)
-		for _, r := range rings {
-			for _, h := range r.Snapshot() {
-				sp, ok := spans[h.TraceID]
-				if !ok {
-					spans[h.TraceID] = &span{lo: h.At, hi: h.At}
-					continue
-				}
-				if h.At < sp.lo {
-					sp.lo = h.At
-				}
-				if h.At > sp.hi {
-					sp.hi = h.At
-				}
+		snaps := make([][]Hop, len(rings))
+		// hops[id] lists every record of one trace across all routers as
+		// (ring, position) pairs, appended in ring then position order and
+		// stably sorted by At below, so equal times keep that order; a
+		// record's place in the sorted list is its "hop".
+		type ref struct{ ring, pos int }
+		hops := make(map[uint64][]ref)
+		ord := make([][]int, len(rings))
+		for i, r := range rings {
+			snaps[i] = r.Snapshot()
+			ord[i] = make([]int, len(snaps[i]))
+			for k, h := range snaps[i] {
+				hops[h.TraceID] = append(hops[h.TraceID], ref{i, k})
 			}
 		}
-		ids := make([]uint64, 0, len(spans))
-		for id := range spans {
+		at := func(x ref) int64 { return snaps[x.ring][x.pos].At }
+		ids := make([]uint64, 0, len(hops))
+		for id := range hops {
 			ids = append(ids, id)
 		}
 		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
@@ -82,28 +81,33 @@ func WriteChromeTrace(w io.Writer, tr *Tracer, prof *event.SchedProfile) error {
 			evs = append(evs, meta(0, 0, "process_name", "packets"))
 		}
 		for tid, id := range ids {
-			sp := spans[id]
-			dur := float64(sp.hi-sp.lo) / 1e3
+			refs := hops[id]
+			sort.SliceStable(refs, func(i, j int) bool { return at(refs[i]) < at(refs[j]) })
+			for n, x := range refs {
+				ord[x.ring][x.pos] = n
+			}
+			lo, hi := at(refs[0]), at(refs[len(refs)-1])
+			dur := float64(hi-lo) / 1e3
 			if dur <= 0 {
 				dur = 1 // zero-width spans are invisible in the viewers
 			}
 			evs = append(evs, chromeEvent{
 				Name: fmt.Sprintf("trace %016x", id), Ph: "X",
-				Ts: float64(sp.lo) / 1e3, Dur: dur, Pid: 0, Tid: tid,
+				Ts: float64(lo) / 1e3, Dur: dur, Pid: 0, Tid: tid,
 				Args: map[string]any{"trace": fmt.Sprintf("%016x", id)},
 			})
 		}
 		for i, r := range rings {
 			pid := i + 1
 			evs = append(evs, meta(pid, 0, "process_name", "router "+r.Name()))
-			for _, h := range r.Snapshot() {
+			for k, h := range snaps[i] {
 				evs = append(evs, chromeEvent{
 					Name: h.Event.String(), Ph: "i",
 					Ts: float64(h.At) / 1e3, Pid: pid, Tid: 0, S: "t",
 					Args: map[string]any{
 						"trace": fmt.Sprintf("%016x", h.TraceID),
 						"face":  h.Face,
-						"hop":   h.HopIndex,
+						"hop":   ord[i][k],
 						"seq":   h.Seq,
 					},
 				})

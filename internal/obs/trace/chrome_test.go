@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -38,9 +39,9 @@ func TestWriteChromeTraceValid(t *testing.T) {
 		t.Fatal("every=1 did not sample")
 	}
 	base := time.Unix(0, 0).Add(time.Millisecond).UnixNano()
-	r1.Append(Hop{TraceID: id, At: base, Face: 1, Seq: 1, Event: HopEncapsulate, HopIndex: 0})
-	r2.Append(Hop{TraceID: id, At: base + int64(2*time.Millisecond), Face: -1, Seq: 1, Event: HopRPDeliver, HopIndex: 2})
-	r2.Append(Hop{TraceID: id, At: base + int64(2*time.Millisecond), Face: 3, Seq: 1, Event: HopFanOut, HopIndex: 2})
+	r1.Append(Hop{TraceID: id, At: base, Face: 1, Seq: 1, Event: HopEncapsulate})
+	r2.Append(Hop{TraceID: id, At: base + int64(2*time.Millisecond), Face: -1, Seq: 1, Event: HopRPDeliver})
+	r2.Append(Hop{TraceID: id, At: base + int64(2*time.Millisecond), Face: 3, Seq: 1, Event: HopFanOut})
 
 	var buf bytes.Buffer
 	if err := WriteChromeTrace(&buf, tr, sampleProfile()); err != nil {
@@ -95,6 +96,60 @@ func TestWriteChromeTraceValid(t *testing.T) {
 	// process_name for packets, 2 routers, scheduler + 2 shard thread_names.
 	if metas != 6 {
 		t.Errorf("metadata events = %d, want 6", metas)
+	}
+}
+
+// TestChromeHopOrdinals: each instant's "hop" arg is the record's ordinal
+// within its trace, ordered by At, then ring index (router name), then ring
+// position — so records with equal At on different rings get a stable order
+// whatever order they were appended in.
+func TestChromeHopOrdinals(t *testing.T) {
+	tr := NewTracer(1, 0, 64)
+	r2 := tr.Ring("R2") // registered first; ring order is by name regardless
+	r1 := tr.Ring("R1")
+	id, other := tr.SampleID("p1", 1), tr.SampleID("p1", 2)
+	r2.Append(Hop{TraceID: id, At: 5, Face: 20, Event: HopFanOut})
+	r2.Append(Hop{TraceID: id, At: 5, Face: 21, Event: HopFanOut})
+	r1.Append(Hop{TraceID: other, At: 1, Face: 9, Event: HopEncapsulate})
+	r1.Append(Hop{TraceID: id, At: 5, Face: 10, Event: HopFanOut})
+	r1.Append(Hop{TraceID: id, At: 3, Face: 11, Event: HopEncapsulate})
+
+	export := func() []byte {
+		var buf bytes.Buffer
+		if err := WriteChromeTrace(&buf, tr, nil); err != nil {
+			t.Fatalf("WriteChromeTrace: %v", err)
+		}
+		return buf.Bytes()
+	}
+	doc := export()
+	if again := export(); !bytes.Equal(doc, again) {
+		t.Fatal("two exports of the same rings differ")
+	}
+	var f struct {
+		TraceEvents []struct {
+			Ph   string `json:"ph"`
+			Args struct {
+				Trace string `json:"trace"`
+				Face  int64  `json:"face"`
+				Hop   int    `json:"hop"`
+			} `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(doc, &f); err != nil {
+		t.Fatalf("unmarshal: %v", err)
+	}
+	// Face identifies each record: R1's At=3 first, then the At=5 records in
+	// ring order (R1 before R2) and ring position (face 20 before 21). The
+	// other trace counts from 0 on its own.
+	want := map[int64]int{11: 0, 10: 1, 20: 2, 21: 3, 9: 0}
+	got := make(map[int64]int)
+	for _, ev := range f.TraceEvents {
+		if ev.Ph == "i" {
+			got[ev.Args.Face] = ev.Args.Hop
+		}
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("hop by face = %v, want %v", got, want)
 	}
 }
 

@@ -84,9 +84,6 @@ type Hop struct {
 	Seq uint64
 	// Event says what happened at this hop.
 	Event HopEvent
-	// HopIndex is the packet's HopCount when the record was appended —
-	// the position of this hop on the path.
-	HopIndex uint32
 }
 
 // Ring is a bounded per-router hop-record buffer. One goroutine appends

@@ -50,7 +50,7 @@ func RunIPServer(s *Setup) (*MicroResult, error) {
 		routes[id] = table
 		tb.AddNode(g.Name(topo.NodeID(id)), func(now time.Time, _ ndn.FaceID, pkt *wire.Packet, sink ndn.ActionSink) {
 			if face, ok := table[strings.TrimPrefix(pkt.Name, "/ip/")]; ok {
-				sink.Emit(ndn.Action{Face: face, Packet: pkt.Forward()})
+				sink.Emit(ndn.Action{Face: face, Packet: pkt})
 			}
 		}, func(*wire.Packet) time.Duration { return s.Costs.IPForward }, 0)
 	}

@@ -125,9 +125,6 @@ type Packet struct {
 	// used to measure update latency.
 	SentAt int64
 
-	// HopCount counts router traversals, used for network-load accounting.
-	HopCount uint32
-
 	// CDHashes carries the precomputed Bloom-filter hash pairs of the
 	// Multicast CD's prefixes (two uint64 per prefix, shortest prefix
 	// first) — the paper's first-hop optimization: downstream routers probe
@@ -157,9 +154,9 @@ type Packet struct {
 	// (origin, seq, seed), and every router on the path appends hop records
 	// keyed by it. Zero — the overwhelmingly common case — means the packet
 	// is untraced and the field is omitted from the encoding, so disabled
-	// tracing leaves wire bytes unchanged. HopCount doubles as the hop
-	// index of the trace context; both ride through Forward()/COW copies as
-	// ordinary struct fields.
+	// tracing leaves wire bytes unchanged. A router re-emits the packet it
+	// received, so the ID rides along unchanged; a hop that changes another
+	// field copies the struct first and the ID comes with it.
 	TraceID uint64
 }
 
@@ -230,13 +227,14 @@ func (p *Packet) Validate() error {
 
 // field tags of the TLV body.
 const (
-	fieldName     = 1
-	fieldCD       = 2 // repeated
-	fieldPayload  = 3
-	fieldOrigin   = 4
-	fieldSeq      = 5
-	fieldSentAt   = 6
-	fieldHops     = 7
+	fieldName    = 1
+	fieldCD      = 2 // repeated
+	fieldPayload = 3
+	fieldOrigin  = 4
+	fieldSeq     = 5
+	fieldSentAt  = 6
+	// 7 once carried a per-hop counter; it stays reserved, and Decode skips
+	// it in old frames like any unknown field.
 	fieldCDHashes = 8
 	fieldCtlSeq   = 9
 	fieldTraceID  = 10
@@ -298,9 +296,6 @@ func bodyLen(p *Packet) int {
 	if p.SentAt != 0 {
 		n += fieldLen(8)
 	}
-	if p.HopCount != 0 {
-		n += fieldLen(4)
-	}
 	if len(p.CDHashes) > 0 {
 		n += fieldLen(8 * len(p.CDHashes))
 	}
@@ -360,11 +355,6 @@ func AppendEncode(dst []byte, p *Packet) ([]byte, error) {
 		var buf [8]byte
 		binary.BigEndian.PutUint64(buf[:], uint64(p.SentAt))
 		out = appendBytesField(out, fieldSentAt, buf[:])
-	}
-	if p.HopCount != 0 {
-		var buf [4]byte
-		binary.BigEndian.PutUint32(buf[:], p.HopCount)
-		out = appendBytesField(out, fieldHops, buf[:])
 	}
 	if len(p.CDHashes) > 0 {
 		var buf [8]byte
@@ -571,11 +561,6 @@ func (d *Decoder) Decode(buf []byte) (*Packet, int, error) {
 				return nil, 0, ErrShortPacket
 			}
 			p.SentAt = int64(binary.BigEndian.Uint64(val))
-		case fieldHops:
-			if len(val) != 4 {
-				return nil, 0, ErrShortPacket
-			}
-			p.HopCount = binary.BigEndian.Uint32(val)
 		case fieldCDHashes:
 			if len(val)%8 != 0 {
 				return nil, 0, ErrShortPacket
@@ -628,20 +613,6 @@ func Size(p *Packet) int {
 	}
 	body := bodyLen(p)
 	return 4 + uvarintLen(uint64(body)) + body
-}
-
-// Forward returns a shallow forwarding copy: a fresh Packet struct with
-// HopCount incremented that shares the CDs, Payload and CDHashes slices of
-// the original. It is the zero-copy fan-out primitive and relies on the
-// packet ownership discipline (DESIGN.md §11): a packet handed to the
-// forwarding plane is immutable-after-send, so sharing the backing arrays
-// across every out-face is safe. A handler that needs to change any field
-// must copy-on-write first (cp := *pkt; cp.Field = ...), never write through
-// a received pointer — the sharedpkt linter enforces this.
-func (p *Packet) Forward() *Packet {
-	q := *p
-	q.HopCount++
-	return &q
 }
 
 // MaxPayload bounds payload sizes accepted by Encapsulate, preventing

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"reflect"
@@ -31,7 +32,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		},
 		{
 			name: "data",
-			pkt:  Packet{Type: TypeData, Name: "/snapshot/1/3", Payload: []byte("state"), HopCount: 3},
+			pkt:  Packet{Type: TypeData, Name: "/snapshot/1/3", Payload: []byte("state")},
 		},
 		{
 			name: "subscribe",
@@ -158,6 +159,43 @@ func TestDecodeErrors(t *testing.T) {
 	}
 }
 
+// withReservedHops re-frames one encoded packet with a tag-7 field (the
+// retired per-hop counter: tag, length 4, a 4-byte big-endian value) appended
+// to its body, as an older encoder would have sent it.
+func withReservedHops(enc []byte) []byte {
+	bodyLen, n := binary.Uvarint(enc[4:])
+	body := append(enc[4+n:4+n+int(bodyLen):4+n+int(bodyLen)], 7, 4, 0, 0, 0, 3)
+	frame := binary.AppendUvarint(append([]byte(nil), enc[:4]...), uint64(len(body)))
+	return append(frame, body...)
+}
+
+// TestDecodeSkipsReservedHops: a frame from an encoder that still wrote the
+// tag-7 hop counter decodes to the same packet as the frame without it.
+func TestDecodeSkipsReservedHops(t *testing.T) {
+	p := &Packet{
+		Type: TypeMulticast, CDs: []cd.CD{cd.MustParse("/1/2")},
+		Payload: []byte("move"), Origin: "p1", Seq: 7, SentAt: 99, TraceID: 5,
+	}
+	old := withReservedHops(mustEncode(t, p))
+	got, n, err := Decode(old)
+	if err != nil {
+		t.Fatalf("Decode: %v", err)
+	}
+	if n != len(old) {
+		t.Errorf("consumed %d of %d bytes", n, len(old))
+	}
+	want, _, err := Decode(mustEncode(t, p))
+	if err != nil {
+		t.Fatalf("Decode: %v", err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("old frame decoded to\n %+v\nwant\n %+v", *got, *want)
+	}
+	if len(old) != Size(p)+6 {
+		t.Errorf("old frame is %d bytes, want Size+6 = %d", len(old), Size(p)+6)
+	}
+}
+
 func TestEncapsulateDecapsulate(t *testing.T) {
 	inner := &Packet{
 		Type:    TypeMulticast,
@@ -255,7 +293,6 @@ func (quickPacket) Generate(r *rand.Rand, _ int) reflect.Value {
 	}
 	p.Seq = uint64(r.Intn(1000))
 	p.SentAt = int64(r.Intn(100000))
-	p.HopCount = uint32(r.Intn(20))
 	p.AdvWin = uint32(r.Intn(8))
 	return reflect.ValueOf(quickPacket{p: p})
 }

@@ -70,29 +70,3 @@ func TestAppendEncodeReuseAllocFree(t *testing.T) {
 		t.Errorf("AppendEncode into pre-sized buffer: %v allocs/op, want 0", allocs)
 	}
 }
-
-// TestForwardShares pins the zero-copy forwarding contract: Forward bumps
-// HopCount on a fresh header but shares the CD, payload and hash storage
-// with the original — sharing is the point, Clone is the deep copy.
-func TestForwardShares(t *testing.T) {
-	p := &Packet{
-		Type: TypeMulticast, CDs: []cd.CD{cd.MustParse("/1/2")},
-		Payload: []byte("move"), CDHashes: []uint64{1, 2}, HopCount: 3,
-	}
-	q := p.Forward()
-	if q == p {
-		t.Fatal("Forward returned the same header")
-	}
-	if q.HopCount != 4 || p.HopCount != 3 {
-		t.Errorf("HopCount: got fwd=%d orig=%d, want 4 and 3", q.HopCount, p.HopCount)
-	}
-	if &q.Payload[0] != &p.Payload[0] {
-		t.Error("Forward copied the payload; it must share it")
-	}
-	if &q.CDs[0] != &p.CDs[0] {
-		t.Error("Forward copied the CD slice; it must share it")
-	}
-	if &q.CDHashes[0] != &p.CDHashes[0] {
-		t.Error("Forward copied the CD hash vector; it must share it")
-	}
-}
