@@ -32,8 +32,8 @@ test:
 
 # race covers the packages with real concurrency: the TCP daemon, the
 # router/migration machinery, the end-to-end tests in the module root, the
-# telemetry plumbing (flight recorder and trace rings are written by shards
-# while scrapers snapshot them), the scheduler profiler, and the
+# telemetry plumbing (packet-path rings are written by shards and the daemon
+# loop while scrapers snapshot them), the scheduler profiler, and the
 # sharded-scheduler determinism suites (stage-A/B/C handoff under 4 workers,
 # the window/tie-break invariants, the backbone workers × seeds ×
 # {clean, faulted} sweep of the latency-matrix windows, and the backbone and
@@ -53,7 +53,7 @@ race:
 # the repository benchmark that judges a change is BENCHMARK.json, run with
 # `sh bench/run.sh`.
 bench:
-	$(GO) test -run='^$$' -bench=. -benchmem . ./internal/obs
+	$(GO) test -run='^$$' -bench=. -benchmem . ./internal/obs ./internal/obs/trace
 
 # bench-smoke compiles and smoke-tests the repository benchmark. bench/ is a
 # module of its own (BENCHMARK.json runs it with `sh bench/run.sh`), so

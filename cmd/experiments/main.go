@@ -35,12 +35,17 @@ func run() error {
 		seed        = flag.Int64("seed", 42, "random seed")
 		workers     = flag.Int("workers", 1, "scheduler shards for the testbed experiments; results are identical at every count")
 		traceOut    = flag.String("trace", "", "write a Chrome trace (Perfetto / chrome://tracing) of the fig4 G-COPSS run to this file")
-		traceSample = flag.Int("trace-sample", 16, "with -trace, sample 1 in N publications for causal tracing")
+		traceSample = flag.Int("trace-sample", 16, "with -trace, sample 1 in N publications for causal tracing (N >= 1)")
 	)
 	flag.Parse()
 	opts := experiments.Options{Scale: *scale, Seed: *seed, Workers: *workers}
 	var tracer *obstrace.Tracer
 	if *traceOut != "" {
+		// With sampling off the rings would keep every untraced step, and
+		// the export shows only traced ones: nothing to write.
+		if *traceSample < 1 {
+			return fmt.Errorf("-trace needs -trace-sample >= 1, got %d", *traceSample)
+		}
 		tracer = obstrace.NewTracer(*traceSample, *seed, 8192)
 		opts.Trace = tracer
 		opts.Profile = true

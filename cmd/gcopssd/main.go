@@ -13,11 +13,13 @@
 //
 // Players then attach with gplayer.
 //
-// With -debug, the daemon serves its runtime telemetry over HTTP:
-// /metrics (Prometheus text exposition), /flight?n= (packet-path flight
-// recorder dump), /debug/trace (Chrome trace-event JSON of the causal
-// packet trace when -trace-sample is on; open in Perfetto) and
-// /debug/pprof/*:
+// Every daemon records its packet-path steps into one 4096-record ring.
+// With -trace-sample N it samples 1 in N publications and the ring keeps
+// only the steps of sampled packets, joinable across daemons by trace ID;
+// without it the ring keeps every step. With -debug, the daemon serves its
+// runtime telemetry over HTTP: /metrics (Prometheus text exposition),
+// /flight?n= (text dump of the ring), /debug/trace (Chrome trace-event JSON
+// of the ring's sampled records; open in Perfetto) and /debug/pprof/*:
 //
 //	gcopssd -name R1 -listen :7001 -debug :7101 -trace-sample 16
 //	curl http://localhost:7101/metrics
@@ -66,8 +68,7 @@ func run() error {
 		rpName    = flag.String("rp", "", "host an RP under this name (e.g. /rp1)")
 		rpPrefix  = flag.String("rp-prefixes", "/,/1,/2,/3,/4,/5", "comma-separated CD prefixes the RP serves")
 		debugAddr = flag.String("debug", "", "serve /metrics, /flight, /debug/trace and /debug/pprof on this address (empty = off)")
-		flightCap = flag.Int("flight-events", 1024, "flight recorder capacity in events (0 = off)")
-		traceRate = flag.Int("trace-sample", 0, "sample 1 in N publications for causal tracing, dumped at /debug/trace (0 = off)")
+		traceRate = flag.Int("trace-sample", 0, "sample 1 in N publications for causal tracing; the /flight ring then keeps only sampled packets' steps (0 = no sampling, keep every step)")
 		traceSeed = flag.Int64("trace-seed", 42, "sampling seed for -trace-sample")
 		logLevel  = flag.String("log-level", "info", "log level: debug, info, warn or error")
 		faultSpec = flag.String("fault-spec", "", "inject egress faults, e.g. 'loss=0.05,reorder=0.2' or 'face2:only=ctl,loss=0.1' (empty = off)")
@@ -84,11 +85,7 @@ func run() error {
 	root := obs.NewLogger(os.Stderr, level)
 	lg := obs.Scoped(root, "gcopssd").With("router", *name)
 
-	ropts := []core.Option{core.WithFlightRecorder(obs.NewFlight(*flightCap))}
-	if *traceRate > 0 {
-		ropts = append(ropts, core.WithTracer(trace.NewTracer(*traceRate, *traceSeed, 4096)))
-	}
-	d := transport.NewDaemon(*name, ropts...)
+	d := transport.NewDaemon(*name, core.WithTracer(trace.NewTracer(*traceRate, *traceSeed, 4096)))
 	d.SetLogger(obs.Printf(obs.Scoped(root, "daemon")))
 	if *traceRate > 0 {
 		lg.Info("causal tracing armed", "sample", fmt.Sprintf("1/%d", *traceRate), "seed", fmt.Sprint(*traceSeed))

@@ -169,7 +169,7 @@ func TestFactStore(t *testing.T) {
 }
 
 func TestFieldKey(t *testing.T) {
-	if got := FieldKey("internal/obs", "Flight", "next"); got != "internal/obs.Flight.next" {
+	if got := FieldKey("internal/obs/trace", "Ring", "next"); got != "internal/obs/trace.Ring.next" {
 		t.Errorf("FieldKey = %q", got)
 	}
 }

@@ -6,7 +6,6 @@ import (
 
 	"github.com/icn-gaming/gcopss/internal/flowctl"
 	"github.com/icn-gaming/gcopss/internal/ndn"
-	"github.com/icn-gaming/gcopss/internal/obs"
 	"github.com/icn-gaming/gcopss/internal/obs/trace"
 	"github.com/icn-gaming/gcopss/internal/wire"
 )
@@ -245,16 +244,14 @@ func (r *Router) TickTo(now time.Time, sink ndn.ActionSink) {
 		if e.attempts >= r.flow.MaxAttempts {
 			delete(r.arqPending, k)
 			r.ctr.retransAbandoned.Inc()
-			r.record(now, obs.EvDrop, k.face, e.pkt, "retransmission abandoned")
-			r.traceHop(now, trace.HopDrop, k.face, e.pkt)
+			r.record(now, trace.HopDrop, k.face, e.pkt, "retransmission abandoned")
 			continue
 		}
 		e.attempts++
 		e.retransmitted = true
 		e.nextAt = now.Add(r.arqEstimator(k.face).BackoffRTO(e.attempts))
 		r.ctr.retransTotal.Inc()
-		r.record(now, obs.EvRetrans, k.face, e.pkt, "")
-		r.traceHop(now, trace.HopRetransmit, k.face, e.pkt)
+		r.record(now, trace.HopRetransmit, k.face, e.pkt, "")
 		// The stored packet is immutable-after-send; the resend can share it.
 		sink.Emit(ndn.Action{Face: k.face, Packet: e.pkt})
 	}

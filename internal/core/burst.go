@@ -4,7 +4,7 @@ import (
 	"time"
 
 	"github.com/icn-gaming/gcopss/internal/ndn"
-	"github.com/icn-gaming/gcopss/internal/obs"
+	"github.com/icn-gaming/gcopss/internal/obs/trace"
 	"github.com/icn-gaming/gcopss/internal/wire"
 )
 
@@ -49,7 +49,7 @@ func (r *Router) HandleBurst(now time.Time, from ndn.FaceID, pkts []*wire.Packet
 		faces := r.st.FacesForFlat(head.CDs[0], head.CDHashes)
 		for ; i < j; i++ {
 			pkt := pkts[i]
-			r.record(now, obs.EvMulticast, from, pkt, "")
+			r.record(now, trace.HopMulticast, from, pkt, "")
 			r.ctr.multicastIn.Inc()
 			r.fanOut(now, from, pkt, faces, sink)
 		}

@@ -7,7 +7,7 @@ import (
 
 	"github.com/icn-gaming/gcopss/internal/cd"
 	"github.com/icn-gaming/gcopss/internal/ndn"
-	"github.com/icn-gaming/gcopss/internal/obs"
+	"github.com/icn-gaming/gcopss/internal/obs/trace"
 	"github.com/icn-gaming/gcopss/internal/wire"
 )
 
@@ -303,7 +303,7 @@ func (r *Router) handleHandoffAnnouncement(now time.Time, from ndn.FaceID, pkt *
 		r.drop(now, from, pkt, "conflicting handoff")
 		return
 	}
-	r.record(now, obs.EvMigration, from, pkt, "handoff announced")
+	r.record(now, trace.HopMigration, from, pkt, "handoff announced")
 
 	// Learn the route unless stage B already pinned one (path routers).
 	if _, pinned := r.upstream[newRP]; !pinned && !r.IsRP(newRP) {
@@ -392,7 +392,7 @@ func (r *Router) regraft(now time.Time, oldRP, newRP string, move []cd.CD, sink 
 		CDs:    needs.Members(),
 		Origin: r.name,
 	}
-	r.record(now, obs.EvMigration, newFace, join, "join sent (make-before-break)")
+	r.record(now, trace.HopMigration, newFace, join, "join sent (make-before-break)")
 	sink.Emit(ndn.Action{Face: newFace, Packet: join})
 }
 
@@ -491,7 +491,7 @@ func (r *Router) handleConfirm(now time.Time, from ndn.FaceID, pkt *wire.Packet,
 	}
 	if !g.confirmed {
 		r.confirmGraft(rpName, sink)
-		r.record(now, obs.EvMigration, from, pkt, "graft confirmed")
+		r.record(now, trace.HopMigration, from, pkt, "graft confirmed")
 	}
 	// The break of make-before-break happens only when BOTH the new branch
 	// is confirmed live AND our flush marker has drained the old one.
@@ -515,7 +515,7 @@ func (r *Router) flushLeaves(now time.Time, from ndn.FaceID, pkt *wire.Packet, s
 		g := r.grafts[name]
 		if g.hasOld && g.oldFace == from {
 			g.markerSeen = true
-			r.record(now, obs.EvMigration, from, pkt, "flush marker drained old branch")
+			r.record(now, trace.HopMigration, from, pkt, "flush marker drained old branch")
 			r.maybeLeaveOldBranch(now, g, sink)
 		}
 	}
@@ -533,7 +533,7 @@ func (r *Router) maybeLeaveOldBranch(now time.Time, g *graft, sink ndn.ActionSin
 		Name: g.oldRP,
 		CDs:  g.pendingLeave.Members(),
 	}
-	r.record(now, obs.EvMigration, g.oldFace, leave, "old branch released")
+	r.record(now, trace.HopMigration, g.oldFace, leave, "old branch released")
 	sink.Emit(ndn.Action{Face: g.oldFace, Packet: leave})
 	g.pendingLeave = nil
 	g.hasOld = false

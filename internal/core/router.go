@@ -147,17 +147,17 @@ type Router struct {
 	flow       flowctl.Config
 
 	obsReg          *obs.Registry
-	flight          *obs.Flight
 	ctr             routerCounters
 	deliveryLatency *obs.Histogram
 	arqSRTT         *obs.Histogram
 	arqRTO          *obs.Histogram
 
-	// tracer samples publications for causal tracing; tring is this
-	// router's hop ring, bound once at construction so the hot path never
-	// touches the tracer's registry map. Both nil when tracing is off.
+	// tracer samples publications for causal tracing; ring is this
+	// router's packet-path recorder, bound once at construction so the hot
+	// path never touches the tracer's registry map. Both nil without a
+	// tracer.
 	tracer *trace.Tracer
-	tring  *trace.Ring
+	ring   *trace.Ring
 
 	matchMode copss.MatchMode
 
@@ -216,17 +216,12 @@ func WithNDNOptions(opts ...ndn.Option) Option {
 	return func(r *Router) { r.ndnEngine = ndn.NewEngine(opts...) }
 }
 
-// WithFlightRecorder attaches a packet-path flight recorder. Without one,
-// recording is disabled (Record on a nil Flight is a no-op).
-func WithFlightRecorder(f *obs.Flight) Option {
-	return func(r *Router) { r.flight = f }
-}
-
-// WithTracer attaches a shared causal tracer (internal/obs/trace): the
-// router samples client publications at their first hop and appends hop
-// records for any packet carrying a trace context. Hosts share one tracer
-// across all routers so a trace's hops land in per-router rings keyed by
-// router name. Without one, tracing is disabled at zero cost.
+// WithTracer attaches a shared packet-path recorder (internal/obs/trace):
+// the router samples client publications at their first hop and records
+// every packet-path step into its own ring, registered under the router's
+// name; the tracer's sampling rate decides which records the ring keeps.
+// Hosts share one tracer across all routers so a trace's records can be
+// joined by TraceID. Without one, nothing is sampled or recorded.
 func WithTracer(t *trace.Tracer) Option {
 	return func(r *Router) { r.tracer = t }
 }
@@ -256,7 +251,7 @@ func NewRouter(name string, opts ...Option) *Router {
 	r.st = copss.NewST(r.matchMode)
 	r.hashes = copss.NewHashCache(0)
 	if r.tracer != nil {
-		r.tring = r.tracer.Ring(name)
+		r.ring = r.tracer.Ring(name)
 	}
 	r.obsReg = obs.NewRegistry()
 	r.instrument()
@@ -297,10 +292,7 @@ func (r *Router) instrument() {
 // Obs returns the registry the router records into.
 func (r *Router) Obs() *obs.Registry { return r.obsReg }
 
-// FlightRecorder returns the attached flight recorder (nil when disabled).
-func (r *Router) FlightRecorder() *obs.Flight { return r.flight }
-
-// Tracer returns the attached causal tracer (nil when disabled).
+// Tracer returns the attached tracer (nil when none is attached).
 func (r *Router) Tracer() *trace.Tracer { return r.tracer }
 
 // Name returns the router's name.
@@ -338,81 +330,66 @@ func (r *Router) Stats() Stats {
 	}
 }
 
-// arrivalKind maps a wire packet type to its flight-recorder arrival kind
-// (0 when the type is unknown).
-func arrivalKind(t wire.Type) obs.EventKind {
+// arrivalKind maps a wire packet type to its arrival record kind (0 when
+// the type is unknown).
+func arrivalKind(t wire.Type) trace.HopEvent {
 	switch t {
 	case wire.TypeInterest:
-		return obs.EvInterest
+		return trace.HopInterest
 	case wire.TypeData:
-		return obs.EvData
+		return trace.HopData
 	case wire.TypeSubscribe:
-		return obs.EvSubscribe
+		return trace.HopSubscribe
 	case wire.TypeUnsubscribe:
-		return obs.EvUnsubscribe
+		return trace.HopUnsubscribe
 	case wire.TypeMulticast:
-		return obs.EvMulticast
+		return trace.HopMulticast
 	case wire.TypeFIBAdd:
-		return obs.EvAnnounce
+		return trace.HopAnnounce
 	case wire.TypeHandoff:
-		return obs.EvHandoff
+		return trace.HopHandoff
 	case wire.TypeJoin:
-		return obs.EvJoin
+		return trace.HopJoin
 	case wire.TypeConfirm:
-		return obs.EvConfirm
+		return trace.HopConfirm
 	case wire.TypeLeave:
-		return obs.EvLeave
+		return trace.HopLeave
 	case wire.TypePrune:
-		return obs.EvPrune
+		return trace.HopPrune
 	default:
 		return 0
 	}
 }
 
-// record stores one flight event for a packet, filling the shared fields.
-// Kind-specific fields (Face, Note) are set by the caller on ev.
-func (r *Router) record(now time.Time, kind obs.EventKind, face ndn.FaceID, pkt *wire.Packet, note string) {
-	if !r.flight.Enabled() {
-		return
-	}
-	ev := obs.Event{
-		At:   now.UnixNano(),
-		Kind: kind,
-		Face: int64(face),
-		Name: pkt.Name,
-		Note: note,
-	}
-	if len(pkt.CDs) > 0 {
-		ev.CD = pkt.CDs[0].Key()
-	}
-	ev.Origin = pkt.Origin
-	r.flight.Record(ev)
-}
-
-// traceHop appends one hop record for a traced packet. The common early-out
-// (untraced packet, or tracing disabled) is two loads and costs nothing —
-// this rides inside the multicast fast path, so it must stay alloc-free.
+// record appends one packet-path step to the router's ring; the ring
+// decides whether to keep it. Without a tracer it is one nil check — this
+// rides inside the multicast fast path, so it must stay alloc-free.
 //
 //gcopss:hotpath
-func (r *Router) traceHop(now time.Time, ev trace.HopEvent, face ndn.FaceID, pkt *wire.Packet) {
-	if pkt.TraceID == 0 || r.tring == nil {
+func (r *Router) record(now time.Time, kind trace.HopEvent, face ndn.FaceID, pkt *wire.Packet, note string) {
+	if r.ring == nil {
 		return
 	}
-	r.tring.Append(trace.Hop{
+	h := trace.Hop{
 		TraceID: pkt.TraceID,
 		At:      now.UnixNano(),
 		Face:    int64(face),
 		Seq:     pkt.Seq,
-		Event:   ev,
-	})
+		Event:   kind,
+		Name:    pkt.Name,
+		Origin:  pkt.Origin,
+		Note:    note,
+	}
+	if len(pkt.CDs) > 0 {
+		h.CD = pkt.CDs[0].Key()
+	}
+	r.ring.Append(h)
 }
 
-// drop counts a discarded packet and leaves a flight-recorder trace with the
-// reason.
+// drop counts a discarded packet and records it with the reason.
 func (r *Router) drop(now time.Time, from ndn.FaceID, pkt *wire.Packet, reason string) {
 	r.ctr.dropped.Inc()
-	r.record(now, obs.EvDrop, from, pkt, reason)
-	r.traceHop(now, trace.HopDrop, from, pkt)
+	r.record(now, trace.HopDrop, from, pkt, reason)
 }
 
 // AddFace registers a face of the given kind.
@@ -560,7 +537,7 @@ func (r *Router) HandlePacketTo(now time.Time, from ndn.FaceID, pkt *wire.Packet
 		dup := r.arqReceive(from, pkt, sink)
 		if dup {
 			r.ctr.ctlDupsIn.Inc()
-			r.record(now, obs.EvDrop, from, pkt, "arq duplicate")
+			r.record(now, trace.HopDrop, from, pkt, "arq duplicate")
 			return
 		}
 	}
@@ -674,8 +651,7 @@ func (r *Router) deliverAsRP(now time.Time, rpName string, inner *wire.Packet, s
 			return
 		}
 		r.ctr.redirected.Inc()
-		r.record(now, obs.EvRedirect, InternalFace, inner, newRP)
-		r.traceHop(now, trace.HopRedirect, InternalFace, inner)
+		r.record(now, trace.HopRedirect, InternalFace, inner, newRP)
 		r.publishToward(now, newRP, inner, sink)
 		return
 	}
@@ -684,8 +660,7 @@ func (r *Router) deliverAsRP(now time.Time, rpName string, inner *wire.Packet, s
 		return
 	}
 	r.ctr.rpDeliveries.Inc()
-	r.record(now, obs.EvRPDeliver, InternalFace, inner, rpName)
-	r.traceHop(now, trace.HopRPDeliver, InternalFace, inner)
+	r.record(now, trace.HopRPDeliver, InternalFace, inner, rpName)
 	r.distribute(now, -1, inner, sink) // -1: no arrival face to exclude
 }
 
@@ -763,8 +738,7 @@ func (r *Router) handleMulticast(now time.Time, from ndn.FaceID, pkt *wire.Packe
 				return
 			}
 			r.ctr.rpDeliveries.Inc()
-			r.record(now, obs.EvRPDeliver, InternalFace, pkt, rpName)
-			r.traceHop(now, trace.HopRPDeliver, InternalFace, pkt)
+			r.record(now, trace.HopRPDeliver, InternalFace, pkt, rpName)
 			r.distribute(now, -1, pkt, sink)
 			return
 		}
@@ -798,10 +772,9 @@ func (r *Router) publishToward(now time.Time, rpName string, inner *wire.Packet,
 		r.drop(now, InternalFace, inner, "no route to RP")
 		return
 	}
-	r.record(now, obs.EvEncapsulate, faces[0], inner, rpName)
-	// The hop is recorded against the inner publication (its Seq identifies
+	// The step is recorded against the inner publication (its Seq identifies
 	// the trace span); the outer carries the same TraceID on the wire.
-	r.traceHop(now, trace.HopEncapsulate, faces[0], inner)
+	r.record(now, trace.HopEncapsulate, faces[0], inner, rpName)
 	sink.Emit(ndn.Action{Face: faces[0], Packet: outer})
 }
 
@@ -840,8 +813,7 @@ func (r *Router) fanOut(now time.Time, from ndn.FaceID, pkt *wire.Packet, faces 
 		}
 		sink.Emit(ndn.Action{Face: f, Packet: pkt})
 		r.ctr.multicastOut.Inc()
-		r.record(now, obs.EvFanOut, f, pkt, "")
-		r.traceHop(now, trace.HopFanOut, f, pkt)
+		r.record(now, trace.HopFanOut, f, pkt, "")
 		if pkt.SentAt != 0 && pkt.Origin != FlushOrigin && r.faces[f] == FaceClient {
 			if dt := now.UnixNano() - pkt.SentAt; dt >= 0 {
 				r.deliveryLatency.Observe(float64(dt) / 1e6)

@@ -77,7 +77,8 @@ func TestTraceEndToEnd(t *testing.T) {
 			if hop.TraceID != want {
 				t.Errorf("%s: hop with foreign trace ID %#x", name, hop.TraceID)
 			}
-			if hop.Seq != 7 {
+			// The outer Interest carries the TraceID but not the inner Seq.
+			if hop.Event != trace.HopInterest && hop.Seq != 7 {
 				t.Errorf("%s: hop Seq = %d, want 7", name, hop.Seq)
 			}
 			out[hop.Event]++
@@ -131,13 +132,17 @@ func TestTraceExportHopOrder(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &f); err != nil {
 		t.Fatalf("unmarshal: %v", err)
 	}
-	// Pids are 1 for R1 and 2 for R2 (rings sorted by router name).
+	// Pids are 1 for R1 and 2 for R2 (rings sorted by router name). The
+	// client's Multicast arrives at R1 before sampling stamps it, so the
+	// first traced step is the encapsulation.
 	want := []string{
 		"encapsulate@1", // R1, first hop
-		"rp-deliver@2",  // R2, one link later
-		"fan-out@2",     // R2 → subB, same instant: ring position breaks the tie
+		"interest@2",    // R2, one link later
+		"rp-deliver@2",  // R2, same instant: ring position breaks the tie
+		"fan-out@2",     // R2 → subB
 		"fan-out@2",     // R2 → R1
-		"fan-out@1",     // R1 → subA, one link later again
+		"multicast@1",   // R1, one link later again
+		"fan-out@1",     // R1 → subA
 	}
 	got := make([]string, len(want))
 	ts := make([]float64, len(want))
@@ -195,7 +200,8 @@ func TestTraceDeterministicAcrossReplays(t *testing.T) {
 }
 
 // TestTraceDisabledInvisible: a tracer with sampling off (every=0) must
-// leave packets untraced and rings empty; no tracer at all behaves the same.
+// leave the wire untouched — every delivered packet untraced — while each
+// ring keeps every step, untraced, and the Chrome export shows no packet.
 func TestTraceDisabledInvisible(t *testing.T) {
 	tr := trace.NewTracer(0, 42, 64)
 	h := traceNet(t, tr)
@@ -208,11 +214,52 @@ func TestTraceDisabledInvisible(t *testing.T) {
 			}
 		}
 	}
-	for _, r := range tr.Rings() {
-		if r.Recorded() != 0 {
-			t.Errorf("ring %s recorded %d hops with sampling disabled", r.Name(), r.Recorded())
+	for name, want := range map[string][]trace.HopEvent{
+		"R1": {trace.HopSubscribe, trace.HopEncapsulate, trace.HopFanOut},
+		"R2": {trace.HopSubscribe, trace.HopRPDeliver, trace.HopFanOut},
+	} {
+		seen := make(map[trace.HopEvent]bool)
+		for _, hop := range tr.Ring(name).Snapshot() {
+			if hop.TraceID != 0 {
+				t.Errorf("%s: %s record with TraceID %#x while sampling is off", name, hop.Event, hop.TraceID)
+			}
+			seen[hop.Event] = true
+		}
+		for _, ev := range want {
+			if !seen[ev] {
+				t.Errorf("%s: ring holds no %s record", name, ev)
+			}
 		}
 	}
+	var buf bytes.Buffer
+	if err := trace.WriteChromeTrace(&buf, tr, nil); err != nil {
+		t.Fatalf("WriteChromeTrace: %v", err)
+	}
+	if bytes.Contains(buf.Bytes(), []byte(`"ph":"X"`)) {
+		t.Errorf("export with sampling off holds a packet span:\n%s", buf.Bytes())
+	}
+}
+
+// TestTraceARQDuplicateDrop: a traced reliable control packet delivered
+// twice is acked and suppressed the second time, and the ring records that
+// drop under the packet's TraceID and the reason.
+func TestTraceARQDuplicateDrop(t *testing.T) {
+	tr := trace.NewTracer(1, 0, 64)
+	r := NewRouter("R1", WithTracer(tr))
+	r.AddFace(1, FaceRouter)
+	const id = 0xfeed
+	pkt := &wire.Packet{Type: wire.TypeFIBAdd, Name: "/snap", Seq: 1, CtlSeq: 5, TraceID: id}
+	handle(r, time.Unix(0, 0), 1, pkt)
+	handle(r, time.Unix(1, 0), 1, pkt)
+	if got := r.Stats().CtlDupsIn; got != 1 {
+		t.Fatalf("CtlDupsIn = %d, want 1", got)
+	}
+	for _, hop := range tr.Ring("R1").Snapshot() {
+		if hop.Event == trace.HopDrop && hop.TraceID == id && hop.Note == "arq duplicate" {
+			return
+		}
+	}
+	t.Errorf("no drop record for the duplicate; ring: %+v", tr.Ring("R1").Snapshot())
 }
 
 // TestTraceARQRetransmit: reliable control packets are sampled at their

@@ -55,10 +55,6 @@ type Injector struct {
 	stats Stats
 
 	dropped, dupped, delayed, reordered *obs.Counter
-	// flight is the optional fault-event recorder.
-	//
-	//gcopss:guardedby mu
-	flight *obs.Flight
 }
 
 // linkState carries one directed link's independent decision stream: its
@@ -105,14 +101,6 @@ func (in *Injector) Instrument(reg *obs.Registry) {
 	in.dupped = reg.Counter("faultnet_dup_total")
 	in.delayed = reg.Counter("faultnet_delayed_total")
 	in.reordered = reg.Counter("faultnet_reordered_total")
-}
-
-// SetFlight attaches a flight recorder; every injected fault is recorded as
-// an EvFault event with the drop/dup/delay reason in Note.
-func (in *Injector) SetFlight(f *obs.Flight) {
-	in.mu.Lock()
-	in.flight = f
-	in.mu.Unlock()
 }
 
 // Stats returns a snapshot of the decision counts.
@@ -183,7 +171,6 @@ func (in *Injector) Decide(now time.Time, link string, pkt *wire.Packet) Verdict
 	for _, w := range rule.Partitions {
 		if elapsed >= w.From && elapsed < w.To {
 			v = Verdict{Drop: true, Reason: "partition"}
-			in.note(now, link, pkt, "partition")
 			in.stats.Dropped++
 			in.dropped.Inc()
 			in.mix(link, pkt.Type, v)
@@ -193,7 +180,6 @@ func (in *Injector) Decide(now time.Time, link string, pkt *wire.Packet) Verdict
 	r := in.link(link).rnd
 	if rule.Loss > 0 && r.Float64() < rule.Loss {
 		v = Verdict{Drop: true, Reason: "loss"}
-		in.note(now, link, pkt, "loss")
 		in.stats.Dropped++
 		in.dropped.Inc()
 		in.mix(link, pkt.Type, v)
@@ -201,7 +187,6 @@ func (in *Injector) Decide(now time.Time, link string, pkt *wire.Packet) Verdict
 	}
 	if rule.Dup > 0 && r.Float64() < rule.Dup {
 		v.Dup = true
-		in.note(now, link, pkt, "dup")
 		in.stats.Dupped++
 		in.dupped.Inc()
 	}
@@ -215,7 +200,6 @@ func (in *Injector) Decide(now time.Time, link string, pkt *wire.Packet) Verdict
 			quantum = time.Millisecond
 		}
 		v.Delay += time.Duration(1+r.Intn(4)) * quantum
-		in.note(now, link, pkt, "reorder")
 		in.stats.Reordered++
 		in.reordered.Inc()
 	}
@@ -225,22 +209,6 @@ func (in *Injector) Decide(now time.Time, link string, pkt *wire.Packet) Verdict
 	}
 	in.mix(link, pkt.Type, v)
 	return v
-}
-
-// note records a flight event for an injected fault. Caller holds the lock.
-//
-//gcopss:locked mu
-func (in *Injector) note(now time.Time, link string, pkt *wire.Packet, reason string) {
-	if in.flight == nil {
-		return
-	}
-	in.flight.Record(obs.Event{
-		At:     now.UnixNano(),
-		Kind:   obs.EvFault,
-		Name:   link,
-		Origin: pkt.Origin,
-		Note:   reason,
-	})
 }
 
 // mix folds one decision into the link's own trace digest. Caller holds the

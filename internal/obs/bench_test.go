@@ -6,10 +6,10 @@ import (
 )
 
 // The acceptance bar for the telemetry layer: the per-event record paths —
-// counter increment, histogram observation, flight-recorder record — must
-// not allocate, so instrumenting the router's hot paths costs atomic
-// operations only. Run with -benchmem; every BenchmarkObs* must report
-// 0 allocs/op.
+// counter increment, histogram observation, and (in internal/obs/trace) the
+// packet-path ring append — must not allocate, so instrumenting the
+// router's hot paths costs atomic operations only. Run with -benchmem;
+// every BenchmarkObs* must report 0 allocs/op.
 
 func BenchmarkObsCounterInc(b *testing.B) {
 	c := NewRegistry().Counter("bench_counter")
@@ -35,27 +35,6 @@ func BenchmarkObsHistogramObserve(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		h.Observe(float64(i%8192) * 0.01)
-	}
-}
-
-func BenchmarkObsFlightRecord(b *testing.B) {
-	f := NewFlight(1024)
-	ev := Event{At: 12345, Kind: EvMulticast, Face: 3, CD: "/3/4", Name: "/rp1/3/4", Origin: "player17"}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ev.At = int64(i)
-		f.Record(ev)
-	}
-}
-
-func BenchmarkObsFlightRecordDisabled(b *testing.B) {
-	f := NewFlight(0)
-	ev := Event{Kind: EvFanOut, Face: 7}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f.Record(ev)
 	}
 }
 

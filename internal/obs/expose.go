@@ -106,7 +106,7 @@ func formatFloat(v float64) string {
 // NewDebugMux builds the runtime debug endpoint shared by the daemons:
 //
 //	GET /metrics        Prometheus-style text exposition (via metrics)
-//	GET /flight?n=64    last n flight-recorder events (via flight; all if n
+//	GET /flight?n=64    last n packet-path records (via flight; all if n
 //	                    is absent); 404 when flight is nil
 //	GET /debug/trace    Chrome trace-event JSON of the causal packet trace
 //	                    (via trace; open in Perfetto); 404 when trace is nil

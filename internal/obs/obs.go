@@ -1,6 +1,7 @@
 // Package obs is the telemetry layer of the G-COPSS reproduction: a
-// stdlib-only, allocation-conscious metrics registry, a bounded flight
-// recorder for packet-path events, and a structured logger.
+// stdlib-only, allocation-conscious metrics registry, the HTTP debug
+// endpoint, and a structured logger. The packet-path recorder is its
+// subpackage trace.
 //
 // The design follows the shape of an NDN forwarder's management plane (per
 // the NFD counters and COPSS-lite's per-node packet accounting): hot paths

@@ -16,7 +16,7 @@ import (
 //	pid 0            "packets"   — one tid per sampled trace, an "X"
 //	                  complete span covering first→last hop in virtual time
 //	pid 1..R         one per router (sorted by name) — "i" instant events,
-//	                  one per hop record, ts in virtual time; args.hop is the
+//	                  one per traced record, ts in virtual time; args.hop is the
 //	                  record's ordinal within its trace in time order
 //	pid R+1          "scheduler" — one tid per shard, alternating "execute"
 //	                  and "barrier-wait" "X" spans from the profiler
@@ -48,78 +48,83 @@ func meta(pid, tid int, kind, value string) chromeEvent {
 		Args: map[string]any{"name": value}}
 }
 
-// WriteChromeTrace serializes the tracer's hop rings and the scheduler
-// profile as Chrome trace-event JSON. Either argument may be nil; an export
-// with neither produces an empty (but valid) trace.
+// WriteChromeTrace serializes the traced records of the tracer's rings and
+// the scheduler profile as Chrome trace-event JSON. Records without a
+// TraceID (a ring with sampling off keeps them) belong to no trace and are
+// skipped. Either argument may be nil; an export with neither produces an
+// empty (but valid) trace.
 func WriteChromeTrace(w io.Writer, tr *Tracer, prof *event.SchedProfile) error {
 	evs := []chromeEvent{} // non-nil so an empty export still has the array
 
+	var rings []*Ring
 	if tr != nil {
-		rings := tr.Rings()
-		snaps := make([][]Hop, len(rings))
-		// hops[id] lists every record of one trace across all routers as
-		// (ring, position) pairs, appended in ring then position order and
-		// stably sorted by At below, so equal times keep that order; a
-		// record's place in the sorted list is its "hop".
-		type ref struct{ ring, pos int }
-		hops := make(map[uint64][]ref)
-		ord := make([][]int, len(rings))
-		for i, r := range rings {
-			snaps[i] = r.Snapshot()
-			ord[i] = make([]int, len(snaps[i]))
-			for k, h := range snaps[i] {
+		rings = tr.Rings()
+	}
+	snaps := make([][]Hop, len(rings))
+	// hops[id] lists every record of one trace across all routers as
+	// (ring, position) pairs, appended in ring then position order and
+	// stably sorted by At below, so equal times keep that order; a record's
+	// place in the sorted list is its "hop".
+	type ref struct{ ring, pos int }
+	hops := make(map[uint64][]ref)
+	ord := make([][]int, len(rings))
+	for i, r := range rings {
+		snaps[i] = r.Snapshot()
+		ord[i] = make([]int, len(snaps[i]))
+		for k, h := range snaps[i] {
+			if h.TraceID != 0 {
 				hops[h.TraceID] = append(hops[h.TraceID], ref{i, k})
 			}
 		}
-		at := func(x ref) int64 { return snaps[x.ring][x.pos].At }
-		ids := make([]uint64, 0, len(hops))
-		for id := range hops {
-			ids = append(ids, id)
+	}
+	at := func(x ref) int64 { return snaps[x.ring][x.pos].At }
+	ids := make([]uint64, 0, len(hops))
+	for id := range hops {
+		ids = append(ids, id)
+	}
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	if len(ids) > 0 {
+		evs = append(evs, meta(0, 0, "process_name", "packets"))
+	}
+	for tid, id := range ids {
+		refs := hops[id]
+		sort.SliceStable(refs, func(i, j int) bool { return at(refs[i]) < at(refs[j]) })
+		for n, x := range refs {
+			ord[x.ring][x.pos] = n
 		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		if len(ids) > 0 {
-			evs = append(evs, meta(0, 0, "process_name", "packets"))
+		lo, hi := at(refs[0]), at(refs[len(refs)-1])
+		dur := float64(hi-lo) / 1e3
+		if dur <= 0 {
+			dur = 1 // zero-width spans are invisible in the viewers
 		}
-		for tid, id := range ids {
-			refs := hops[id]
-			sort.SliceStable(refs, func(i, j int) bool { return at(refs[i]) < at(refs[j]) })
-			for n, x := range refs {
-				ord[x.ring][x.pos] = n
-			}
-			lo, hi := at(refs[0]), at(refs[len(refs)-1])
-			dur := float64(hi-lo) / 1e3
-			if dur <= 0 {
-				dur = 1 // zero-width spans are invisible in the viewers
+		evs = append(evs, chromeEvent{
+			Name: fmt.Sprintf("trace %016x", id), Ph: "X",
+			Ts: float64(lo) / 1e3, Dur: dur, Pid: 0, Tid: tid,
+			Args: map[string]any{"trace": fmt.Sprintf("%016x", id)},
+		})
+	}
+	for i, r := range rings {
+		pid := i + 1
+		evs = append(evs, meta(pid, 0, "process_name", "router "+r.Name()))
+		for k, h := range snaps[i] {
+			if h.TraceID == 0 {
+				continue
 			}
 			evs = append(evs, chromeEvent{
-				Name: fmt.Sprintf("trace %016x", id), Ph: "X",
-				Ts: float64(lo) / 1e3, Dur: dur, Pid: 0, Tid: tid,
-				Args: map[string]any{"trace": fmt.Sprintf("%016x", id)},
+				Name: h.Event.String(), Ph: "i",
+				Ts: float64(h.At) / 1e3, Pid: pid, Tid: 0, S: "t",
+				Args: map[string]any{
+					"trace": fmt.Sprintf("%016x", h.TraceID),
+					"face":  h.Face,
+					"hop":   ord[i][k],
+					"seq":   h.Seq,
+				},
 			})
-		}
-		for i, r := range rings {
-			pid := i + 1
-			evs = append(evs, meta(pid, 0, "process_name", "router "+r.Name()))
-			for k, h := range snaps[i] {
-				evs = append(evs, chromeEvent{
-					Name: h.Event.String(), Ph: "i",
-					Ts: float64(h.At) / 1e3, Pid: pid, Tid: 0, S: "t",
-					Args: map[string]any{
-						"trace": fmt.Sprintf("%016x", h.TraceID),
-						"face":  h.Face,
-						"hop":   ord[i][k],
-						"seq":   h.Seq,
-					},
-				})
-			}
 		}
 	}
 
 	if prof != nil {
-		pid := 1
-		if tr != nil {
-			pid = len(tr.Rings()) + 1
-		}
+		pid := len(rings) + 1
 		evs = append(evs, meta(pid, 0, "process_name", "scheduler"))
 		for i := range prof.Shards {
 			evs = append(evs, meta(pid, i, "thread_name", fmt.Sprintf("shard %d", i)))

@@ -1,19 +1,26 @@
-// Package trace is the causal packet-tracing layer (DESIGN.md §14): a
-// deterministic 1-in-N sampler stamps a trace context onto wire packets at
-// their first hop, and every router on the path appends fixed-size hop
-// records to a per-router ring. The contract that makes it safe to leave
-// compiled into the data plane:
+// Package trace is the router's packet-path recorder (DESIGN.md §14): every
+// router appends one fixed-size record per packet-path step — arrival,
+// encapsulation, RP delivery, fan-out, redirect, drop, migration stage,
+// retransmission — to its own ring, and a deterministic 1-in-N sampler
+// stamps a trace context onto wire packets at their first hop so the
+// records of one packet can be joined across routers. The contract that
+// makes it safe to leave compiled into the data plane:
 //
 //   - Zero-alloc always: SampleID and Ring.Append are //gcopss:hotpath and
 //     allocation-free whether or not the packet is sampled; the rings are
-//     preallocated at Tracer construction.
+//     preallocated at Tracer construction and records alias their strings.
 //   - Deterministic under seed: whether a publication (origin, seq) is
 //     sampled — and the trace ID it receives — is a pure function of
 //     (origin, seq, every, seed). Two replays with the same seed trace the
 //     same packets, so traces can be diffed across runs.
-//   - Invisible when off: a nil *Tracer samples nothing, packets keep
-//     TraceID == 0, and wire encodings are byte-identical to an untraced
-//     build (wire omits the zero field).
+//   - The wire is untouched when sampling is off: a nil *Tracer or
+//     every == 0 samples nothing, packets keep TraceID == 0, and wire
+//     encodings are byte-identical to an untraced build (wire omits the
+//     zero field).
+//
+// The sampling rate also decides which records a ring keeps: with
+// every == 0 it keeps every step of every packet (a flight recorder); with
+// every > 0 it keeps only the steps of packets carrying a TraceID.
 //
 // Rings use one uncontended mutex each rather than atomics: within a
 // deterministic scheduler shard there is a single writer per ring, and the
@@ -22,18 +29,35 @@
 package trace
 
 import (
+	"bufio"
+	"fmt"
+	"io"
 	"sort"
 	"sync"
 )
 
-// HopEvent classifies what happened to a traced packet at a hop. The values
-// mirror the flight-recorder event kinds on the same code paths.
+// HopEvent classifies one packet-path step. Arrival kinds mirror the wire
+// packet types; the rest mark the router-internal transitions that make a
+// path readable.
 type HopEvent uint8
 
+// Hop events. The zero value is invalid.
 const (
+	// HopInterest through HopPrune record packet arrivals by wire type.
+	HopInterest HopEvent = iota + 1
+	HopData
+	HopSubscribe
+	HopUnsubscribe
+	HopMulticast
+	HopAnnounce
+	HopJoin
+	HopConfirm
+	HopLeave
+	HopHandoff
+	HopPrune
 	// HopEncapsulate: a first-hop router wrapped the publication in an
 	// Interest toward the RP.
-	HopEncapsulate HopEvent = iota
+	HopEncapsulate
 	// HopRPDeliver: the RP decapsulated (or directly accepted) the
 	// publication and matched it against the subscription table.
 	HopRPDeliver
@@ -43,16 +67,39 @@ const (
 	// HopRedirect: a migrated RP redirected the publication toward the
 	// current RP.
 	HopRedirect
-	// HopDrop: the packet was dropped (no route, decode failure, ARQ
-	// abandonment).
+	// HopDrop: the packet was dropped; Note carries the reason.
 	HopDrop
+	// HopMigration: a migration-protocol state transition; Note names it.
+	HopMigration
 	// HopRetransmit: the hop-by-hop ARQ retransmitted a control packet.
 	HopRetransmit
 )
 
-// String returns the stable lower-case name used in trace exports.
+// String returns the stable lower-case name used in dumps and exports.
 func (e HopEvent) String() string {
 	switch e {
+	case HopInterest:
+		return "interest"
+	case HopData:
+		return "data"
+	case HopSubscribe:
+		return "subscribe"
+	case HopUnsubscribe:
+		return "unsubscribe"
+	case HopMulticast:
+		return "multicast"
+	case HopAnnounce:
+		return "announce"
+	case HopJoin:
+		return "join"
+	case HopConfirm:
+		return "confirm"
+	case HopLeave:
+		return "leave"
+	case HopHandoff:
+		return "handoff"
+	case HopPrune:
+		return "prune"
 	case HopEncapsulate:
 		return "encapsulate"
 	case HopRPDeliver:
@@ -63,18 +110,23 @@ func (e HopEvent) String() string {
 		return "redirect"
 	case HopDrop:
 		return "drop"
+	case HopMigration:
+		return "migration"
 	case HopRetransmit:
 		return "retransmit"
 	}
 	return "unknown"
 }
 
-// Hop is one fixed-size record on a traced packet's path. Records are
-// value types so ring appends never allocate.
+// Hop is one fixed-size packet-path record. Records are value types and
+// their strings alias the packet's (no copies are made), so ring appends
+// never allocate.
 type Hop struct {
-	// TraceID is the sampled trace context the record belongs to.
+	// TraceID is the sampled trace context the record belongs to (0 for an
+	// untraced packet).
 	TraceID uint64
-	// At is the sim-clock timestamp (UnixNano) the hop was processed at.
+	// At is the host-clock timestamp (UnixNano) the step happened at: wall
+	// time in the daemon, virtual time in simulation hosts.
 	At int64
 	// Face is the router face involved (out-face for fan-out, in-face or
 	// -1 where no face applies).
@@ -82,36 +134,57 @@ type Hop struct {
 	// Seq is the publication sequence number, kept so exports can label
 	// spans without chasing the origin packet.
 	Seq uint64
-	// Event says what happened at this hop.
+	// Event says what happened at this step.
 	Event HopEvent
+	// CD is the packet's first content descriptor, when it carries one.
+	CD string
+	// Name is the content or RP name, when present.
+	Name string
+	// Origin is the publishing player or node, when present.
+	Origin string
+	// Note is free-form detail: drop reason, migration stage, target RP.
+	Note string
 }
 
-// Ring is a bounded per-router hop-record buffer. One goroutine appends
-// (the router's scheduler shard); Snapshot may be called concurrently from
-// a debug endpoint or exporter. The mutex is uncontended in steady state.
+// Ring is a bounded per-router record buffer. One goroutine appends (the
+// router's scheduler shard or the daemon's event loop); Snapshot and Dump
+// may be called concurrently from a debug endpoint or exporter. The mutex
+// is uncontended in steady state.
 type Ring struct {
 	name string
+	// all keeps untraced records too: the tracer's sampling is off.
+	all bool
 
-	mu   sync.Mutex
-	buf  []Hop // fixed capacity, preallocated
+	mu sync.Mutex
+	// buf is the ring storage. Its length is immutable after construction;
+	// element writes happen under mu. Deliberately not lock-annotated for
+	// that reason.
+	buf []Hop
+	// next is the total number of records appended since creation.
+	//
+	//gcopss:guardedby mu
 	next uint64
 }
 
 // Name returns the router name the ring was registered under.
 func (r *Ring) Name() string { return r.name }
 
-// Append records one hop. It is allocation-free: the record is copied into
-// the preallocated buffer, overwriting the oldest entry when full.
+// Append records one step. With sampling on, a record without a TraceID is
+// discarded. It is allocation-free: the record is copied into the
+// preallocated buffer, overwriting the oldest entry when full.
 //
 //gcopss:hotpath
 func (r *Ring) Append(h Hop) {
+	if h.TraceID == 0 && !r.all {
+		return
+	}
 	r.mu.Lock()
 	r.buf[r.next%uint64(len(r.buf))] = h
 	r.next++
 	r.mu.Unlock()
 }
 
-// Recorded returns the total number of hops appended, including those
+// Recorded returns the total number of records appended, including those
 // already overwritten.
 func (r *Ring) Recorded() uint64 {
 	r.mu.Lock()
@@ -119,9 +192,16 @@ func (r *Ring) Recorded() uint64 {
 	return r.next
 }
 
-// Snapshot returns the retained hop records oldest-first. Safe to call
-// while the owning shard is appending.
+// Snapshot returns the retained records oldest-first. Safe to call while
+// the owning shard is appending.
 func (r *Ring) Snapshot() []Hop {
+	hops, _ := r.snapshot()
+	return hops
+}
+
+// snapshot returns the retained records oldest-first together with the
+// total appended, read under one lock so the two agree.
+func (r *Ring) snapshot() ([]Hop, uint64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	size := uint64(len(r.buf))
@@ -131,9 +211,42 @@ func (r *Ring) Snapshot() []Hop {
 		start := n % size
 		copy(out, r.buf[start:])
 		copy(out[size-start:], r.buf[:start])
-		return out
+		return out, n
 	}
-	return append([]Hop(nil), r.buf[:n]...)
+	return append([]Hop(nil), r.buf[:n]...), n
+}
+
+// Dump writes the last n retained records (n <= 0: all) one per line,
+// oldest first, after a header line. #k is the record's append ordinal.
+func (r *Ring) Dump(w io.Writer, n int) error {
+	hops, total := r.snapshot()
+	if n > 0 && n < len(hops) {
+		hops = hops[len(hops)-n:]
+	}
+	first := total - uint64(len(hops))
+	bw := bufio.NewWriter(w)
+	fmt.Fprintf(bw, "# flight recorder: %d events retained, %d recorded\n", len(hops), total)
+	for i := range hops {
+		h := &hops[i]
+		fmt.Fprintf(bw, "#%d t=%dns %s face=%d", first+uint64(i), h.At, h.Event, h.Face)
+		if h.CD != "" {
+			fmt.Fprintf(bw, " cd=%s", h.CD)
+		}
+		if h.Name != "" {
+			fmt.Fprintf(bw, " name=%s", h.Name)
+		}
+		if h.Origin != "" {
+			fmt.Fprintf(bw, " origin=%s", h.Origin)
+		}
+		if h.Note != "" {
+			fmt.Fprintf(bw, " note=%q", h.Note)
+		}
+		if h.TraceID != 0 {
+			fmt.Fprintf(bw, " trace=%016x", h.TraceID)
+		}
+		bw.WriteByte('\n') //nolint:errcheck // flushed below
+	}
+	return bw.Flush()
 }
 
 // Tracer owns the sampling decision and the per-router rings. A nil Tracer
@@ -148,9 +261,10 @@ type Tracer struct {
 }
 
 // NewTracer builds a tracer sampling one in every `every` publications
-// (every <= 0 disables sampling entirely; every == 1 traces everything).
-// seed perturbs which publications are picked without changing the rate.
-// ringCap bounds each router's hop ring (minimum 1).
+// (every <= 0 disables sampling and makes every ring keep every record;
+// every == 1 traces everything). seed perturbs which publications are
+// picked without changing the rate. ringCap bounds each router's ring
+// (minimum 1).
 func NewTracer(every int, seed int64, ringCap int) *Tracer {
 	if ringCap < 1 {
 		ringCap = 1
@@ -167,7 +281,7 @@ func NewTracer(every int, seed int64, ringCap int) *Tracer {
 	}
 }
 
-// Ring returns the hop ring registered for name, creating it on first use.
+// Ring returns the ring registered for name, creating it on first use.
 // Registration happens at router construction, never on the hot path.
 func (t *Tracer) Ring(name string) *Ring {
 	t.mu.Lock()
@@ -175,7 +289,7 @@ func (t *Tracer) Ring(name string) *Ring {
 	if r, ok := t.rings[name]; ok {
 		return r
 	}
-	r := &Ring{name: name, buf: make([]Hop, t.ringCap)}
+	r := &Ring{name: name, all: t.every == 0, buf: make([]Hop, t.ringCap)}
 	t.rings[name] = r
 	return r
 }

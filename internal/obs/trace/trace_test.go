@@ -2,6 +2,9 @@ package trace
 
 import (
 	"fmt"
+	"io"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -102,6 +105,65 @@ func TestRingAppendSnapshot(t *testing.T) {
 	}
 }
 
+// TestRingDump pins the /flight text format: a header, then the last n
+// retained records oldest-first, each numbered by its append ordinal and
+// carrying its trace ID only when it has one.
+func TestRingDump(t *testing.T) {
+	r := NewTracer(0, 0, 4).Ring("R1")
+	for i := 0; i < 6; i++ {
+		r.Append(Hop{At: int64(i), Event: HopMulticast, Face: int64(i), CD: "/1/2", Origin: "p1"})
+	}
+	r.Append(Hop{TraceID: 0xab, At: 6, Event: HopDrop, Face: -1, Name: "/rp1", Note: "no route to RP"})
+
+	var sb strings.Builder
+	if err := r.Dump(&sb, 0); err != nil {
+		t.Fatal(err)
+	}
+	want := "# flight recorder: 4 events retained, 7 recorded\n" +
+		"#3 t=3ns multicast face=3 cd=/1/2 origin=p1\n" +
+		"#4 t=4ns multicast face=4 cd=/1/2 origin=p1\n" +
+		"#5 t=5ns multicast face=5 cd=/1/2 origin=p1\n" +
+		"#6 t=6ns drop face=-1 name=/rp1 note=\"no route to RP\" trace=00000000000000ab\n"
+	if got := sb.String(); got != want {
+		t.Errorf("Dump(0) =\n%s\nwant\n%s", got, want)
+	}
+
+	sb.Reset()
+	if err := r.Dump(&sb, 2); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(sb.String(), "\n"), "\n")
+	if len(lines) != 3 || !strings.HasPrefix(lines[1], "#5 ") || !strings.HasPrefix(lines[2], "#6 ") {
+		t.Errorf("Dump(2) =\n%s\nwant the header and records #5, #6", sb.String())
+	}
+}
+
+// TestRingKeepRule: with sampling off a ring keeps every record; with
+// sampling on it keeps only records carrying a TraceID.
+func TestRingKeepRule(t *testing.T) {
+	for _, tc := range []struct {
+		every int
+		want  []uint64 // TraceIDs retained
+	}{
+		{every: 0, want: []uint64{0, 7}},
+		{every: 4, want: []uint64{7}},
+	} {
+		r := NewTracer(tc.every, 0, 8).Ring("R1")
+		r.Append(Hop{Event: HopFanOut})
+		r.Append(Hop{TraceID: 7, Event: HopFanOut})
+		var got []uint64
+		for _, h := range r.Snapshot() {
+			got = append(got, h.TraceID)
+		}
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("every=%d: retained trace IDs %v, want %v", tc.every, got, tc.want)
+		}
+		if r.Recorded() != uint64(len(tc.want)) {
+			t.Errorf("every=%d: Recorded = %d, want %d", tc.every, r.Recorded(), len(tc.want))
+		}
+	}
+}
+
 // TestRingRegistrationIdempotent: Ring(name) returns the same ring, and
 // Rings() lists them sorted by name.
 func TestRingRegistrationIdempotent(t *testing.T) {
@@ -122,7 +184,7 @@ func TestRingRegistrationIdempotent(t *testing.T) {
 }
 
 // TestRingSnapshotRace is the read-during-write regression (run under
-// -race): shard writers append hot while exporters snapshot.
+// -race): shard writers append hot while exporters snapshot and dump.
 func TestRingSnapshotRace(t *testing.T) {
 	tr := NewTracer(1, 0, 64)
 	var wg sync.WaitGroup
@@ -145,6 +207,10 @@ func TestRingSnapshotRace(t *testing.T) {
 						return
 					}
 				}
+				if err := r.Dump(io.Discard, 16); err != nil {
+					t.Error(err)
+					return
+				}
 				r.Recorded()
 			}
 		}(r)
@@ -155,12 +221,25 @@ func TestRingSnapshotRace(t *testing.T) {
 // TestHopEventStrings pins the export vocabulary.
 func TestHopEventStrings(t *testing.T) {
 	want := map[HopEvent]string{
+		HopInterest:    "interest",
+		HopData:        "data",
+		HopSubscribe:   "subscribe",
+		HopUnsubscribe: "unsubscribe",
+		HopMulticast:   "multicast",
+		HopAnnounce:    "announce",
+		HopJoin:        "join",
+		HopConfirm:     "confirm",
+		HopLeave:       "leave",
+		HopHandoff:     "handoff",
+		HopPrune:       "prune",
 		HopEncapsulate: "encapsulate",
 		HopRPDeliver:   "rp-deliver",
 		HopFanOut:      "fan-out",
 		HopRedirect:    "redirect",
 		HopDrop:        "drop",
+		HopMigration:   "migration",
 		HopRetransmit:  "retransmit",
+		HopEvent(0):    "unknown",
 		HopEvent(99):   "unknown",
 	}
 	for e, s := range want {

@@ -12,11 +12,13 @@ import (
 )
 
 // DebugHandler returns the daemon's runtime debug endpoint: /metrics
-// (Prometheus text exposition of the router's registry), /flight?n= (flight
-// recorder dump) and /debug/pprof/*. Both exposition and dump execute on the
-// daemon's event loop via Inspect — GaugeFunc callbacks read loop-owned
-// tables (ST, RP table, PIT) — so the handler must only serve while Run is
-// running.
+// (Prometheus text exposition of the router's registry), /flight?n= (text
+// dump of the router's own packet-path ring), /debug/trace (Chrome
+// trace-event JSON of the traced records in the same ring) and
+// /debug/pprof/*. /flight and /debug/trace answer 404 when the router has
+// no tracer. Exposition and dumps execute on the daemon's event loop via
+// Inspect — GaugeFunc callbacks read loop-owned tables (ST, RP table, PIT)
+// — so the handler must only serve while Run is running.
 func (d *Daemon) DebugHandler() http.Handler {
 	metrics := func(w io.Writer) {
 		d.Inspect(func(r *core.Router) {
@@ -24,15 +26,13 @@ func (d *Daemon) DebugHandler() http.Handler {
 		})
 	}
 	var flight func(io.Writer, int)
-	if d.router.FlightRecorder().Enabled() {
-		flight = func(w io.Writer, n int) {
-			d.Inspect(func(r *core.Router) {
-				r.FlightRecorder().Dump(w, n) //nolint:errcheck // same as exposition
-			})
-		}
-	}
 	var traceDump func(io.Writer)
 	if d.router.Tracer() != nil {
+		flight = func(w io.Writer, n int) {
+			d.Inspect(func(r *core.Router) {
+				r.Tracer().Ring(r.Name()).Dump(w, n) //nolint:errcheck // same as exposition
+			})
+		}
 		traceDump = func(w io.Writer) {
 			d.Inspect(func(r *core.Router) {
 				// No scheduler profile in the live daemon — the profiler

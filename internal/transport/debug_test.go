@@ -12,7 +12,6 @@ import (
 	"github.com/icn-gaming/gcopss/internal/cd"
 	"github.com/icn-gaming/gcopss/internal/copss"
 	"github.com/icn-gaming/gcopss/internal/core"
-	"github.com/icn-gaming/gcopss/internal/obs"
 	"github.com/icn-gaming/gcopss/internal/obs/trace"
 	"github.com/icn-gaming/gcopss/internal/wire"
 )
@@ -68,19 +67,20 @@ func metricValue(body, name string) float64 {
 // TestDebugEndpointAfterPublicationExchange is the telemetry acceptance
 // test: after a two-router publication exchange the debug endpoints must
 // expose nonzero multicast_in / rp_deliveries counters and a populated
-// delivery-latency histogram, and the flight recorder must reconstruct the
-// packet path in order — encapsulation at the edge, decapsulation at the RP,
-// subscription-tree fan-out.
+// delivery-latency histogram, and each daemon's own /flight ring must hold
+// its part of the packet path in order — encapsulation at the edge,
+// decapsulation and subscription-tree fan-out at the RP. With sampling off,
+// as gcopssd runs by default, /debug/trace still serves a valid document,
+// but one without packet spans.
 func TestDebugEndpointAfterPublicationExchange(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
-	// Both routers record into one shared flight recorder, so the dump holds
-	// the full cross-router path in sequence order. R1 hosts the RP; R2 is
-	// the edge router with both the subscriber and the publisher attached.
-	flight := obs.NewFlight(256)
-	d1, addr1, debug1 := startDebugDaemon(t, ctx, "R1", core.WithFlightRecorder(flight))
-	d2, addr2, debug2 := startDebugDaemon(t, ctx, "R2", core.WithFlightRecorder(flight))
+	// Each daemon records into its own ring with sampling off, so the ring
+	// keeps every step. R1 hosts the RP; R2 is the edge router with both the
+	// subscriber and the publisher attached.
+	d1, addr1, debug1 := startDebugDaemon(t, ctx, "R1", core.WithTracer(trace.NewTracer(0, 0, 256)))
+	d2, addr2, debug2 := startDebugDaemon(t, ctx, "R2", core.WithTracer(trace.NewTracer(0, 0, 256)))
 	if err := d2.ConnectRouter(addr1); err != nil {
 		t.Fatal(err)
 	}
@@ -155,24 +155,26 @@ func TestDebugEndpointAfterPublicationExchange(t *testing.T) {
 		t.Errorf("R1 rp_table_entries = %v, want >= 1", v)
 	}
 
-	// The flight dump (same recorder behind both endpoints) must order the
-	// packet path: encapsulation at the edge, then RP delivery, then
-	// subscription-tree fan-out of the publication.
-	code, dump := httpGet(t, debug1+"/flight")
-	if code != http.StatusOK {
-		t.Fatalf("/flight: status %d", code)
-	}
-	iEnc := strings.Index(dump, " encapsulate face")
-	iRP := strings.Index(dump, " rp-deliver face")
-	iFan := strings.LastIndex(dump, " fan-out face")
-	if iEnc < 0 || iRP < 0 || iFan < 0 {
-		t.Fatalf("flight dump misses path stages (enc=%d rp=%d fan=%d):\n%s", iEnc, iRP, iFan, dump)
-	}
-	if !(iEnc < iRP && iRP < iFan) {
-		t.Errorf("flight dump out of order (enc=%d rp=%d fan=%d):\n%s", iEnc, iRP, iFan, dump)
-	}
-	if !strings.Contains(dump, "origin=plane") {
-		t.Errorf("flight dump lost the publication origin:\n%s", dump)
+	// Each /flight dump holds that daemon's own steps in order: the edge
+	// encapsulates the publication and later fans the returning multicast
+	// out to the subscriber; the RP decapsulates it, then fans it out.
+	for _, tc := range []struct {
+		router, url, first, then string
+	}{
+		{"R2 (edge)", debug2, " encapsulate face", " fan-out face"},
+		{"R1 (RP)", debug1, " rp-deliver face", " fan-out face"},
+	} {
+		code, dump := httpGet(t, tc.url+"/flight")
+		if code != http.StatusOK {
+			t.Fatalf("%s /flight: status %d", tc.router, code)
+		}
+		i, j := strings.Index(dump, tc.first), strings.LastIndex(dump, tc.then)
+		if i < 0 || j < i {
+			t.Errorf("%s /flight lacks%s before%s:\n%s", tc.router, tc.first, tc.then, dump)
+		}
+		if !strings.Contains(dump, "origin=plane") {
+			t.Errorf("%s /flight lost the publication origin:\n%s", tc.router, dump)
+		}
 	}
 
 	// pprof rides along on the same mux.
@@ -180,10 +182,17 @@ func TestDebugEndpointAfterPublicationExchange(t *testing.T) {
 		t.Errorf("/debug/pprof/cmdline: status %d", code)
 	}
 
-	// No tracer attached: /debug/trace reports 404 rather than an empty
-	// document.
-	if code, _ := httpGet(t, debug1+"/debug/trace"); code != http.StatusNotFound {
-		t.Errorf("/debug/trace without tracer: status %d, want 404", code)
+	// Sampling off: the ring's records carry no trace ID, so the export is a
+	// valid document with router tracks but no packet span.
+	code, doc := httpGet(t, debug2+"/debug/trace")
+	if code != http.StatusOK {
+		t.Fatalf("/debug/trace: status %d", code)
+	}
+	if err := trace.ValidateChromeTrace([]byte(doc)); err != nil {
+		t.Fatalf("/debug/trace returned invalid document: %v\n%s", err, doc)
+	}
+	if strings.Contains(doc, `"ph":"X"`) || strings.Contains(doc, `"ph":"i"`) {
+		t.Errorf("/debug/trace with sampling off holds packet records:\n%s", doc)
 	}
 }
 
