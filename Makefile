@@ -32,20 +32,16 @@ test:
 
 # race covers the packages with real concurrency: the TCP daemon, the
 # router/migration machinery, the end-to-end tests in the module root, the
-# telemetry plumbing (packet-path rings are written by shards and the daemon
-# loop while scrapers snapshot them), the scheduler profiler, and the
-# sharded-scheduler determinism suites (stage-A/B/C handoff under 4 workers,
-# the window/tie-break invariants, the backbone workers × seeds ×
-# {clean, faulted} sweep of the latency-matrix windows, and the backbone and
-# Fig. 3b lab goldens at several worker counts), plus the flow-control chaos
-# matrix (adaptive-vs-static gate on goodput and
-# retrans_abandoned_total, and same-seed replay determinism), the wire decoder
-# (its string table is touched from reader goroutines) and the NDN tables
-# (FIB slices are handed across calls). CI's race job calls this target, so
-# the lists live here only.
-RACE_TESTBED = TestChaosHandoffStagesWorkers4|TestWorkersReproduceOneShardTrace|TestWindowLookaheadInvariant|TestShardedTieBreakOrdering|TestBackboneDeterminism|TestBackboneGolden|TestMicrobenchGolden|TestFlowControlAdaptiveBeatsStatic|TestFlowChaosDeterminism
+# telemetry plumbing (packet-path rings are written by the daemon loop while
+# scrapers snapshot them), the wire decoder (its string table is touched from
+# reader goroutines) and the NDN tables (FIB slices are handed across calls).
+# The testbed runs on one event loop; its goldens, determinism suites and
+# flow-control chaos gate run under -race too because they drive the
+# mutex-guarded fault injector and trace rings end to end. CI's race job
+# calls this target, so the lists live here only.
+RACE_TESTBED = TestBackboneDeterminism|TestBackboneGolden|TestMicrobenchGolden|TestFlowControlAdaptiveBeatsStatic|TestFlowChaosDeterminism
 race:
-	$(GO) test -race -count=1 ./internal/transport ./internal/core ./internal/flowctl ./internal/obs/... ./internal/event ./internal/copss ./internal/bloom ./internal/wire ./internal/ndn .
+	$(GO) test -race -count=1 ./internal/transport ./internal/core ./internal/flowctl ./internal/obs/... ./internal/copss ./internal/bloom ./internal/wire ./internal/ndn .
 	$(GO) test -race -count=1 -run '$(RACE_TESTBED)' ./internal/testbed
 
 # bench prints the go-test microbenchmarks (module root and the telemetry hot
@@ -73,10 +69,9 @@ fuzz:
 
 # cover gates statement coverage on the reliability-critical packages: the
 # router core (ARQ, migration), the broker (QR fetch retry), the fault
-# injector itself, the sharded scheduler (latency-matrix windows) and
-# the topology partitioner. The chaos and backbone matrices exercise them
-# but live in testbed, so the gate here is about each package's own unit
-# tests.
+# injector itself, the event scheduler, the topology builders and flow
+# control. The chaos and backbone matrices exercise them but live in
+# testbed, so the gate here is about each package's own unit tests.
 COVER_PKGS = ./internal/core ./internal/broker ./internal/faultnet ./internal/event ./internal/topo ./internal/flowctl
 COVER_MIN  = 70
 cover:

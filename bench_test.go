@@ -7,34 +7,21 @@
 package gcopss_test
 
 import (
-	"flag"
 	"fmt"
-	"os"
 	"testing"
 	"time"
 
 	"github.com/icn-gaming/gcopss/internal/cd"
 	"github.com/icn-gaming/gcopss/internal/copss"
 	"github.com/icn-gaming/gcopss/internal/core"
-	"github.com/icn-gaming/gcopss/internal/event"
 	"github.com/icn-gaming/gcopss/internal/experiments"
 	"github.com/icn-gaming/gcopss/internal/flowctl"
 	"github.com/icn-gaming/gcopss/internal/gamemap"
 	"github.com/icn-gaming/gcopss/internal/ndn"
-	obstrace "github.com/icn-gaming/gcopss/internal/obs/trace"
 	"github.com/icn-gaming/gcopss/internal/testbed"
 	"github.com/icn-gaming/gcopss/internal/trace"
 	"github.com/icn-gaming/gcopss/internal/wire"
 )
-
-// benchTraceOut, when set, makes BenchmarkFig4Parallel/w8 run with causal
-// packet tracing attached and write a Chrome trace-event JSON file (open in
-// Perfetto / chrome://tracing) to the given path. The go tool claims the
-// bare -trace flag for the runtime execution tracer, so pass it after
-// -args:
-//
-//	go test -bench 'Fig4Parallel/w8' -benchtime 1x . -args -trace fig4.json
-var benchTraceOut = flag.String("trace", "", "write a Chrome trace of the w8 Fig. 4 run to this file")
 
 // benchOpts is the experiment scale used by the table/figure benches: small
 // enough for tight iteration, large enough for every paper effect.
@@ -88,117 +75,24 @@ func BenchmarkFig4Microbenchmark(b *testing.B) {
 	}
 }
 
-// BenchmarkFig4Parallel runs the Fig. 4 microbenchmark on the sharded
-// scheduler at 1 and 8 workers. The determinism suite pins that results are
-// bit-identical at every worker count; this benchmark records the wall-clock
-// effect of sharding. The speedup metric on the w8 run is measured, never
-// asserted — on a single-core runner the windowed parallel loop can at best
-// break even, and the artifact should say so honestly. The w8 run carries
-// the scheduler profiler, so barrier-wait-frac and attributed-frac land in
-// the bench artifact next to the speedup they explain; the profiler is off
-// on w1 so the baseline ns/op stays uninstrumented.
-func BenchmarkFig4Parallel(b *testing.B) {
-	perOp := map[string]float64{}
-	for _, c := range []struct {
-		name    string
-		workers int
-	}{{"w1", 1}, {"w8", 8}} {
-		b.Run(c.name, func(b *testing.B) {
-			opts := experiments.Options{Scale: 0.05, Seed: 42, Workers: c.workers}
-			var tr *obstrace.Tracer
-			if c.workers > 1 {
-				opts.Profile = true
-				if *benchTraceOut != "" {
-					tr = obstrace.NewTracer(16, 42, 8192)
-					opts.Trace = tr
-				}
-			}
-			var mean float64
-			var sched *event.SchedProfile
-			for i := 0; i < b.N; i++ {
-				r, err := experiments.Fig4(opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				mean = r.GCOPSS.Latency.Mean()
-				sched = r.GCOPSS.Sched
-			}
-			b.ReportMetric(mean, "gcopss-ms")
-			if sched != nil {
-				b.ReportMetric(sched.BarrierWaitFrac(), "barrier-wait-frac")
-				b.ReportMetric(sched.AttributedFrac(), "attributed-frac")
-				b.ReportMetric(float64(sched.MeanWindowWidth().Nanoseconds())/1e3, "window-width-us")
-			}
-			if tr != nil {
-				f, err := os.Create(*benchTraceOut)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := obstrace.WriteChromeTrace(f, tr, sched); err != nil {
-					f.Close()
-					b.Fatal(err)
-				}
-				if err := f.Close(); err != nil {
-					b.Fatal(err)
-				}
-				b.Logf("chrome trace written to %s", *benchTraceOut)
-			}
-			perOp[c.name] = b.Elapsed().Seconds() / float64(b.N)
-			if c.name == "w8" && perOp["w8"] > 0 {
-				b.ReportMetric(perOp["w1"]/perOp["w8"], "speedup")
-			}
-		})
-	}
-}
-
-// BenchmarkBackboneParallel runs the backbone-scale scenario — the 79-core
+// BenchmarkBackbone runs the backbone-scale scenario — the 79-core
 // Rocketfuel surrogate with ~200 edge routers and a 2,000-player streaming
-// workload — at 1, 2, 4 and 8 workers. This is the workload the adaptive
-// lookahead and the topology-aware partition exist for: wide-area link
-// delays (1–20 ms core, 5 ms edge) give every shard room to run ahead, and
-// TestBackboneDeterminism pins that all worker counts produce bit-identical
-// observables. The wall-clock speedup metric is measured, never asserted —
-// on a single-core runner shards time-share the CPU — so the artifact also
-// records the host-independent figures: crit-path-speedup (total work over
-// the per-window critical path, the speedup an unloaded 8-core host could
-// reach) and load-imbalance-frac (capacity lost to uneven shards). The w8
-// run carries the profiler; w1 stays uninstrumented so the baseline ns/op
-// is clean.
-func BenchmarkBackboneParallel(b *testing.B) {
-	perOp := map[string]float64{}
-	for _, c := range []struct {
-		name    string
-		workers int
-	}{{"w1", 1}, {"w2", 2}, {"w4", 4}, {"w8", 8}} {
-		b.Run(c.name, func(b *testing.B) {
-			var res *testbed.BackboneResult
-			for i := 0; i < b.N; i++ {
-				s, err := testbed.PaperBackboneSetup(2000, 5*time.Second, 42)
-				if err != nil {
-					b.Fatal(err)
-				}
-				s.Workers = c.workers
-				s.Profile = c.workers == 8
-				res, err = testbed.RunBackbone(s)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(res.Obs.Deliveries), "deliveries")
-			b.ReportMetric(float64(res.CrossLinks), "cross-links")
-			if sched := res.Sched; sched != nil {
-				b.ReportMetric(sched.CritPathSpeedup(), "crit-path-speedup")
-				b.ReportMetric(sched.LoadImbalanceFrac(), "load-imbalance-frac")
-				b.ReportMetric(sched.BarrierWaitFrac(), "barrier-wait-frac")
-				b.ReportMetric(sched.AttributedFrac(), "attributed-frac")
-				b.ReportMetric(float64(sched.MeanWindowWidth().Nanoseconds())/1e3, "window-width-us")
-			}
-			perOp[c.name] = b.Elapsed().Seconds() / float64(b.N)
-			if c.name != "w1" && perOp[c.name] > 0 {
-				b.ReportMetric(perOp["w1"]/perOp[c.name], "speedup")
-			}
-		})
+// workload — on the packet-level testbed. The repository benchmark's
+// sim-backbone workload is the same run at 5 s; this is the go-test
+// counterpart for working on the testbed or the scheduler.
+func BenchmarkBackbone(b *testing.B) {
+	var res *testbed.BackboneResult
+	for i := 0; i < b.N; i++ {
+		s, err := testbed.PaperBackboneSetup(2000, 5*time.Second, 42)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res, err = testbed.RunBackbone(s); err != nil {
+			b.Fatal(err)
+		}
 	}
+	b.ReportMetric(float64(res.Obs.Deliveries), "deliveries")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(res.Obs.PacketEvents), "ns/packet-event")
 }
 
 // BenchmarkTable1RPs runs the RP/server sweep and reports the congestion
@@ -575,7 +469,7 @@ func BenchmarkRouterDistribute(b *testing.B) {
 			}
 			now := time.Unix(1, 0)
 			// The hot path pushes into a reused sink, exactly as the testbed
-			// shards do.
+			// does.
 			r.HandlePacketTo(now, 1000, pkt, &sink) // warm scratch and caches
 			b.ReportAllocs()
 			b.ResetTimer()

@@ -17,7 +17,6 @@ import (
 	"os"
 	"time"
 
-	"github.com/icn-gaming/gcopss/internal/event"
 	"github.com/icn-gaming/gcopss/internal/experiments"
 	obstrace "github.com/icn-gaming/gcopss/internal/obs/trace"
 )
@@ -33,12 +32,11 @@ func run() error {
 	var (
 		scale       = flag.Float64("scale", 0.05, "workload scale in (0,1]; 1 = paper scale")
 		seed        = flag.Int64("seed", 42, "random seed")
-		workers     = flag.Int("workers", 1, "scheduler shards for the testbed experiments; results are identical at every count")
 		traceOut    = flag.String("trace", "", "write a Chrome trace (Perfetto / chrome://tracing) of the fig4 G-COPSS run to this file")
 		traceSample = flag.Int("trace-sample", 16, "with -trace, sample 1 in N publications for causal tracing (N >= 1)")
 	)
 	flag.Parse()
-	opts := experiments.Options{Scale: *scale, Seed: *seed, Workers: *workers}
+	opts := experiments.Options{Scale: *scale, Seed: *seed}
 	var tracer *obstrace.Tracer
 	if *traceOut != "" {
 		// With sampling off the rings would keep every untraced step, and
@@ -48,7 +46,6 @@ func run() error {
 		}
 		tracer = obstrace.NewTracer(*traceSample, *seed, 8192)
 		opts.Trace = tracer
-		opts.Profile = true
 	}
 
 	names := flag.Args()
@@ -112,7 +109,7 @@ func run() error {
 			}
 			fmt.Print(r.Render())
 			if tracer != nil {
-				if err := writeChromeTrace(*traceOut, tracer, r.GCOPSS.Sched); err != nil {
+				if err := writeChromeTrace(*traceOut, tracer); err != nil {
 					return err
 				}
 				fmt.Printf("chrome trace written to %s\n", *traceOut)
@@ -195,14 +192,13 @@ func run() error {
 	return nil
 }
 
-// writeChromeTrace dumps the tracer rings and scheduler profile as a Chrome
-// trace-event JSON file.
-func writeChromeTrace(path string, tr *obstrace.Tracer, prof *event.SchedProfile) error {
+// writeChromeTrace dumps the tracer rings as a Chrome trace-event JSON file.
+func writeChromeTrace(path string, tr *obstrace.Tracer) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := obstrace.WriteChromeTrace(f, tr, prof); err != nil {
+	if err := obstrace.WriteChromeTrace(f, tr); err != nil {
 		f.Close()
 		return err
 	}

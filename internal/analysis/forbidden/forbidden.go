@@ -2,9 +2,10 @@
 // must not be used in package set S": one AST walk, one table.
 //
 //   - clockfree: the paper's latency and loss-freedom numbers are only
-//     reproducible if a run is a pure function of its inputs, so router and
-//     simulator code takes the current (virtual) time as a parameter instead
-//     of sampling time.Now — or time.Since, which samples it internally. The
+//     reproducible if a run is a pure function of its inputs, so router,
+//     simulator and testbed code — the event scheduler included — takes the
+//     current (virtual) time as a parameter instead of sampling time.Now — or
+//     time.Since, which samples it internally. The
 //     transport daemon and the experiment timers sit at the edge of the
 //     deterministic core and are out of scope.
 //   - randinject: replayability requires every random decision to flow from
@@ -52,7 +53,7 @@ var rules = []rule{
 	{
 		name:   "clockfree",
 		doc:    "forbid time.Now/time.Since in the deterministic simulation core; inject time as a parameter",
-		in:     []string{"internal/core", "internal/copss", "internal/broker", "internal/sim", "internal/ndn", "internal/faultnet", "internal/flowctl"},
+		in:     []string{"internal/core", "internal/copss", "internal/broker", "internal/sim", "internal/ndn", "internal/faultnet", "internal/flowctl", "internal/event", "internal/testbed"},
 		pkgs:   []string{"time"},
 		deny:   []string{"Now", "Since"},
 		format: "time.%[1]s is forbidden in %[2]s: simulation time must be injected as a parameter",

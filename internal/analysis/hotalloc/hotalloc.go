@@ -24,8 +24,7 @@
 // even in loops: they live on the stack and are exactly how the zero-copy
 // emission API is meant to be used. Calls through interface values and stored
 // function values are not resolved (the ActionSink.Emit seam is the one
-// deliberate blind spot — sinks are per-shard and alloc-free by their own
-// budget tests).
+// deliberate blind spot — sinks are alloc-free by their own budget tests).
 package hotalloc
 
 import (

@@ -26,7 +26,7 @@
 // The checker also enforces the sink-aliasing rule of the ActionSink API
 // (DESIGN.md §11): once an ndn.Action has been passed to Emit, the sink owns
 // the packet it carries. A sink is free to forward the action immediately —
-// the per-shard mailbox sinks do — so mutating the packet afterwards races
+// the testbed's EmitTo sink does — so mutating the packet afterwards races
 // with delivery. Within a function body, any write through a local that was
 // emitted (either the *wire.Packet named in the Action literal, or the
 // .Packet field of an emitted ndn.Action variable) is flagged. Rebinding the

@@ -115,7 +115,7 @@ func TestTraceExportHopOrder(t *testing.T) {
 		h.now = h.now.Add(time.Millisecond)
 	}
 	var buf bytes.Buffer
-	if err := trace.WriteChromeTrace(&buf, tr, nil); err != nil {
+	if err := trace.WriteChromeTrace(&buf, tr); err != nil {
 		t.Fatalf("WriteChromeTrace: %v", err)
 	}
 	var f struct {
@@ -232,7 +232,7 @@ func TestTraceDisabledInvisible(t *testing.T) {
 		}
 	}
 	var buf bytes.Buffer
-	if err := trace.WriteChromeTrace(&buf, tr, nil); err != nil {
+	if err := trace.WriteChromeTrace(&buf, tr); err != nil {
 		t.Fatalf("WriteChromeTrace: %v", err)
 	}
 	if bytes.Contains(buf.Bytes(), []byte(`"ph":"X"`)) {

@@ -61,7 +61,7 @@ func TestDistributeFanOutShares(t *testing.T) {
 }
 
 // TestDistributeAllocBudget locks the fan-out allocation budget on the hot
-// path — HandlePacketTo with a reused sink, the seam testbed shards run on:
+// path — HandlePacketTo with a reused sink, the seam the testbed runs on:
 // a warm N-face fan-out forwards the arrival packet and allocates nothing,
 // however wide it is.
 func TestDistributeAllocBudget(t *testing.T) {

@@ -1,6 +1,5 @@
-// Package event provides the discrete-event scheduler shared by the
-// packet-level testbed and the trace-driven simulator: a time-ordered event
-// heap with deterministic FIFO tie-breaking.
+// Package event provides the packet-level testbed's discrete-event
+// scheduler: one time-ordered event heap with a deterministic tie-break.
 package event
 
 import (
@@ -11,12 +10,12 @@ import (
 // may schedule further events.
 type Handler func(now time.Time)
 
-// Payload is a pre-bound argument for AtCall events. It exists so that hot
-// schedulers (the testbed transmits one event per packet copy) can enqueue
-// a delivery without allocating a fresh closure per event: an integer (the
-// testbed packs node index and face into it) and a pointer cover a
-// (node, face, packet)-shaped argument, and storing a pointer in Ptr does not
-// allocate.
+// Payload is a pre-bound argument for AtCall and PostNode events. It exists so
+// that hot schedulers (the testbed transmits one event per packet copy) can
+// enqueue a delivery without allocating a fresh closure per event: an
+// integer (the testbed packs node index and face into it) and a pointer
+// cover a (node, face, packet)-shaped argument, and storing a pointer in Ptr
+// does not allocate.
 type Payload struct {
 	Int int64
 	Ptr any
@@ -30,10 +29,21 @@ type CallHandler func(now time.Time, pl Payload)
 // queued event has the one AtCall shape.
 func runHandler(now time.Time, pl Payload) { pl.Ptr.(Handler)(now) }
 
+// keyedBit marks a keyed event's heap key. Global events take their
+// insertion sequence as key, which never reaches this bit, so at equal times
+// every global event sorts before every keyed one whatever the counters
+// hold.
+const keyedBit = 1 << 63
+
 // Scheduler is a virtual-time discrete-event loop. The zero value is not
-// usable; create with NewScheduler. Events wait in an eventHeap keyed by
-// (time, insertion sequence): pushing one costs no allocation beyond
-// amortized slice growth.
+// usable; create with NewScheduler.
+//
+// Every event waits in one eventHeap ordered by (time, key). Global events
+// (At, AtCall) are keyed by insertion sequence and keyed events (PostNode) by
+// keyedBit | the caller's key, so execution follows the canonical
+// (time, global-first, key) order: global events FIFO among themselves, then
+// keyed events by key. Pushing an event costs no allocation beyond amortized
+// slice growth.
 type Scheduler struct {
 	now       time.Time
 	seq       uint64
@@ -46,7 +56,8 @@ func NewScheduler(origin time.Time) *Scheduler {
 	return &Scheduler{now: origin}
 }
 
-// Now returns the current virtual time.
+// Now returns the current virtual time: inside a callback, the time of the
+// event being run.
 func (s *Scheduler) Now() time.Time { return s.now }
 
 // Pending returns the number of queued events.
@@ -64,18 +75,23 @@ func (s *Scheduler) NextAt() (at time.Time, ok bool) {
 // Processed returns the number of events executed so far.
 func (s *Scheduler) Processed() uint64 { return s.processed }
 
+// Preallocate grows the queue to hold n pending events without reallocation,
+// so the hot push path performs no slice growth during a run.
+func (s *Scheduler) Preallocate(n int) { s.q.grow(n) }
+
 // At schedules fn at an absolute virtual time. Times in the past run at the
 // current time (immediately on the next step), preserving causality. at must
 // be a virtual instant — built from time.Unix and Add, never time.Now — so
-// that the queue's integer (UnixNano, sequence) order is the time.Time order;
-// see eventHeap.
+// that the queue's integer (UnixNano, key) order is the time.Time order; see
+// eventHeap.
 func (s *Scheduler) At(at time.Time, fn Handler) {
 	s.AtCall(at, runHandler, Payload{Ptr: fn})
 }
 
-// AtCall schedules fn(now, pl) at an absolute virtual time, under At's
-// contract on at. Unlike At it needs no closure: callers bind the argument
-// through pl, so the hot path performs zero allocations per event.
+// AtCall schedules fn(now, pl) as a global event at an absolute virtual
+// time, under At's contract on at. Unlike At it needs no closure: callers
+// bind the argument through pl, so the hot path performs zero allocations
+// per event.
 func (s *Scheduler) AtCall(at time.Time, fn CallHandler, pl Payload) {
 	if at.Before(s.now) {
 		at = s.now
@@ -84,12 +100,28 @@ func (s *Scheduler) AtCall(at time.Time, fn CallHandler, pl Payload) {
 	s.q.push(at, s.seq, fn, pl)
 }
 
+// PostNode schedules fn(now, pl) as a keyed event at an absolute virtual time,
+// under At's contract on at. Keyed events at one instant run after every
+// global event there, in ascending key order. key is the caller's canonical
+// tie-breaker (the testbed uses linkID<<32|seq): it must be unique among
+// keyed events at one instant, and its top bit is reserved.
+//
+//gcopss:hotpath
+func (s *Scheduler) PostNode(at time.Time, key uint64, fn CallHandler, pl Payload) {
+	if at.Before(s.now) {
+		at = s.now
+	}
+	s.q.push(at, keyedBit|key, fn, pl)
+}
+
 // After schedules fn after a delay from the current virtual time.
 func (s *Scheduler) After(d time.Duration, fn Handler) {
 	s.At(s.now.Add(d), fn)
 }
 
 // Step executes the next event; it reports whether one was available.
+//
+//gcopss:hotpath
 func (s *Scheduler) Step() bool {
 	if s.q.len() == 0 {
 		return false
@@ -112,6 +144,7 @@ func (s *Scheduler) Run(maxEvents uint64) uint64 {
 }
 
 // RunUntil executes events with time ≤ deadline; later events stay queued.
+// The clock then reads the deadline if it was behind it.
 func (s *Scheduler) RunUntil(deadline time.Time) uint64 {
 	var n uint64
 	for dl := deadline.UnixNano(); s.q.len() > 0 && s.q.minNs() <= dl; n++ {
@@ -122,3 +155,18 @@ func (s *Scheduler) RunUntil(deadline time.Time) uint64 {
 	}
 	return n
 }
+
+// SchedProfile carries the three scheduler figures the frozen repository
+// benchmark (bench/sim.go:209-215) reads off testbed.BackboneResult.Sched.
+// They are what one event loop is: no barrier wait, no imbalance, a critical
+// path equal to the work. It goes once the benchmark stops reading them.
+type SchedProfile struct{}
+
+// BarrierWaitFrac is 0: one loop never waits at a barrier.
+func (*SchedProfile) BarrierWaitFrac() float64 { return 0 }
+
+// LoadImbalanceFrac is 0: one loop does all the work.
+func (*SchedProfile) LoadImbalanceFrac() float64 { return 0 }
+
+// CritPathSpeedup is 1: the critical path is the whole run.
+func (*SchedProfile) CritPathSpeedup() float64 { return 1 }

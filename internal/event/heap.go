@@ -3,8 +3,9 @@ package event
 import "time"
 
 // heapKey is one queued event's place in the execution order: its time in
-// Unix nanoseconds, the caller's tie-break key, and the slab slot holding the
-// event itself. Sifting moves only these 24 bytes and compares two integers.
+// Unix nanoseconds, its tie-break key (see Scheduler for the layout), and the
+// slab slot holding the event itself. Sifting moves only these 24 bytes and
+// compares two integers.
 type heapKey struct {
 	ns   int64
 	key  uint64
@@ -26,13 +27,13 @@ type record struct {
 	pl   Payload
 }
 
-// eventHeap is the one priority queue of the package, used by Scheduler and
-// by every shard: a binary min-heap of heapKeys ordered by (ns, key) over a
-// slab of records whose slots are recycled through a free list, so the slab
-// never grows beyond the largest number of events pending at once.
+// eventHeap is the Scheduler's queue: a binary min-heap of heapKeys ordered
+// by (ns, key) over a slab of records whose slots are recycled through a free
+// list, so the slab never grows beyond the largest number of events pending
+// at once.
 //
 // (ns, key) is the same total order as (time.Time, key) for the times the
-// schedulers accept: virtual instants built from time.Unix and Add, which
+// scheduler accepts: virtual instants built from time.Unix and Add, which
 // carry no monotonic reading (so Before/Equal compare exactly the instant
 // UnixNano returns) and lie within UnixNano's range, years 1678 to 2262.
 type eventHeap struct {

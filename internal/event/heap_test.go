@@ -95,7 +95,7 @@ func FuzzEventHeap(f *testing.F) {
 // current time, and it must queue under that time, not under the one asked
 // for — otherwise it would overtake an event posted earlier for "now".
 func TestClampedPostOrdersByClampedTime(t *testing.T) {
-	now := laOrigin.Add(ms(10))
+	now := epoch.Add(ms(10))
 	var order []int64
 	var sawAt []time.Time
 	record := func(at time.Time, pl Payload) {
@@ -103,13 +103,13 @@ func TestClampedPostOrdersByClampedTime(t *testing.T) {
 		sawAt = append(sawAt, at)
 	}
 
-	s := NewSharded(laOrigin, 1)
+	s := NewScheduler(epoch)
 	s.RunUntil(now)
-	s.PostNode(0, 0, now, 1, record, Payload{Int: 1})
-	s.PostNode(0, 0, now.Add(-ms(5)), 2, record, Payload{Int: 2}) // clamped: ties on time, loses on key
+	s.PostNode(now, 1, record, Payload{Int: 1})
+	s.PostNode(now.Add(-ms(5)), 2, record, Payload{Int: 2}) // clamped: ties on time, loses on key
 	s.RunUntil(now.Add(ms(1)))
 
-	g := NewScheduler(laOrigin)
+	g := NewScheduler(epoch)
 	g.RunUntil(now)
 	g.AtCall(now, record, Payload{Int: 3})
 	g.AtCall(now.Add(-time.Hour), record, Payload{Int: 4}) // clamped: ties on time, loses on sequence
@@ -122,5 +122,44 @@ func TestClampedPostOrdersByClampedTime(t *testing.T) {
 		if !at.Equal(now) {
 			t.Errorf("event %d ran at %v, want the clamped time %v", order[i], at, now)
 		}
+	}
+}
+
+// TestPostNodeSteadyStateAllocFree: once the queue has grown, posting a keyed
+// event and running it allocates nothing and recycles one slab slot; nor do
+// At + Step (At carries its Handler in Payload.Ptr, which must not box) or a
+// whole RunUntil over a global and a keyed event.
+func TestPostNodeSteadyStateAllocFree(t *testing.T) {
+	s := NewScheduler(epoch)
+	s.Preallocate(1024)
+	at := epoch.Add(ms(1))
+	allocs := testing.AllocsPerRun(1000, func() {
+		s.PostNode(at, 7, noopCall, Payload{})
+		s.Step()
+	})
+	if allocs != 0 {
+		t.Errorf("PostNode + Step allocated %.1f per op in steady state, want 0", allocs)
+	}
+	if n := len(s.q.slab); n != 1 {
+		t.Errorf("slab grew to %d slots with one event pending at a time: slots are not recycled", n)
+	}
+	tick := Handler(func(time.Time) {})
+	allocs = testing.AllocsPerRun(1000, func() {
+		s.At(at, tick)
+		s.Step()
+	})
+	if allocs != 0 {
+		t.Errorf("At + Step allocated %.1f per op in steady state, want 0", allocs)
+	}
+	allocs = testing.AllocsPerRun(1000, func() {
+		now := s.Now()
+		s.At(now.Add(ms(1)), tick)
+		s.PostNode(now.Add(ms(1)), 7, noopCall, Payload{})
+		if n := s.RunUntil(now.Add(ms(2))); n != 2 {
+			t.Fatalf("RunUntil ran %d events, want 2", n)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("RunUntil allocated %.1f per call, want 0", allocs)
 	}
 }

@@ -26,21 +26,11 @@ type Options struct {
 	Scale float64
 	// Seed drives all randomness.
 	Seed int64
-	// Workers is the number of scheduler shards the testbed experiments
-	// (Fig. 4) run on. 0 or 1 is one shard, run inline; any value
-	// produces bit-identical results, so Workers is intentionally not part
-	// of the Provenance replay line.
-	Workers int
 	// Trace, when non-nil, attaches causal packet tracing to the Fig. 4
 	// G-COPSS routers; hop records land in the tracer's rings for Chrome
 	// trace export. Tracing never changes results (sampled packets carry an
-	// extra ID, virtual time is untouched), so like Workers it is not part
-	// of Provenance.
+	// extra ID, virtual time is untouched), so it is not part of Provenance.
 	Trace *obstrace.Tracer
-	// Profile enables the scheduler profiler on the Fig. 4 G-COPSS run;
-	// the profile returns in Fig4Result.GCOPSS.Sched. Observational only —
-	// not part of Provenance.
-	Profile bool
 }
 
 // DefaultOptions runs at 5% scale — large enough for every effect in the

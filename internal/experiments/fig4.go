@@ -27,9 +27,7 @@ func Fig4(opts Options) (*Fig4Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.Workers = opts.Workers
 	s.Tracer = opts.Trace
-	s.Profile = opts.Profile
 	res := &Fig4Result{Provenance: opts.provenance()}
 	if res.GCOPSS, err = testbed.RunGCOPSS(s); err != nil {
 		return nil, fmt.Errorf("experiments: fig4 gcopss: %w", err)

@@ -32,8 +32,8 @@ type Stats struct {
 }
 
 // Injector applies a fault Spec to packets crossing links. It is safe for
-// concurrent use (the TCP daemon calls it from its event loop and timers,
-// and the sharded testbed from its worker shards); determinism across runs
+// concurrent use (the TCP daemon calls it from its event loop and timers);
+// determinism across runs
 // comes from per-link rand streams, so decisions on one link do not depend
 // on traffic interleaving across links.
 type Injector struct {
@@ -61,8 +61,8 @@ type Injector struct {
 // seeded rand source and a running FNV-1a digest of its verdicts. Keeping
 // the digest per link (combined commutatively in TraceHash) makes the trace
 // hash a function of each link's own decision sequence, not of the global
-// interleaving of calls across links — so a sharded run that decides links
-// in a different cross-link order still hashes identically.
+// interleaving of calls across links — so two hosts that decide links in a
+// different cross-link order still hash identically.
 type linkState struct {
 	rnd  *rand.Rand
 	hash uint64
@@ -115,8 +115,8 @@ func (in *Injector) Stats() Stats {
 // chaos suite's "same seed, same packet trace" check. Per-link digests are
 // combined with XOR, which is commutative: the hash depends only on each
 // link's own decision sequence, never on the order links were touched
-// relative to each other, so sequential and sharded executions of the same
-// workload agree.
+// relative to each other, so any two executions of the same workload that
+// make the same per-link decisions agree.
 func (in *Injector) TraceHash() uint64 {
 	in.mu.Lock()
 	defer in.mu.Unlock()

@@ -3,8 +3,8 @@ package ndn
 // ActionSink receives forwarding decisions as they are made. The emission
 // API of the stack is push-based: packet handlers emit each (face, packet)
 // action into a sink instead of building and returning a slice, which frees
-// hosts to stream actions straight onto the wire (or into a per-shard
-// mailbox) without an intermediate allocation per hop.
+// hosts to stream actions straight onto the wire without an intermediate
+// allocation per hop.
 //
 // Ownership rules (see DESIGN.md §11):
 //
@@ -15,8 +15,7 @@ package ndn
 //     packet discipline, and the gcopsslint sharedpkt analyzer enforces it.
 //   - Emit is synchronous and non-blocking from the emitter's point of view;
 //     a sink must not call back into the emitter.
-//   - Sinks are not safe for concurrent use unless documented otherwise;
-//     each shard of a parallel host owns its own sink.
+//   - Sinks are not safe for concurrent use unless documented otherwise.
 type ActionSink interface {
 	Emit(a Action)
 }

@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-
-	"github.com/icn-gaming/gcopss/internal/event"
 )
 
 // Chrome trace-event export (DESIGN.md §14). The JSON Array Format wrapped
@@ -18,13 +16,8 @@ import (
 //	pid 1..R         one per router (sorted by name) — "i" instant events,
 //	                  one per traced record, ts in virtual time; args.hop is the
 //	                  record's ordinal within its trace in time order
-//	pid R+1          "scheduler" — one tid per shard, alternating "execute"
-//	                  and "barrier-wait" "X" spans from the profiler
-//	                  timeline, ts in wall time since profiling was enabled
 //
-// Timestamps are microseconds (the trace-event unit). Packet rows use the
-// sim clock and scheduler rows use the wall clock; the tracks are separate
-// pids, so the two axes never mix on one row.
+// Timestamps are microseconds (the trace-event unit) of the records' clock.
 
 // chromeEvent is one trace-event record. Only the fields the viewers read.
 type chromeEvent struct {
@@ -48,12 +41,11 @@ func meta(pid, tid int, kind, value string) chromeEvent {
 		Args: map[string]any{"name": value}}
 }
 
-// WriteChromeTrace serializes the traced records of the tracer's rings and
-// the scheduler profile as Chrome trace-event JSON. Records without a
-// TraceID (a ring with sampling off keeps them) belong to no trace and are
-// skipped. Either argument may be nil; an export with neither produces an
-// empty (but valid) trace.
-func WriteChromeTrace(w io.Writer, tr *Tracer, prof *event.SchedProfile) error {
+// WriteChromeTrace serializes the traced records of the tracer's rings as
+// Chrome trace-event JSON. Records without a TraceID (a ring with sampling
+// off keeps them) belong to no trace and are skipped. A nil tracer produces
+// an empty (but valid) trace.
+func WriteChromeTrace(w io.Writer, tr *Tracer) error {
 	evs := []chromeEvent{} // non-nil so an empty export still has the array
 
 	var rings []*Ring
@@ -122,33 +114,6 @@ func WriteChromeTrace(w io.Writer, tr *Tracer, prof *event.SchedProfile) error {
 			})
 		}
 	}
-
-	if prof != nil {
-		pid := len(rings) + 1
-		evs = append(evs, meta(pid, 0, "process_name", "scheduler"))
-		for i := range prof.Shards {
-			evs = append(evs, meta(pid, i, "thread_name", fmt.Sprintf("shard %d", i)))
-		}
-		for _, r := range prof.Timeline {
-			if r.ExecNs > 0 {
-				evs = append(evs, chromeEvent{
-					Name: "execute", Ph: "X",
-					Ts: float64(r.StartNs) / 1e3, Dur: float64(r.ExecNs) / 1e3,
-					Pid: pid, Tid: r.Shard,
-					Args: map[string]any{"window": r.Window, "events": r.Events},
-				})
-			}
-			if r.WaitNs > 0 {
-				evs = append(evs, chromeEvent{
-					Name: "barrier-wait", Ph: "X",
-					Ts: float64(r.StartNs+r.ExecNs) / 1e3, Dur: float64(r.WaitNs) / 1e3,
-					Pid: pid, Tid: r.Shard,
-					Args: map[string]any{"window": r.Window},
-				})
-			}
-		}
-	}
-
 	enc := json.NewEncoder(w)
 	return enc.Encode(chromeFile{TraceEvents: evs, DisplayTimeUnit: "ms"})
 }

@@ -7,26 +7,7 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"github.com/icn-gaming/gcopss/internal/event"
 )
-
-func sampleProfile() *event.SchedProfile {
-	return &event.SchedProfile{
-		Workers: 2, Windows: 2,
-		WallNs: 1000, WindowNs: 800, GlobalNs: 100, DrainNs: 50,
-		Shards: []event.ShardProfile{
-			{ExecNs: 700, BarrierWaitNs: 100, Events: 10},
-			{ExecNs: 300, BarrierWaitNs: 500, Events: 4},
-		},
-		Timeline: []event.WindowRecord{
-			{Window: 0, Shard: 0, StartNs: 0, ExecNs: 400, WaitNs: 0, Events: 5, VirtStart: 0, VirtEnd: 1000},
-			{Window: 0, Shard: 1, StartNs: 0, ExecNs: 100, WaitNs: 300, Events: 2, VirtStart: 0, VirtEnd: 1000},
-			{Window: 1, Shard: 0, StartNs: 400, ExecNs: 300, WaitNs: 100, Events: 5, VirtStart: 1000, VirtEnd: 2000},
-			{Window: 1, Shard: 1, StartNs: 400, ExecNs: 200, WaitNs: 200, Events: 2, VirtStart: 1000, VirtEnd: 2000},
-		},
-	}
-}
 
 // TestWriteChromeTraceValid: a populated export passes the validator and
 // contains the expected track structure.
@@ -44,7 +25,7 @@ func TestWriteChromeTraceValid(t *testing.T) {
 	r2.Append(Hop{TraceID: id, At: base + int64(2*time.Millisecond), Face: 3, Seq: 1, Event: HopFanOut})
 
 	var buf bytes.Buffer
-	if err := WriteChromeTrace(&buf, tr, sampleProfile()); err != nil {
+	if err := WriteChromeTrace(&buf, tr); err != nil {
 		t.Fatalf("WriteChromeTrace: %v", err)
 	}
 	if err := ValidateChromeTrace(buf.Bytes()); err != nil {
@@ -57,7 +38,7 @@ func TestWriteChromeTraceValid(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &f); err != nil {
 		t.Fatalf("unmarshal: %v", err)
 	}
-	var spans, instants, execs, waits, metas int
+	var spans, instants, metas int
 	for _, ev := range f.TraceEvents {
 		switch {
 		case ev.Ph == "M":
@@ -75,10 +56,6 @@ func TestWriteChromeTraceValid(t *testing.T) {
 			if ev.Pid < 1 || ev.Pid > 2 {
 				t.Errorf("hop instant on pid %d, want router pid 1..2", ev.Pid)
 			}
-		case ev.Ph == "X" && ev.Name == "execute":
-			execs++
-		case ev.Ph == "X" && ev.Name == "barrier-wait":
-			waits++
 		}
 	}
 	if spans != 1 {
@@ -87,15 +64,9 @@ func TestWriteChromeTraceValid(t *testing.T) {
 	if instants != 3 {
 		t.Errorf("hop instants = %d, want 3", instants)
 	}
-	if execs != 4 {
-		t.Errorf("execute spans = %d, want 4 (one per timeline record)", execs)
-	}
-	if waits != 3 {
-		t.Errorf("barrier-wait spans = %d, want 3 (zero-wait records skipped)", waits)
-	}
-	// process_name for packets, 2 routers, scheduler + 2 shard thread_names.
-	if metas != 6 {
-		t.Errorf("metadata events = %d, want 6", metas)
+	// process_name for packets and for the 2 routers.
+	if metas != 3 {
+		t.Errorf("metadata events = %d, want 3", metas)
 	}
 }
 
@@ -116,7 +87,7 @@ func TestChromeHopOrdinals(t *testing.T) {
 
 	export := func() []byte {
 		var buf bytes.Buffer
-		if err := WriteChromeTrace(&buf, tr, nil); err != nil {
+		if err := WriteChromeTrace(&buf, tr); err != nil {
 			t.Fatalf("WriteChromeTrace: %v", err)
 		}
 		return buf.Bytes()
@@ -153,12 +124,12 @@ func TestChromeHopOrdinals(t *testing.T) {
 	}
 }
 
-// TestWriteChromeTraceEmpty: nil tracer and nil profile still produce a
-// schema-valid (empty) trace.
+// TestWriteChromeTraceEmpty: a nil tracer still produces a schema-valid
+// (empty) trace.
 func TestWriteChromeTraceEmpty(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteChromeTrace(&buf, nil, nil); err != nil {
-		t.Fatalf("WriteChromeTrace(nil, nil): %v", err)
+	if err := WriteChromeTrace(&buf, nil); err != nil {
+		t.Fatalf("WriteChromeTrace(nil): %v", err)
 	}
 	if err := ValidateChromeTrace(buf.Bytes()); err != nil {
 		t.Fatalf("ValidateChromeTrace: %v", err)

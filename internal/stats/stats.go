@@ -35,9 +35,8 @@ func (s *Sample) AddAll(vs ...float64) {
 }
 
 // Merge appends every observation of other in other's insertion order.
-// Hosts that accumulate observations per client (so concurrent shards never
-// share a sample) merge them in canonical client order afterwards, keeping
-// sums bit-identical at every worker count.
+// Hosts that accumulate observations per client merge them in canonical
+// client order afterwards, which fixes the float summation order.
 func (s *Sample) Merge(other *Sample) {
 	for _, v := range other.values {
 		s.Add(v)

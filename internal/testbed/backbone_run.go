@@ -20,31 +20,25 @@ import (
 
 // BackboneSetup is the backbone-scale scenario: a synthetic Rocketfuel-style
 // core+edge graph (topo.Backbone), a streaming multi-thousand-player
-// workload (trace.Stream), topology-aware shard placement (topo.Partition)
-// and optional mid-run RP migration and link faults. It is the workload the
-// adaptive-lookahead scheduler exists for: hundreds of routers across many
-// shards, with link delays 10–200× the Fig. 3b lab LAN.
+// workload (trace.Stream) and optional mid-run RP migration and link faults:
+// hundreds of routers, with link delays 10–200× the Fig. 3b lab LAN.
 type BackboneSetup struct {
 	Topo  topo.BackboneConfig
 	World *gamemap.World
 	// Stream configures the player workload; each run materializes a fresh
 	// trace.Stream from it, so one setup drives any number of runs (the
-	// determinism suite sweeps worker counts over a single setup). Player i
-	// attaches to edge router i mod len(edges) and publishes as a
-	// shard-local node event chain (no global-queue serialization at
-	// publish rate).
+	// determinism suite reruns a single setup). Player i attaches to edge
+	// router i mod len(edges) and publishes as a chain of node events
+	// (Testbed.ScheduleNode), one pre-bound callback for every update.
 	Stream trace.StreamConfig
 	Costs  Costs
-	// HostDelay is the client↔edge-router link delay. Clients share their
-	// router's shard, so this never narrows cross-shard lookahead windows.
+	// HostDelay is the client↔edge-router link delay.
 	HostDelay time.Duration
 	Warmup    time.Duration
 	Drain     time.Duration
-	// Workers is the shard count topo.Partition splits the routers into
-	// (clients ride with their edge router); below 1 means 1, which the
-	// scheduler's loop runs inline. Observables are identical at every count.
-	Workers int
 
+	// Deprecated: has no effect; bench/sim.go:187 still sets it.
+	Workers int
 	// Deprecated: has no effect; bench/sim.go:187 still sets it.
 	Burst bool
 
@@ -56,6 +50,8 @@ type BackboneSetup struct {
 	FaultSpec string
 	FaultSeed int64
 
+	// Profile only makes BackboneResult.Sched non-nil: bench/sim.go:209-215
+	// fails a run whose Sched is nil.
 	Profile bool
 }
 
@@ -67,8 +63,7 @@ func PaperBackboneSetup(players int, duration time.Duration, seed int64) (*Backb
 }
 
 // SmallBackboneSetup shrinks the backbone to 8 core + 16 edge routers — the
-// determinism suite's fast cell, still large enough that every worker count
-// up to 8 gets multiple routers per shard.
+// determinism suite's fast cell.
 func SmallBackboneSetup(players int, duration time.Duration, seed int64) (*BackboneSetup, error) {
 	cfg := topo.BackboneConfig{
 		CoreRouters:  8,
@@ -109,14 +104,13 @@ func backboneSetup(cfg topo.BackboneConfig, players int, duration time.Duration,
 		HostDelay: 100 * time.Microsecond,
 		Warmup:    time.Second,
 		Drain:     5 * time.Second,
-		Workers:   1,
 	}, nil
 }
 
 // BackboneObservables is the comparable determinism fingerprint of a run:
-// every field is derived order-independently (per-player accumulators merged
-// in player order, commutative fault-trace hash), so any two runs of the
-// same setup must produce identical values at every worker count.
+// per-player accumulators merge in player order and the fault-trace hash is
+// commutative, so any two runs of the same setup must produce identical
+// values.
 type BackboneObservables struct {
 	// Published and Deliveries count publish events entering the network
 	// and multicast copies received by players.
@@ -152,9 +146,7 @@ type BackboneResult struct {
 	// runner-up of the core set).
 	RPName     string
 	BackupName string
-	// CrossLinks is the number of router links cut by the shard partition.
-	CrossLinks int
-	// Sched is the scheduler profile (nil unless Profile was set).
+	// Sched is non-nil when Profile was set; see event.SchedProfile.
 	Sched *event.SchedProfile
 }
 
@@ -188,7 +180,7 @@ func fnvMixString(h uint64, s string) uint64 {
 }
 
 // backboneAcc is one player's run state, touched only by the player's node
-// events (all on one shard) — merged in player order after the run.
+// events — merged in player order after the run.
 type backboneAcc struct {
 	pending    trace.Update
 	seq        uint64
@@ -209,18 +201,8 @@ func RunBackbone(s *BackboneSetup) (*BackboneResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	workers := s.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	assign := topo.Partition(g, workers)
-	tb := New(WithWorkers(workers))
-	if s.Profile {
-		tb.EnableProfiling(0)
-	}
-
-	// Routers, placed per the graph partition.
-	rn, err := buildRouters(tb, g, assign, s.Costs, func(a, b topo.NodeID) time.Duration {
+	tb := New()
+	rn, err := buildRouters(tb, g, s.Costs, func(a, b topo.NodeID) time.Duration {
 		ms, _ := g.LinkDelay(a, b)
 		return time.Duration(ms * float64(time.Millisecond))
 	})
@@ -252,14 +234,13 @@ func RunBackbone(s *BackboneSetup) (*BackboneResult, error) {
 			backup = c
 		}
 	}
-	res := &BackboneResult{
-		RPName:     g.Name(rp),
-		BackupName: g.Name(backup),
-		CrossLinks: topo.CrossLinks(g, assign),
+	res := &BackboneResult{RPName: g.Name(rp), BackupName: g.Name(backup)}
+	if s.Profile {
+		res.Sched = &event.SchedProfile{}
 	}
 
-	// Players: attached round-robin over edge routers, on the router's
-	// shard, publishing their stream as a shard-local event chain.
+	// Players: attached round-robin over edge routers, publishing their
+	// stream as a node event chain.
 	players := stream.Players()
 	accs := make([]backboneAcc, len(players))
 	names := make([]string, len(players)) // built once: publish runs per update
@@ -268,7 +249,7 @@ func RunBackbone(s *BackboneSetup) (*BackboneResult, error) {
 		name := clientName(pi)
 		names[pi] = name
 		acc := &accs[pi]
-		tb.AddNodeOn(name, assign[edge], func(now time.Time, _ ndn.FaceID, pkt *wire.Packet, _ ndn.ActionSink) {
+		tb.AddNode(name, func(now time.Time, _ ndn.FaceID, pkt *wire.Packet, _ ndn.ActionSink) {
 			if pkt.Type == wire.TypeMulticast && pkt.Origin != name && pkt.Origin != core.FlushOrigin {
 				acc.deliveries++
 				acc.latSumMs += float64(now.UnixNano()-pkt.SentAt) / 1e6
@@ -282,7 +263,7 @@ func RunBackbone(s *BackboneSetup) (*BackboneResult, error) {
 	}
 	// Steady state: in-flight deliveries plus one pending publish per
 	// player; fanout spikes are absorbed by headroom.
-	tb.Preallocate(64 + 16*len(players)/workers)
+	tb.Preallocate(64 + 16*len(players))
 
 	// RP bootstrap at the centroid.
 	t0 := time.Unix(0, 0)
@@ -313,9 +294,9 @@ func RunBackbone(s *BackboneSetup) (*BackboneResult, error) {
 		})
 	}
 
-	// Publish chains: each player's updates run as node events on their own
-	// shard, pulling the next update from the stream (whose per-player PRNG
-	// makes the sequence independent of cross-player interleaving).
+	// Publish chains: each player's updates run as node events, pulling the
+	// next update from the stream (whose per-player PRNG makes the sequence
+	// independent of cross-player interleaving).
 	start := t0.Add(s.Warmup)
 	var publish event.CallHandler
 	publish = func(now time.Time, pl event.Payload) {
@@ -419,6 +400,5 @@ func RunBackbone(s *BackboneSetup) (*BackboneResult, error) {
 		res.Obs.Retransmissions += r.Stats().Retransmissions
 	}
 	res.Obs.PacketEvents, res.Obs.Bytes = tb.Stats()
-	res.Sched = tb.SchedProfile()
 	return res, nil
 }

@@ -1,7 +1,6 @@
 package testbed
 
 import (
-	"flag"
 	"fmt"
 	"testing"
 	"time"
@@ -25,11 +24,6 @@ import (
 // so the assertions are exact: the reliability layer must make migration
 // loss-free and fetches terminating no matter what happens to control
 // packets.
-
-// chaosWorkers selects the scheduler shard count the chaos suite runs under
-// (go test ./internal/testbed -workers 4). Every worker count must reproduce
-// the identical fault trace and outcomes.
-var chaosWorkers = flag.Int("workers", 1, "scheduler worker shards for the chaos suite")
 
 // chaosStage names when the R3-R6 partition window opens relative to the
 // handoff instant (t=250ms of virtual time).
@@ -66,17 +60,13 @@ func chaosSpec(loss float64, reorder bool, stage string) string {
 }
 
 func runChaosCell(t *testing.T, loss float64, reorder bool, stage string, seed int64) chaosResult {
-	return runChaosCellWorkers(t, loss, reorder, stage, seed, *chaosWorkers)
-}
-
-func runChaosCellWorkers(t *testing.T, loss float64, reorder bool, stage string, seed int64, workers int) chaosResult {
 	t.Helper()
 	s, err := PaperSetup()
 	if err != nil {
 		t.Fatal(err)
 	}
 	s.LinkDelay = 100 * time.Microsecond
-	tb := New(WithWorkers(workers))
+	tb := New()
 	// A short PIT lifetime lets retried Interests re-forward instead of
 	// aggregating onto a pending entry whose downstream copy was lost.
 	rn, err := buildRouterNet(tb, s,

@@ -48,8 +48,6 @@ type FlowChaosSpec struct {
 	Loss float64
 	// Seed drives the fault injector; equal seeds replay identical runs.
 	Seed int64
-	// Workers is the scheduler shard count (0 or 1 = single-threaded).
-	Workers int
 	// Flow configures every reliability layer of the run — the routers'
 	// control-plane ARQ and the QR fetcher — through the unified flowctl
 	// surface. nil selects the adaptive defaults; flowctl.Static() selects
@@ -100,7 +98,7 @@ func RunFlowChaos(spec FlowChaosSpec) (FlowChaosResult, error) {
 		return res, err
 	}
 	s.LinkDelay = 100 * time.Microsecond
-	tb := New(WithWorkers(spec.Workers))
+	tb := New()
 	rn, err := buildRouterNet(tb, s,
 		core.WithNDNOptions(ndn.WithInterestLifetime(60*time.Millisecond)),
 		core.WithFlowControl(spec.Flow...))

@@ -19,11 +19,11 @@ func TestFlowControlAdaptiveBeatsStatic(t *testing.T) {
 	for _, loss := range []float64{0.05, 0.20} {
 		loss := loss
 		t.Run(fmt.Sprintf("loss=%g", loss), func(t *testing.T) {
-			adaptive, err := RunFlowChaos(FlowChaosSpec{Loss: loss, Seed: 2, Workers: *chaosWorkers})
+			adaptive, err := RunFlowChaos(FlowChaosSpec{Loss: loss, Seed: 2})
 			if err != nil {
 				t.Fatal(err)
 			}
-			static, err := RunFlowChaos(FlowChaosSpec{Loss: loss, Seed: 2, Workers: *chaosWorkers,
+			static, err := RunFlowChaos(FlowChaosSpec{Loss: loss, Seed: 2,
 				Flow: []flowctl.Option{flowctl.Static()}})
 			if err != nil {
 				t.Fatal(err)
@@ -64,7 +64,7 @@ func TestFlowControlAdaptiveBeatsStatic(t *testing.T) {
 // same spec replays to a bit-identical result (fault trace included), and a
 // different seed actually changes the packet trace.
 func TestFlowChaosDeterminism(t *testing.T) {
-	spec := FlowChaosSpec{Loss: 0.20, Seed: 7, Workers: *chaosWorkers}
+	spec := FlowChaosSpec{Loss: 0.20, Seed: 7}
 	a, err := RunFlowChaos(spec)
 	if err != nil {
 		t.Fatal(err)

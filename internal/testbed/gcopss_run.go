@@ -17,10 +17,7 @@ import (
 // position, and the trace's publish events flow through encapsulation, RP
 // multicast and the subscription tree.
 func RunGCOPSS(s *Setup) (*MicroResult, error) {
-	tb := New(WithWorkers(s.Workers))
-	if s.Profile {
-		tb.EnableProfiling(4096)
-	}
+	tb := New()
 	res := &MicroResult{Latency: &stats.Sample{}}
 
 	var ropts []core.Option
@@ -33,8 +30,8 @@ func RunGCOPSS(s *Setup) (*MicroResult, error) {
 	}
 
 	// Clients: record every received Multicast (excluding self-origin).
-	// Latencies accumulate per client — client nodes on different shards run
-	// concurrently — and merge in player order after the run.
+	// Latencies accumulate per client and merge in player order after the
+	// run.
 	attach := attachment(len(s.Trace.Players))
 	accs := make([]clientAcc, len(s.Trace.Players))
 	for pi := range s.Trace.Players {
@@ -104,6 +101,5 @@ func RunGCOPSS(s *Setup) (*MicroResult, error) {
 	}
 	mergeAccs(res, accs)
 	res.PacketEvents, res.Bytes = tb.Stats()
-	res.Sched = tb.SchedProfile()
 	return res, nil
 }

@@ -40,24 +40,21 @@ func TestMicrobenchGolden(t *testing.T) {
 			Bytes: 8.54454e+06, LatencyN: 8764, LatencySumBits: 0x41a28baf48a55dfb}},
 	}
 	for _, sys := range systems {
-		for _, workers := range []int{1, 2} {
-			s, err := ScaledSetup(20*time.Second, 99)
-			if err != nil {
-				t.Fatal(err)
-			}
-			s.Workers = workers
-			res, err := sys.run(s)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := microFingerprint{
-				Published: res.Published, Deliveries: res.Deliveries,
-				PacketEvents: res.PacketEvents, Bytes: res.Bytes,
-				LatencyN: res.Latency.N(), LatencySumBits: math.Float64bits(res.Latency.Sum()),
-			}
-			if got != sys.want {
-				t.Errorf("%s workers=%d:\n got %#v\nwant %#v", sys.name, workers, got, sys.want)
-			}
+		s, err := ScaledSetup(20*time.Second, 99)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := sys.run(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := microFingerprint{
+			Published: res.Published, Deliveries: res.Deliveries,
+			PacketEvents: res.PacketEvents, Bytes: res.Bytes,
+			LatencyN: res.Latency.N(), LatencySumBits: math.Float64bits(res.Latency.Sum()),
+		}
+		if got != sys.want {
+			t.Errorf("%s:\n got %#v\nwant %#v", sys.name, got, sys.want)
 		}
 	}
 
@@ -74,7 +71,7 @@ func TestMicrobenchGolden(t *testing.T) {
 			RetransAbandoned: 1, Dropped: 26, TraceHash: 0xa524856837381505}},
 	}
 	for _, c := range chaos {
-		got, err := RunFlowChaos(FlowChaosSpec{Loss: 0.05, Seed: 3, Workers: *chaosWorkers, Flow: c.flow})
+		got, err := RunFlowChaos(FlowChaosSpec{Loss: 0.05, Seed: 3, Flow: c.flow})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -21,7 +21,7 @@ func ipAddr(dest string) string { return "/ip/" + dest }
 // R1, players unicasting updates to the server, and the server unicasting a
 // copy to every interested player.
 func RunIPServer(s *Setup) (*MicroResult, error) {
-	tb := New(WithWorkers(s.Workers))
+	tb := New()
 	res := &MicroResult{Latency: &stats.Sample{}}
 
 	vis, err := visibilityIndex(s)
@@ -41,8 +41,7 @@ func RunIPServer(s *Setup) (*MicroResult, error) {
 	}
 
 	// Forwarders in the Fig. 3b topology; routes maps router → destination
-	// endpoint → face. It is read-only once Run starts, so concurrent shards
-	// may share it.
+	// endpoint → face. It is read-only once Run starts.
 	g, _ := topo.Benchmark()
 	routes := make([]map[string]ndn.FaceID, g.NodeCount())
 	for id := range routes {

@@ -117,7 +117,7 @@ type ndnPlayer struct {
 	peers     []int
 
 	// Per-player delivery accumulation (merged in player order after the
-	// run; player nodes on different shards run concurrently).
+	// run).
 	acc clientAcc
 }
 
@@ -126,7 +126,7 @@ type ndnPlayer struct {
 // refresh on PIT lifetime, and in-network caching/aggregation via the real
 // NDN engines in the routers.
 func RunNDN(s *Setup) (*MicroResult, error) {
-	tb := New(WithWorkers(s.Workers))
+	tb := New()
 	res := &MicroResult{Latency: &stats.Sample{}}
 
 	rn, err := buildRouterNet(tb, s)

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"github.com/icn-gaming/gcopss/internal/core"
-	"github.com/icn-gaming/gcopss/internal/event"
 	"github.com/icn-gaming/gcopss/internal/gamemap"
 	"github.com/icn-gaming/gcopss/internal/ndn"
 	obstrace "github.com/icn-gaming/gcopss/internal/obs/trace"
@@ -31,22 +30,11 @@ type Setup struct {
 	// Drain is how long after the last publish the run keeps delivering.
 	Drain time.Duration
 
-	// Workers is the number of scheduler shards packet processing is
-	// partitioned across; 0 or 1 is one shard, run inline on the calling
-	// goroutine by the same loop. Results are identical at every worker
-	// count.
-	Workers int
-
 	// Tracer, when non-nil, attaches causal packet tracing to the G-COPSS
 	// routers: sampled publications carry a trace ID end to end and every
 	// hop decision lands in the tracer's per-router rings. Sampling is
 	// deterministic under the tracer's seed, so the trace itself replays.
 	Tracer *obstrace.Tracer
-	// Profile enables the sharded-scheduler profiler for the G-COPSS run;
-	// the per-window timeline and barrier-wait attribution come back in
-	// MicroResult.Sched. Profiling observes wall-clock time, so it changes
-	// no virtual-time results but does cost a few timestamps per window.
-	Profile bool
 }
 
 // PaperSetup builds the Section V-A scenario: 5×5 map, paper object
@@ -104,15 +92,11 @@ type MicroResult struct {
 	// PacketEvents and Bytes aggregate network activity.
 	PacketEvents uint64
 	Bytes        float64
-	// Sched is the scheduler profile of the run (nil unless Setup.Profile
-	// was set): wall-clock attribution of the windowed parallel loop.
-	Sched *event.SchedProfile
 }
 
-// clientAcc accumulates one client's delivery observations. Client nodes on
-// different shards run concurrently, so each records into its own sample;
-// runs merge them in player order afterwards (mergeAccs), which keeps the
-// aggregate bit-identical at every worker count.
+// clientAcc accumulates one client's delivery observations. Each client
+// records into its own sample and runs merge them in player order afterwards
+// (mergeAccs), which fixes the float summation order of the aggregate.
 type clientAcc struct {
 	lat        stats.Sample
 	deliveries int
@@ -196,21 +180,16 @@ func wireGraph(tb *Testbed, g *topo.Graph, delay func(a, b topo.NodeID) time.Dur
 	return rn, nil
 }
 
-// buildRouters registers one core.Router per node of g on tb, in ID order —
-// node id on shard assign[id], round robin when assign is nil — and wires
-// them with wireGraph.
-func buildRouters(tb *Testbed, g *topo.Graph, assign []int, costs Costs,
+// buildRouters registers one core.Router per node of g on tb, in ID order,
+// and wires them with wireGraph.
+func buildRouters(tb *Testbed, g *topo.Graph, costs Costs,
 	delay func(a, b topo.NodeID) time.Duration, opts ...core.Option) (*routerNet, error) {
 	routers := make([]*core.Router, g.NodeCount())
 	proc := func(*wire.Packet) time.Duration { return costs.RouterProc }
 	for id := range routers {
 		r := core.NewRouter(g.Name(topo.NodeID(id)), opts...)
 		routers[id] = r
-		if assign == nil {
-			tb.AddNode(r.Name(), r.HandlePacketTo, proc, costs.PerCopy)
-		} else {
-			tb.AddNodeOn(r.Name(), assign[id], r.HandlePacketTo, proc, costs.PerCopy)
-		}
+		tb.AddNode(r.Name(), r.HandlePacketTo, proc, costs.PerCopy)
 	}
 	rn, err := wireGraph(tb, g, delay)
 	if err != nil {
@@ -229,7 +208,7 @@ func buildRouters(tb *Testbed, g *topo.Graph, assign []int, costs Costs,
 // options) from topo.Benchmark, every link s.LinkDelay long.
 func buildRouterNet(tb *Testbed, s *Setup, opts ...core.Option) (*routerNet, error) {
 	g, _ := topo.Benchmark()
-	return buildRouters(tb, g, nil, s.Costs, func(_, _ topo.NodeID) time.Duration { return s.LinkDelay }, opts...)
+	return buildRouters(tb, g, s.Costs, func(_, _ topo.NodeID) time.Duration { return s.LinkDelay }, opts...)
 }
 
 // newFace hands out the next face of node id.

@@ -12,14 +12,11 @@
 // measures (content-router processing ≈ 3.3 ms, IP forwarding two orders of
 // magnitude cheaper, server game-loop processing ≈ 6 ms).
 //
-// The testbed executes on event.ShardedScheduler: nodes are partitioned
-// across worker shards (WithWorkers), packet deliveries run in conservative
-// time windows whose per-shard ends come from the shard-to-shard latency
-// matrix Run derives from the link delays (one shard: windows run to the next
-// timer), and timers (Schedule/Every/Inject/Emit) run single-threaded between
-// windows. Node event ordering is canonical — deliveries tie-break on
-// (linkID, per-link sequence) — so every worker count executes the identical
-// packet trace.
+// The testbed runs on one event.Scheduler. Packet deliveries and per-node
+// timers (ScheduleNode) are keyed events ordered by a canonical key —
+// linkID<<32|per-link sequence for deliveries — and set-up timers
+// (Schedule/Every/Inject) are global events, which at any one instant run
+// before every keyed event. The trace is a pure function of the scenario.
 package testbed
 
 import (
@@ -82,16 +79,14 @@ type ProcFunc func(pkt *wire.Packet) time.Duration
 
 // link is one direction of a wire. id is assigned in Connect program order
 // and, with the per-link transmit sequence seq, forms the canonical delivery
-// tie-break key linkID<<32|seq — stable across worker counts because each
-// directed link is transmitted on only by its sender node's shard.
+// tie-break key linkID<<32|seq.
 type link struct {
-	to      string
-	toIdx   int32 // the receiving node's slot in Testbed.list
-	toShard int
-	face    ndn.FaceID
-	delay   time.Duration
-	id      uint32
-	seq     uint32
+	to    string
+	toIdx int32 // the receiving node's slot in Testbed.list
+	face  ndn.FaceID
+	delay time.Duration
+	id    uint32
+	seq   uint32
 }
 
 // dest packs the link's far end — receiving node index and face — into the
@@ -115,7 +110,6 @@ func (n *nodeState) link(f ndn.FaceID) *link {
 type nodeState struct {
 	name    string
 	idx     int32 // position in Testbed.list
-	shard   int
 	handle  Handler
 	proc    ProcFunc
 	perCopy time.Duration
@@ -124,11 +118,8 @@ type nodeState struct {
 	// selfID is the node's slot in the canonical-key ID space (shared with
 	// directed link IDs); with selfSeq it forms the tie-break key for
 	// ScheduleNode events, so node-local timers order deterministically
-	// against deliveries at any worker count.
-	selfID uint32
-
-	// Below fields are touched only by the node's own shard during windows
-	// and by the single-threaded global phase between them.
+	// against deliveries.
+	selfID    uint32
 	selfSeq   uint32
 	busyUntil time.Time
 
@@ -139,21 +130,9 @@ type nodeState struct {
 	bytes        float64 // integer-valued, so summation order cannot matter
 }
 
-// Option configures a Testbed at construction.
-type Option func(*Testbed)
-
-// WithWorkers partitions nodes across n worker shards; packet deliveries in
-// disjoint shards execute concurrently. n <= 1 is one shard, which the
-// scheduler's loop runs inline on the calling goroutine. Every worker count
-// produces the identical packet trace.
-func WithWorkers(n int) Option {
-	return func(tb *Testbed) { tb.workers = n }
-}
-
 // Testbed wires nodes and runs the discrete-event loop.
 type Testbed struct {
-	sched   *event.ShardedScheduler
-	workers int
+	sched *event.Scheduler
 	// list holds the nodes in AddNode order; a node's position is the dense
 	// index delivery events carry, so the packet path never hashes a name.
 	// nodes finds them by name for the set-up API only.
@@ -168,25 +147,17 @@ type Testbed struct {
 	// allocating a closure per packet.
 	deliver event.CallHandler
 
-	// scratch is the per-shard action sink handlers emit into; each shard
-	// owns exactly one, so windows never share them.
-	scratch []ndn.SliceSink
+	// scratch is the action sink handlers emit into, reused by every
+	// delivery.
+	scratch ndn.SliceSink
 }
 
 // New creates an empty testbed starting at virtual time zero.
-func New(opts ...Option) *Testbed {
+func New() *Testbed {
 	tb := &Testbed{
-		workers: 1,
-		nodes:   make(map[string]*nodeState),
+		sched: event.NewScheduler(time.Unix(0, 0)),
+		nodes: make(map[string]*nodeState),
 	}
-	for _, o := range opts {
-		o(tb)
-	}
-	if tb.workers < 1 {
-		tb.workers = 1
-	}
-	tb.sched = event.NewSharded(time.Unix(0, 0), tb.workers)
-	tb.scratch = make([]ndn.SliceSink, tb.workers)
 	tb.deliver = func(now time.Time, pl event.Payload) {
 		tb.receive(now, tb.list[pl.Int>>32], ndn.FaceID(uint32(pl.Int)), pl.Ptr.(*wire.Packet))
 	}
@@ -195,15 +166,6 @@ func New(opts ...Option) *Testbed {
 
 // Now returns the current virtual time.
 func (tb *Testbed) Now() time.Time { return tb.sched.Now() }
-
-// EnableProfiling turns on the scheduler's wall-clock profiler: per-window
-// exec/barrier-wait attribution and (up to timelineCap records) the
-// per-(window, shard) timeline. Call before Run.
-func (tb *Testbed) EnableProfiling(timelineCap int) { tb.sched.EnableProfiling(timelineCap) }
-
-// SchedProfile snapshots the scheduler profile, or nil when profiling is
-// off. Call after Run.
-func (tb *Testbed) SchedProfile() *event.SchedProfile { return tb.sched.Profile() }
 
 // SetFaults installs a fault injector on every link: each transmitted packet
 // consults it and may be dropped, duplicated, delayed or reordered. Link
@@ -245,34 +207,16 @@ func (tb *Testbed) transmit(n *nodeState, l *link, at time.Time, pkt *wire.Packe
 	for i := 0; i < copies; i++ {
 		key := uint64(l.id)<<32 | uint64(l.seq)
 		l.seq++
-		tb.sched.PostNode(n.shard, l.toShard, at.Add(l.delay), key, tb.deliver, pl)
+		tb.sched.PostNode(at.Add(l.delay), key, tb.deliver, pl)
 	}
 }
 
 // AddNode registers a node with its handler and processing-cost function.
-// Nodes are assigned to worker shards round-robin in registration order; use
-// AddNodeOn to place a node topology-aware (see topo.Partition).
 func (tb *Testbed) AddNode(name string, handle Handler, proc ProcFunc, perCopy time.Duration) {
-	tb.AddNodeOn(name, len(tb.list)%tb.workers, handle, proc, perCopy)
-}
-
-// AddNodeOn registers a node on an explicit worker shard. Hosts building on
-// a topo.Graph pass topo.Partition assignments here so that most links stay
-// shard-internal and the lookahead windows stay wide. Shards
-// outside [0, workers) are clamped. Call before Connect: link routing
-// captures the endpoint shards at wiring time.
-func (tb *Testbed) AddNodeOn(name string, shard int, handle Handler, proc ProcFunc, perCopy time.Duration) {
-	if shard < 0 {
-		shard = 0
-	}
-	if shard >= tb.workers {
-		shard = shard % tb.workers
-	}
 	tb.nextLinkID++
 	n := &nodeState{
 		name:    name,
 		idx:     int32(len(tb.list)),
-		shard:   shard,
 		handle:  handle,
 		proc:    proc,
 		perCopy: perCopy,
@@ -283,11 +227,9 @@ func (tb *Testbed) AddNodeOn(name string, shard int, handle Handler, proc ProcFu
 }
 
 // Connect wires face fa of node a to face fb of node b with the given
-// propagation delay (both directions). The delay must be positive: it is the
-// lookahead the scheduler's windows are built from, and no finite window is
-// safe against a zero-delay hop. Directed link IDs are assigned in call
-// order, so topology construction order fixes the canonical delivery
-// ordering for every worker count.
+// propagation delay (both directions), which must be positive. Directed link
+// IDs are assigned in call order, so topology construction order fixes the
+// canonical delivery ordering.
 func (tb *Testbed) Connect(a string, fa ndn.FaceID, b string, fb ndn.FaceID, delay time.Duration) error {
 	if delay <= 0 {
 		return fmt.Errorf("testbed: link %s–%s needs a positive delay, got %v", a, b, delay)
@@ -307,9 +249,9 @@ func (tb *Testbed) Connect(a string, fa ndn.FaceID, b string, fb ndn.FaceID, del
 		return err
 	}
 	tb.nextLinkID++
-	na.attach(fa, &link{to: b, toIdx: nb.idx, toShard: nb.shard, face: fb, delay: delay, id: tb.nextLinkID})
+	na.attach(fa, &link{to: b, toIdx: nb.idx, face: fb, delay: delay, id: tb.nextLinkID})
 	tb.nextLinkID++
-	nb.attach(fb, &link{to: a, toIdx: na.idx, toShard: na.shard, face: fa, delay: delay, id: tb.nextLinkID})
+	nb.attach(fb, &link{to: a, toIdx: na.idx, face: fa, delay: delay, id: tb.nextLinkID})
 	return nil
 }
 
@@ -342,23 +284,16 @@ func (tb *Testbed) Inject(at time.Time, node string, face ndn.FaceID, pkt *wire.
 	})
 }
 
-// Schedule runs fn at the given absolute virtual time (for client timers).
-// Like all global events, fn runs single-threaded between node windows; it
-// must be scheduled before Run or from another global event, never from
-// inside a node Handler.
+// Schedule runs fn as a global event at the given absolute virtual time (for
+// client timers).
 func (tb *Testbed) Schedule(at time.Time, fn func(now time.Time)) {
 	tb.sched.At(at, fn)
 }
 
-// ScheduleNode runs a pre-bound callback as a node event on the named
-// node's shard — the shard-local alternative to Schedule for per-node
-// timers (a publishing host's update chain, say). Unlike global events,
-// ScheduleNode events execute inside windows, so thousands of node timers
-// do not serialize the scheduler between windows; the cost is the node
-// contract: call it only during setup or from an event of the same node,
-// and touch only that node's state from the callback. Ordering is canonical
-// via a per-node (selfID, selfSeq) key drawn from the same ID space as link
-// deliveries.
+// ScheduleNode runs a pre-bound callback as a keyed event of the named node —
+// the closure-free alternative to Schedule for per-node timers (a publishing
+// host's update chain, say). Ordering is canonical via a per-node
+// (selfID, selfSeq) key drawn from the same ID space as link deliveries.
 func (tb *Testbed) ScheduleNode(at time.Time, node string, call event.CallHandler, pl event.Payload) error {
 	n, ok := tb.nodes[node]
 	if !ok {
@@ -366,14 +301,13 @@ func (tb *Testbed) ScheduleNode(at time.Time, node string, call event.CallHandle
 	}
 	key := uint64(n.selfID)<<32 | uint64(n.selfSeq)
 	n.selfSeq++
-	tb.sched.PostNode(n.shard, n.shard, at, key, call, pl)
+	tb.sched.PostNode(at, key, call, pl)
 	return nil
 }
 
-// Preallocate grows the scheduler's per-shard queues to hold the expected
-// steady-state event count without reallocation on the hot path. Call after
-// topology construction, before Run.
-func (tb *Testbed) Preallocate(perShard int) { tb.sched.Preallocate(perShard) }
+// Preallocate grows the scheduler's queue to hold the expected steady-state
+// event count without reallocation on the hot path. Call before Run.
+func (tb *Testbed) Preallocate(n int) { tb.sched.Preallocate(n) }
 
 // receive models FIFO service at a node: the packet waits for the node to
 // become idle, is handled, and its outputs leave when service completes.
@@ -386,7 +320,7 @@ func (tb *Testbed) receive(now time.Time, n *nodeState, face ndn.FaceID, pkt *wi
 		}
 		start = n.busyUntil
 	}
-	sink := &tb.scratch[n.shard]
+	sink := &tb.scratch
 	sink.Reset()
 	n.handle(start, face, pkt, sink)
 	actions := sink.Actions
@@ -406,10 +340,7 @@ func (tb *Testbed) receive(now time.Time, n *nodeState, face ndn.FaceID, pkt *wi
 }
 
 // Emit sends packets from a node outside the service path (used by client
-// timers: publishing an update costs HostProc at the host). Call it from
-// global events, from before Run, or — the ScheduleNode publish-chain case —
-// from a node event of the same node: transmit only touches the sending
-// node's link state, which that node's shard owns during windows.
+// timers: publishing an update costs HostProc at the host).
 func (tb *Testbed) Emit(now time.Time, node string, actions []ndn.Action) {
 	n, ok := tb.nodes[node]
 	if !ok {
@@ -439,8 +370,7 @@ func (s *emitSink) Emit(a ndn.Action) {
 
 // EmitTo invokes fn with a sink that transmits from node at now. It is the
 // push-based counterpart of Emit for timer-driven sources — Router.TickTo
-// retransmissions above all — with the same calling rules as Emit (global
-// events, pre-Run setup, or same-node events).
+// retransmissions above all.
 func (tb *Testbed) EmitTo(now time.Time, node string, fn func(ndn.ActionSink)) {
 	n, ok := tb.nodes[node]
 	if !ok {
@@ -450,55 +380,22 @@ func (tb *Testbed) EmitTo(now time.Time, node string, fn func(ndn.ActionSink)) {
 	fn(&s)
 }
 
-// latencyMatrix builds the shard-to-shard minimum single-hop latency matrix
-// from the wired links: entry [sa][sb] is the smallest delay of any directed
-// link from a shard-sa node to a shard-sb node (NoRoute when none exists).
-// Link delay lower-bounds every event hop — service time and queueing only
-// push deliveries later — and node-local ScheduleNode timers stay on their
-// own shard, which the scheduler treats as free, so the matrix is a sound
-// lookahead bound for the whole testbed.
-func (tb *Testbed) latencyMatrix() [][]time.Duration {
-	m := make([][]time.Duration, tb.workers)
-	for i := range m {
-		m[i] = make([]time.Duration, tb.workers)
-		for j := range m[i] {
-			m[i][j] = event.NoRoute
-		}
-	}
-	for _, n := range tb.list {
-		for _, l := range n.links {
-			if l == nil {
-				continue
-			}
-			if cur := m[n.shard][l.toShard]; cur == event.NoRoute || l.delay < cur {
-				m[n.shard][l.toShard] = l.delay
-			}
-		}
-	}
-	return m
-}
-
-// Run drains the event loop up to the deadline; maxEvents bounds runaway
-// loops (0 = default of 100M).
+// Run executes the events due up to the deadline and leaves the clock
+// there; maxEvents bounds runaway loops (0 = default of 100M).
 func (tb *Testbed) Run(deadline time.Time, maxEvents uint64) error {
 	if maxEvents == 0 {
 		maxEvents = 100_000_000
 	}
-	if err := tb.sched.SetLatencyMatrix(tb.latencyMatrix()); err != nil {
-		return fmt.Errorf("testbed: building lookahead matrix: %w", err)
-	}
-	for tb.sched.Pending() > 0 {
-		if tb.sched.Processed() > maxEvents {
+	for n := uint64(0); ; n++ {
+		if at, ok := tb.sched.NextAt(); !ok || at.After(deadline) {
+			break
+		}
+		if n == maxEvents {
 			return fmt.Errorf("testbed: event budget exhausted (%d)", maxEvents)
 		}
-		next := tb.sched.Now()
-		if next.After(deadline) {
-			break
-		}
-		if n := tb.sched.RunUntil(deadline); n == 0 {
-			break
-		}
+		tb.sched.Step()
 	}
+	tb.sched.RunUntil(deadline) // nothing is due any more: moves the clock
 	return nil
 }
 

@@ -105,7 +105,7 @@ func TestConnectValidation(t *testing.T) {
 	}
 	for _, d := range []time.Duration{0, -time.Millisecond} {
 		if err := tb.Connect("a", 5, "b", 6, d); err == nil {
-			t.Errorf("delay %v accepted: no window is safe against a zero-delay hop", d)
+			t.Errorf("delay %v accepted: a wire needs a positive propagation delay", d)
 		}
 	}
 	if l := tb.nodes["a"].link(5); l != nil {

@@ -4,9 +4,10 @@ import "sort"
 
 // Partition assigns every node of g to one of k shards, minimizing (greedily)
 // the number of links that cross shard boundaries while keeping shard sizes
-// within one node of each other — topology-aware sharding for the parallel
-// testbed, replacing round-robin node→shard mapping. The returned slice is
-// indexed by NodeID.
+// within one node of each other. The returned slice is indexed by NodeID.
+// Nothing in the module runs on shards any more: Partition stays only
+// because the frozen repository benchmark times it (bench/sim.go:251,
+// topo.partition_ms), and goes once the benchmark stops.
 //
 // The algorithm is greedy graph growing (GGGP without refinement): each
 // shard grows from the lowest-numbered unassigned node, repeatedly absorbing
@@ -98,19 +99,4 @@ func Partition(g *Graph, k int) []int {
 		}
 	}
 	return assign
-}
-
-// CrossLinks counts the links of g whose endpoints land in different shards
-// under assign — the quantity Partition minimizes and the quantity that
-// bounds cross-shard event traffic in the sharded scheduler.
-func CrossLinks(g *Graph, assign []int) int {
-	n := 0
-	for v := 0; v < g.NodeCount(); v++ {
-		for _, nb := range g.Neighbors(NodeID(v)) {
-			if NodeID(v) < nb && assign[v] != assign[nb] {
-				n++
-			}
-		}
-	}
-	return n
 }

@@ -32,8 +32,8 @@ type StreamConfig struct {
 // O(players): one splitmix64 PRNG word and one next-publish time per player,
 // so a player's sequence depends only on (Seed, player index) — never on how
 // the consumer interleaves Next calls across players. That independence is
-// what lets the sharded testbed drive publish chains as concurrent node
-// events and still produce one canonical workload at every worker count.
+// what lets the testbed drive each player's publish chain as its own node
+// events and still produce one canonical workload.
 type Stream struct {
 	cfg     StreamConfig
 	players []PlayerInfo

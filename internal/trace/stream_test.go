@@ -70,10 +70,10 @@ func TestStreamPlacementAndBounds(t *testing.T) {
 	}
 }
 
-// TestStreamInterleavingIndependence is the property the sharded testbed
-// relies on: a player's sequence is identical whether streams are drained
-// player-by-player, round-robin, or in reverse — so concurrent publish
-// chains produce one canonical workload.
+// TestStreamInterleavingIndependence is the property the testbed's publish
+// chains rely on: a player's sequence is identical whether streams are
+// drained player-by-player, round-robin, or in reverse — so interleaved
+// publish chains produce one canonical workload.
 func TestStreamInterleavingIndependence(t *testing.T) {
 	w := streamWorld(t)
 	cfg := streamConfig()

@@ -249,14 +249,15 @@ func (d *Daemon) enqueue(ev faceEvent) bool {
 func (d *Daemon) errStopped() error { return fmt.Errorf("daemon %s: stopped", d.name) }
 
 // BecomeRP makes this daemon's router host an RP and floods the
-// announcement over its current faces. It executes on the event loop, so the
-// daemon must be running (call after Run has started and neighbor links are
-// up). After Run has returned it fails.
+// announcement over its current faces, ARQ-registered so the loop's ticks
+// retransmit it until every neighbour acks. It executes on the event loop,
+// so the daemon must be running (call after Run has started and neighbor
+// links are up). After Run has returned it fails.
 func (d *Daemon) BecomeRP(info copss.RPInfo) error {
 	errc := make(chan error, 1)
 	if !d.enqueue(faceEvent{fn: func() {
 		d.sink.Reset()
-		err := d.router.BecomeRPTo(info, &d.sink)
+		err := d.router.BecomeRPAt(time.Now(), info, &d.sink)
 		if err == nil {
 			d.dispatch(d.sink.Actions)
 		}

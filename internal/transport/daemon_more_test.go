@@ -9,6 +9,7 @@ import (
 	"github.com/icn-gaming/gcopss/internal/cd"
 	"github.com/icn-gaming/gcopss/internal/copss"
 	"github.com/icn-gaming/gcopss/internal/core"
+	"github.com/icn-gaming/gcopss/internal/faultnet"
 )
 
 func TestClientDisconnectDropsFaceAndSubscriptions(t *testing.T) {
@@ -136,5 +137,41 @@ func TestDaemonRejectsBadHandshake(t *testing.T) {
 	defer c.Close()
 	if err := c.Subscribe(cd.MustParse("/2")); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestBecomeRPAnnouncementRetransmitted: the first hop of a daemon's RP
+// announcement flood is ARQ-registered, so a neighbour behind a link that
+// eats every control packet for the first 300 ms still learns the RP once
+// the link heals and the daemon's ticks retransmit it.
+func TestBecomeRPAnnouncementRetransmitted(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	spec, err := faultnet.ParseSpec("only=ctl,part=0s..300ms")
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := faultnet.New(spec, 1)
+	a := NewDaemon("A")
+	a.SetLogger(func(string, ...interface{}) {})
+	a.SetFaults(in)
+	addrA, err := a.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go a.Run(ctx) //nolint:errcheck // cancelled at test end
+	b, _ := startDaemon(t, ctx, "B")
+	if err := b.ConnectRouter(addrA.String()); err != nil {
+		t.Fatal(err)
+	}
+	linkUp(t, a, b)
+
+	in.SetEpoch(time.Now())
+	if err := a.BecomeRP(copss.RPInfo{Name: "/rpA", Prefixes: []cd.CD{cd.MustNew("1")}, Seq: 1}); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "RP announcement across the healed link", func() bool { return knowsRP(b, "/rpA") })
+	if in.Stats().Dropped == 0 {
+		t.Error("the partition dropped nothing: the test exercised no retransmission")
 	}
 }

@@ -37,7 +37,7 @@ func (d *Daemon) DebugHandler() http.Handler {
 			d.Inspect(func(r *core.Router) {
 				// No scheduler profile in the live daemon — the profiler
 				// belongs to the discrete-event testbed.
-				trace.WriteChromeTrace(w, r.Tracer(), nil) //nolint:errcheck // same as exposition
+				trace.WriteChromeTrace(w, r.Tracer()) //nolint:errcheck // same as exposition
 			})
 		}
 	}
