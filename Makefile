@@ -69,10 +69,11 @@ fuzz:
 
 # cover gates statement coverage on the reliability-critical packages: the
 # router core (ARQ, migration), the broker (QR fetch retry), the fault
-# injector itself, the event scheduler, the topology builders and flow
-# control. The chaos and backbone matrices exercise them but live in
-# testbed, so the gate here is about each package's own unit tests.
-COVER_PKGS = ./internal/core ./internal/broker ./internal/faultnet ./internal/event ./internal/topo ./internal/flowctl
+# injector itself, the event scheduler, the topology builders, flow control
+# and the trace-driven simulator. The chaos and backbone matrices exercise
+# them but live in testbed, so the gate here is about each package's own
+# unit tests.
+COVER_PKGS = ./internal/core ./internal/broker ./internal/faultnet ./internal/event ./internal/topo ./internal/flowctl ./internal/sim
 COVER_MIN  = 70
 cover:
 	@set -e; for pkg in $(COVER_PKGS); do \

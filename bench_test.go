@@ -237,27 +237,33 @@ func BenchmarkFlowControlChaos(b *testing.B) {
 // --- Engine micro-benchmarks: the real costs behind the simulator's
 // --- parameters (ST lookup, FIB LPM, full router forwarding path).
 
-// benchRouterWithSubscriptions builds a router whose ST holds the
-// subscriptions of the paper's 62-player microbenchmark population.
-func benchRouterWithSubscriptions(b *testing.B, mode copss.MatchMode) *core.Router {
+// benchSubscribe hands add the subscriptions of the paper's 62-player
+// microbenchmark population: two client faces per area of a 5x5 map.
+func benchSubscribe(b *testing.B, add func(face ndn.FaceID, cds []cd.CD)) {
 	b.Helper()
 	m, err := gamemap.NewGrid(5, 5)
 	if err != nil {
 		b.Fatal(err)
 	}
-	r := core.NewRouter("bench", core.WithMatchMode(mode))
 	face := ndn.FaceID(1)
-	var sink ndn.SliceSink // upstream propagation is not part of the fixture
 	for _, a := range m.Areas() {
 		for j := 0; j < 2; j++ {
 			face++
-			r.AddFace(face, core.FaceClient)
-			r.HandlePacketTo(time.Unix(0, 0), face, &wire.Packet{
-				Type: wire.TypeSubscribe,
-				CDs:  a.SubscriptionCDs(),
-			}, &sink)
+			add(face, a.SubscriptionCDs())
 		}
 	}
+}
+
+// benchRouterWithSubscriptions builds a router whose ST holds the
+// benchSubscribe population.
+func benchRouterWithSubscriptions(b *testing.B) *core.Router {
+	b.Helper()
+	r := core.NewRouter("bench")
+	var sink ndn.SliceSink // upstream propagation is not part of the fixture
+	benchSubscribe(b, func(face ndn.FaceID, cds []cd.CD) {
+		r.AddFace(face, core.FaceClient)
+		r.HandlePacketTo(time.Unix(0, 0), face, &wire.Packet{Type: wire.TypeSubscribe, CDs: cds}, &sink)
+	})
 	return r
 }
 
@@ -273,8 +279,12 @@ func BenchmarkSTMulticastLookup(b *testing.B) {
 		{"exact", copss.MatchExact},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
-			r := benchRouterWithSubscriptions(b, mode.m)
-			st := r.ST()
+			st := copss.NewST(mode.m)
+			benchSubscribe(b, func(face ndn.FaceID, cds []cd.CD) {
+				for _, c := range cds {
+					st.Add(face, c)
+				}
+			})
 			target := cd.MustParse("/3/4")
 			st.FacesFor(target) // warm scratch and pair cache: the artifact records steady state
 			b.ReportAllocs()
@@ -289,7 +299,7 @@ func BenchmarkSTMulticastLookup(b *testing.B) {
 // BenchmarkRouterMulticastPath measures the full G-COPSS data path at a
 // router hosting an RP: decapsulation-equivalent dispatch plus fan-out.
 func BenchmarkRouterMulticastPath(b *testing.B) {
-	r := benchRouterWithSubscriptions(b, copss.MatchBloomVerified)
+	r := benchRouterWithSubscriptions(b)
 	var sink ndn.SliceSink
 	if err := r.BecomeRPTo(copss.RPInfo{
 		Name:     "/rp",
@@ -323,7 +333,7 @@ func BenchmarkRouterMulticastPath(b *testing.B) {
 func BenchmarkRouterMulticastBurst(b *testing.B) {
 	for _, width := range []int{1, 8, 16, 32} {
 		b.Run(fmt.Sprintf("width%d", width), func(b *testing.B) {
-			r := benchRouterWithSubscriptions(b, copss.MatchBloomVerified)
+			r := benchRouterWithSubscriptions(b)
 			var sink ndn.SliceSink
 			if err := r.BecomeRPTo(copss.RPInfo{
 				Name:     "/rp",
@@ -485,7 +495,7 @@ func BenchmarkRouterDistribute(b *testing.B) {
 // vector carried in the packet (the first-hop optimization): steady state
 // must be allocation-free.
 func BenchmarkFacesForHashed(b *testing.B) {
-	r := benchRouterWithSubscriptions(b, copss.MatchBloomVerified)
+	r := benchRouterWithSubscriptions(b)
 	st := r.ST()
 	target := cd.MustParse("/3/4")
 	flat := copss.FlattenHashes(copss.PrefixHashes(target))

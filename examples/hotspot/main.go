@@ -62,9 +62,9 @@ func main() {
 
 	fmt.Println("single overloaded RP vs automatic balancing (Fig. 5b/5c):")
 	fmt.Printf("  fixed 1 RP : mean latency %8.1f ms, worst queue %5d packets\n",
-		fixed.Latency.Mean(), fixed.MaxQueueLen)
+		fixed.LatencyMeanMs, fixed.MaxQueueLen)
 	fmt.Printf("  auto       : mean latency %8.1f ms, worst queue %5d packets, %d RPs at the end\n",
-		auto.Latency.Mean(), auto.MaxQueueLen, auto.FinalRPs)
+		auto.LatencyMeanMs, auto.MaxQueueLen, auto.FinalRPs)
 	for _, s := range auto.Splits {
 		fmt.Printf("    split at packet %6d (t=%.1fs): moved %v -> new RP (now %d RPs)\n",
 			s.PacketIndex, s.AtMs/1000, s.Moved, s.RPCount)
@@ -80,7 +80,7 @@ func main() {
 		fmt.Printf("  %6d %8.1fms %s\n", i, auto.PerUpdateAvg[i], stars(bar))
 	}
 	fmt.Printf("\nimprovement: %.0fx lower mean latency with auto-balancing\n",
-		fixed.Latency.Mean()/auto.Latency.Mean())
+		fixed.LatencyMeanMs/auto.LatencyMeanMs)
 }
 
 func stars(n int) string {

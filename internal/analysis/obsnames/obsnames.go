@@ -11,7 +11,7 @@
 //     runtime. The linter moves that panic to the build.
 //
 // The check fires on every call to an obs.Registry constructor method
-// (Counter, Gauge, GaugeFunc, Histogram, GaugeVec) outside internal/obs
+// (Counter, Gauge, GaugeFunc, Histogram) outside internal/obs
 // itself, whose own tests exercise the invalid-name panics.
 package obsnames
 
@@ -37,7 +37,6 @@ var constructors = map[string]bool{
 	"Gauge":     true,
 	"GaugeFunc": true,
 	"Histogram": true,
-	"GaugeVec":  true,
 }
 
 var validName = regexp.MustCompile(`^[a-z][a-z0-9_.]*$`)

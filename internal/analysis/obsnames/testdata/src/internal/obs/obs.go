@@ -10,10 +10,8 @@ func NewRegistry() *Registry { return &Registry{} }
 type Counter struct{}
 type Gauge struct{}
 type Histogram struct{}
-type GaugeVec struct{}
 
 func (r *Registry) Counter(name string) *Counter                  { return &Counter{} }
 func (r *Registry) Gauge(name string) *Gauge                      { return &Gauge{} }
 func (r *Registry) GaugeFunc(name string, fn func() float64)      {}
 func (r *Registry) Histogram(name string, b []float64) *Histogram { return &Histogram{} }
-func (r *Registry) GaugeVec(name, label string) *GaugeVec         { return &GaugeVec{} }

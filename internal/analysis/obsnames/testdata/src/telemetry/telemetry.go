@@ -12,7 +12,6 @@ func goodLiterals(reg *obs.Registry) {
 	reg.Gauge("st_entries")
 	reg.GaugeFunc("pit_entries", func() float64 { return 0 })
 	reg.Histogram("delivery_latency_ms", nil)
-	reg.GaugeVec("sim.rp_queue_depth", "rp")
 	reg.Counter(goodConst)           // named constants are compile-time too
 	reg.Counter("ndn." + "fib_hits") // constant-folded concatenation
 }
@@ -21,8 +20,8 @@ func badRuntimeName(reg *obs.Registry, component string) {
 	reg.Counter(component + ".dropped") // want "must be a compile-time string constant"
 }
 
-func badRuntimeVec(reg *obs.Registry, names []string) {
-	reg.GaugeVec(names[0], "rp") // want "must be a compile-time string constant"
+func badRuntimeHistogram(reg *obs.Registry, names []string) {
+	reg.Histogram(names[0], nil) // want "must be a compile-time string constant"
 }
 
 func badGrammar(reg *obs.Registry) {

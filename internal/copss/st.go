@@ -23,7 +23,8 @@ type MatchMode int
 // goes through NewST.
 const (
 	// MatchExact consults only the exact subscription sets: no false
-	// positives, deterministic. The simulators use this mode.
+	// positives, deterministic. The ablation experiments count deliveries
+	// and subscription entries with it; routers never use it.
 	MatchExact MatchMode = iota + 1
 	// MatchBloom consults only the per-face Bloom filters, as the paper's
 	// data plane does: false positives forward extra packets that end hosts

@@ -159,8 +159,6 @@ type Router struct {
 	tracer *trace.Tracer
 	ring   *trace.Ring
 
-	matchMode copss.MatchMode
-
 	// hashes memoizes the flat prefix-hash vectors this router stamps into
 	// client publications at the first hop (Section III-C), so republishing
 	// the same area CD costs a map hit, not a rehash.
@@ -206,11 +204,6 @@ type pendingJoin struct {
 // Option configures a Router.
 type Option func(*Router)
 
-// WithMatchMode selects the Subscription Table matching mode.
-func WithMatchMode(m copss.MatchMode) Option {
-	return func(r *Router) { r.matchMode = m }
-}
-
 // WithNDNOptions forwards options to the embedded NDN engine.
 func WithNDNOptions(opts ...ndn.Option) Option {
 	return func(r *Router) { r.ndnEngine = ndn.NewEngine(opts...) }
@@ -243,12 +236,11 @@ func NewRouter(name string, opts ...Option) *Router {
 		arqSeen:      make(map[ndn.FaceID]*arqSeen),
 		arqEst:       make(map[ndn.FaceID]*flowctl.Estimator),
 		flow:         arqDefaults(flowctl.Config{}),
-		matchMode:    copss.MatchBloomVerified,
 	}
 	for _, o := range opts {
 		o(r)
 	}
-	r.st = copss.NewST(r.matchMode)
+	r.st = copss.NewST(copss.MatchBloomVerified)
 	r.hashes = copss.NewHashCache(0)
 	if r.tracer != nil {
 		r.ring = r.tracer.Ring(name)
@@ -713,7 +705,7 @@ func (r *Router) handleMulticast(now time.Time, from ndn.FaceID, pkt *wire.Packe
 		// first hop is also where the causal tracer samples publications;
 		// both stamps share one copy-on-write shallow copy, since the
 		// arrival packet may be aliased by the sender.
-		needHash := r.matchMode != copss.MatchExact && len(pkt.CDHashes) == 0
+		needHash := len(pkt.CDHashes) == 0
 		tid := uint64(0)
 		if pkt.TraceID == 0 {
 			tid = r.tracer.SampleID(pkt.Origin, pkt.Seq)

@@ -308,8 +308,7 @@ func TestInstallRPStatic(t *testing.T) {
 }
 
 func TestRouterMiscAccessors(t *testing.T) {
-	r := NewRouter("X", WithMatchMode(copss.MatchExact),
-		WithNDNOptions(ndn.WithContentStore(4, time.Second)))
+	r := NewRouter("X", WithNDNOptions(ndn.WithContentStore(4, time.Second)))
 	if r.Name() != "X" {
 		t.Errorf("Name = %q", r.Name())
 	}

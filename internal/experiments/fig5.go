@@ -47,7 +47,7 @@ func Fig5(w *Workbench) (*Fig5Result, error) {
 		if err != nil {
 			return nil, fmt.Errorf("experiments: fig5 %s: %w", name, err)
 		}
-		s := &Fig5Series{Name: name, Splits: r.Splits, MeanMs: r.Latency.Mean(),
+		s := &Fig5Series{Name: name, Splits: r.Splits, MeanMs: r.LatencyMeanMs,
 			P50Ms: r.LatencyP50Ms, P99Ms: r.LatencyP99Ms,
 			FinalRP: r.FinalRPs, RPQueues: r.RPQueues}
 		n := len(r.PerUpdateAvg)

@@ -57,8 +57,8 @@ func Fig6(w *Workbench) (*Fig6Result, error) {
 		}
 		res.Points = append(res.Points, Fig6Point{
 			Players:         players,
-			GCOPSSLatencyMs: gc.Latency.Mean(),
-			ServerLatencyMs: srv.Latency.Mean(),
+			GCOPSSLatencyMs: gc.LatencyMeanMs,
+			ServerLatencyMs: srv.LatencyMeanMs,
 			GCOPSSLoadGB:    gc.Bytes / 1e9,
 			ServerLoadGB:    srv.Bytes / 1e9,
 		})

@@ -43,7 +43,7 @@ func Table1(w *Workbench) (*Table1Result, error) {
 		}
 		res.Rows = append(res.Rows, Table1Row{
 			Kind: "G-COPSS", Count: fmt.Sprintf("%d", n),
-			LatencyMs: r.Latency.Mean(), LoadGB: r.Bytes / 1e9, FinalRPs: r.FinalRPs,
+			LatencyMs: r.LatencyMeanMs, LoadGB: r.Bytes / 1e9, FinalRPs: r.FinalRPs,
 		})
 		if n == 2 {
 			// The Auto row starts from 1 RP and lets the balancer split.
@@ -64,7 +64,7 @@ func Table1(w *Workbench) (*Table1Result, error) {
 			}
 			res.Rows = append(res.Rows, Table1Row{
 				Kind: "G-COPSS", Count: "Auto",
-				LatencyMs: auto.Latency.Mean(), LoadGB: auto.Bytes / 1e9,
+				LatencyMs: auto.LatencyMeanMs, LoadGB: auto.Bytes / 1e9,
 				FinalRPs: auto.FinalRPs, Splits: len(auto.Splits),
 			})
 		}
@@ -79,7 +79,7 @@ func Table1(w *Workbench) (*Table1Result, error) {
 		}
 		res.Rows = append(res.Rows, Table1Row{
 			Kind: "IP Server", Count: fmt.Sprintf("%d", n),
-			LatencyMs: r.Latency.Mean(), LoadGB: r.Bytes / 1e9,
+			LatencyMs: r.LatencyMeanMs, LoadGB: r.Bytes / 1e9,
 		})
 	}
 	return res, nil

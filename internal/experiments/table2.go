@@ -46,7 +46,7 @@ func Table2(w *Workbench) (*Table2Result, error) {
 		if err != nil {
 			return nil, fmt.Errorf("experiments: table2 %s: %w", s.runner.Name(), err)
 		}
-		res.Rows = append(res.Rows, Table2Row{Kind: s.kind, LatencyMs: r.Latency.Mean(), LoadGB: r.Bytes / 1e9})
+		res.Rows = append(res.Rows, Table2Row{Kind: s.kind, LatencyMs: r.LatencyMeanMs, LoadGB: r.Bytes / 1e9})
 	}
 	return res, nil
 }

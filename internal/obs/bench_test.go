@@ -45,7 +45,6 @@ func BenchmarkObsWriteText(b *testing.B) {
 	reg.Counter("multicast_in").Add(100)
 	reg.Gauge("st_entries").Set(62)
 	reg.Histogram("delivery_latency_ms", LatencyBucketsMs()).Observe(3.3)
-	reg.GaugeVec("rp_queue_depth", "rp").With("rp1").Set(4)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := reg.WriteText(io.Discard); err != nil {

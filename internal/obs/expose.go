@@ -15,9 +15,8 @@ import (
 
 // WriteText renders every registered metric in the Prometheus text
 // exposition format (text/plain; version=0.0.4): counters and gauges as
-// single samples, histograms as cumulative _bucket/_sum/_count series,
-// gauge families as labeled samples. Metrics are emitted in name order so
-// scrapes diff cleanly.
+// single samples, histograms as cumulative _bucket/_sum/_count series.
+// Metrics are emitted in name order so scrapes diff cleanly.
 //
 // GaugeFunc callbacks run inside WriteText; hosts whose callbacks read
 // non-atomic state must serialize the call (the daemon routes it through
@@ -35,19 +34,13 @@ func (r *Registry) WriteText(w io.Writer) error {
 		switch r.kinds[name] {
 		case kindCounter:
 			writeHeader(bw, name, "counter")
-			writeSample(bw, name, "", "", formatUint(r.counters[name].Value()))
+			writeSample(bw, name, formatUint(r.counters[name].Value()))
 		case kindGauge:
 			writeHeader(bw, name, "gauge")
-			writeSample(bw, name, "", "", formatInt(r.gauges[name].Value()))
+			writeSample(bw, name, formatInt(r.gauges[name].Value()))
 		case kindGaugeFunc:
 			writeHeader(bw, name, "gauge")
-			writeSample(bw, name, "", "", formatFloat(r.gaugeFuncs[name]()))
-		case kindGaugeVec:
-			writeHeader(bw, name, "gauge")
-			values, gauges := r.gaugeVecs[name].snapshot()
-			for i, val := range values {
-				writeSample(bw, name, r.gaugeVecs[name].label, val, formatInt(gauges[i].Value()))
-			}
+			writeSample(bw, name, formatFloat(r.gaugeFuncs[name]()))
 		case kindHistogram:
 			h := r.histograms[name]
 			writeHeader(bw, name, "histogram")
@@ -67,8 +60,8 @@ func (r *Registry) WriteText(w io.Writer) error {
 			bw.WriteString(`_bucket{le="+Inf"} `) //nolint:errcheck
 			bw.WriteString(formatUint(cum))       //nolint:errcheck
 			bw.WriteByte('\n')                    //nolint:errcheck
-			writeSample(bw, name+"_sum", "", "", formatFloat(h.Sum()))
-			writeSample(bw, name+"_count", "", "", formatUint(h.Count()))
+			writeSample(bw, name+"_sum", formatFloat(h.Sum()))
+			writeSample(bw, name+"_count", formatUint(h.Count()))
 		}
 	}
 	r.mu.RUnlock()
@@ -83,15 +76,8 @@ func writeHeader(bw *bufio.Writer, name, typ string) {
 	bw.WriteByte('\n')        //nolint:errcheck
 }
 
-func writeSample(bw *bufio.Writer, name, label, labelValue, value string) {
-	bw.WriteString(name) //nolint:errcheck // flushed by WriteText
-	if label != "" {
-		bw.WriteByte('{')          //nolint:errcheck
-		bw.WriteString(label)      //nolint:errcheck
-		bw.WriteString(`="`)       //nolint:errcheck
-		bw.WriteString(labelValue) //nolint:errcheck
-		bw.WriteString(`"}`)       //nolint:errcheck
-	}
+func writeSample(bw *bufio.Writer, name, value string) {
+	bw.WriteString(name)  //nolint:errcheck // flushed by WriteText
 	bw.WriteByte(' ')     //nolint:errcheck
 	bw.WriteString(value) //nolint:errcheck
 	bw.WriteByte('\n')    //nolint:errcheck

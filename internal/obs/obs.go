@@ -55,51 +55,6 @@ func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
 // Value returns the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 
-// GaugeVec is a family of gauges distinguished by one label (e.g. one queue
-// depth gauge per RP). The family name is registered once with a literal
-// name; children are materialized on demand with With.
-type GaugeVec struct {
-	name  string
-	label string
-
-	mu sync.Mutex
-	// children maps label values to their gauges.
-	//
-	//gcopss:guardedby mu
-	children map[string]*Gauge
-	// order remembers label creation order for stable exposition.
-	//
-	//gcopss:guardedby mu
-	order []string
-}
-
-// With returns the child gauge for the given label value, creating it on
-// first use. Callers cache the returned handle; With itself takes a lock and
-// is not for hot paths.
-func (v *GaugeVec) With(value string) *Gauge {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if g, ok := v.children[value]; ok {
-		return g
-	}
-	g := &Gauge{}
-	v.children[value] = g
-	v.order = append(v.order, value)
-	return g
-}
-
-// snapshot returns the label values in creation order with their gauges.
-func (v *GaugeVec) snapshot() ([]string, []*Gauge) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	values := append([]string(nil), v.order...)
-	gauges := make([]*Gauge, len(values))
-	for i, val := range values {
-		gauges[i] = v.children[val]
-	}
-	return values, gauges
-}
-
 // metricKind tags what a registered name refers to, so a name cannot be
 // registered twice with different types.
 type metricKind uint8
@@ -109,7 +64,6 @@ const (
 	kindGauge
 	kindGaugeFunc
 	kindHistogram
-	kindGaugeVec
 )
 
 func (k metricKind) String() string {
@@ -122,8 +76,6 @@ func (k metricKind) String() string {
 		return "gauge (func)"
 	case kindHistogram:
 		return "histogram"
-	case kindGaugeVec:
-		return "gauge vec"
 	default:
 		return "unknown"
 	}
@@ -159,10 +111,6 @@ type Registry struct {
 	//
 	//gcopss:guardedby mu
 	histograms map[string]*Histogram
-	// gaugeVecs holds the registered gauge families.
-	//
-	//gcopss:guardedby mu
-	gaugeVecs map[string]*GaugeVec
 }
 
 // NewRegistry creates an empty registry.
@@ -173,7 +121,6 @@ func NewRegistry() *Registry {
 		gauges:     make(map[string]*Gauge),
 		gaugeFuncs: make(map[string]func() float64),
 		histograms: make(map[string]*Histogram),
-		gaugeVecs:  make(map[string]*GaugeVec),
 	}
 }
 
@@ -255,18 +202,4 @@ func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 		r.histograms[name] = h
 	}
 	return h
-}
-
-// GaugeVec returns the named single-label gauge family, registering it on
-// first use.
-func (r *Registry) GaugeVec(name, label string) *GaugeVec {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.register(name, kindGaugeVec)
-	v, ok := r.gaugeVecs[name]
-	if !ok {
-		v = &GaugeVec{name: name, label: label, children: make(map[string]*Gauge)}
-		r.gaugeVecs[name] = v
-	}
-	return v
 }

@@ -172,8 +172,6 @@ func TestWriteTextExposition(t *testing.T) {
 	h.Observe(0.5)
 	h.Observe(5)
 	h.Observe(50)
-	qv := reg.GaugeVec("rp_queue_depth", "rp")
-	qv.With("rp1").Set(9)
 
 	var sb strings.Builder
 	if err := reg.WriteText(&sb); err != nil {
@@ -190,7 +188,6 @@ func TestWriteTextExposition(t *testing.T) {
 		`delivery_latency_ms_bucket{le="+Inf"} 3`,
 		"delivery_latency_ms_sum 55.5",
 		"delivery_latency_ms_count 3",
-		`rp_queue_depth{rp="rp1"} 9`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q:\n%s", want, out)

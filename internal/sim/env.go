@@ -4,10 +4,11 @@
 //
 // The simulator is parameterized by the microbenchmark-derived processing
 // costs (RP service 3.3 ms, server service 6 ms) and models congestion with
-// exact FIFO single-server queue recurrences at RPs and servers, while
-// propagation uses precomputed shortest-path and core-based multicast-tree
-// delays — the same decomposition the paper describes ("The simulator ...
-// is parameterized based on microbenchmarks of our implementation").
+// one exact FIFO single-server queue recurrence (station) at every RP,
+// server and snapshot broker, while propagation uses precomputed
+// shortest-path and multicast-tree delays (planner) — the same decomposition
+// the paper describes ("The simulator ... is parameterized based on
+// microbenchmarks of our implementation").
 package sim
 
 import (
@@ -54,15 +55,17 @@ func NewEnv(game *gamemap.World, tr *trace.Trace, cfg topo.BackboneConfig) (*Env
 		Edges: edges,
 	}
 	env.PlayerEdge = topo.SpreadOver(edges, len(tr.Players), cfg.Seed+1)
-	if err := env.rebuildSubscribers(nil); err != nil {
+	if err := env.RestrictPlayers(nil); err != nil {
 		return nil, err
 	}
 	return env, nil
 }
 
-// rebuildSubscribers computes per-leaf subscriber lists for the players in
-// mask (nil = all players), based on their trace starting areas.
-func (e *Env) rebuildSubscribers(mask []bool) error {
+// RestrictPlayers computes the per-leaf subscriber lists for the players in
+// mask (nil = all players) from their trace starting areas. The Fig. 6
+// scalability sweep restricts visibility to a subset and restores it with
+// nil.
+func (e *Env) RestrictPlayers(mask []bool) error {
 	e.subscribers = make(map[string][]int)
 	for pi, p := range e.Trace.Players {
 		if mask != nil && !mask[pi] {
@@ -85,10 +88,18 @@ func (e *Env) SubscribersOf(leaf cd.CD) []int {
 	return e.subscribers[leaf.Key()]
 }
 
-// RestrictPlayers recomputes visibility for a subset of players (used by the
-// Fig. 6 scalability sweep). Pass nil to restore all players.
-func (e *Env) RestrictPlayers(mask []bool) error {
-	return e.rebuildSubscribers(mask)
+// edgesOf returns the distinct edge routers of players, in first-seen order.
+func (e *Env) edgesOf(players []int) []topo.NodeID {
+	var out []topo.NodeID
+	seen := make(map[topo.NodeID]struct{}, len(players))
+	for _, pi := range players {
+		edge := e.PlayerEdge[pi]
+		if _, ok := seen[edge]; !ok {
+			seen[edge] = struct{}{}
+			out = append(out, edge)
+		}
+	}
+	return out
 }
 
 // Costs is the simulator's cost model, in milliseconds: service times of
@@ -131,13 +142,13 @@ func PaperCosts() Costs {
 }
 
 // deliveryPlan caches, per (leaf CD, root node), everything needed to
-// account one multicast delivery: the subscriber list, each subscriber's
-// root→edge delay (propagation + per-hop processing), and the multicast
-// tree's edge count.
+// account one delivery from root to the leaf's subscribers, whether by
+// multicast (G-COPSS, hybrid) or by one unicast copy each (IP server).
 type deliveryPlan struct {
 	players   []int
-	delays    []float64 // root→subscriber-edge delay incl. hop processing and host link
-	treeEdges int
+	delays    []float64 // root→subscriber delay: path, per-hop processing, edge filtering, host link
+	hops      []int     // root→subscriber links, host link included
+	treeLinks int       // see multicastLinks; -1 until first asked for
 }
 
 type planKey struct {
@@ -145,42 +156,49 @@ type planKey struct {
 	root topo.NodeID
 }
 
-// planner builds and caches delivery plans.
+// planner builds and caches delivery plans. filterMs is the per-packet
+// filtering delay at the receiving edge router, which only hybrid
+// deployments pay (0 for the others).
 type planner struct {
-	env   *Env
-	costs Costs
-	plans map[planKey]*deliveryPlan
+	env      *Env
+	costs    Costs
+	filterMs float64
+	plans    map[planKey]*deliveryPlan
 }
 
-func newPlanner(env *Env, costs Costs) *planner {
-	return &planner{env: env, costs: costs, plans: make(map[planKey]*deliveryPlan)}
+func newPlanner(env *Env, costs Costs, filterMs float64) *planner {
+	return &planner{env: env, costs: costs, filterMs: filterMs, plans: make(map[planKey]*deliveryPlan)}
 }
 
-// plan returns the delivery plan for a leaf CD multicast from root.
+// plan returns the delivery plan for a leaf CD published from root.
 func (p *planner) plan(leaf cd.CD, root topo.NodeID) *deliveryPlan {
 	key := planKey{leaf: leaf.Key(), root: root}
 	if pl, ok := p.plans[key]; ok {
 		return pl
 	}
 	subs := p.env.SubscribersOf(leaf)
-	pl := &deliveryPlan{players: subs, delays: make([]float64, len(subs))}
-	nodes := make([]topo.NodeID, 0, len(subs))
-	seen := make(map[topo.NodeID]struct{}, len(subs))
+	pl := &deliveryPlan{players: subs, delays: make([]float64, len(subs)), hops: make([]int, len(subs)), treeLinks: -1}
 	for i, pi := range subs {
 		edge := p.env.PlayerEdge[pi]
-		hops := p.env.Paths.HopCount(root, edge)
-		pl.delays[i] = p.env.Paths.Delay(root, edge) + float64(hops)*p.costs.HopMs + p.costs.HostMs
-		if _, ok := seen[edge]; !ok {
-			seen[edge] = struct{}{}
-			nodes = append(nodes, edge)
-		}
+		h := p.env.Paths.HopCount(root, edge)
+		// Operand order is part of the result: filtering is added before
+		// the host link, and adding a zero filterMs is exact.
+		pl.delays[i] = p.env.Paths.Delay(root, edge) + float64(h)*p.costs.HopMs + p.filterMs + p.costs.HostMs
+		pl.hops[i] = h + 1
 	}
-	tree := p.env.Paths.MulticastTree(root, nodes)
-	// Tree edges plus one host link per subscriber (the last hop to the
-	// player) make up the multicast byte cost.
-	pl.treeEdges = tree.EdgeCount() + len(subs)
 	p.plans[key] = pl
 	return pl
+}
+
+// multicastLinks returns the links one multicast of pl from root crosses:
+// the tree spanning the subscribers' edge routers plus one host link per
+// subscriber. Only G-COPSS multicasts from a plan's root, so the tree is
+// built on first use.
+func (p *planner) multicastLinks(pl *deliveryPlan, root topo.NodeID) int {
+	if pl.treeLinks < 0 {
+		pl.treeLinks = p.env.Paths.MulticastTree(root, p.env.edgesOf(pl.players)).EdgeCount() + len(pl.players)
+	}
+	return pl.treeLinks
 }
 
 // invalidateLeavesUnder drops cached plans for leaves covered by any of the
@@ -200,10 +218,28 @@ func (p *planner) invalidateLeavesUnder(prefixes []cd.CD) {
 	}
 }
 
-// upstream computes the publisher→root delay (host link + path + per-hop
-// processing) and the hop count for byte accounting.
-func (p *planner) upstream(player int, root topo.NodeID) (delayMs float64, hops int) {
+// upstream computes the player→root delay (host link + path + per-hop
+// processing) and the link count, host link included, for byte accounting.
+func (p *planner) upstream(player int, root topo.NodeID) (delayMs float64, links int) {
 	edge := p.env.PlayerEdge[player]
 	h := p.env.Paths.HopCount(edge, root)
 	return p.costs.HostMs + p.env.Paths.Delay(edge, root) + float64(h)*p.costs.HopMs, h + 1
+}
+
+// station is the simulator's one queueing rule: a FIFO single server (an
+// RP, an IP server or a snapshot broker), whose only state is when the last
+// job it accepted departs.
+type station struct{ lastDepart float64 }
+
+// serve admits a job arriving at arrive that needs service ms. It returns
+// the job's departure, max(arrive, lastDepart) + service, and the work
+// queued ahead of it in ms (0 when the server was idle).
+func (s *station) serve(arrive, service float64) (depart, backlog float64) {
+	depart = arrive
+	if arrive < s.lastDepart {
+		depart, backlog = s.lastDepart, s.lastDepart-arrive
+	}
+	depart += service
+	s.lastDepart = depart
+	return depart, backlog
 }

@@ -9,7 +9,6 @@ import (
 	"github.com/icn-gaming/gcopss/internal/cd"
 	"github.com/icn-gaming/gcopss/internal/copss"
 	"github.com/icn-gaming/gcopss/internal/obs"
-	"github.com/icn-gaming/gcopss/internal/stats"
 	"github.com/icn-gaming/gcopss/internal/topo"
 	"github.com/icn-gaming/gcopss/internal/trace"
 )
@@ -42,10 +41,6 @@ type GCOPSSConfig struct {
 	RPs     []RPPlacement
 	Costs   Costs
 	Balance *AutoBalance // nil disables auto-balancing
-	// Obs, when non-nil, receives a "sim.rp_queue_depth" gauge family
-	// (label "rp") tracking each RP's instantaneous FIFO depth as the
-	// replay progresses.
-	Obs *obs.Registry
 }
 
 // SplitEvent records one automatic RP split (Fig. 5c annotations).
@@ -59,8 +54,10 @@ type SplitEvent struct {
 
 // Result aggregates one simulation run.
 type Result struct {
-	// Latency accumulates per-delivery latencies in ms (publisher excluded).
-	Latency *stats.Stream
+	// LatencyMeanMs is the mean per-delivery latency in ms (publisher
+	// excluded): the latencies summed in delivery order over Deliveries. 0
+	// when the run had no deliveries.
+	LatencyMeanMs float64
 	// PerUpdateAvg/Min/Max are per-update latency aggregates in packet
 	// order — the Fig. 5 series.
 	PerUpdateAvg []float32
@@ -80,18 +77,30 @@ type Result struct {
 	// (RPs created by auto-balancing splits appear after the initial set).
 	RPQueues []RPQueueStat
 	// LatencyP50Ms and LatencyP99Ms are delivery-latency quantiles
-	// estimated from a log-bucket histogram fed every delivery (unlike
-	// Latency, which is a bounded reservoir sample). NaN when the run had
-	// no deliveries.
+	// estimated from a log-bucket histogram fed every delivery. NaN when the
+	// run had no deliveries.
 	LatencyP50Ms float64
 	LatencyP99Ms float64
 
-	// latCounts feeds the quantiles: per-bucket delivery counts over
-	// latBounds (last slot is overflow). Plain integers, not an
-	// obs.Histogram — the engines are single-threaded and call addLatency
-	// once per delivery, where the histogram's three atomics would cost
-	// more than the rest of the per-delivery arithmetic combined.
+	// latSum is LatencyMeanMs's numerator. latCounts feeds the quantiles:
+	// per-bucket delivery counts over latBounds (last slot is overflow).
+	// Plain integers, not an obs.Histogram — the engines are
+	// single-threaded and call addLatency once per delivery, where the
+	// histogram's three atomics would cost more than the rest of the
+	// per-delivery arithmetic combined.
+	latSum    float64
 	latCounts []uint64
+}
+
+// newResult returns an empty Result with room for the per-update series of
+// an n-update replay.
+func newResult(n int) *Result {
+	return &Result{
+		PerUpdateAvg: make([]float32, 0, n),
+		PerUpdateMin: make([]float32, 0, n),
+		PerUpdateMax: make([]float32, 0, n),
+		latCounts:    make([]uint64, len(latBounds)+1),
+	}
 }
 
 // latBounds is the shared bucket layout of the delivery-latency quantile
@@ -133,26 +142,62 @@ func latIndex(lat float64) int {
 	return i
 }
 
-// addLatency records one delivery latency into both the reservoir stream
-// and the quantile buckets.
-func (r *Result) addLatency(lat float64) {
-	r.Latency.Add(lat)
-	if r.latCounts == nil {
-		r.latCounts = make([]uint64, len(latBounds)+1)
+// deliver is the simulator's one per-update accounting rule. Every planned
+// recipient except the publisher receives the update base + delays[i] - sub
+// ms after it was sent: depart + delay - now behind an RP or a server, and
+// HostMs + delay - 0 (exact) in hybrid. Each latency is recorded, and the
+// update's avg/min/max are appended to the Fig. 5 series (zeros when nobody
+// else subscribes). It returns the recipients' total link count — what a
+// server pays to reach them with one unicast copy each.
+func (r *Result) deliver(plan *deliveryPlan, publisher int, base, sub float64) (links int) {
+	var sum, minL, maxL float64
+	n := 0
+	for i, p := range plan.players {
+		if p == publisher {
+			continue
+		}
+		lat := base + plan.delays[i] - sub
+		r.addLatency(lat)
+		links += plan.hops[i]
+		sum += lat
+		if n == 0 || lat < minL {
+			minL = lat
+		}
+		if lat > maxL {
+			maxL = lat
+		}
+		n++
 	}
+	var avg float32
+	if n > 0 {
+		avg = float32(sum / float64(n))
+	}
+	r.PerUpdateAvg = append(r.PerUpdateAvg, avg)
+	r.PerUpdateMin = append(r.PerUpdateMin, float32(minL))
+	r.PerUpdateMax = append(r.PerUpdateMax, float32(maxL))
+	return links
+}
+
+// addLatency records one delivery: its count, its share of the mean and its
+// quantile bucket.
+func (r *Result) addLatency(lat float64) {
+	r.Deliveries++
+	r.latSum += lat
 	r.latCounts[latIndex(lat)]++
 }
 
-// finishLatency resolves the quantile fields; engines call it once before
-// returning their Result. The local bucket counts are replayed into an
-// obs.Histogram (one ObserveN per occupied bucket, each fed a value inside
-// that bucket's bounds) so the quantile math lives in exactly one place.
+// finishLatency resolves the mean and quantile fields; engines call it once
+// before returning their Result. The local bucket counts are replayed into
+// an obs.Histogram (one ObserveN per occupied bucket, each fed a value
+// inside that bucket's bounds) so the quantile math lives in exactly one
+// place.
 func (r *Result) finishLatency() {
-	if r.latCounts == nil {
+	if r.Deliveries == 0 {
 		r.LatencyP50Ms = math.NaN()
 		r.LatencyP99Ms = math.NaN()
 		return
 	}
+	r.LatencyMeanMs = r.latSum / float64(r.Deliveries)
 	h := obs.NewHistogram(nil)
 	for i, c := range r.latCounts {
 		if c == 0 {
@@ -187,11 +232,11 @@ type RPQueueStat struct {
 
 // rpState is one simulated RP.
 type rpState struct {
-	node       topo.NodeID
-	prefixes   []cd.CD
-	lastDepart float64
-	monitor    *LoadMonitor
-	name       string
+	station
+	node     topo.NodeID
+	prefixes []cd.CD
+	monitor  *LoadMonitor
+	name     string
 
 	maxDepth int
 	depthSum float64
@@ -247,25 +292,13 @@ func (cfg GCOPSSConfig) Run(env *Env, updates []trace.Update) (*Result, error) {
 
 	var rnd *rand.Rand
 	var candidates []topo.NodeID
-	reservoirSeed := int64(1)
 	if cfg.Balance != nil {
 		rnd = rand.New(rand.NewSource(cfg.Balance.Seed))
 		candidates = append(candidates, cfg.Balance.CandidateNodes...)
-		reservoirSeed = cfg.Balance.Seed
 	}
 
-	var queueVec *obs.GaugeVec
-	if cfg.Obs != nil {
-		queueVec = cfg.Obs.GaugeVec("sim.rp_queue_depth", "rp")
-	}
-
-	pl := newPlanner(env, cfg.Costs)
-	res := &Result{
-		Latency:      stats.NewStreamSeeded(20000, reservoirSeed),
-		PerUpdateAvg: make([]float32, 0, len(updates)),
-		PerUpdateMin: make([]float32, 0, len(updates)),
-		PerUpdateMax: make([]float32, 0, len(updates)),
-	}
+	pl := newPlanner(env, cfg.Costs, 0)
+	res := newResult(len(updates))
 
 	type pendingSplit struct {
 		atMs   float64
@@ -314,81 +347,39 @@ func (cfg GCOPSSConfig) Run(env *Env, updates []trace.Update) (*Result, error) {
 		}
 		upDelay, upHops := pl.upstream(u.Player, rp.node)
 		arrive := nowMs + upDelay
-		qlen := 0
-		if arrive < rp.lastDepart {
-			qlen = int((rp.lastDepart - arrive) / cfg.Costs.RPServiceMs)
-			if qlen > res.MaxQueueLen {
-				res.MaxQueueLen = qlen
-			}
-			// Auto-balance: queue above threshold triggers a split.
-			if cfg.Balance != nil && pending == nil && qlen > cfg.Balance.QueueThreshold &&
-				len(rps) < cfg.Balance.MaxRPs && len(rp.prefixes) > 1 && len(candidates) > 0 {
-				_, moved := rp.monitor.SplitByLoad(rp.prefixes, rnd)
-				if len(moved) > 0 {
-					node := candidates[0]
-					candidates = candidates[1:]
-					srcIdx := 0
-					for i := range rps {
-						if rps[i] == rp {
-							srcIdx = i
-						}
+		depart, backlog := rp.serve(arrive, cfg.Costs.RPServiceMs)
+		qlen := int(backlog / cfg.Costs.RPServiceMs)
+		res.MaxQueueLen = max(res.MaxQueueLen, qlen)
+		// Auto-balance: queue above threshold triggers a split.
+		if cfg.Balance != nil && pending == nil && qlen > cfg.Balance.QueueThreshold &&
+			len(rps) < cfg.Balance.MaxRPs && len(rp.prefixes) > 1 && len(candidates) > 0 {
+			_, moved := rp.monitor.SplitByLoad(rp.prefixes, rnd)
+			if len(moved) > 0 {
+				node := candidates[0]
+				candidates = candidates[1:]
+				srcIdx := 0
+				for i := range rps {
+					if rps[i] == rp {
+						srcIdx = i
 					}
-					pending = &pendingSplit{
-						atMs:   arrive + cfg.Balance.MigrationMs,
-						source: srcIdx,
-						node:   node,
-						moved:  moved,
-					}
+				}
+				pending = &pendingSplit{
+					atMs:   arrive + cfg.Balance.MigrationMs,
+					source: srcIdx,
+					node:   node,
+					moved:  moved,
 				}
 			}
 		}
-		if qlen > rp.maxDepth {
-			rp.maxDepth = qlen
-		}
+		rp.maxDepth = max(rp.maxDepth, qlen)
 		rp.depthSum += float64(qlen)
 		rp.updates++
-		if queueVec != nil {
-			queueVec.With(rp.name).Set(int64(qlen))
-		}
-		depart := arrive
-		if rp.lastDepart > depart {
-			depart = rp.lastDepart
-		}
-		depart += cfg.Costs.RPServiceMs
-		rp.lastDepart = depart
 		rp.monitor.Record(u.CD)
 
 		plan := pl.plan(u.CD, rp.node)
 		pktBytes := float64(u.Size + cfg.Costs.PacketOverhead)
-		res.Bytes += pktBytes * float64(upHops+plan.treeEdges)
-
-		var sum, minL, maxL float64
-		n := 0
-		for i, sub := range plan.players {
-			if sub == u.Player {
-				continue
-			}
-			lat := depart + plan.delays[i] - nowMs
-			res.addLatency(lat)
-			res.Deliveries++
-			sum += lat
-			if n == 0 || lat < minL {
-				minL = lat
-			}
-			if lat > maxL {
-				maxL = lat
-			}
-			n++
-		}
-		if n > 0 {
-			res.PerUpdateAvg = append(res.PerUpdateAvg, float32(sum/float64(n)))
-			res.PerUpdateMin = append(res.PerUpdateMin, float32(minL))
-			res.PerUpdateMax = append(res.PerUpdateMax, float32(maxL))
-		} else {
-			res.PerUpdateAvg = append(res.PerUpdateAvg, 0)
-			res.PerUpdateMin = append(res.PerUpdateMin, 0)
-			res.PerUpdateMax = append(res.PerUpdateMax, 0)
-		}
+		res.Bytes += pktBytes * float64(upHops+pl.multicastLinks(plan, rp.node))
+		res.deliver(plan, u.Player, depart, nowMs)
 	}
 	res.FinalRPs = len(rps)
 	for _, rp := range rps {

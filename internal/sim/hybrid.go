@@ -2,11 +2,9 @@ package sim
 
 import (
 	"fmt"
-	"time"
 
 	"github.com/icn-gaming/gcopss/internal/cd"
 	"github.com/icn-gaming/gcopss/internal/copss"
-	"github.com/icn-gaming/gcopss/internal/stats"
 	"github.com/icn-gaming/gcopss/internal/topo"
 	"github.com/icn-gaming/gcopss/internal/trace"
 )
@@ -60,104 +58,41 @@ func (cfg HybridConfig) Run(env *Env, updates []trace.Update) (*Result, error) {
 		return 0
 	}
 
-	// Group membership: the union of edge routers of every player that
-	// subscribes to any leaf mapped to the group.
+	// Group membership: the edge routers of every player that subscribes to
+	// any leaf mapped to the group.
+	members := make([][]int, cfg.Groups)
+	for _, a := range env.Game.Map.Areas() {
+		leaf := a.LeafCD()
+		g := groupOfLeaf(leaf)
+		members[g] = append(members[g], env.SubscribersOf(leaf)...)
+	}
 	memberEdges := make([][]topo.NodeID, cfg.Groups)
-	{
-		seen := make([]map[topo.NodeID]struct{}, cfg.Groups)
-		for i := range seen {
-			seen[i] = make(map[topo.NodeID]struct{})
-		}
-		for _, a := range env.Game.Map.Areas() {
-			leaf := a.LeafCD()
-			g := groupOfLeaf(leaf)
-			for _, pi := range env.SubscribersOf(leaf) {
-				e := env.PlayerEdge[pi]
-				if _, ok := seen[g][e]; !ok {
-					seen[g][e] = struct{}{}
-					memberEdges[g] = append(memberEdges[g], e)
-				}
-			}
-		}
+	for g := range members {
+		memberEdges[g] = env.edgesOf(members[g])
 	}
 
-	res := &Result{
-		Latency:      stats.NewStream(20000),
-		PerUpdateAvg: make([]float32, 0, len(updates)),
-		PerUpdateMin: make([]float32, 0, len(updates)),
-		PerUpdateMax: make([]float32, 0, len(updates)),
-	}
-
-	// Caches: per (group, source edge) tree edge counts; per (leaf, source
-	// edge) subscriber delay vectors.
-	treeEdges := make(map[planKey]int)
-	type subPlan struct {
-		players []int
-		delays  []float64
-	}
-	subPlans := make(map[planKey]*subPlan)
-
+	pl := newPlanner(env, cfg.Costs, cfg.Costs.EdgeFilterMs)
+	res := newResult(len(updates))
+	// Group tree link counts per (group, source edge).
+	treeLinks := make(map[[2]int]int)
 	for _, u := range updates {
-		nowMs := float64(u.At) / float64(time.Millisecond)
 		src := env.PlayerEdge[u.Player]
 		g := groupOfLeaf(u.CD)
-
-		tk := planKey{leaf: fmt.Sprintf("g%d", g), root: src}
-		edges, ok := treeEdges[tk]
+		edges, ok := treeLinks[[2]int{g, int(src)}]
 		if !ok {
-			tree := env.Paths.MulticastTree(src, memberEdges[g])
-			edges = tree.EdgeCount()
-			treeEdges[tk] = edges
+			edges = env.Paths.MulticastTree(src, memberEdges[g]).EdgeCount()
+			treeLinks[[2]int{g, int(src)}] = edges
 		}
-
-		sk := planKey{leaf: u.CD.Key(), root: src}
-		sp, ok := subPlans[sk]
-		if !ok {
-			subs := env.SubscribersOf(u.CD)
-			sp = &subPlan{players: subs, delays: make([]float64, len(subs))}
-			for i, pi := range subs {
-				edge := env.PlayerEdge[pi]
-				hops := env.Paths.HopCount(src, edge)
-				sp.delays[i] = env.Paths.Delay(src, edge) + float64(hops)*cfg.Costs.HopMs +
-					cfg.Costs.EdgeFilterMs + cfg.Costs.HostMs
-			}
-			subPlans[sk] = sp
-		}
+		plan := pl.plan(u.CD, src)
 
 		pktBytes := float64(u.Size + cfg.Costs.PacketOverhead)
 		// Bytes: publisher host link + the whole group tree (over-delivery
 		// included) + host links of the actual subscribers only (the edge
 		// routers filter the rest).
-		res.Bytes += pktBytes * float64(1+edges+len(sp.players))
-
-		var sum, minL, maxL float64
-		n := 0
-		for i, sub := range sp.players {
-			if sub == u.Player {
-				continue
-			}
-			lat := cfg.Costs.HostMs + sp.delays[i]
-			res.addLatency(lat)
-			res.Deliveries++
-			sum += lat
-			if n == 0 || lat < minL {
-				minL = lat
-			}
-			if lat > maxL {
-				maxL = lat
-			}
-			n++
-		}
-		_ = nowMs
-		if n > 0 {
-			res.PerUpdateAvg = append(res.PerUpdateAvg, float32(sum/float64(n)))
-			res.PerUpdateMin = append(res.PerUpdateMin, float32(minL))
-			res.PerUpdateMax = append(res.PerUpdateMax, float32(maxL))
-		} else {
-			res.PerUpdateAvg = append(res.PerUpdateAvg, 0)
-			res.PerUpdateMin = append(res.PerUpdateMin, 0)
-			res.PerUpdateMax = append(res.PerUpdateMax, 0)
-		}
+		res.Bytes += pktBytes * float64(1+edges+len(plan.players))
+		// No RP and no queue: the publisher's host link plus the planned
+		// source-edge→subscriber delay, filtering included.
+		res.deliver(plan, u.Player, cfg.Costs.HostMs, 0)
 	}
 	res.finishLatency()
 	return res, nil

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"github.com/icn-gaming/gcopss/internal/obs"
-	"github.com/icn-gaming/gcopss/internal/stats"
 )
 
 // refLatIndex is the binary search latIndex replaces: the index of the
@@ -61,7 +60,7 @@ func TestLatIndexMatchesBinarySearch(t *testing.T) {
 // obs.Histogram; the quantile fields must agree exactly, since Quantile
 // only reads bucket counts and both paths bucket identically.
 func TestResultQuantilesMatchHistogram(t *testing.T) {
-	r := Result{Latency: stats.NewStream(64)}
+	r := newResult(0)
 	h := obs.NewHistogram(nil)
 	rng := rand.New(rand.NewSource(9))
 	for i := 0; i < 20000; i++ {

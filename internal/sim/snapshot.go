@@ -128,8 +128,12 @@ func RunMovement(env *Env, cfg SnapshotConfig) (*MovementResult, error) {
 		res.PerType[mt] = &stats.Sample{}
 	}
 
+	pl := newPlanner(env, cfg.Costs, 0)
 	// Broker queues (QR) / session ends (cyclic), per broker node and leaf.
-	lastDepart := make(map[topo.NodeID]float64, len(cfg.Brokers))
+	queues := make(map[topo.NodeID]*station, len(cfg.Brokers))
+	for _, b := range cfg.Brokers {
+		queues[b] = &station{}
+	}
 	sessionEnd := make(map[string]float64, len(leaves))
 
 	// Merge-replay updates and moves in time order.
@@ -165,7 +169,6 @@ func RunMovement(env *Env, cfg SnapshotConfig) (*MovementResult, error) {
 			continue
 		}
 		nowMs := float64(mv.At) / float64(time.Millisecond)
-		playerEdge := env.PlayerEdge[mv.Player]
 
 		// Fetch each leaf's snapshot from its broker; leaves proceed in
 		// parallel, the move converges when the slowest finishes.
@@ -180,12 +183,13 @@ func RunMovement(env *Env, cfg SnapshotConfig) (*MovementResult, error) {
 					bytes += o.Size
 				}
 			}
+			oneWay, links := pl.upstream(mv.Player, broker)
 			var conv float64
 			switch cfg.Mode {
 			case SnapshotQR:
-				conv = qrConvergence(env, cfg, nowMs, playerEdge, broker, objs, lastDepart, res)
+				conv = qrConvergence(cfg, nowMs, oneWay, links, queues[broker], objs, res)
 			case SnapshotCyclic:
-				conv = cyclicConvergence(env, cfg, nowMs, playerEdge, broker, leaf, objs, bytes, sessionEnd, res)
+				conv = cyclicConvergence(cfg, nowMs, oneWay, links, leaf, objs, bytes, sessionEnd, res)
 			}
 			if conv > worst {
 				worst = conv
@@ -198,14 +202,13 @@ func RunMovement(env *Env, cfg SnapshotConfig) (*MovementResult, error) {
 }
 
 // qrConvergence models the pipelined query-response download of one leaf's
-// snapshot: completion is bounded both by the client's window (one RTT per
-// window of objects) and by the broker's FIFO service queue, which is what
-// makes the broker "the bottleneck in a QR based solution, as the number of
-// players moving increases".
-func qrConvergence(env *Env, cfg SnapshotConfig, nowMs float64, playerEdge, broker topo.NodeID,
-	objs []*gamemap.Object, lastDepart map[topo.NodeID]float64, res *MovementResult) float64 {
-	hops := env.Paths.HopCount(playerEdge, broker)
-	oneWay := cfg.Costs.HostMs + env.Paths.Delay(playerEdge, broker) + float64(hops)*cfg.Costs.HopMs
+// snapshot by a mover oneWay ms and links links from the broker: completion
+// is bounded both by the client's window (one RTT per window of objects)
+// and by the broker's FIFO service queue, which is what makes the broker
+// "the bottleneck in a QR based solution, as the number of players moving
+// increases".
+func qrConvergence(cfg SnapshotConfig, nowMs, oneWay float64, links int, broker *station,
+	objs []*gamemap.Object, res *MovementResult) float64 {
 	rtt := 2 * oneWay
 	n := len(objs)
 	if n == 0 {
@@ -213,17 +216,11 @@ func qrConvergence(env *Env, cfg SnapshotConfig, nowMs float64, playerEdge, brok
 	}
 
 	// Broker-side FIFO: all n requests queue behind other movers' requests.
-	arrive := nowMs + oneWay
-	depart := arrive
-	if lastDepart[broker] > depart {
-		depart = lastDepart[broker]
-	}
 	serviceTotal := 0.0
 	for _, o := range objs {
 		serviceTotal += cfg.PerObjectServiceMs + o.Size*cfg.TxPerByteMs
 	}
-	depart += serviceTotal
-	lastDepart[broker] = depart
+	depart, _ := broker.serve(nowMs+oneWay, serviceTotal)
 	brokerBound := depart + oneWay - nowMs
 
 	// Client-side window: ceil(n/W) round trips.
@@ -231,7 +228,7 @@ func qrConvergence(env *Env, cfg SnapshotConfig, nowMs float64, playerEdge, brok
 	windowBound := float64(rounds) * rtt
 
 	// Byte accounting: interests up, objects down, all unicast.
-	pathLinks := float64(hops + 1)
+	pathLinks := float64(links)
 	res.Bytes += float64(n*cfg.InterestBytes) * pathLinks
 	for _, o := range objs {
 		res.Bytes += (o.Size + float64(cfg.Costs.PacketOverhead)) * pathLinks
@@ -250,11 +247,8 @@ func qrConvergence(env *Env, cfg SnapshotConfig, nowMs float64, playerEdge, brok
 // movers ride the same cycle, so the broker never becomes a per-player
 // bottleneck — at the cost of transmissions wasted between the last useful
 // packet and the unsubscribe taking effect.
-func cyclicConvergence(env *Env, cfg SnapshotConfig, nowMs float64, playerEdge topo.NodeID,
-	broker topo.NodeID, leaf cd.CD, objs []*gamemap.Object, totalBytes float64,
-	sessionEnd map[string]float64, res *MovementResult) float64 {
-	hops := env.Paths.HopCount(playerEdge, broker)
-	oneWay := cfg.Costs.HostMs + env.Paths.Delay(playerEdge, broker) + float64(hops)*cfg.Costs.HopMs
+func cyclicConvergence(cfg SnapshotConfig, nowMs, oneWay float64, links int, leaf cd.CD,
+	objs []*gamemap.Object, totalBytes float64, sessionEnd map[string]float64, res *MovementResult) float64 {
 	n := len(objs)
 	if n == 0 {
 		return 2 * oneWay // the first cycle marker confirms emptiness
@@ -287,7 +281,7 @@ func cyclicConvergence(env *Env, cfg SnapshotConfig, nowMs float64, playerEdge t
 		// The multicast travels one path from broker to this mover's edge;
 		// concurrent subscribers share most of it, so the tree reduces to a
 		// path per distinct edge — we charge this mover's path once.
-		res.Bytes += fraction * (totalBytes + float64(n*cfg.Costs.PacketOverhead)) * float64(hops+1)
+		res.Bytes += fraction * (totalBytes + float64(n*cfg.Costs.PacketOverhead)) * float64(links)
 		res.ObjectsSent += uint64(float64(n) * fraction)
 	}
 	return conv

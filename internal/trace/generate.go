@@ -48,7 +48,7 @@ func PaperConfig() Config {
 }
 
 // validate normalizes and checks a config.
-func (c *Config) validate(areaCount int) error {
+func (c *Config) validate() error {
 	if c.Players < 1 || c.TotalUpdates < 1 || c.Duration <= 0 {
 		return fmt.Errorf("trace: degenerate config %+v", *c)
 	}
@@ -67,9 +67,6 @@ func (c *Config) validate(areaCount int) error {
 	if c.HeavyTailSigma == 0 {
 		c.HeavyTailSigma = 1.1
 	}
-	if c.Players < areaCount*0 { // placement always feasible; counts rescale
-		return nil
-	}
 	return nil
 }
 
@@ -80,7 +77,7 @@ func (c *Config) validate(areaCount int) error {
 // top-layer objects accumulate updates from everyone, as in the paper).
 func Generate(w *gamemap.World, cfg Config) (*Trace, error) {
 	areas := playerAreas(w.Map)
-	if err := cfg.validate(len(areas)); err != nil {
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	rnd := rand.New(rand.NewSource(cfg.Seed))
