@@ -644,7 +644,7 @@ func (r *Router) deliverAsRP(now time.Time, rpName string, inner *wire.Packet, s
 		}
 		r.ctr.redirected.Inc()
 		r.record(now, trace.HopRedirect, InternalFace, inner, newRP)
-		r.publishToward(now, newRP, inner, sink)
+		r.publishToward(now, newRP, c, inner, new(wire.Packet), sink)
 		return
 	}
 	if inner.Name == TwoStepRequest {
@@ -703,27 +703,24 @@ func (r *Router) handleMulticast(now time.Time, from ndn.FaceID, pkt *wire.Packe
 		// hash pairs of the CD's prefixes once, here, and carry them with
 		// the packet so every downstream ST probe is a bit comparison. The
 		// first hop is also where the causal tracer samples publications;
-		// both stamps share one copy-on-write shallow copy, since the
+		// both stamps go on one copy-on-write shallow copy, since the
 		// arrival packet may be aliased by the sender.
-		needHash := len(pkt.CDHashes) == 0
-		tid := uint64(0)
-		if pkt.TraceID == 0 {
-			tid = r.tracer.SampleID(pkt.Origin, pkt.Seq)
+		hashes, tid := pkt.CDHashes, pkt.TraceID
+		if len(hashes) == 0 {
+			hashes = r.hashes.FlatFor(c)
 		}
-		if needHash || tid != 0 {
-			cp := *pkt
-			if needHash {
-				cp.CDHashes = r.hashes.FlatFor(c)
-			}
-			if tid != 0 {
-				cp.TraceID = tid
-			}
-			pkt = &cp
+		if tid == 0 {
+			tid = r.tracer.SampleID(pkt.Origin, pkt.Seq)
 		}
 		if r.IsRP(rpName) {
 			// Publisher attached directly to the RP: skip encapsulation.
 			// Delivery matches the encapsulated path (all matching faces,
 			// including the publisher's own if subscribed).
+			if len(pkt.CDHashes) == 0 || tid != pkt.TraceID {
+				cp := *pkt
+				cp.CDHashes, cp.TraceID = hashes, tid
+				pkt = &cp
+			}
 			r.drainPendingPrunes(sink)
 			if pkt.Name == TwoStepRequest {
 				r.deliverTwoStep(now, rpName, pkt, sink)
@@ -734,31 +731,39 @@ func (r *Router) handleMulticast(now time.Time, from ndn.FaceID, pkt *wire.Packe
 			r.distribute(now, -1, pkt, sink)
 			return
 		}
+		// Toward a remote RP the stamped copy and the outer Interest are
+		// one allocation.
+		rec := &encapsulation{inner: *pkt}
+		rec.inner.CDHashes, rec.inner.TraceID = hashes, tid
 		r.ctr.publishEncapsulated.Inc()
-		r.publishToward(now, rpName, pkt, sink)
+		r.publishToward(now, rpName, c, &rec.inner, &rec.outer, sink)
 		return
 	}
 	r.distribute(now, from, pkt, sink)
 }
 
-// publishToward encapsulates a Multicast into an Interest addressed to the
-// given RP and forwards it along the FIB. The encapsulation name gets a
-// unique (origin, seq) suffix so that distinct publications to the same CD
-// are never aggregated by PIT-style state anywhere.
-func (r *Router) publishToward(now time.Time, rpName string, inner *wire.Packet, sink ndn.ActionSink) {
-	outer, err := wire.Encapsulate(rpName, inner)
-	if err != nil {
+// encapsulation is a first-hop publication's stamped copy and the Interest
+// that carries it toward the RP, allocated together.
+type encapsulation struct{ inner, outer wire.Packet }
+
+// publishToward encapsulates a Multicast of CD c into outer, an Interest
+// addressed to the given RP, and forwards it along the FIB. The
+// encapsulation name gets a unique (origin, seq) suffix so that distinct
+// publications to the same CD are never aggregated by PIT-style state
+// anywhere.
+func (r *Router) publishToward(now time.Time, rpName string, c cd.CD, inner, outer *wire.Packet, sink ndn.ActionSink) {
+	name := append(r.nameBuf[:0], rpName...)
+	name = append(name, c.Key()...)
+	name = append(name, '/')
+	name = append(name, inner.Origin...)
+	name = append(name, '/')
+	name = strconv.AppendUint(name, r.pubSeq+1, 36)
+	r.nameBuf = name[:0]
+	if err := wire.Encapsulate(string(name), inner, outer); err != nil {
 		r.drop(now, InternalFace, inner, "encapsulation failed")
 		return
 	}
 	r.pubSeq++
-	name := append(r.nameBuf[:0], outer.Name...)
-	name = append(name, '/')
-	name = append(name, inner.Origin...)
-	name = append(name, '/')
-	name = strconv.AppendUint(name, r.pubSeq, 36)
-	outer.Name = string(name)
-	r.nameBuf = name[:0]
 	faces, _, ok := r.ndnEngine.FIB().Lookup(rpName)
 	if !ok {
 		r.drop(now, InternalFace, inner, "no route to RP")

@@ -91,11 +91,10 @@ func inject(h *harness, router string, face ndn.FaceID, pkt *wire.Packet) {
 // router would forward toward rpName.
 func encapPub(t *testing.T, rpName string, inner *wire.Packet) *wire.Packet {
 	t.Helper()
-	outer, err := wire.Encapsulate(rpName, inner)
-	if err != nil {
+	outer := new(wire.Packet)
+	if err := wire.Encapsulate(rpName+inner.CDs[0].Key()+"/"+inner.Origin+"/1", inner, outer); err != nil {
 		t.Fatal(err)
 	}
-	outer.Name += "/" + inner.Origin + "/1"
 	return outer
 }
 

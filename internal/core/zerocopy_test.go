@@ -118,3 +118,38 @@ func TestSharedFanOutNoConcurrentMutation(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestFirstHopPublishAllocBudget pins what a first-hop router allocates to
+// send a client's publication toward a remote RP: one record holding the
+// stamped copy and the outer Interest, the encapsulation name, and the inner
+// packet's encoding that the Interest carries — nothing else.
+func TestFirstHopPublishAllocBudget(t *testing.T) {
+	rp := NewRouter("RP")
+	rp.AddFace(1, FaceRouter)
+	announce, err := becomeRP(rp, copss.RPInfo{Name: "/rp1", Prefixes: []cd.CD{cd.MustParse("/1")}, Seq: 1})
+	if err != nil || len(announce) != 1 {
+		t.Fatalf("become RP: %d actions, err %v", len(announce), err)
+	}
+	r := NewRouter("R")
+	r.AddFace(1, FaceRouter)
+	r.AddFace(2, FaceClient)
+	now := time.Unix(1, 0)
+	handle(r, now, 1, announce[0].Packet)
+
+	pub := &wire.Packet{
+		Type: wire.TypeMulticast, CDs: []cd.CD{cd.MustParse("/1/2")},
+		Origin: "player-0", Seq: 1, Payload: make([]byte, 32),
+	}
+	var sink ndn.SliceSink
+	r.HandlePacketTo(now, 2, pub, &sink) // warm the hash cache, name buffer and sink
+	if len(sink.Actions) != 1 || sink.Actions[0].Face != 1 || sink.Actions[0].Packet.Type != wire.TypeInterest {
+		t.Fatalf("first hop emitted %+v, want one Interest on face 1", sink.Actions)
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		sink.Reset()
+		r.HandlePacketTo(now, 2, pub, &sink)
+	})
+	if allocs != 3 {
+		t.Errorf("first-hop publish: %v allocs/op, want 3", allocs)
+	}
+}

@@ -64,8 +64,11 @@ type Daemon struct {
 	reconnects   *obs.Counter
 
 	events chan faceEvent
-	done   chan struct{} // closed when Run exits; unblocks feeder goroutines
-	wg     sync.WaitGroup
+	// free hands spent burst slices from the loop back to the readers,
+	// cleared, so a steady-state burst allocates no slice.
+	free chan []*wire.Packet
+	done chan struct{} // closed when Run exits; unblocks feeder goroutines
+	wg   sync.WaitGroup
 
 	// sink and tx are event-loop-owned scratch: the reused action sink every
 	// router call on the loop emits into, and the per-flush packet collector
@@ -76,7 +79,7 @@ type Daemon struct {
 
 type faceEvent struct {
 	face   ndn.FaceID
-	pkts   []*wire.Packet // burst arrival: one frame's worth of packets
+	pkts   []*wire.Packet // burst arrival: everything one read delivered
 	closed bool
 	fn     func() // loop-executed command (face attach, RP setup)
 }
@@ -92,6 +95,7 @@ func NewDaemon(name string, opts ...core.Option) *Daemon {
 		idleTimeout:  DefaultIdleTimeout,
 		tickInterval: DefaultTickInterval,
 		events:       make(chan faceEvent, 1024),
+		free:         make(chan []*wire.Packet, 64),
 		done:         make(chan struct{}),
 	}
 	d.Instrument(obs.NewRegistry())
@@ -212,15 +216,25 @@ func (d *Daemon) addFace(conn *Conn, kind core.FaceKind) ndn.FaceID {
 func (d *Daemon) readLoop(id ndn.FaceID, conn *Conn) {
 	defer d.wg.Done()
 	for {
-		// One frame = one burst: everything the peer flushed together is
-		// handed to the router as one HandleBurst call sharing one arrival
-		// time, which is exactly right — the packets shared one syscall.
-		pkts, err := conn.ReadBurst(nil)
-		if err != nil {
-			d.enqueue(faceEvent{face: id, closed: true})
+		// One read = one burst: every frame that one read left buffered
+		// is handed to the router as one HandleBurst call sharing one
+		// arrival time, which is exactly right — the packets shared one
+		// syscall. A frame that fails ends the face after the frames
+		// before it are delivered.
+		var pkts []*wire.Packet
+		select {
+		case pkts = <-d.free:
+		default:
+		}
+		pkts, err := conn.ReadBurst(pkts)
+		for err == nil && conn.frameBuffered() {
+			pkts, err = conn.ReadBurst(pkts)
+		}
+		if len(pkts) > 0 && !d.enqueue(faceEvent{face: id, pkts: pkts}) {
 			return
 		}
-		if !d.enqueue(faceEvent{face: id, pkts: pkts}) {
+		if err != nil {
+			d.enqueue(faceEvent{face: id, closed: true})
 			return
 		}
 	}
@@ -304,6 +318,11 @@ func (d *Daemon) Run(ctx context.Context) error {
 				d.sink.Reset()
 				d.router.HandleBurst(time.Now(), ev.face, ev.pkts, &d.sink)
 				d.dispatch(d.sink.Actions)
+				clear(ev.pkts)
+				select {
+				case d.free <- ev.pkts[:0]:
+				default:
+				}
 			}
 		}
 	}
@@ -463,10 +482,12 @@ type Client struct {
 	//gcopss:guardedby mu
 	faults *faultnet.Injector
 
-	// rq queues decoded-but-undelivered packets when the router flushed a
-	// multi-packet burst frame; Receive drains it before reading the next
-	// frame. Only the single reader goroutine touches it.
-	rq []*wire.Packet
+	// rq[rhead:] queues decoded-but-undelivered packets when the router
+	// flushed a multi-packet burst frame; Receive drains it before reading
+	// the next frame into the same backing array. Only the single reader
+	// goroutine touches them.
+	rq    []*wire.Packet
+	rhead int
 
 	reconnects *obs.Counter
 }
@@ -602,14 +623,15 @@ func (c *Client) Send(pkt *wire.Packet) error { return c.write(pkt) }
 // Receive blocks for the next packet. The router may flush several packets
 // in one burst frame; Receive hands them out one at a time in frame order.
 func (c *Client) Receive() (*wire.Packet, error) {
-	for len(c.rq) == 0 {
+	for c.rhead == len(c.rq) {
 		pkts, err := c.current().ReadBurst(c.rq[:0])
 		if err != nil {
 			return nil, err
 		}
-		c.rq = pkts
+		c.rq, c.rhead = pkts, 0
 	}
-	pkt := c.rq[0]
-	c.rq = c.rq[1:]
+	pkt := c.rq[c.rhead]
+	c.rq[c.rhead] = nil // the queue does not keep delivered packets alive
+	c.rhead++
 	return pkt, nil
 }

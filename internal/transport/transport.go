@@ -61,21 +61,29 @@ type Conn struct {
 	//gcopss:guardedby wmu
 	wbuf []byte
 
-	// hdr and dec belong to the connection's single reader: the length
-	// prefix is read into a field because a local array escapes through
-	// io.ReadFull (one allocation per frame), and the decoder remembers the
-	// origins and CD keys this peer keeps sending.
-	hdr [4]byte
-	dec wire.Decoder
+	// rbuf, rpos, rend and dec belong to the connection's single reader.
+	// One Read fills rbuf with as many bytes as the socket holds, and
+	// rbuf[rpos:rend] is what ReadBurst has not parsed yet; the decoder
+	// remembers the origins and CD keys this peer keeps sending.
+	rbuf       []byte
+	rpos, rend int
+	dec        wire.Decoder
 }
+
+// readBufSize is the size of a connection's read buffer: one Read takes up
+// to this many bytes off the socket. Frames larger than it are read straight
+// into their own body instead, so the buffer never grows to MaxFrame.
+const readBufSize = 32 << 10
 
 // NewConn wraps an established stream.
 func NewConn(c net.Conn) *Conn { return &Conn{c: c} }
 
-// SetIdleTimeout arms a per-frame read deadline: every ReadBurst must
-// complete (header AND body) within d, or it fails with a timeout error.
-// This is the defense against a peer that completes the hello and then
-// stalls mid-frame — without it the reader goroutine blocks in io.ReadFull
+// SetIdleTimeout arms a per-frame read deadline: a ReadBurst that has to
+// wait on the socket must receive the rest of its frame within d of starting
+// to wait, or it fails with a timeout error. A frame that is already
+// buffered whole needs no wait and no deadline; one that is partly buffered
+// is covered. This is the defense against a peer that completes the hello
+// and then stalls mid-frame — without it the reader goroutine blocks in Read
 // forever and leaks. Zero disables the deadline.
 func (c *Conn) SetIdleTimeout(d time.Duration) { c.idle = d }
 
@@ -143,38 +151,101 @@ func (c *Conn) WriteBurst(pkts []*wire.Packet) error {
 
 // ReadBurst reads one frame and decodes every packet in it, appending them to
 // dst (which may be nil) and returning the extended slice. Bytes in the frame
-// that do not decode as a packet fail the whole read.
+// that do not decode as a packet fail the whole read, and then dst comes back
+// without any of the frame's packets.
 //
-// The frame body is one fresh allocation per frame that belongs to the
-// packets decoded from it (their payloads are sub-slices of it; DESIGN.md §11
-// rule 4): it is never reused, so a caller may hold a burst's packets across
-// later ReadBursts for as long as it likes. One reader at a time.
+// Reads are buffered: one Read takes everything the socket holds, up to the
+// connection's read buffer, and later calls parse frames already buffered
+// without a syscall. Each frame body is still copied out into one fresh
+// allocation that belongs to the packets decoded from it (their payloads are
+// sub-slices of it; DESIGN.md §11 rule 4): it is never reused, so a caller
+// may hold a burst's packets across later ReadBursts for as long as it likes.
+// One reader at a time.
 func (c *Conn) ReadBurst(dst []*wire.Packet) ([]*wire.Packet, error) {
-	if c.idle > 0 {
+	// Armed whenever this call must read the socket, which covers a frame
+	// that is partly buffered; one buffered whole needs no deadline.
+	if c.idle > 0 && !c.frameBuffered() {
 		if err := c.c.SetReadDeadline(time.Now().Add(c.idle)); err != nil {
 			return dst, fmt.Errorf("transport: set idle deadline: %w", err)
 		}
 	}
-	if _, err := io.ReadFull(c.c, c.hdr[:]); err != nil {
+	if err := c.fill(4); err != nil {
 		return dst, fmt.Errorf("transport: read header: %w", err)
 	}
-	n := binary.BigEndian.Uint32(c.hdr[:])
-	if n == 0 || n > MaxFrame {
-		return dst, fmt.Errorf("transport: bad frame length %d", n)
+	hdr := binary.BigEndian.Uint32(c.rbuf[c.rpos:])
+	if hdr == 0 || hdr > MaxFrame {
+		return dst, fmt.Errorf("transport: bad frame length %d", hdr)
 	}
+	n := int(hdr)
+	c.rpos += 4
 	body := make([]byte, n)
-	if _, err := io.ReadFull(c.c, body); err != nil {
-		return dst, fmt.Errorf("transport: read body: %w", err)
+	if n <= len(c.rbuf) {
+		if err := c.fill(n); err != nil {
+			return dst, fmt.Errorf("transport: read body: %w", err)
+		}
+		c.rpos += copy(body, c.rbuf[c.rpos:c.rpos+n])
+	} else {
+		// Larger than the buffer: take what is buffered, read the rest
+		// straight into the body.
+		have := copy(body, c.rbuf[c.rpos:c.rend])
+		c.rpos, c.rend = 0, 0
+		_, err := io.ReadFull(c.c, body[have:])
+		if err == io.EOF && have > 0 {
+			err = io.ErrUnexpectedEOF
+		}
+		if err != nil {
+			return dst, fmt.Errorf("transport: read body: %w", err)
+		}
 	}
+	start := len(dst)
 	for len(body) > 0 {
 		pkt, consumed, err := c.dec.Decode(body)
 		if err != nil {
-			return dst, fmt.Errorf("transport: decode: %w", err)
+			clear(dst[start:])
+			return dst[:start], fmt.Errorf("transport: decode: %w", err)
 		}
 		body = body[consumed:]
 		dst = append(dst, pkt)
 	}
 	return dst, nil
+}
+
+// fill reads until at least need unparsed bytes are buffered (need is at
+// most the buffer size). Like io.ReadFull it reports io.EOF when the stream
+// ends before any of the needed bytes, io.ErrUnexpectedEOF when it ends after
+// some.
+func (c *Conn) fill(need int) error {
+	if c.rend-c.rpos >= need {
+		return nil
+	}
+	if c.rbuf == nil {
+		c.rbuf = make([]byte, readBufSize)
+	}
+	c.rend = copy(c.rbuf, c.rbuf[c.rpos:c.rend])
+	c.rpos = 0
+	for c.rend < need {
+		n, err := c.c.Read(c.rbuf[c.rend:])
+		c.rend += n
+		if err != nil && c.rend < need {
+			if err == io.EOF && c.rend > 0 {
+				return io.ErrUnexpectedEOF
+			}
+			return err
+		}
+	}
+	return nil
+}
+
+// frameBuffered reports whether a whole frame (or a header that ReadBurst
+// will reject without reading further) is buffered, so that the next
+// ReadBurst returns without a syscall.
+func (c *Conn) frameBuffered() bool {
+	avail := c.rend - c.rpos
+	if avail < 4 {
+		return false
+	}
+	n := binary.BigEndian.Uint32(c.rbuf[c.rpos:])
+	return n == 0 || n > MaxFrame || int(n) <= avail-4
 }
 
 // SendHello announces this peer's kind and name.
@@ -187,7 +258,8 @@ func (c *Conn) SendHello(kind PeerKind, name string) error {
 	})
 }
 
-// ReadHello consumes and validates the peer's handshake.
+// ReadHello consumes and validates the peer's handshake: exactly one frame.
+// Bytes the peer pipelined behind it stay buffered for the next ReadBurst.
 func (c *Conn) ReadHello(timeout time.Duration) (PeerKind, string, error) {
 	if timeout > 0 {
 		if err := c.c.SetReadDeadline(time.Now().Add(timeout)); err != nil {

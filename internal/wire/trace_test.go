@@ -86,8 +86,8 @@ func TestTraceIDSurvivesEncapsulate(t *testing.T) {
 		Type: TypeMulticast, CDs: []cd.CD{cd.MustParse("/1/2")},
 		Payload: []byte("move"), Origin: "p1", Seq: 5, SentAt: 42, TraceID: 0xabc,
 	}
-	outer, err := Encapsulate("/rp1", inner)
-	if err != nil {
+	outer := new(Packet)
+	if err := Encapsulate("/rp1/1/2/p1/1", inner, outer); err != nil {
 		t.Fatalf("Encapsulate: %v", err)
 	}
 	if outer.TraceID != inner.TraceID {

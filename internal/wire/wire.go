@@ -619,34 +619,33 @@ func Size(p *Packet) int {
 // pathological recursion from growing packets without limit.
 const MaxPayload = math.MaxUint16
 
-// Encapsulate wraps a Multicast packet inside an Interest addressed to the
-// given RP name, as the G-COPSS engine does before handing publications to
-// the NDN engine over the dedicated IPC tunnel.
-func Encapsulate(rpName string, inner *Packet) (*Packet, error) {
+// Encapsulate wraps a Multicast packet into outer, an Interest with the given
+// name, as the G-COPSS engine does before handing publications to the NDN
+// engine over the dedicated IPC tunnel. The name is the covering RP's name
+// followed by the CD key and whatever suffix the caller adds to keep it
+// unique; outer is overwritten whole, and only on success.
+func Encapsulate(name string, inner, outer *Packet) error {
 	if inner.Type != TypeMulticast {
-		return nil, fmt.Errorf("wire: can only encapsulate Multicast, got %v", inner.Type)
+		return fmt.Errorf("wire: can only encapsulate Multicast, got %v", inner.Type)
 	}
 	enc, err := Encode(inner)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if len(enc) > MaxPayload {
-		return nil, fmt.Errorf("wire: encapsulated packet too large: %d bytes", len(enc))
-	}
-	c, err := inner.CD()
-	if err != nil {
-		return nil, err
+		return fmt.Errorf("wire: encapsulated packet too large: %d bytes", len(enc))
 	}
 	// The trace context rides on the outer packet too: intermediate routers
 	// only ever see the Interest, and must still be able to append hop
 	// records for the encapsulated publication.
-	return &Packet{
+	*outer = Packet{
 		Type:    TypeInterest,
-		Name:    rpName + c.Key(),
+		Name:    name,
 		Payload: enc,
 		SentAt:  inner.SentAt,
 		TraceID: inner.TraceID,
-	}, nil
+	}
+	return nil
 }
 
 // Decapsulate recovers the inner Multicast packet from an RP-bound Interest

@@ -82,7 +82,7 @@ func TestEncapsulateOversized(t *testing.T) {
 		CDs:     []cd.CD{cd.MustParse("/1")},
 		Payload: make([]byte, MaxPayload+10),
 	}
-	if _, err := Encapsulate("/rp", inner); err == nil {
+	if err := Encapsulate("/rp/1", inner, new(Packet)); err == nil {
 		t.Error("oversized encapsulation accepted")
 	}
 }

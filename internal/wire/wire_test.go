@@ -205,15 +205,18 @@ func TestEncapsulateDecapsulate(t *testing.T) {
 		Seq:     7,
 		SentAt:  99,
 	}
-	outer, err := Encapsulate("/rp1", inner)
-	if err != nil {
+	outer := new(Packet)
+	if err := Encapsulate("/rp1/1/2/soldier-3/1", inner, outer); err != nil {
 		t.Fatalf("Encapsulate: %v", err)
 	}
 	if outer.Type != TypeInterest {
 		t.Errorf("outer type = %v", outer.Type)
 	}
-	if outer.Name != "/rp1/1/2" {
+	if outer.Name != "/rp1/1/2/soldier-3/1" {
 		t.Errorf("outer name = %q", outer.Name)
+	}
+	if outer.SentAt != inner.SentAt {
+		t.Errorf("outer SentAt = %d, want %d", outer.SentAt, inner.SentAt)
 	}
 	got, err := Decapsulate(outer)
 	if err != nil {
@@ -223,8 +226,12 @@ func TestEncapsulateDecapsulate(t *testing.T) {
 		t.Errorf("decapsulated:\n got  %+v\n want %+v", got, inner)
 	}
 
-	if _, err := Encapsulate("/rp1", &Packet{Type: TypeData, Name: "/x"}); err == nil {
+	kept := *outer
+	if err := Encapsulate("/rp1/x", &Packet{Type: TypeData, Name: "/x"}, outer); err == nil {
 		t.Error("Encapsulate should reject non-Multicast")
+	}
+	if !reflect.DeepEqual(*outer, kept) {
+		t.Error("a failed Encapsulate overwrote the outer packet")
 	}
 	if _, err := Decapsulate(&Packet{Type: TypeData, Name: "/x"}); err == nil {
 		t.Error("Decapsulate should reject non-Interest")
