@@ -81,6 +81,26 @@ func TestDistributeAllocBudget(t *testing.T) {
 	}
 }
 
+// TestFloodExceptAllocFree pins the control-flood budget: flooding to eight
+// router faces collects and sorts them on the stack and, with a reused sink,
+// allocates nothing.
+func TestFloodExceptAllocFree(t *testing.T) {
+	r := NewRouter("X")
+	for _, id := range []ndn.FaceID{17, 3, 40, 9, 1, 25, 12, 38} {
+		r.AddFace(id, FaceRouter)
+	}
+	pkt := &wire.Packet{Type: wire.TypeFIBAdd, Name: "/rp", Seq: 1, Origin: "X"}
+	var sink ndn.SliceSink
+	r.floodExcept(9, pkt, &sink) // warm sink capacity
+	allocs := testing.AllocsPerRun(100, func() {
+		sink.Reset()
+		r.floodExcept(9, pkt, &sink)
+	})
+	if allocs != 0 {
+		t.Errorf("floodExcept to 7 faces: %v allocs/op, want 0", allocs)
+	}
+}
+
 // TestSharedFanOutNoConcurrentMutation delivers one shared fan-out packet to
 // many downstream routers concurrently. Run under -race, this proves the
 // immutable-after-send discipline end to end: any handler writing to the

@@ -233,23 +233,34 @@ func TestWindowStaticPinned(t *testing.T) {
 	}
 }
 
-// The per-ack estimator update and window arithmetic are on the ack hot
-// path (//gcopss:hotpath) and must not allocate.
+// TestHotPathsZeroAlloc pins the per-ack estimator update, the backoff
+// schedule and the window arithmetic, all on the ARQ hot path, at zero
+// allocations in both adaptive and Static mode.
 func TestHotPathsZeroAlloc(t *testing.T) {
-	e := NewEstimator(NewConfig())
-	w := NewWindow(NewConfig())
+	for _, cfg := range []Config{NewConfig(), NewConfig(Static())} {
+		hotPathsZeroAlloc(t, cfg)
+	}
+}
+
+func hotPathsZeroAlloc(t *testing.T, cfg Config) {
+	e := NewEstimator(cfg)
+	w := NewWindow(cfg)
 	allocs := testing.AllocsPerRun(1000, func() {
 		e.Observe(10 * time.Millisecond)
 		_ = e.RTO()
 		_ = e.BackoffRTO(2)
+		_ = cfg.BackoffRTO(time.Millisecond, 3)
+		_ = w.Effective()
 		if w.CanSend() {
 			w.OnSend()
 		}
 		w.OnAck()
 		w.OnLoss()
+		w.OnSend()
+		w.OnAbandon()
 	})
 	if allocs != 0 {
-		t.Fatalf("hot path allocates %v/op, want 0", allocs)
+		t.Fatalf("static=%v: hot path allocates %v/op, want 0", cfg.Static, allocs)
 	}
 }
 

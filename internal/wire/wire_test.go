@@ -118,6 +118,9 @@ func TestDecodeStream(t *testing.T) {
 	}
 }
 
+// TestValidate checks that every malformed packet is refused, by Validate
+// and by Encode, and that refusing one allocates nothing: Validate returns
+// sentinels because it runs on the zero-allocation encode path.
 func TestValidate(t *testing.T) {
 	bad := []Packet{
 		{Type: TypeInterest},  // no name
@@ -129,8 +132,13 @@ func TestValidate(t *testing.T) {
 		{},                          // zero value
 	}
 	for i, p := range bad {
-		if err := p.Validate(); err == nil {
-			t.Errorf("case %d: Validate(%+v) should fail", i, p)
+		allocs := testing.AllocsPerRun(10, func() {
+			if p.Validate() == nil {
+				t.Fatalf("case %d: Validate(%+v) should fail", i, p)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("case %d: refusing allocates %v/op, want 0", i, allocs)
 		}
 		if _, err := Encode(&p); err == nil {
 			t.Errorf("case %d: Encode should refuse invalid packet", i)

@@ -50,8 +50,9 @@ func TestAppendEncodeInvalid(t *testing.T) {
 	}
 }
 
-// TestAppendEncodeReuseAllocFree locks the serialization budget: encoding
-// into a buffer with sufficient capacity must not allocate at all.
+// TestAppendEncodeReuseAllocFree locks the serialization budget: sizing a
+// packet and encoding it into a buffer with sufficient capacity must not
+// allocate at all.
 func TestAppendEncodeReuseAllocFree(t *testing.T) {
 	p := &Packet{
 		Type: TypeMulticast, CDs: []cd.CD{cd.MustParse("/1/2")},
@@ -60,6 +61,9 @@ func TestAppendEncodeReuseAllocFree(t *testing.T) {
 	}
 	buf := make([]byte, 0, Size(p))
 	allocs := testing.AllocsPerRun(100, func() {
+		if Size(p) != cap(buf) {
+			t.Fatal("Size changed between calls")
+		}
 		out, err := AppendEncode(buf[:0], p)
 		if err != nil {
 			t.Fatal(err)
