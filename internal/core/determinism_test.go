@@ -82,3 +82,66 @@ func TestFlushLeavesOrderIsSorted(t *testing.T) {
 		}
 	}
 }
+
+// TestConfirmGraftOrderIsSorted pins the determinism contract of
+// confirmGraft: the Confirms released to waiting joiners go out in
+// ascending face order, not waiting-map iteration order.
+func TestConfirmGraftOrderIsSorted(t *testing.T) {
+	ids := []ndn.FaceID{17, 3, 40, 9, 1, 25, 12, 38, 7, 21}
+	for trial := 0; trial < 20; trial++ {
+		r := NewRouter("X")
+		g := &graft{waiting: make(map[ndn.FaceID]*cd.Set)}
+		for _, id := range ids {
+			g.waiting[id] = cd.NewSet(cd.MustParse("/1"))
+		}
+		r.grafts["/rp"] = g
+		acts := emitted(func(s ndn.ActionSink) { r.confirmGraft("/rp", s) })
+		if len(acts) != len(ids) {
+			t.Fatalf("trial %d: %d confirms, want %d", trial, len(acts), len(ids))
+		}
+		prev := ndn.FaceID(-1)
+		for i, a := range acts {
+			if a.Packet.Type != wire.TypeConfirm {
+				t.Fatalf("trial %d: action %d is %v, want Confirm", trial, i, a.Packet.Type)
+			}
+			if a.Face <= prev {
+				t.Fatalf("trial %d: confirms not ascending at %d: %v then %v",
+					trial, i, prev, a.Face)
+			}
+			prev = a.Face
+		}
+	}
+}
+
+// TestTickToRetransmitOrderIsSorted pins the determinism contract of TickTo:
+// expired entries are retransmitted in (face, seq) order, not pending-map
+// iteration order.
+func TestTickToRetransmitOrderIsSorted(t *testing.T) {
+	faces := []ndn.FaceID{17, 3, 40, 9}
+	seqs := []uint64{5, 2, 8}
+	epoch := time.Unix(0, 0)
+	for trial := 0; trial < 20; trial++ {
+		r := NewRouter("X")
+		for _, f := range faces {
+			r.AddFace(f, FaceRouter)
+			for _, seq := range seqs {
+				r.arqPending[arqKey{face: f, seq: seq}] = &arqEntry{
+					pkt:    &wire.Packet{Type: wire.TypeFIBAdd, Name: "/rp", CtlSeq: seq},
+					nextAt: epoch,
+					sentAt: epoch,
+				}
+			}
+		}
+		acts := emitted(func(s ndn.ActionSink) { r.TickTo(epoch.Add(time.Second), s) })
+		if len(acts) != len(faces)*len(seqs) {
+			t.Fatalf("trial %d: %d retransmissions, want %d", trial, len(acts), len(faces)*len(seqs))
+		}
+		for i := 1; i < len(acts); i++ {
+			p, a := acts[i-1], acts[i]
+			if a.Face < p.Face || (a.Face == p.Face && a.Packet.CtlSeq <= p.Packet.CtlSeq) {
+				t.Fatalf("trial %d: retransmissions not in (face, seq) order at %d: (%v, %d) then (%v, %d)",
+					trial, i, p.Face, p.Packet.CtlSeq, a.Face, a.Packet.CtlSeq)
+			}
+		}
+	}
+}
