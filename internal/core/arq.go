@@ -238,7 +238,7 @@ func (r *Router) TickTo(now time.Time, sink ndn.ActionSink) {
 			continue
 		}
 		if _, up := r.faces[k.face]; !up {
-			delete(r.arqPending, k) // face went away; reconnect re-syncs state
+			delete(r.arqPending, k) // face went away; nothing re-sends it (ROADMAP item 14)
 			continue
 		}
 		if e.attempts >= r.flow.MaxAttempts {

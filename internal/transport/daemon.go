@@ -174,9 +174,11 @@ func (d *Daemon) ConnectRouter(addr string) error {
 }
 
 // reconnect re-dials a lost dialed-neighbor link in the background and, on
-// success, attaches the fresh connection as a new router face. The remote
-// router resynchronizes state over the new face (clients re-announce, ARQ
-// entries for the dead face were discarded by RemoveFace).
+// success, attaches the fresh connection as a new router face. Nothing is
+// resynchronized over it: RemoveFace dropped the dead face's ST entries and
+// ARQ state without telling anyone, and neither router re-sends its
+// subscriptions, so a tree that ran through the link stays broken (ROADMAP
+// item 14).
 func (d *Daemon) reconnect(addr string) {
 	defer d.wg.Done()
 	conn, err := DialRetry(addr, PeerRouter, d.name, 5*time.Second,
