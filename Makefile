@@ -18,7 +18,8 @@ fmt-check:
 # lint runs go vet, the format gate and the repo's own invariant checkers
 # (cmd/gcopsslint): the forbidden-identifier rules clockfree, randinject and
 # nopanic (one table-driven analyzer package), errcheckedfaces, obsnames,
-# sharedpkt, maporder, hotalloc, guardedby.
+# sharedpkt, maporder, guardedby. Allocation-free hot paths are pinned by
+# AllocsPerRun tests, which `make test` runs.
 lint: vet fmt-check
 	$(GO) run ./cmd/gcopsslint ./...
 

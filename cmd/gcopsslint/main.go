@@ -17,23 +17,24 @@
 //	obsnames         telemetry metric names are literal and well-formed
 //	sharedpkt        handler-received packets are immutable; mutate via COW copies
 //	maporder         map iteration order must not reach the event stream
-//	hotalloc         //gcopss:hotpath functions must not allocate (transitively)
 //	guardedby        //gcopss:guardedby fields only accessed with their mutex held
 //
 // The first three are the rules of one table-driven analyzer package
 // (internal/analysis/forbidden). Packages are analyzed in dependency order
 // with a shared fact store, so the interprocedural checkers (maporder,
-// hotalloc, guardedby) see summaries of every already-analyzed dependency.
+// guardedby) see summaries of every already-analyzed dependency.
+// Allocation-free hot paths are pinned by AllocsPerRun tests, not here.
 //
 // A finding is waived in place with `//lint:allow <checker> <reason>` on the
-// flagged line or the line above it; for maporder/hotalloc/guardedby the
-// reason is mandatory.
+// flagged line or the line above it; for maporder/guardedby the reason is
+// mandatory. A waiver naming no registered checker is itself a finding.
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"go/ast"
 	"go/token"
 	"os"
 	"slices"
@@ -44,7 +45,6 @@ import (
 	"github.com/icn-gaming/gcopss/internal/analysis/errcheckedfaces"
 	"github.com/icn-gaming/gcopss/internal/analysis/forbidden"
 	"github.com/icn-gaming/gcopss/internal/analysis/guardedby"
-	"github.com/icn-gaming/gcopss/internal/analysis/hotalloc"
 	"github.com/icn-gaming/gcopss/internal/analysis/load"
 	"github.com/icn-gaming/gcopss/internal/analysis/maporder"
 	"github.com/icn-gaming/gcopss/internal/analysis/obsnames"
@@ -56,7 +56,6 @@ var all = append(slices.Clone(forbidden.Analyzers),
 	obsnames.Analyzer,
 	sharedpkt.Analyzer,
 	maporder.Analyzer,
-	hotalloc.Analyzer,
 	guardedby.Analyzer,
 )
 
@@ -115,23 +114,28 @@ func run() int {
 	facts := analysis.NewFactStore()
 	var diags []diagJSON
 	for _, pkg := range pkgs {
-		for _, a := range analyzers {
-			found, err := analysis.RunUnitFacts(a, pkg.Unit, facts)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "gcopsslint:", err)
-				return 2
-			}
+		add := func(name string, found []analysis.Diagnostic) {
 			for _, d := range found {
 				pos := pkg.Unit.Fset.Position(d.Pos)
 				diags = append(diags, diagJSON{
 					File:     pos.Filename,
 					Line:     pos.Line,
 					Column:   pos.Column,
-					Analyzer: a.Name,
+					Analyzer: name,
 					Message:  d.Message,
 				})
 			}
 		}
+		for _, a := range analyzers {
+			found, err := analysis.RunUnitFacts(a, pkg.Unit, facts)
+			if err != nil {
+				fmt.Fprintln(os.Stderr, "gcopsslint:", err)
+				return 2
+			}
+			add(a.Name, found)
+		}
+		// A waiver must name a registered checker, whichever ones -checks ran.
+		add("lint:allow", analysis.UnknownAllows(pkg.Unit.Files, func(name string) bool { return lookup(name) != nil }))
 	}
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i], diags[j]
@@ -180,17 +184,9 @@ func audit(pkgs []*load.Package) {
 	}
 	var waivers []waiver
 	for _, pkg := range pkgs {
-		for _, f := range pkg.Unit.Files {
-			for _, cg := range f.Comments {
-				for _, c := range cg.List {
-					names, reason, ok := analysis.ParseAllow(c.Text)
-					if !ok {
-						continue
-					}
-					waivers = append(waivers, waiver{pkg.Unit.Fset.Position(c.Pos()), names, reason})
-				}
-			}
-		}
+		analysis.Allows(pkg.Unit.Files, func(_ *ast.File, c *ast.Comment, names []string, reason string) {
+			waivers = append(waivers, waiver{pkg.Unit.Fset.Position(c.Pos()), names, reason})
+		})
 	}
 	sort.Slice(waivers, func(i, j int) bool {
 		a, b := waivers[i], waivers[j]
@@ -209,19 +205,25 @@ func audit(pkgs []*load.Package) {
 	fmt.Fprintf(os.Stderr, "gcopsslint: %d waiver(s)\n", len(waivers))
 }
 
+// lookup returns the registered checker with the given name, or nil.
+func lookup(name string) *analysis.Analyzer {
+	for _, a := range all {
+		if a.Name == name {
+			return a
+		}
+	}
+	return nil
+}
+
 func selectAnalyzers(checks string) ([]*analysis.Analyzer, error) {
 	if checks == "" {
 		return all, nil
 	}
-	byName := map[string]*analysis.Analyzer{}
-	for _, a := range all {
-		byName[a.Name] = a
-	}
 	var out []*analysis.Analyzer
 	for _, name := range strings.Split(checks, ",") {
 		name = strings.TrimSpace(name)
-		a, ok := byName[name]
-		if !ok {
+		a := lookup(name)
+		if a == nil {
 			return nil, fmt.Errorf("unknown checker %q", name)
 		}
 		out = append(out, a)

@@ -30,6 +30,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -121,7 +122,7 @@ func RunUnitFacts(a *Analyzer, u *Unit, facts *FactStore) ([]Diagnostic, error) 
 	// A reason-less waiver naming a NeedsReason analyzer is a finding of its
 	// own — appended after the suppression filter so it cannot waive itself.
 	if a.NeedsReason {
-		kept = append(kept, reasonlessAllows(u.Fset, u.Files, a.Name)...)
+		kept = append(kept, reasonlessAllows(u.Files, a.Name)...)
 	}
 	sort.Slice(kept, func(i, j int) bool { return kept[i].Pos < kept[j].Pos })
 	return kept, nil
@@ -139,35 +140,21 @@ type posKey struct {
 // trailing waiver would silently waive the next line too.
 func allowedLines(fset *token.FileSet, files []*ast.File, name string) map[posKey]bool {
 	out := map[posKey]bool{}
-	for _, f := range files {
-		var starts map[int]int // line -> earliest code column, built lazily
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				names, _, ok := ParseAllow(c.Text)
-				if !ok {
-					continue
-				}
-				match := false
-				for _, n := range names {
-					if n == name {
-						match = true
-					}
-				}
-				if !match {
-					continue
-				}
-				pos := fset.Position(c.Pos())
-				out[posKey{pos.Filename, pos.Line}] = true
-				if starts == nil {
-					starts = codeColumns(fset, f)
-				}
-				if col, hasCode := starts[pos.Line]; hasCode && col < pos.Column {
-					continue // trailing comment: own line only
-				}
-				out[posKey{pos.Filename, pos.Line + 1}] = true
-			}
+	starts := map[*ast.File]map[int]int{} // line -> earliest code column, built lazily
+	Allows(files, func(f *ast.File, c *ast.Comment, names []string, _ string) {
+		if !slices.Contains(names, name) {
+			return
 		}
-	}
+		pos := fset.Position(c.Pos())
+		out[posKey{pos.Filename, pos.Line}] = true
+		if starts[f] == nil {
+			starts[f] = codeColumns(fset, f)
+		}
+		if col, hasCode := starts[f][pos.Line]; hasCode && col < pos.Column {
+			return // trailing comment: own line only
+		}
+		out[posKey{pos.Filename, pos.Line + 1}] = true
+	})
 	return out
 }
 
@@ -194,28 +181,49 @@ func codeColumns(fset *token.FileSet, f *ast.File) map[int]int {
 
 // reasonlessAllows reports every //lint:allow comment that names the given
 // analyzer but carries no reason text.
-func reasonlessAllows(fset *token.FileSet, files []*ast.File, name string) []Diagnostic {
+func reasonlessAllows(files []*ast.File, name string) []Diagnostic {
 	var out []Diagnostic
+	Allows(files, func(_ *ast.File, c *ast.Comment, names []string, reason string) {
+		if reason == "" && slices.Contains(names, name) {
+			out = append(out, Diagnostic{
+				Pos:     c.Pos(),
+				Message: fmt.Sprintf("//lint:allow %s without a reason: state why the invariant is waived", name),
+			})
+		}
+	})
+	return out
+}
+
+// UnknownAllows reports every //lint:allow comment in files that names a
+// checker known does not accept. Such a waiver waives nothing — a typo, or a
+// checker deleted since — and would otherwise sit in the tree unnoticed.
+func UnknownAllows(files []*ast.File, known func(name string) bool) []Diagnostic {
+	var out []Diagnostic
+	Allows(files, func(_ *ast.File, c *ast.Comment, names []string, _ string) {
+		for _, n := range names {
+			if !known(n) {
+				out = append(out, Diagnostic{
+					Pos:     c.Pos(),
+					Message: fmt.Sprintf("//lint:allow names unknown checker %q", n),
+				})
+			}
+		}
+	})
+	return out
+}
+
+// Allows calls fn for every //lint:allow comment in files, in source order,
+// with the comment's parsed checker names and reason.
+func Allows(files []*ast.File, fn func(f *ast.File, c *ast.Comment, names []string, reason string)) {
 	for _, f := range files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				names, reason, ok := ParseAllow(c.Text)
-				if !ok || reason != "" {
-					continue
-				}
-				for _, n := range names {
-					if n == name {
-						out = append(out, Diagnostic{
-							Pos:     c.Pos(),
-							Message: fmt.Sprintf("//lint:allow %s without a reason: state why the invariant is waived", name),
-						})
-						break
-					}
+				if names, reason, ok := ParseAllow(c.Text); ok {
+					fn(f, c, names, reason)
 				}
 			}
 		}
 	}
-	return out
 }
 
 // ParseAllow extracts the analyzer names and the free-text reason of a
@@ -269,17 +277,6 @@ func PathIn(pkgPath string, roots ...string) bool {
 		}
 	}
 	return false
-}
-
-// PkgIdent reports whether expr is an identifier naming an imported package
-// with the given import path (e.g. the "time" in time.Now).
-func (p *Pass) PkgIdent(expr ast.Expr, importPath string) bool {
-	id, ok := expr.(*ast.Ident)
-	if !ok {
-		return false
-	}
-	pn, ok := p.TypesInfo.Uses[id].(*types.PkgName)
-	return ok && pn.Imported().Path() == importPath
 }
 
 // IsTestFile reports whether the file enclosing pos is an in-package test

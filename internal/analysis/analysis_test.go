@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -138,6 +139,29 @@ func flagOther() {} //lint:allow other
 	}
 }
 
+func TestUnknownAllows(t *testing.T) {
+	const src = `package p
+
+func a() {} //lint:allow flagger known
+func b() {} //lint:allow flaggerx typo
+func c() {} //lint:allow flagger,gone both
+`
+	u := unitOf(t, src)
+	diags := UnknownAllows(u.Files, func(name string) bool { return name == "flagger" })
+	var got []string
+	for _, d := range diags {
+		pos := u.Fset.Position(d.Pos)
+		got = append(got, fmt.Sprintf("%d: %s", pos.Line, d.Message))
+	}
+	want := []string{
+		`4: //lint:allow names unknown checker "flaggerx"`,
+		`5: //lint:allow names unknown checker "gone"`,
+	}
+	if strings.Join(got, "|") != strings.Join(want, "|") {
+		t.Errorf("diagnostics = %v, want %v", got, want)
+	}
+}
+
 func TestFactStore(t *testing.T) {
 	fs := NewFactStore()
 	pass := &Pass{Analyzer: &Analyzer{Name: "a"}, Facts: fs}
@@ -154,11 +178,8 @@ func TestFactStore(t *testing.T) {
 	if _, ok := other.ImportFact("k1"); ok {
 		t.Error("analyzer b sees analyzer a's fact")
 	}
-	if fs.Len() != 2 {
-		t.Errorf("Len = %d, want 2", fs.Len())
-	}
-	if keys := fs.Keys("a"); len(keys) != 2 || keys[0] != "k1" || keys[1] != "k2" {
-		t.Errorf("Keys(a) = %v", keys)
+	if got, ok := pass.ImportFact("k2"); !ok || got != 42 {
+		t.Errorf("ImportFact(k2) = %v, %v", got, ok)
 	}
 	// A nil store degrades to no facts, without panicking.
 	lone := &Pass{Analyzer: &Analyzer{Name: "a"}}
@@ -181,8 +202,8 @@ func TestParseDirective(t *testing.T) {
 		arg  string
 		ok   bool
 	}{
-		{"//gcopss:hotpath", "hotpath", "", true},
-		{"// gcopss:hotpath", "hotpath", "", true},
+		{"//gcopss:locked", "locked", "", true},
+		{"// gcopss:locked", "locked", "", true},
 		{"//gcopss:guardedby mu", "guardedby", "mu", true},
 		{"//gcopss:locked  mu ", "locked", "mu", true},
 		{"//gcopss:", "", "", false},

@@ -9,17 +9,16 @@ import (
 // A Directive is one parsed //gcopss:<verb> annotation comment. The
 // vocabulary (DESIGN.md §13):
 //
-//	//gcopss:hotpath            — function must stay allocation-free (hotalloc)
 //	//gcopss:guardedby <field>  — struct field only accessed with <field> held (guardedby)
 //	//gcopss:locked [<field>]   — function runs with the lock already held (guardedby escape)
 type Directive struct {
-	Verb string // "hotpath", "guardedby", "locked", ...
+	Verb string // "guardedby", "locked", ...
 	Arg  string // remainder after the verb, space-trimmed ("" if none)
 }
 
 // ParseDirective parses a //gcopss:<verb> [arg...] annotation comment.
-// Both "//gcopss:hotpath" (go:directive style, no space) and
-// "// gcopss:hotpath" are accepted. Returns ok=false for comments that are
+// Both "//gcopss:locked" (go:directive style, no space) and
+// "// gcopss:locked" are accepted. Returns ok=false for comments that are
 // not gcopss annotations, including a bare "//gcopss:" with no verb.
 func ParseDirective(text string) (Directive, bool) {
 	if !strings.HasPrefix(text, "//") {
@@ -55,12 +54,6 @@ func GroupDirective(cg *ast.CommentGroup, verb string) (Directive, bool) {
 		}
 	}
 	return Directive{}, false
-}
-
-// FuncDirective returns the directive with the given verb attached to a
-// function declaration's doc comment.
-func FuncDirective(decl *ast.FuncDecl, verb string) (Directive, bool) {
-	return GroupDirective(decl.Doc, verb)
 }
 
 // FieldDirective returns the directive with the given verb attached to a

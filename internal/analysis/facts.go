@@ -1,14 +1,11 @@
 package analysis
 
-import (
-	"go/types"
-	"sort"
-)
+import "go/types"
 
 // A FactStore accumulates per-object facts exported by analyzers while the
 // driver walks packages in dependency order. A fact is an analyzer-defined
-// summary of an object ("this function allocates", "this function emits to a
-// sink") that lets an importing package reason about calls into an already
+// summary of an object ("this function emits to a sink", "this field is
+// guarded by mu") that lets an importing package reason about an already
 // analyzed dependency without re-traversing its source.
 //
 // The store is keyed by (analyzer name, canonical object key). Object keys
@@ -33,30 +30,6 @@ type factKey struct {
 
 // NewFactStore returns an empty store.
 func NewFactStore() *FactStore { return &FactStore{m: map[factKey]interface{}{}} }
-
-// Len returns the number of stored facts (for tests).
-func (s *FactStore) Len() int {
-	if s == nil {
-		return 0
-	}
-	return len(s.m)
-}
-
-// Keys returns the sorted object keys holding a fact for the named analyzer
-// (for tests and debugging).
-func (s *FactStore) Keys(analyzer string) []string {
-	if s == nil {
-		return nil
-	}
-	var out []string
-	for k := range s.m {
-		if k.analyzer == analyzer {
-			out = append(out, k.object)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
 
 // ExportFact records a fact about the object identified by key on behalf of
 // the pass's analyzer. Passes without a store (plain RunUnit) drop facts

@@ -42,7 +42,7 @@ func FuzzParseAllow(f *testing.F) {
 // no panics, ok implies a non-empty verb without spaces, and both the
 // "//gcopss:x" and "// gcopss:x" spellings agree.
 func FuzzParseAnnotation(f *testing.F) {
-	f.Add("//gcopss:hotpath")
+	f.Add("//gcopss:locked")
 	f.Add("// gcopss:guardedby mu")
 	f.Add("//gcopss: ")
 	f.Add("//gcopss:locked  mu  ")

@@ -233,7 +233,7 @@ func lockedEscape(fd *ast.FuncDecl) (locked bool, mutex string) {
 	if len(name) > len("Locked") && name[len(name)-len("Locked"):] == "Locked" {
 		return true, ""
 	}
-	if dir, ok := analysis.FuncDirective(fd, "locked"); ok {
+	if dir, ok := analysis.GroupDirective(fd.Doc, "locked"); ok {
 		return true, dir.Arg
 	}
 	return false, ""

@@ -212,10 +212,9 @@ func (st *ST) FacesForHashed(c cd.CD, pairs []bloom.HashPair) []ndn.FaceID {
 
 // FacesForFlat is FacesForHashed taking the flat on-the-wire hash vector
 // (wire.Packet.CDHashes: H1,H2 per prefix, shortest first) directly, so the
-// per-hop forwarding path allocates no pair slice. The result is valid only
+// per-hop forwarding path allocates no pair slice; it must stay
+// allocation-free (TestFacesForHashedAllocFree). The result is valid only
 // until the next query on this ST.
-//
-//gcopss:hotpath
 func (st *ST) FacesForFlat(c cd.CD, flat []uint64) []ndn.FaceID {
 	if len(flat) != 2*(c.Len()+1) {
 		return st.facesFor(c, nil)

@@ -27,14 +27,14 @@ import (
 // packet in order. Packets in pkts are immutable-after-send (DESIGN.md §11):
 // HandleBurst never writes through them, and neither may any other burst
 // consumer — the sharedpkt analyzer checks []*wire.Packet parameters too.
-//
-//gcopss:hotpath
+// The fast path, with burstFastPath, sameBurstGroup and hashVecEqual, must
+// stay allocation-free; TestHandleBurstAllocBudget pins it.
 func (r *Router) HandleBurst(now time.Time, from ndn.FaceID, pkts []*wire.Packet, sink ndn.ActionSink) {
 	i := 0
 	for i < len(pkts) {
 		head := pkts[i]
 		if !r.burstFastPath(from, head) {
-			r.HandlePacketTo(now, from, head, sink) //lint:allow hotalloc fallback deliberately leaves the hot path for control/QR traffic
+			r.HandlePacketTo(now, from, head, sink)
 			i++
 			continue
 		}
@@ -60,8 +60,6 @@ func (r *Router) HandleBurst(now time.Time, from ndn.FaceID, pkts []*wire.Packet
 // path: a plain Multicast arriving from another router. Everything else —
 // control, NDN, client-face publications (first-hop stamping mutates via
 // COW), flush markers (migration bookkeeping) — goes through HandlePacketTo.
-//
-//gcopss:hotpath
 func (r *Router) burstFastPath(from ndn.FaceID, pkt *wire.Packet) bool {
 	return pkt.Type == wire.TypeMulticast &&
 		len(pkt.CDs) >= 1 &&
@@ -73,13 +71,10 @@ func (r *Router) burstFastPath(from ndn.FaceID, pkt *wire.Packet) bool {
 // an equal CD-hash vector, so one ST probe answers for both. The common case
 // is pointer equality on the hash vector — first-hop stamping hands every
 // publication of a CD the same memoized slice.
-//
-//gcopss:hotpath
 func sameBurstGroup(a, b *wire.Packet) bool {
 	return a.CDs[0] == b.CDs[0] && hashVecEqual(a.CDHashes, b.CDHashes)
 }
 
-//gcopss:hotpath
 func hashVecEqual(a, b []uint64) bool {
 	if len(a) != len(b) {
 		return false

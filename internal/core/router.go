@@ -355,9 +355,8 @@ func arrivalKind(t wire.Type) trace.HopEvent {
 
 // record appends one packet-path step to the router's ring; the ring
 // decides whether to keep it. Without a tracer it is one nil check — this
-// rides inside the multicast fast path, so it must stay alloc-free.
-//
-//gcopss:hotpath
+// rides inside the multicast fast path, so it must stay alloc-free
+// (TestTracerAttachedDisabledAllocBudget).
 func (r *Router) record(now time.Time, kind trace.HopEvent, face ndn.FaceID, pkt *wire.Packet, note string) {
 	if r.ring == nil {
 		return
@@ -487,9 +486,8 @@ func (r *Router) BecomeRPAt(now time.Time, info copss.RPInfo, sink ndn.ActionSin
 // packet under the immutable-after-send discipline; per-face mutation (ARQ
 // CtlSeq stamping) copies on write in the relSink. Actions are emitted in
 // ascending face order: flood order feeds the transmit order hosts observe,
-// and map-iteration order here would make same-seed replays diverge.
-//
-//gcopss:hotpath
+// and map-iteration order here would make same-seed replays diverge. It
+// allocates nothing (TestFloodExceptAllocFree).
 func (r *Router) floodExcept(except ndn.FaceID, pkt *wire.Packet, sink ndn.ActionSink) {
 	// Flood fan-outs are a handful of faces; collect them on the stack and
 	// insertion-sort (sort.Slice's closure would allocate on this path).
@@ -776,9 +774,8 @@ func (r *Router) publishToward(now time.Time, rpName string, c cd.CD, inner, out
 }
 
 // distribute forwards a Multicast to every face whose subscriptions match a
-// prefix of the packet's CD, excluding the arrival face.
-//
-//gcopss:hotpath
+// prefix of the packet's CD, excluding the arrival face. With fanOut it must
+// stay allocation-free (TestDistributeAllocBudget).
 func (r *Router) distribute(now time.Time, from ndn.FaceID, pkt *wire.Packet, sink ndn.ActionSink) {
 	c, err := pkt.CD()
 	if err != nil {
@@ -799,10 +796,8 @@ func (r *Router) distribute(now time.Time, from ndn.FaceID, pkt *wire.Packet, si
 // and the HandleBurst fast path: it emits pkt itself to every face in faces
 // except the arrival face. The fan-out copies nothing — every out-face shares
 // the received packet (it is immutable-after-send), so an N-face fan-out
-// allocates nothing. Deliveries to client faces carrying a send timestamp
-// feed the delivery-latency histogram.
-//
-//gcopss:hotpath
+// allocates nothing (TestDistributeAllocBudget). Deliveries to client faces
+// carrying a send timestamp feed the delivery-latency histogram.
 func (r *Router) fanOut(now time.Time, from ndn.FaceID, pkt *wire.Packet, faces []ndn.FaceID, sink ndn.ActionSink) {
 	for _, f := range faces {
 		if f == from {

@@ -59,9 +59,8 @@ func (h *eventHeap) grow(n int) {
 }
 
 // push queues one event. Part of the scheduler inner loop: no closures, no
-// boxing, and no allocation beyond amortized slice growth.
-//
-//gcopss:hotpath
+// boxing, and no allocation beyond amortized slice growth
+// (TestPostNodeSteadyStateAllocFree).
 func (h *eventHeap) push(at time.Time, key uint64, call CallHandler, pl Payload) {
 	var slot int32
 	if n := len(h.free); n > 0 {
@@ -89,8 +88,6 @@ func (h *eventHeap) push(at time.Time, key uint64, call CallHandler, pl Payload)
 
 // pop removes and returns the earliest event. Same inner-loop discipline as
 // push.
-//
-//gcopss:hotpath
 func (h *eventHeap) pop() record {
 	ks := h.keys
 	slot := ks[0].slot

@@ -20,7 +20,9 @@ import "time"
 //
 // The zero value is unusable; construct with NewEstimator. Estimator is
 // not safe for concurrent use — each is owned by a single router/fetch
-// state machine like the rest of the per-node state.
+// state machine like the rest of the per-node state. Observe, RTO and
+// BackoffRTO run per ack and per retransmission and allocate nothing
+// (TestHotPathsZeroAlloc).
 type Estimator struct {
 	cfg     Config
 	srtt    time.Duration
@@ -37,8 +39,6 @@ func NewEstimator(cfg Config) *Estimator {
 // clamped to 1ns so a same-tick ack (virtual-time RTT of zero) still
 // counts as "this path is fast" rather than poisoning the estimator.
 // In Static mode samples are counted but ignored.
-//
-//gcopss:hotpath
 func (e *Estimator) Observe(rtt time.Duration) {
 	if rtt <= 0 {
 		rtt = 1
@@ -64,8 +64,6 @@ func (e *Estimator) Observe(rtt time.Duration) {
 // RTO returns the current retransmission timeout: InitialRTO before any
 // sample (or always, in Static mode), otherwise SRTT + 4·RTTVAR clamped
 // to [MinRTO, MaxRTO].
-//
-//gcopss:hotpath
 func (e *Estimator) RTO() time.Duration {
 	if e.cfg.Static || e.samples == 0 {
 		return e.cfg.InitialRTO
@@ -82,8 +80,6 @@ func (e *Estimator) RTO() time.Duration {
 
 // BackoffRTO returns the timeout for a packet already sent `attempts`
 // times: the current RTO doubled per attempt under the Config's clamp.
-//
-//gcopss:hotpath
 func (e *Estimator) BackoffRTO(attempts int) time.Duration {
 	return e.cfg.BackoffRTO(e.RTO(), attempts)
 }

@@ -216,9 +216,7 @@ func (c Config) Norm() Config { return c.norm() }
 // sends of the same packet: base doubled per attempt, clamped to MaxRTO.
 // In Static mode the legacy unclamped `base << attempts` schedule is
 // preserved exactly (that open-loop blow-up is part of what the baseline
-// measures).
-//
-//gcopss:hotpath
+// measures). It allocates nothing (TestHotPathsZeroAlloc).
 func (c *Config) BackoffRTO(base time.Duration, attempts int) time.Duration {
 	if c.Static {
 		if attempts > 32 {

@@ -9,7 +9,8 @@ package flowctl
 //
 // By construction MinWindow ≤ cwnd ≤ MaxWindow always holds — OnAck and
 // OnLoss clamp at the bounds — which the property tests assert across
-// arbitrary event interleavings.
+// arbitrary event interleavings. Its methods run per ack and per send and
+// allocate nothing (TestHotPathsZeroAlloc).
 //
 // In Static mode the window is pinned at InitialWindow (the paper's fixed
 // pipeline depth N) and OnAck/OnLoss only maintain the in-flight count.
@@ -32,8 +33,6 @@ func NewWindow(cfg Config) *Window {
 
 // Effective returns the current send limit: cwnd, further capped by the
 // receiver-advertised credit when one has been advertised.
-//
-//gcopss:hotpath
 func (w *Window) Effective() int {
 	if w.adv > 0 && w.adv < w.cwnd {
 		return w.adv
@@ -43,21 +42,15 @@ func (w *Window) Effective() int {
 
 // CanSend reports whether another unit may enter flight without
 // overrunning the effective window.
-//
-//gcopss:hotpath
 func (w *Window) CanSend() bool { return w.inflight < w.Effective() }
 
 // OnSend records one unit entering flight. Callers gate sends on CanSend;
 // OnSend itself does not reject overruns (retransmissions of units already
 // counted must not call it again).
-//
-//gcopss:hotpath
 func (w *Window) OnSend() { w.inflight++ }
 
 // OnAck records one in-flight unit acknowledged and additively grows the
 // window (+1, capped at MaxWindow) unless Static.
-//
-//gcopss:hotpath
 func (w *Window) OnAck() {
 	if w.inflight > 0 {
 		w.inflight--
@@ -77,8 +70,6 @@ func (w *Window) OnAck() {
 //
 // Callers should coalesce simultaneous timeouts into one OnLoss per tick:
 // a whole window expiring at once is one loss event, not cwnd of them.
-//
-//gcopss:hotpath
 func (w *Window) OnLoss() {
 	if w.cfg.Static {
 		return
@@ -91,8 +82,6 @@ func (w *Window) OnLoss() {
 
 // OnAbandon records an in-flight unit given up on (attempts exhausted)
 // without window growth.
-//
-//gcopss:hotpath
 func (w *Window) OnAbandon() {
 	if w.inflight > 0 {
 		w.inflight--

@@ -6,8 +6,8 @@
 // records of one packet can be joined across routers. The contract that
 // makes it safe to leave compiled into the data plane:
 //
-//   - Zero-alloc always: SampleID and Ring.Append are //gcopss:hotpath and
-//     allocation-free whether or not the packet is sampled; the rings are
+//   - Zero-alloc always: SampleID and Ring.Append are allocation-free
+//     whether or not the packet is sampled; the rings are
 //     preallocated at Tracer construction and records alias their strings.
 //   - Deterministic under seed: whether a publication (origin, seq) is
 //     sampled — and the trace ID it receives — is a pure function of
@@ -170,10 +170,9 @@ type Ring struct {
 func (r *Ring) Name() string { return r.name }
 
 // Append records one step. With sampling on, a record without a TraceID is
-// discarded. It is allocation-free: the record is copied into the
-// preallocated buffer, overwriting the oldest entry when full.
-//
-//gcopss:hotpath
+// discarded. It is allocation-free (TestSampleAndAppendAllocFree): the
+// record is copied into the preallocated buffer, overwriting the oldest
+// entry when full.
 func (r *Ring) Append(h Hop) {
 	if h.TraceID == 0 && !r.all {
 		return
@@ -326,9 +325,8 @@ func splitmix(h uint64) uint64 {
 // SampleID decides whether the publication (origin, seq) is traced and, if
 // so, returns its nonzero trace ID; otherwise it returns 0. The decision is
 // a pure function of (origin, seq, every, seed) — deterministic replays
-// sample the same packets. Safe on a nil receiver (always 0).
-//
-//gcopss:hotpath
+// sample the same packets. Safe on a nil receiver (always 0). It allocates
+// nothing (TestSampleAndAppendAllocFree).
 func (t *Tracer) SampleID(origin string, seq uint64) uint64 {
 	if t == nil || t.every == 0 {
 		return 0

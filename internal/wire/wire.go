@@ -171,9 +171,8 @@ func (p *Packet) CD() (cd.CD, error) {
 }
 
 // Validation errors. Sentinels rather than formatted errors: Validate runs
-// on the zero-allocation encode path (AppendEncode is //gcopss:hotpath), so
-// it must not build error strings. Callers that need the offending detail
-// have the packet in hand.
+// on the zero-allocation encode path, so it must not build error strings.
+// Callers that need the offending detail have the packet in hand.
 var (
 	ErrNoName       = errors.New("wire: packet type requires a name")
 	ErrNoCDs        = errors.New("wire: packet type requires CDs")
@@ -185,9 +184,7 @@ var (
 )
 
 // Validate checks type-specific structural invariants. It is part of the
-// hot encode path and allocates nothing, error cases included.
-//
-//gcopss:hotpath
+// hot encode path and allocates nothing, error cases included (TestValidate).
 func (p *Packet) Validate() error {
 	switch p.Type {
 	case TypeInterest, TypeData:
@@ -319,9 +316,8 @@ func bodyLen(p *Packet) int {
 // where body is a sequence of (tag uvarint, len uvarint, value) fields. This
 // is the zero-allocation entry point for callers that reuse buffers (the TCP
 // transport assembles frames in its per-connection write buffer through
-// AppendEncodeBurst); Encode wraps it for one-shot use.
-//
-//gcopss:hotpath
+// AppendEncodeBurst); Encode wraps it for one-shot use. Into a buffer with
+// room it allocates nothing (TestAppendEncodeReuseAllocFree).
 func AppendEncode(dst []byte, p *Packet) ([]byte, error) {
 	if err := p.Validate(); err != nil {
 		return dst, err
@@ -389,8 +385,8 @@ func AppendEncode(dst []byte, p *Packet) ([]byte, error) {
 // whole burst, and every packet is validated before any byte is written:
 // on error dst is returned unchanged, never half a burst. Decode already
 // consumes back-to-back streams, so the concatenation needs no extra framing.
-//
-//gcopss:hotpath
+// Into a buffer with room it allocates nothing
+// (TestAppendEncodeBurstReuseAllocFree).
 func AppendEncodeBurst(dst []byte, pkts []*Packet) ([]byte, error) {
 	need := 0
 	for _, p := range pkts {
@@ -603,10 +599,8 @@ func (d *Decoder) Decode(buf []byte) (*Packet, int, error) {
 
 // Size returns the encoded size of the packet in bytes, computed
 // arithmetically without encoding (the simulators charge it per transmitted
-// packet, so it must not allocate). Invalid packets report 0, matching what
-// Encode would produce.
-//
-//gcopss:hotpath
+// packet, so it must not allocate; TestAppendEncodeReuseAllocFree pins it).
+// Invalid packets report 0, matching what Encode would produce.
 func Size(p *Packet) int {
 	if err := p.Validate(); err != nil {
 		return 0
