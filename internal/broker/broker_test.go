@@ -348,6 +348,31 @@ func TestParseObjectEdgeCases(t *testing.T) {
 	if _, _, _, ok := ParseObject([]byte("obj:a:notanumber:")); ok {
 		t.Error("bad version parsed")
 	}
+	// Exact results on malformed input, including obj::1: (accepted with an
+	// empty id, which HandleDataAt refuses).
+	for _, c := range []struct {
+		in                string
+		id                string
+		version, manifest int
+		ok                bool
+	}{
+		{"obj:x", "", 0, -1, false},
+		{"obj:x:", "", 0, -1, false},
+		{"obj::1:", "", 1, -1, true},
+		{"obj:a:notanumber:", "", 0, -1, false},
+		{"obj:a:+3:tail:more", "a", 3, -1, true},
+		{"manifest:", "", 0, 0, false},
+		{"manifest:x", "", 0, 0, false},
+		{"manifest:99999999999999999999", "", 0, 0, false},
+		{"manifest:-2", "", 0, -2, true},
+		{"", "", 0, -1, false},
+	} {
+		id, version, manifest, ok := ParseObject([]byte(c.in))
+		if id != c.id || version != c.version || manifest != c.manifest || ok != c.ok {
+			t.Errorf("ParseObject(%q) = %q %d %d %v, want %q %d %d %v",
+				c.in, id, version, manifest, ok, c.id, c.version, c.manifest, c.ok)
+		}
+	}
 	m := ParseManifest([]byte("a:10\nb:20\n\nbad\nbadnum:x"))
 	if len(m) != 2 || m["a"] != 10 || m["b"] != 20 {
 		t.Errorf("ParseManifest = %v", m)

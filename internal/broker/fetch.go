@@ -2,6 +2,7 @@ package broker
 
 import (
 	"sort"
+	"strings"
 	"time"
 
 	"github.com/icn-gaming/gcopss/internal/cd"
@@ -62,10 +63,12 @@ type QRFetch struct {
 	win  *flowctl.Window
 	est  *flowctl.Estimator
 
+	manifest  string // the manifest's Interest name
+	prefix    string // object Interest names are prefix + id
 	wanted    []string
 	nextToAsk int
-	inflight  map[string]*qrInFlight // Interest name → retry state
-	received  map[string]int         // object id → version
+	inflight  map[string]qrInFlight // Interest name → retry state
+	received  map[string]int        // object id → version
 	done      bool
 	failed    bool
 	retrans   uint64
@@ -93,7 +96,9 @@ func NewFetch(leaf cd.CD, opts ...flowctl.Option) *QRFetch {
 		flow:     cfg,
 		win:      flowctl.NewWindow(cfg),
 		est:      flowctl.NewEstimator(cfg),
-		inflight: make(map[string]*qrInFlight),
+		manifest: ManifestName(leaf),
+		prefix:   ObjectName(leaf, ""),
+		inflight: make(map[string]qrInFlight),
 		received: make(map[string]int),
 	}
 }
@@ -109,9 +114,8 @@ func (f *QRFetch) Instrument(reg *obs.Registry) {
 // manifest rides outside the object window: there is nothing to pipeline
 // until it arrives.
 func (f *QRFetch) StartAt(now time.Time) []*wire.Packet {
-	name := ManifestName(f.leaf)
-	f.inflight[name] = &qrInFlight{attempts: 1, nextAt: now.Add(f.est.RTO()), sentAt: now}
-	return []*wire.Packet{{Type: wire.TypeInterest, Name: name}}
+	f.inflight[f.manifest] = qrInFlight{attempts: 1, nextAt: now.Add(f.est.RTO()), sentAt: now}
+	return []*wire.Packet{{Type: wire.TypeInterest, Name: f.manifest}}
 }
 
 // HandleDataAt consumes a Data packet; it returns follow-up Interests and
@@ -127,7 +131,7 @@ func (f *QRFetch) HandleDataAt(now time.Time, pkt *wire.Packet) ([]*wire.Packet,
 	if !asked {
 		return nil, false // duplicate or unrequested: idempotent no-op
 	}
-	if pkt.Name == ManifestName(f.leaf) {
+	if pkt.Name == f.manifest {
 		f.observeRTT(now, s)
 		delete(f.inflight, pkt.Name)
 		for id := range ParseManifest(pkt.Payload) {
@@ -140,8 +144,10 @@ func (f *QRFetch) HandleDataAt(now time.Time, pkt *wire.Packet) ([]*wire.Packet,
 		}
 		return f.fill(now), false
 	}
-	id, version, _, ok := ParseObject(pkt.Payload)
-	if !ok || id == "" || pkt.Name != ObjectName(f.leaf, id) {
+	// The id is taken from the name; the payload must carry the same one.
+	id, named := strings.CutPrefix(pkt.Name, f.prefix)
+	idb, version, _, ok := parseObject(pkt.Payload)
+	if !ok || id == "" || !named || string(idb) != id {
 		return nil, false // malformed, or named like our Interest but lying
 	}
 	f.observeRTT(now, s)
@@ -161,7 +167,7 @@ func (f *QRFetch) HandleDataAt(now time.Time, pkt *wire.Packet) ([]*wire.Packet,
 
 // observeRTT feeds one answered Interest's round trip into the estimator,
 // unless the Interest was retransmitted (Karn: the sample is ambiguous).
-func (f *QRFetch) observeRTT(now time.Time, s *qrInFlight) {
+func (f *QRFetch) observeRTT(now time.Time, s qrInFlight) {
 	if s.retransmitted {
 		return
 	}
@@ -202,6 +208,7 @@ func (f *QRFetch) Tick(now time.Time) []*wire.Packet {
 		s.attempts++
 		s.retransmitted = true
 		s.nextAt = now.Add(f.est.BackoffRTO(s.attempts))
+		f.inflight[name] = s
 		f.retrans++
 		lost = true
 		out = append(out, &wire.Packet{Type: wire.TypeInterest, Name: name})
@@ -223,7 +230,7 @@ func (f *QRFetch) fill(now time.Time) []*wire.Packet {
 		id := f.wanted[f.nextToAsk]
 		f.nextToAsk++
 		name := ObjectName(f.leaf, id)
-		f.inflight[name] = &qrInFlight{attempts: 1, nextAt: now.Add(f.est.RTO()), sentAt: now}
+		f.inflight[name] = qrInFlight{attempts: 1, nextAt: now.Add(f.est.RTO()), sentAt: now}
 		out = append(out, &wire.Packet{Type: wire.TypeInterest, Name: name})
 	}
 	return out

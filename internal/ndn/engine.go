@@ -59,6 +59,7 @@ type Engine struct {
 	ctr counters
 
 	interestLifetime time.Duration
+	faces            []FaceID // HandleDataTo's scratch for PIT.Consume
 }
 
 // Option configures an Engine.
@@ -187,13 +188,13 @@ func (e *Engine) HandleInterestTo(now time.Time, from FaceID, pkt *wire.Packet, 
 // entry) is dropped per NDN semantics.
 func (e *Engine) HandleDataTo(now time.Time, from FaceID, pkt *wire.Packet, sink ActionSink) {
 	e.ctr.dataReceived.Inc()
-	faces := e.pit.Consume(pkt.Name, now)
-	if len(faces) == 0 {
+	e.faces = e.pit.Consume(e.faces[:0], pkt.Name, now)
+	if len(e.faces) == 0 {
 		e.ctr.dataUnsolicited.Inc()
 		return
 	}
 	e.store.Put(pkt.Name, pkt.Payload, now)
-	for _, f := range faces {
+	for _, f := range e.faces {
 		if f == from {
 			continue
 		}

@@ -127,11 +127,11 @@ func TestPITAggregationAndConsume(t *testing.T) {
 	if pit.Insert("/n", 2, t0.Add(10*time.Millisecond), time.Second) {
 		t.Error("second Insert should aggregate")
 	}
-	faces := pit.Consume("/n", t0.Add(20*time.Millisecond))
+	faces := pit.Consume(nil, "/n", t0.Add(20*time.Millisecond))
 	if !reflect.DeepEqual(faces, []FaceID{1, 2}) {
 		t.Errorf("Consume = %v", faces)
 	}
-	if pit.Consume("/n", t0) != nil {
+	if pit.Consume(nil, "/n", t0) != nil {
 		t.Error("Consume after consume should return nil")
 	}
 }
@@ -141,7 +141,7 @@ func TestPITExpiry(t *testing.T) {
 	t0 := time.Unix(0, 0)
 	pit.Insert("/n", 1, t0, time.Second)
 	// Expired entry yields no faces and a fresh Insert recreates it.
-	if got := pit.Consume("/n", t0.Add(2*time.Second)); got != nil {
+	if got := pit.Consume(nil, "/n", t0.Add(2*time.Second)); got != nil {
 		t.Errorf("expired Consume = %v", got)
 	}
 	pit.Insert("/n", 1, t0, time.Second)
@@ -163,9 +163,130 @@ func TestPITAggregationExtendsLifetime(t *testing.T) {
 	pit.Insert("/n", 1, t0, time.Second)
 	pit.Insert("/n", 2, t0.Add(900*time.Millisecond), time.Second)
 	// At t0+1.5s the original lifetime has passed but the refresh keeps it.
-	faces := pit.Consume("/n", t0.Add(1500*time.Millisecond))
+	faces := pit.Consume(nil, "/n", t0.Add(1500*time.Millisecond))
 	if len(faces) != 2 {
 		t.Errorf("faces = %v, want both after refresh", faces)
+	}
+}
+
+// TestPITRecycledEntryStartsEmpty: an entry recycled by Consume must not
+// carry the faces of the name it last served.
+func TestPITRecycledEntryStartsEmpty(t *testing.T) {
+	var pit PIT
+	t0 := time.Unix(0, 0)
+	pit.Insert("/a", 1, t0, time.Second)
+	pit.Insert("/a", 2, t0, time.Second)
+	if got := pit.Consume(nil, "/a", t0); !reflect.DeepEqual(got, []FaceID{1, 2}) {
+		t.Fatalf("Consume(/a) = %v, want [1 2]", got)
+	}
+	pit.Insert("/b", 3, t0, time.Second)
+	if got := pit.Consume(nil, "/b", t0); !reflect.DeepEqual(got, []FaceID{3}) {
+		t.Errorf("Consume(/b) = %v, want [3]", got)
+	}
+}
+
+// TestPITOverwritesExpiredEntryInPlace: Insert over an expired entry reuses
+// it rather than leaving it to the GC, and keeps none of its faces.
+func TestPITOverwritesExpiredEntryInPlace(t *testing.T) {
+	var pit PIT
+	now := time.Unix(0, 0)
+	pit.Insert("/n", 1, now, time.Second)
+	pit.Insert("/n", 2, now, time.Second)
+	allocs := testing.AllocsPerRun(100, func() {
+		now = now.Add(2 * time.Second)
+		if !pit.Insert("/n", 3, now, time.Second) {
+			t.Fatal("Insert over an expired entry aggregated")
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("Insert over an expired entry = %v allocs, want 0", allocs)
+	}
+	if got := pit.Consume(nil, "/n", now); !reflect.DeepEqual(got, []FaceID{3}) {
+		t.Errorf("Consume = %v, want [3]", got)
+	}
+}
+
+// TestPITConsumedFacesSurviveInsert: the faces Consume hands out are the
+// caller's, so a later Insert (which may reuse the entry) cannot rewrite
+// them.
+func TestPITConsumedFacesSurviveInsert(t *testing.T) {
+	var pit PIT
+	t0 := time.Unix(0, 0)
+	pit.Insert("/a", 4, t0, time.Second)
+	pit.Insert("/a", 5, t0, time.Second)
+	got := pit.Consume(nil, "/a", t0)
+	pit.Insert("/b", 6, t0, time.Second)
+	pit.Insert("/b", 1, t0, time.Second)
+	if !reflect.DeepEqual(got, []FaceID{4, 5}) {
+		t.Errorf("faces after a later Insert = %v, want [4 5]", got)
+	}
+}
+
+// TestEngineSteadyStateAllocs pins the per-object cost of the NDN path over
+// a full 1 024-entry store in which every Data evicts: PIT Insert + Consume
+// allocate nothing, Put allocates only its payload copy, and a whole
+// Interest→Data round through the engine allocates only that copy.
+func TestEngineSteadyStateAllocs(t *testing.T) {
+	const capacity = 1024
+	names := make([]string, 2*capacity)
+	interests := make([]*wire.Packet, len(names))
+	datas := make([]*wire.Packet, len(names))
+	for i := range names {
+		names[i] = fmt.Sprintf("/c/o%d", i)
+		interests[i], datas[i] = interest(names[i]), data(names[i], "payload")
+	}
+	now := time.Unix(0, 0)
+	payload := []byte("payload")
+
+	var pit PIT
+	var faces []FaceID
+	next := 0
+	pitRound := func() {
+		n := names[next%len(names)]
+		next++
+		pit.Insert(n, 2, now, time.Second)
+		pit.Insert(n, 1, now, time.Second)
+		faces = pit.Consume(faces[:0], n, now)
+	}
+	pitRound()
+	if got := testing.AllocsPerRun(1000, pitRound); got != 0 {
+		t.Errorf("PIT Insert + Consume = %v allocs, want 0", got)
+	}
+
+	cs := NewContentStore(capacity, 0)
+	for _, n := range names[:capacity] {
+		cs.Put(n, payload, now)
+	}
+	next = capacity
+	if got := testing.AllocsPerRun(1000, func() {
+		cs.Put(names[next%len(names)], payload, now)
+		next++
+	}); got != 1 {
+		t.Errorf("ContentStore.Put on a full store = %v allocs, want 1 (the payload copy)", got)
+	}
+
+	e := NewEngine(WithContentStore(capacity, 0), WithInterestLifetime(time.Second))
+	e.FIB().Add("/c", 9)
+	var sink SliceSink
+	next = 0
+	engineRound := func() {
+		i := next % len(names)
+		next++
+		sink.Reset()
+		e.HandleInterestTo(now, 1, interests[i], &sink)
+		e.HandleDataTo(now, 9, datas[i], &sink)
+		if len(sink.Actions) != 2 {
+			t.Fatalf("round %d emitted %d actions, want 2", i, len(sink.Actions))
+		}
+	}
+	for range capacity {
+		engineRound()
+	}
+	if got := testing.AllocsPerRun(1000, engineRound); got != 1 {
+		t.Errorf("HandleInterestTo + HandleDataTo = %v allocs, want 1 (the store's copy)", got)
+	}
+	if e.Store().Len() != capacity {
+		t.Errorf("store holds %d entries, want %d", e.Store().Len(), capacity)
 	}
 }
 

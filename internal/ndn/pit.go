@@ -1,6 +1,7 @@
 package ndn
 
 import (
+	"slices"
 	"sort"
 	"time"
 )
@@ -8,10 +9,15 @@ import (
 // PIT is the Pending Interest Table. It records, per content name, the faces
 // an Interest arrived from ("bread crumbs") so Data can retrace the reverse
 // path, and aggregates duplicate Interests for the same name. The zero value
-// is ready to use.
+// is ready to use. Consumed and expired entries are recycled with their faces
+// capacity through a bounded spare list, so steady-state Insert + Consume
+// allocates nothing (TestEngineSteadyStateAllocs).
 type PIT struct {
 	entries map[string]*pitEntry
+	spare   []*pitEntry // at most maxSparePIT; the GC takes the rest
 }
+
+const maxSparePIT = 256
 
 type pitEntry struct {
 	faces   []FaceID // FaceID-sorted
@@ -35,34 +41,50 @@ func (p *PIT) Insert(name string, face FaceID, now time.Time, lifetime time.Dura
 	n := canonicalPrefix(name)
 	e, ok := p.entries[n]
 	if ok && now.Before(e.expires) {
-		e.faces = withFace(e.faces, face)
+		if i, found := slices.BinarySearch(e.faces, face); !found {
+			e.faces = slices.Insert(e.faces, i, face)
+		}
 		if exp := now.Add(lifetime); exp.After(e.expires) {
 			e.expires = exp
 		}
 		return false
 	}
-	p.entries[n] = &pitEntry{
-		faces:   []FaceID{face},
-		expires: now.Add(lifetime),
+	if !ok { // otherwise the expired entry under n is reused in place
+		if k := len(p.spare); k > 0 {
+			e, p.spare = p.spare[k-1], p.spare[:k-1]
+		} else {
+			e = new(pitEntry)
+		}
+		p.entries[n] = e
 	}
+	e.faces = append(e.faces[:0], face)
+	e.expires = now.Add(lifetime)
 	return true
 }
 
-// Consume removes the entry for name and returns the faces waiting for it in
-// FaceID order; the slice is the entry's own, handed over with the entry gone.
-// Data packets call this to learn where to go; per NDN semantics one Data
-// consumes the pending Interests.
-func (p *PIT) Consume(name string, now time.Time) []FaceID {
+// Consume removes the entry for name and appends the faces waiting for it to
+// dst in FaceID order, returning the extended slice; nothing is appended when
+// there is no entry or it has expired. Data packets call this to learn where
+// to go; per NDN semantics one Data consumes the pending Interests.
+func (p *PIT) Consume(dst []FaceID, name string, now time.Time) []FaceID {
 	n := canonicalPrefix(name)
 	e, ok := p.entries[n]
 	if !ok {
-		return nil
+		return dst
 	}
 	delete(p.entries, n)
-	if now.After(e.expires) {
-		return nil
+	if !now.After(e.expires) {
+		dst = append(dst, e.faces...)
 	}
-	return e.faces
+	p.recycle(e)
+	return dst
+}
+
+func (p *PIT) recycle(e *pitEntry) {
+	if len(p.spare) < maxSparePIT {
+		e.faces = e.faces[:0]
+		p.spare = append(p.spare, e)
+	}
 }
 
 // Expire drops all entries whose lifetime has passed and returns how many
@@ -72,6 +94,7 @@ func (p *PIT) Expire(now time.Time) int {
 	for n, e := range p.entries {
 		if now.After(e.expires) {
 			delete(p.entries, n)
+			p.recycle(e)
 			dropped++
 		}
 	}

@@ -1,28 +1,31 @@
 package ndn
 
-import (
-	"container/list"
-	"time"
-)
+import "time"
 
 // ContentStore is the router's buffer memory that caches Data packets, with
 // LRU replacement and optional freshness-based expiry. Gaming traffic ages
 // out of caches quickly (the paper notes "the cache ages out quickly in a
 // gaming scenario"), which the MaxAge knob models.
+//
+// Entries are value slots in a slab, linked into the LRU list by index (slot
+// 0 is the sentinel: next = most recently used, prev = least); expired slots
+// are chained through next on a free list, and eviction reuses its victim's.
 type ContentStore struct {
 	capacity int
 	maxAge   time.Duration // 0 means no age limit
-	items    map[string]*list.Element
-	order    *list.List // front = most recently used
+	index    map[string]int32
+	slots    []csSlot
+	free     int32 // first free slot, 0 when none
 
 	hits   uint64
 	misses uint64
 }
 
-type csItem struct {
-	name     string
-	payload  []byte
-	inserted time.Time
+type csSlot struct {
+	name       string
+	payload    []byte
+	inserted   time.Time
+	prev, next int32
 }
 
 // NewContentStore creates a store holding at most capacity Data packets.
@@ -32,8 +35,8 @@ func NewContentStore(capacity int, maxAge time.Duration) *ContentStore {
 	return &ContentStore{
 		capacity: capacity,
 		maxAge:   maxAge,
-		items:    make(map[string]*list.Element),
-		order:    list.New(),
+		index:    make(map[string]int32),
+		slots:    make([]csSlot, 1),
 	}
 }
 
@@ -41,53 +44,74 @@ func NewContentStore(capacity int, maxAge time.Duration) *ContentStore {
 // entry if the store is full. The store is the one place that retains payload
 // bytes, so it always copies: a cached object never pins the frame it arrived
 // in, and replacing an entry never writes the array an earlier Get handed out
-// (an emitted Data packet may still carry it; DESIGN.md §11 rule 1).
+// (an emitted Data packet may still carry it; DESIGN.md §11 rule 1). The copy
+// is Put's one allocation on a full store (TestEngineSteadyStateAllocs).
 func (c *ContentStore) Put(name string, payload []byte, now time.Time) {
 	if c.capacity <= 0 {
 		return
 	}
 	n := canonicalPrefix(name)
-	if el, ok := c.items[n]; ok {
-		item := el.Value.(*csItem)
-		item.payload = append([]byte(nil), payload...)
-		item.inserted = now
-		c.order.MoveToFront(el)
+	cp := append([]byte(nil), payload...)
+	if i, ok := c.index[n]; ok {
+		c.slots[i].payload, c.slots[i].inserted = cp, now
+		c.unlink(i)
+		c.pushFront(i)
 		return
 	}
-	for len(c.items) >= c.capacity {
-		oldest := c.order.Back()
-		if oldest == nil {
-			break
-		}
-		c.order.Remove(oldest)
-		delete(c.items, oldest.Value.(*csItem).name)
+	var i int32
+	switch {
+	case len(c.index) >= c.capacity:
+		i = c.slots[0].prev
+		c.unlink(i)
+		delete(c.index, c.slots[i].name)
+	case c.free != 0:
+		i = c.free
+		c.free = c.slots[i].next
+	default:
+		i = int32(len(c.slots))
+		c.slots = append(c.slots, csSlot{})
 	}
-	el := c.order.PushFront(&csItem{name: n, payload: append([]byte(nil), payload...), inserted: now})
-	c.items[n] = el
+	c.slots[i] = csSlot{name: n, payload: cp, inserted: now}
+	c.pushFront(i)
+	c.index[n] = i
 }
 
 // Get returns the cached payload for name if present and fresh.
 func (c *ContentStore) Get(name string, now time.Time) ([]byte, bool) {
 	n := canonicalPrefix(name)
-	el, ok := c.items[n]
+	i, ok := c.index[n]
 	if !ok {
 		c.misses++
 		return nil, false
 	}
-	item := el.Value.(*csItem)
-	if c.maxAge > 0 && now.Sub(item.inserted) > c.maxAge {
-		c.order.Remove(el)
-		delete(c.items, n)
+	c.unlink(i)
+	if c.maxAge > 0 && now.Sub(c.slots[i].inserted) > c.maxAge {
+		delete(c.index, n)
+		c.slots[i] = csSlot{next: c.free}
+		c.free = i
 		c.misses++
 		return nil, false
 	}
-	c.order.MoveToFront(el)
+	c.pushFront(i)
 	c.hits++
-	return item.payload, true
+	return c.slots[i].payload, true
+}
+
+func (c *ContentStore) unlink(i int32) {
+	s := &c.slots[i]
+	c.slots[s.prev].next = s.next
+	c.slots[s.next].prev = s.prev
+}
+
+func (c *ContentStore) pushFront(i int32) {
+	first := c.slots[0].next
+	c.slots[i].prev, c.slots[i].next = 0, first
+	c.slots[first].prev = i
+	c.slots[0].next = i
 }
 
 // Len returns the number of cached entries.
-func (c *ContentStore) Len() int { return len(c.items) }
+func (c *ContentStore) Len() int { return len(c.index) }
 
 // Stats returns cumulative hit and miss counts.
 func (c *ContentStore) Stats() (hits, misses uint64) { return c.hits, c.misses }
