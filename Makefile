@@ -68,6 +68,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzWindowEstimator -fuzztime=20s ./internal/flowctl
 	$(GO) test -run='^$$' -fuzz=FuzzEventHeap -fuzztime=20s ./internal/event
 	$(GO) test -run='^$$' -fuzz=FuzzContentStoreLRU -fuzztime=20s ./internal/ndn
+	$(GO) test -run='^$$' -fuzz=FuzzSTIndex -fuzztime=20s ./internal/copss
 	$(GO) test -run='^$$' -fuzz=FuzzReadBurstChunking -fuzztime=20s ./internal/transport
 
 # cover gates statement coverage on the reliability-critical packages: the

@@ -267,30 +267,33 @@ func benchRouterWithSubscriptions(b *testing.B) *core.Router {
 	return r
 }
 
-// BenchmarkSTMulticastLookup measures the Subscription Table fast path: one
-// multicast forwarded against 62 players' subscriptions.
+// BenchmarkSTMulticastLookup measures one multicast's forwarding decision
+// against 62 players' subscriptions: the routers' exact index, and the
+// paper's per-face Bloom filters with and without first-hop hashes.
 func BenchmarkSTMulticastLookup(b *testing.B) {
-	for _, mode := range []struct {
-		name string
-		m    copss.MatchMode
+	target := cd.MustParse("/3/4")
+	st, blm := copss.NewST(), &copss.BloomST{}
+	benchSubscribe(b, func(face ndn.FaceID, cds []cd.CD) {
+		for _, c := range cds {
+			st.Add(face, c)
+			blm.Add(face, c)
+		}
+	})
+	pairs := copss.PrefixHashes(target)
+	for _, arm := range []struct {
+		name   string
+		lookup func() []ndn.FaceID
 	}{
-		{"bloom", copss.MatchBloom},
-		{"bloom-verified", copss.MatchBloomVerified},
-		{"exact", copss.MatchExact},
+		{"index", func() []ndn.FaceID { return st.FacesFor(target) }},
+		{"bloom", func() []ndn.FaceID { return blm.FacesFor(target) }},
+		{"bloom-first-hop", func() []ndn.FaceID { return blm.FacesForHashed(target, pairs) }},
 	} {
-		b.Run(mode.name, func(b *testing.B) {
-			st := copss.NewST(mode.m)
-			benchSubscribe(b, func(face ndn.FaceID, cds []cd.CD) {
-				for _, c := range cds {
-					st.Add(face, c)
-				}
-			})
-			target := cd.MustParse("/3/4")
-			st.FacesFor(target) // warm scratch and pair cache: the artifact records steady state
+		b.Run(arm.name, func(b *testing.B) {
+			arm.lookup() // warm scratch: the figure is the steady state
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				st.FacesFor(target)
+				arm.lookup()
 			}
 		})
 	}
@@ -326,7 +329,7 @@ func BenchmarkRouterMulticastPath(b *testing.B) {
 
 // BenchmarkRouterMulticastBurst measures the burst data path at the same
 // router as BenchmarkRouterMulticastPath: a burst of hashed multicasts
-// arriving on a router face is grouped by CD/hash vector so one ST lookup
+// arriving on a router face is grouped by CD so one ST lookup
 // and one fan-out face set serve the whole group, each packet forwarded
 // as received. The ns/pkt metric is the amortized per-packet cost —
 // the acceptance criterion is >= 2x below the single-packet path at width 32.
@@ -488,22 +491,6 @@ func BenchmarkRouterDistribute(b *testing.B) {
 				r.HandlePacketTo(now, 1000, pkt, &sink)
 			}
 		})
-	}
-}
-
-// BenchmarkFacesForHashed measures the per-hop ST probe with the hash
-// vector carried in the packet (the first-hop optimization): steady state
-// must be allocation-free.
-func BenchmarkFacesForHashed(b *testing.B) {
-	r := benchRouterWithSubscriptions(b)
-	st := r.ST()
-	target := cd.MustParse("/3/4")
-	flat := copss.FlattenHashes(copss.PrefixHashes(target))
-	st.FacesForFlat(target, flat)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		st.FacesForFlat(target, flat)
 	}
 }
 

@@ -104,20 +104,6 @@ func (s *Set) Members() []CD {
 	return out
 }
 
-// AppendKeys appends the canonical Key form of every member to dst in map
-// iteration order and returns the extended slice. Unlike Members it neither
-// sorts nor allocates when dst has capacity, so order-insensitive consumers
-// on hot paths (e.g. Bloom filter rebuilds) can reuse a scratch buffer.
-func (s *Set) AppendKeys(dst []string) []string {
-	if s == nil {
-		return dst
-	}
-	for k := range s.m {
-		dst = append(dst, k)
-	}
-	return dst
-}
-
 // Clone returns an independent copy of the set.
 func (s *Set) Clone() *Set {
 	out := NewSet()

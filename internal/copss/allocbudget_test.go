@@ -9,8 +9,8 @@ import (
 
 // buildBudgetST populates an ST with a realistic small fan-out: a handful of
 // faces subscribed across a two-level CD hierarchy.
-func buildBudgetST(mode MatchMode) (*ST, cd.CD) {
-	st := NewST(mode)
+func buildBudgetST() (*ST, cd.CD) {
+	st := NewST()
 	pub := cd.MustParse("/1/2")
 	st.Add(1, cd.MustParse("/1"))
 	st.Add(2, cd.MustParse("/1/2"))
@@ -21,48 +21,60 @@ func buildBudgetST(mode MatchMode) (*ST, cd.CD) {
 }
 
 // TestFacesForHashedAllocFree locks the steady-state forwarding budget at
-// zero: once the pair cache is warm, an ST query must not allocate in any
-// match mode — this is the per-hop hot path of every Multicast.
+// zero, since an ST lookup is on the per-hop path of every Multicast. A warm
+// index lookup allocates nothing whether one prefix of the CD hits (/3/1:
+// only the root subscriber) or three do (/1/2: the root, /1 and /1/2), and
+// neither does re-adding an existing entry or the Bloom model's lookup with
+// first-hop hashes.
 func TestFacesForHashedAllocFree(t *testing.T) {
-	for _, mode := range []MatchMode{MatchExact, MatchBloom, MatchBloomVerified} {
-		st, pub := buildBudgetST(mode)
-		pairs := PrefixHashes(pub)
-		flat := FlattenHashes(pairs)
-		// Warm the scratch buffers and the pair cache.
-		st.FacesFor(pub)
-		st.FacesForHashed(pub, pairs)
-		st.FacesForFlat(pub, flat)
+	st, pub := buildBudgetST()
+	one, known := cd.MustParse("/3/1"), cd.MustParse("/1/3")
+	for _, tc := range []struct {
+		name string
+		fn   func()
+	}{
+		{"FacesFor, one prefix hit", func() { st.FacesFor(one) }},
+		{"FacesFor, three prefix hits", func() { st.FacesFor(pub) }},
+		{"FacesForFlat", func() { st.FacesForFlat(pub, nil) }},
+		{"Add of a known entry", func() { st.Add(3, known) }},
+	} {
+		tc.fn() // warm the scratch buffers
+		if allocs := testing.AllocsPerRun(100, tc.fn); allocs != 0 {
+			t.Errorf("%s: allocs/op = %v, want 0", tc.name, allocs)
+		}
+	}
+	if got := st.FacesFor(one); len(got) != 1 || got[0] != 4 {
+		t.Errorf("FacesFor(%v) = %v, want [4]", one, got)
+	}
+	if got := st.FacesFor(pub); len(got) != 3 {
+		t.Errorf("FacesFor(%v) = %v, want three faces", pub, got)
+	}
 
-		if allocs := testing.AllocsPerRun(100, func() { st.FacesFor(pub) }); allocs != 0 {
-			t.Errorf("mode %d: FacesFor allocs/op = %v, want 0", mode, allocs)
-		}
-		if allocs := testing.AllocsPerRun(100, func() { st.FacesForHashed(pub, pairs) }); allocs != 0 {
-			t.Errorf("mode %d: FacesForHashed allocs/op = %v, want 0", mode, allocs)
-		}
-		if allocs := testing.AllocsPerRun(100, func() { st.FacesForFlat(pub, flat) }); allocs != 0 {
-			t.Errorf("mode %d: FacesForFlat allocs/op = %v, want 0", mode, allocs)
-		}
+	blm := &BloomST{}
+	blm.Add(1, cd.MustParse("/1"))
+	blm.Add(4, cd.Root())
+	pairs := PrefixHashes(pub)
+	blm.FacesForHashed(pub, pairs)
+	if allocs := testing.AllocsPerRun(100, func() { blm.FacesForHashed(pub, pairs) }); allocs != 0 {
+		t.Errorf("BloomST.FacesForHashed: allocs/op = %v, want 0", allocs)
 	}
 }
 
-// TestFacesForFlatEquivalence pins FacesForFlat to FacesFor, including the
-// fallback on a malformed hash vector.
+// TestFacesForFlatEquivalence pins the deprecated FacesForFlat to FacesFor,
+// whatever hash vector it is handed.
 func TestFacesForFlatEquivalence(t *testing.T) {
-	st, pub := buildBudgetST(MatchBloomVerified)
+	st, pub := buildBudgetST()
 	want := append([]ndn.FaceID(nil), st.FacesFor(pub)...)
-	got := append([]ndn.FaceID(nil), st.FacesForFlat(pub, FlattenHashes(PrefixHashes(pub)))...)
-	if len(got) != len(want) {
-		t.Fatalf("FacesForFlat = %v, want %v", got, want)
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("FacesForFlat = %v, want %v", got, want)
+	for _, flat := range [][]uint64{nil, FlattenHashes(PrefixHashes(pub)), {1, 2, 3}} {
+		got := st.FacesForFlat(pub, flat)
+		if len(got) != len(want) {
+			t.Fatalf("FacesForFlat(%v) = %v, want %v", flat, got, want)
 		}
-	}
-	// Wrong-length vector: must fall back to hashing, not misroute.
-	bad := append([]ndn.FaceID(nil), st.FacesForFlat(pub, []uint64{1, 2, 3})...)
-	if len(bad) != len(want) {
-		t.Fatalf("FacesForFlat with bad vector = %v, want %v", bad, want)
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("FacesForFlat(%v) = %v, want %v", flat, got, want)
+			}
+		}
 	}
 }
 
@@ -86,16 +98,5 @@ func TestHashCache(t *testing.T) {
 	hc.FlatFor(cd.MustParse("/3"))
 	if hc.Len() != 1 {
 		t.Fatalf("Len after reset = %d, want 1", hc.Len())
-	}
-}
-
-func BenchmarkFacesForHashed(b *testing.B) {
-	st, pub := buildBudgetST(MatchBloomVerified)
-	flat := FlattenHashes(PrefixHashes(pub))
-	st.FacesForFlat(pub, flat)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		st.FacesForFlat(pub, flat)
 	}
 }

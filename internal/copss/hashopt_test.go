@@ -2,6 +2,7 @@ package copss
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -38,8 +39,8 @@ func TestFlattenHashes(t *testing.T) {
 }
 
 func TestFacesForHashedEquivalence(t *testing.T) {
-	// Property: with precomputed pairs, every mode returns exactly what
-	// plain FacesFor returns.
+	// Property: the Bloom model answers the same with precomputed pairs as
+	// when it hashes the prefixes itself.
 	f := func(subsRaw [18]uint16, pubRaw uint16) bool {
 		mk := func(v uint16) cd.CD {
 			comps := []string{string(rune('a' + int(v)%4))}
@@ -51,24 +52,15 @@ func TestFacesForHashedEquivalence(t *testing.T) {
 			}
 			return cd.MustNew(comps...)
 		}
-		for _, mode := range []MatchMode{MatchExact, MatchBloom, MatchBloomVerified} {
-			st := NewST(mode)
-			for i, raw := range subsRaw {
-				st.Add(ndn.FaceID(i%5), mk(raw))
-			}
-			pub := mk(pubRaw)
-			// ST query results alias a reused scratch buffer, so copy the
-			// first result before issuing the second query.
-			plain := append([]ndn.FaceID(nil), st.FacesFor(pub)...)
-			hashed := st.FacesForHashed(pub, PrefixHashes(pub))
-			if len(plain) == 0 && len(hashed) == 0 {
-				continue
-			}
-			if !reflect.DeepEqual(plain, hashed) {
-				return false
-			}
+		blm := &BloomST{}
+		for i, raw := range subsRaw {
+			blm.Add(ndn.FaceID(i%5), mk(raw))
 		}
-		return true
+		pub := mk(pubRaw)
+		// Lookup results alias a reused scratch buffer, so copy the first
+		// result before issuing the second lookup.
+		plain := append([]ndn.FaceID(nil), blm.FacesFor(pub)...)
+		return slices.Equal(plain, blm.FacesForHashed(pub, PrefixHashes(pub)))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 800}); err != nil {
 		t.Error(err)
@@ -76,42 +68,17 @@ func TestFacesForHashedEquivalence(t *testing.T) {
 }
 
 func TestFacesForHashedRejectsWrongPairCount(t *testing.T) {
-	st := NewST(MatchBloom)
-	st.Add(1, cd.MustParse("/1"))
+	blm := &BloomST{}
+	blm.Add(1, cd.MustParse("/1"))
 	pub := cd.MustParse("/1/2")
 	// Wrong-length pair slices must fall back to hashing, not misdeliver.
-	// Results alias the ST's scratch buffer: copy before the next query.
-	got := append([]ndn.FaceID(nil), st.FacesForHashed(pub, PrefixHashes(cd.MustParse("/1/2/3/4")))...)
-	want := append([]ndn.FaceID(nil), st.FacesFor(pub)...)
-	if !reflect.DeepEqual(got, want) {
+	// Results alias the model's scratch buffer: copy before the next lookup.
+	got := append([]ndn.FaceID(nil), blm.FacesForHashed(pub, PrefixHashes(cd.MustParse("/1/2/3/4")))...)
+	want := append([]ndn.FaceID(nil), blm.FacesFor(pub)...)
+	if !reflect.DeepEqual(got, want) || len(want) != 1 {
 		t.Errorf("fallback mismatch: %v vs %v", got, want)
 	}
-	if got := st.FacesForHashed(pub, nil); !reflect.DeepEqual(got, want) {
+	if got := blm.FacesForHashed(pub, nil); !reflect.DeepEqual(got, want) {
 		t.Errorf("nil-pairs mismatch: %v vs %v", got, want)
-	}
-}
-
-func BenchmarkFacesForRehash(b *testing.B) {
-	st := NewST(MatchBloom)
-	for i := 0; i < 40; i++ {
-		st.Add(ndn.FaceID(i), cd.MustNew(string(rune('0'+i%5)), string(rune('0'+i%4))))
-	}
-	pub := cd.MustParse("/3/2")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		st.FacesFor(pub)
-	}
-}
-
-func BenchmarkFacesForPrecomputedHash(b *testing.B) {
-	st := NewST(MatchBloom)
-	for i := 0; i < 40; i++ {
-		st.Add(ndn.FaceID(i), cd.MustNew(string(rune('0'+i%5)), string(rune('0'+i%4))))
-	}
-	pub := cd.MustParse("/3/2")
-	pairs := PrefixHashes(pub) // done once at the first hop
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		st.FacesForHashed(pub, pairs)
 	}
 }

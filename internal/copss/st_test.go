@@ -3,6 +3,7 @@ package copss
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -12,38 +13,42 @@ import (
 )
 
 func TestSTForwardingPredicate(t *testing.T) {
-	for _, mode := range []MatchMode{MatchExact, MatchBloom, MatchBloomVerified} {
-		st := NewST(mode)
-		// Face 1: soldier at /1/2. Face 2: plane over region 1. Face 3: satellite.
-		for _, c := range []string{"/", "/1/", "/1/2"} {
-			st.Add(1, cd.MustParse(c))
+	st, blm := NewST(), &BloomST{}
+	add := func(face ndn.FaceID, cds ...string) {
+		for _, c := range cds {
+			st.Add(face, cd.MustParse(c))
+			blm.Add(face, cd.MustParse(c))
 		}
-		for _, c := range []string{"/", "/1"} {
-			st.Add(2, cd.MustParse(c))
-		}
-		st.Add(3, cd.Root())
+	}
+	// Face 1: soldier at /1/2. Face 2: plane over region 1. Face 3: satellite.
+	add(1, "/", "/1/", "/1/2")
+	add(2, "/", "/1")
+	st.Add(3, cd.Root())
+	blm.Add(3, cd.Root())
 
-		tests := []struct {
-			pub  string
-			want []ndn.FaceID
-		}{
-			{"/1/2", []ndn.FaceID{1, 2, 3}}, // zone update: soldier, plane, satellite
-			{"/1/3", []ndn.FaceID{2, 3}},    // sibling zone: plane + satellite only
-			{"/1/", []ndn.FaceID{1, 2, 3}},  // plane airspace visible to all three
-			{"/", []ndn.FaceID{1, 2, 3}},    // satellite visible to all
-			{"/2/4", []ndn.FaceID{3}},       // other region: satellite only
+	tests := []struct {
+		pub  string
+		want []ndn.FaceID
+	}{
+		{"/1/2", []ndn.FaceID{1, 2, 3}}, // zone update: soldier, plane, satellite
+		{"/1/3", []ndn.FaceID{2, 3}},    // sibling zone: plane + satellite only
+		{"/1/", []ndn.FaceID{1, 2, 3}},  // plane airspace visible to all three
+		{"/", []ndn.FaceID{1, 2, 3}},    // satellite visible to all
+		{"/2/4", []ndn.FaceID{3}},       // other region: satellite only
+	}
+	for _, tt := range tests {
+		if got := st.FacesFor(cd.MustParse(tt.pub)); !reflect.DeepEqual(got, tt.want) {
+			t.Errorf("ST.FacesFor(%q) = %v, want %v", tt.pub, got, tt.want)
 		}
-		for _, tt := range tests {
-			got := st.FacesFor(cd.MustParse(tt.pub))
-			if !reflect.DeepEqual(got, tt.want) {
-				t.Errorf("mode %v: FacesFor(%q) = %v, want %v", mode, tt.pub, got, tt.want)
-			}
+		// The filters are far from full here, so the model is exact too.
+		if got := blm.FacesFor(cd.MustParse(tt.pub)); !reflect.DeepEqual(got, tt.want) {
+			t.Errorf("BloomST.FacesFor(%q) = %v, want %v", tt.pub, got, tt.want)
 		}
 	}
 }
 
 func TestSTAddRemove(t *testing.T) {
-	st := NewST(MatchBloomVerified)
+	st := NewST()
 	c := cd.MustParse("/1/2")
 	if !st.Add(1, c) || st.Add(1, c) {
 		t.Error("Add should report novelty")
@@ -54,17 +59,16 @@ func TestSTAddRemove(t *testing.T) {
 	if !st.Remove(1, c) || st.Remove(1, c) {
 		t.Error("Remove should report presence")
 	}
-	// After removal the Bloom filter is rebuilt lazily; no stale delivery.
 	if got := st.FacesFor(c); got != nil {
 		t.Errorf("FacesFor after removal = %v", got)
 	}
-	if st.Len() != 0 || len(st.Faces()) != 0 {
-		t.Error("empty face not garbage collected")
+	if st.Len() != 0 || len(st.Faces()) != 0 || len(st.index) != 0 {
+		t.Error("empty face or index list not garbage collected")
 	}
 }
 
 func TestSTRemoveFace(t *testing.T) {
-	st := NewST(MatchExact)
+	st := NewST()
 	st.Add(1, cd.MustParse("/1"))
 	st.Add(1, cd.MustParse("/2"))
 	st.Add(2, cd.MustParse("/1"))
@@ -74,10 +78,13 @@ func TestSTRemoveFace(t *testing.T) {
 	if got := st.FacesFor(cd.MustParse("/1/1")); !reflect.DeepEqual(got, []ndn.FaceID{2}) {
 		t.Errorf("FacesFor = %v", got)
 	}
+	if st.SubscribedAnywhere(cd.MustParse("/2")) {
+		t.Error("RemoveFace left /2 in the index")
+	}
 }
 
 func TestSTAggregationQueries(t *testing.T) {
-	st := NewST(MatchExact)
+	st := NewST()
 	st.Add(1, cd.MustParse("/1"))
 	st.Add(2, cd.MustParse("/1"))
 	if !st.SubscribedAnywhere(cd.MustParse("/1")) {
@@ -96,8 +103,8 @@ func TestSTAggregationQueries(t *testing.T) {
 }
 
 func TestSTBloomNeverFalseNegative(t *testing.T) {
-	// Property: in MatchBloom mode, every face that MatchExact would select
-	// is also selected (Bloom filters may over-deliver, never under-deliver).
+	// Property: every face the exact index selects, the Bloom model selects
+	// too (Bloom filters may over-deliver, never under-deliver).
 	f := func(subsRaw [20]uint16, pubRaw uint16) bool {
 		mk := func(v uint16) cd.CD {
 			a := int(v) % 5
@@ -111,8 +118,7 @@ func TestSTBloomNeverFalseNegative(t *testing.T) {
 				return cd.MustNew(string(rune('0'+a)), string(rune('0'+b)))
 			}
 		}
-		exact := NewST(MatchExact)
-		blm := NewST(MatchBloom)
+		exact, blm := NewST(), &BloomST{}
 		for i, raw := range subsRaw {
 			face := ndn.FaceID(i % 4)
 			c := mk(raw)
@@ -120,14 +126,9 @@ func TestSTBloomNeverFalseNegative(t *testing.T) {
 			blm.Add(face, c)
 		}
 		pub := mk(pubRaw)
-		want := exact.FacesFor(pub)
 		got := blm.FacesFor(pub)
-		gotSet := map[ndn.FaceID]bool{}
-		for _, f := range got {
-			gotSet[f] = true
-		}
-		for _, f := range want {
-			if !gotSet[f] {
+		for _, f := range exact.FacesFor(pub) {
+			if !slices.Contains(got, f) {
 				return false
 			}
 		}
@@ -139,53 +140,23 @@ func TestSTBloomNeverFalseNegative(t *testing.T) {
 	}
 }
 
-func TestSTBloomVerifiedEqualsExact(t *testing.T) {
-	f := func(subsRaw [16]uint16, pubRaw uint16) bool {
-		mk := func(v uint16) cd.CD {
-			comps := []string{string(rune('a' + int(v)%3))}
-			if v%7 != 0 {
-				comps = append(comps, string(rune('a'+int(v>>3)%3)))
-			}
-			return cd.MustNew(comps...)
-		}
-		exact := NewST(MatchExact)
-		bv := NewST(MatchBloomVerified)
-		for i, raw := range subsRaw {
-			face := ndn.FaceID(i % 5)
-			exact.Add(face, mk(raw))
-			bv.Add(face, mk(raw))
-		}
-		pub := mk(pubRaw)
-		return reflect.DeepEqual(exact.FacesFor(pub), bv.FacesFor(pub))
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 1500}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestSTZeroModeDefaults(t *testing.T) {
-	st := NewST(0)
-	st.Add(1, cd.MustParse("/1"))
-	if got := st.FacesFor(cd.MustParse("/1/2")); !reflect.DeepEqual(got, []ndn.FaceID{1}) {
-		t.Errorf("FacesFor = %v", got)
-	}
-	probes, _ := st.BloomStats()
-	if probes == 0 {
-		t.Error("default mode should use the Bloom fast path")
-	}
-}
-
 func TestSTStringAndCDsOf(t *testing.T) {
-	st := NewST(MatchExact)
+	st := NewST()
 	st.Add(2, cd.MustParse("/b"))
 	st.Add(2, cd.MustParse("/a"))
-	if got := st.CDsOf(2); len(got) != 2 || got[0] != cd.MustParse("/a") {
+	st.Add(3, cd.MustParse("/a"))
+	got := st.CDsOf(2)
+	if len(got) != 2 || got[0] != cd.MustParse("/a") {
 		t.Errorf("CDsOf = %v", got)
+	}
+	got[0] = cd.MustParse("/z") // a copy: the table is unchanged
+	if !st.Subscribed(2, cd.MustParse("/a")) || st.CDsOf(2)[0] != cd.MustParse("/a") {
+		t.Error("CDsOf returned table storage")
 	}
 	if st.CDsOf(9) != nil {
 		t.Error("CDsOf unknown face should be nil")
 	}
-	if got := st.AllCDs(); len(got) != 2 {
+	if got := st.AllCDs(); !reflect.DeepEqual(got, []cd.CD{cd.MustParse("/a"), cd.MustParse("/b")}) {
 		t.Errorf("AllCDs = %v", got)
 	}
 	if s := st.String(); s == "" {
@@ -193,104 +164,119 @@ func TestSTStringAndCDsOf(t *testing.T) {
 	}
 }
 
-// TestSTFacesForMatchesModelUnderChurn drives interleaved Add / Remove /
-// RemoveFace and checks every forwarding query against a model written the
-// way the table used to answer: range a map of faces, keep those holding a
-// prefix of the CD, sort. The exact modes must equal it; the Bloom mode may
-// only add faces. Faces(), Len() and the aggregation queries ride along.
+// TestSTFacesForMatchesModelUnderChurn runs the FuzzSTIndex model check on
+// a long pseudo-random operation stream, so plain `go test` covers
+// thousands of interleaved Add / Remove / RemoveFace steps.
 func TestSTFacesForMatchesModelUnderChurn(t *testing.T) {
-	cds := []cd.CD{cd.Root()}
-	for _, a := range []string{"1", "2", "3"} {
-		cds = append(cds, cd.MustNew(a))
-		for _, b := range []string{"1", "2", "3"} {
-			cds = append(cds, cd.MustNew(a, b))
-		}
-	}
-	for _, mode := range []MatchMode{MatchExact, MatchBloom, MatchBloomVerified} {
-		r := rand.New(rand.NewSource(int64(mode)))
-		st := NewST(mode)
-		model := map[ndn.FaceID]map[string]cd.CD{}
-		for step := 0; step < 4000; step++ {
-			face := ndn.FaceID(r.Intn(12) * 7) // sparse, unordered arrivals
-			c := cds[r.Intn(len(cds))]
-			switch op := r.Intn(10); {
-			case op < 5:
-				_, had := model[face][c.Key()]
-				if model[face] == nil {
-					model[face] = map[string]cd.CD{}
-				}
-				model[face][c.Key()] = c
-				if got := st.Add(face, c); got == had {
-					t.Fatalf("mode %d step %d: Add(%d, %v) = %v with had=%v", mode, step, face, c, got, had)
-				}
-			case op < 9:
-				_, had := model[face][c.Key()]
-				delete(model[face], c.Key())
-				if len(model[face]) == 0 {
-					delete(model, face)
-				}
-				if got := st.Remove(face, c); got != had {
-					t.Fatalf("mode %d step %d: Remove(%d, %v) = %v, want %v", mode, step, face, c, got, had)
-				}
-			default:
-				_, had := model[face]
+	ops := make([]byte, 8000)
+	rand.New(rand.NewSource(3)).Read(ops)
+	checkSTModel(t, ops)
+}
+
+// FuzzSTIndex drives random Add, Remove and RemoveFace calls and checks
+// every query against a brute-force model: a map of exact per-face sets,
+// scanned face by face for each lookup, the way the table worked before it
+// had an index. Results must be equal and sorted at every step, and a held
+// FacesFor result must survive the next step's mutation unchanged.
+func FuzzSTIndex(f *testing.F) {
+	f.Add([]byte{0, 0, 4, 0, 7, 0})
+	f.Add([]byte{0, 0x13, 1, 0x13, 0x05, 0x27, 3, 0x42, 2, 0x13, 7, 0x27})
+	f.Add([]byte{0, 6, 0x04, 6, 0x08, 6, 0x0c, 9, 0x11, 1, 0x05, 2, 0x0c, 0x31})
+	f.Fuzz(checkSTModel)
+}
+
+// stModelCDs is the CD population of the model check: the root, regions,
+// zones and airspace leaves ("/" is the root's), so a publication can hit
+// up to four prefixes.
+var stModelCDs = []cd.CD{
+	cd.Root(), cd.MustParse("/"), cd.MustParse("/1"), cd.MustParse("/2"), cd.MustParse("/1/1"), cd.MustParse("/1/2"),
+	cd.MustParse("/2/1"), cd.MustParse("/1/"), cd.MustParse("/2/"), cd.MustParse("/1/1/"), cd.MustParse("/1/2/"),
+}
+
+// checkSTModel reads ops two bytes per step: the first picks the operation
+// and the face, the second the operand CD and the CD the step publishes.
+func checkSTModel(t *testing.T, ops []byte) {
+	st := NewST()
+	model := map[ndn.FaceID]*cd.Set{}
+	var held, heldCopy []ndn.FaceID
+	for step := 0; step+1 < len(ops); step += 2 {
+		a, b := ops[step], ops[step+1]
+		face := ndn.FaceID(int(a>>3) % 6 * 7) // sparse IDs, unordered arrivals
+		c := stModelCDs[int(b)%len(stModelCDs)]
+		pub := stModelCDs[int(b/16)%len(stModelCDs)]
+		switch a % 8 {
+		case 0, 1, 2, 3:
+			if model[face] == nil {
+				model[face] = cd.NewSet()
+			}
+			if got, want := st.Add(face, c), model[face].Add(c); got != want {
+				t.Fatalf("step %d: Add(%d, %v) = %v, model %v", step, face, c, got, want)
+			}
+		case 4, 5, 6:
+			want := model[face] != nil && model[face].Remove(c)
+			if model[face].Len() == 0 {
 				delete(model, face)
-				if got := st.RemoveFace(face); got != had {
-					t.Fatalf("mode %d step %d: RemoveFace(%d) = %v, want %v", mode, step, face, got, had)
-				}
 			}
+			if got := st.Remove(face, c); got != want {
+				t.Fatalf("step %d: Remove(%d, %v) = %v, model %v", step, face, c, got, want)
+			}
+		default:
+			_, want := model[face]
+			delete(model, face)
+			if got := st.RemoveFace(face); got != want {
+				t.Fatalf("step %d: RemoveFace(%d) = %v, model %v", step, face, got, want)
+			}
+		}
+		if !slices.Equal(held, heldCopy) {
+			t.Fatalf("step %d: a held FacesFor result changed from %v to %v", step, heldCopy, held)
+		}
 
-			pub := cds[r.Intn(len(cds))]
-			var want, faces []ndn.FaceID
-			entries, elsewhere := 0, false
-			for id, subs := range model {
-				faces = append(faces, id)
-				entries += len(subs)
-				if _, ok := subs[pub.Key()]; ok && id != face {
-					elsewhere = true
-				}
-				for _, p := range pub.Prefixes() {
-					if _, ok := subs[p.Key()]; ok {
-						want = append(want, id)
-						break
-					}
-				}
+		var faces, want []ndn.FaceID
+		all, entries, elsewhere := cd.NewSet(), 0, false
+		for id, subs := range model {
+			faces = append(faces, id)
+			entries += subs.Len()
+			if subs.ContainsPrefixOf(pub) {
+				want = append(want, id)
 			}
-			sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-			sort.Slice(faces, func(i, j int) bool { return faces[i] < faces[j] })
+			if id != face && subs.Contains(c) {
+				elsewhere = true
+			}
+			for _, m := range subs.Members() {
+				all.Add(m)
+			}
+		}
+		sort.Slice(faces, func(i, j int) bool { return faces[i] < faces[j] })
+		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
 
-			pairs := PrefixHashes(pub)
-			for name, got := range map[string][]ndn.FaceID{
-				"FacesFor":       append([]ndn.FaceID(nil), st.FacesFor(pub)...),
-				"FacesForHashed": append([]ndn.FaceID(nil), st.FacesForHashed(pub, pairs)...),
-				"FacesForFlat":   append([]ndn.FaceID(nil), st.FacesForFlat(pub, FlattenHashes(pairs))...),
-			} {
-				if !sort.SliceIsSorted(got, func(i, j int) bool { return got[i] < got[j] }) {
-					t.Fatalf("mode %d step %d: %s(%v) = %v is not sorted", mode, step, name, pub, got)
-				}
-				if mode == MatchBloom {
-					in := map[ndn.FaceID]bool{}
-					for _, f := range got {
-						in[f] = true
-					}
-					for _, f := range want {
-						if !in[f] {
-							t.Fatalf("mode %d step %d: %s(%v) = %v misses face %d", mode, step, name, pub, got, f)
-						}
-					}
-				} else if !reflect.DeepEqual(got, want) {
-					t.Fatalf("mode %d step %d: %s(%v) = %v, model %v", mode, step, name, pub, got, want)
-				}
-			}
-			if got := st.Faces(); !reflect.DeepEqual(got, append([]ndn.FaceID{}, faces...)) {
-				t.Fatalf("mode %d step %d: Faces() = %v, model %v", mode, step, got, faces)
-			}
-			if st.Len() != entries {
-				t.Fatalf("mode %d step %d: Len() = %d, model %d", mode, step, st.Len(), entries)
-			}
-			if got := st.SubscribedElsewhere(pub, face); got != elsewhere {
-				t.Fatalf("mode %d step %d: SubscribedElsewhere(%v, %d) = %v, model %v", mode, step, pub, face, got, elsewhere)
-			}
+		if got := st.FacesForFlat(pub, nil); !slices.Equal(got, want) {
+			t.Fatalf("step %d: FacesForFlat(%v) = %v, model %v", step, pub, got, want)
+		}
+		held = st.FacesFor(pub)
+		heldCopy = slices.Clone(held)
+		if !slices.Equal(held, want) || (held == nil) != (len(want) == 0) {
+			t.Fatalf("step %d: FacesFor(%v) = %v, model %v", step, pub, held, want)
+		}
+		if got := st.Faces(); !slices.Equal(got, faces) {
+			t.Fatalf("step %d: Faces() = %v, model %v", step, got, faces)
+		}
+		if st.Len() != entries {
+			t.Fatalf("step %d: Len() = %d, model %d", step, st.Len(), entries)
+		}
+		if got, want := st.CDsOf(face), model[face].Members(); !slices.Equal(got, want) || (got == nil) != (want == nil) {
+			t.Fatalf("step %d: CDsOf(%d) = %v, model %v", step, face, got, want)
+		}
+		if got := st.AllCDs(); !slices.Equal(got, all.Members()) {
+			t.Fatalf("step %d: AllCDs() = %v, model %v", step, got, all.Members())
+		}
+		if got, want := st.Subscribed(face, c), model[face].Contains(c); got != want {
+			t.Fatalf("step %d: Subscribed(%d, %v) = %v, model %v", step, face, c, got, want)
+		}
+		if got, want := st.SubscribedAnywhere(c), all.Contains(c); got != want {
+			t.Fatalf("step %d: SubscribedAnywhere(%v) = %v, model %v", step, c, got, want)
+		}
+		if got := st.SubscribedElsewhere(c, face); got != elsewhere {
+			t.Fatalf("step %d: SubscribedElsewhere(%v, %d) = %v, model %v", step, c, face, got, elsewhere)
 		}
 	}
 }

@@ -51,8 +51,8 @@ func mixedBurst() []*wire.Packet {
 	h12 := copss.FlattenHashes(copss.PrefixHashes(cd.MustParse("/1/2")))
 	return []*wire.Packet{
 		hashedMulticastFor("/1/2", 1, h12),
-		hashedMulticastFor("/1/2", 2, h12), // same slice: pointer-equal group
-		hashedMulticastFor("/1/2", 3, nil), // equal content, distinct slice
+		hashedMulticastFor("/1/2", 2, h12), // same CD, shared hash slice: one group
+		hashedMulticastFor("/1/2", 3, nil), // same CD, own hash slice: same group
 		hashedMulticastFor("/2/9", 4, nil), // new group: different CD
 		{Type: wire.TypeMulticast, CDs: []cd.CD{cd.MustParse("/1/2")},
 			Origin: FlushOrigin, Name: FlushOrigin + "/X"}, // fallback: marker

@@ -161,7 +161,7 @@ type Router struct {
 
 	// hashes memoizes the flat prefix-hash vectors this router stamps into
 	// client publications at the first hop (Section III-C), so republishing
-	// the same area CD costs a map hit, not a rehash.
+	// the same area CD costs a map hit, not a rehash. No ST reads them.
 	hashes *copss.HashCache
 
 	// rel is the reusable ARQ-stamping sink HandlePacketTo threads through
@@ -240,7 +240,7 @@ func NewRouter(name string, opts ...Option) *Router {
 	for _, o := range opts {
 		o(r)
 	}
-	r.st = copss.NewST(copss.MatchBloomVerified)
+	r.st = copss.NewST()
 	r.hashes = copss.NewHashCache(0)
 	if r.tracer != nil {
 		r.ring = r.tracer.Ring(name)
@@ -389,7 +389,9 @@ func (r *Router) AddFace(id ndn.FaceID, kind FaceKind) {
 }
 
 // RemoveFace drops a face and its subscriptions, along with any ARQ state
-// bound to it (a reconnecting peer re-syncs from scratch).
+// bound to it. It sends nothing upstream and re-syncs nothing: FIB next hops,
+// upstream and propagated entries through the face stay behind, and a peer
+// that reconnects on a new face gets no subscription or route state resent.
 func (r *Router) RemoveFace(id ndn.FaceID) {
 	delete(r.faces, id)
 	r.st.RemoveFace(id)
@@ -697,12 +699,13 @@ func (r *Router) handleMulticast(now time.Time, from ndn.FaceID, pkt *wire.Packe
 			r.drop(now, from, pkt, "no RP covers CD")
 			return
 		}
-		// First-hop optimization (Section III-C): attach the memoized Bloom
-		// hash pairs of the CD's prefixes once, here, and carry them with
-		// the packet so every downstream ST probe is a bit comparison. The
-		// first hop is also where the causal tracer samples publications;
-		// both stamps go on one copy-on-write shallow copy, since the
-		// arrival packet may be aliased by the sender.
+		// First-hop stamp (Section III-C): attach the memoized Bloom hash
+		// pairs of the CD's prefixes. The paper's routers probe their Bloom
+		// ST with them; the exact ST reads none, and the vector stays only
+		// so the wire format is unchanged. The first hop is also where the
+		// causal tracer samples publications; both stamps go on one
+		// copy-on-write shallow copy, since the arrival packet may be
+		// aliased by the sender.
 		hashes, tid := pkt.CDHashes, pkt.TraceID
 		if len(hashes) == 0 {
 			hashes = r.hashes.FlatFor(c)
@@ -782,10 +785,7 @@ func (r *Router) distribute(now time.Time, from ndn.FaceID, pkt *wire.Packet, si
 		r.drop(now, from, pkt, "multicast without CD")
 		return
 	}
-	// With no (or an inconsistent) precomputed hash vector FacesForFlat
-	// hashes the prefixes itself, so one call covers stamped and unstamped
-	// packets.
-	faces := r.st.FacesForFlat(c, pkt.CDHashes)
+	faces := r.st.FacesFor(c)
 	if len(faces) == 0 {
 		return
 	}

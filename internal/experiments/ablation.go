@@ -17,7 +17,8 @@ import (
 // AblationResult quantifies the design choices DESIGN.md calls out:
 //
 //  1. Forwarding-decision cost of the hierarchical-CD Subscription Table
-//     (exact, Bloom, Bloom with the first-hop hash optimization) versus a
+//     (the routers' exact index, and the paper's per-face Bloom filters
+//     with and without the first-hop hash optimization) versus a
 //     Mercury-style coordinate-range table — the related-work claim that
 //     range matching "increases the computation overhead for forwarding".
 //  2. Delivery precision: the range system's over-delivery factor caused by
@@ -49,8 +50,8 @@ func Ablation(w *Workbench) (*AblationResult, error) {
 
 	// --- Study 1 & 2: forwarding cost and precision at one node carrying
 	// the 62-player population (2 players per area).
-	exact := copss.NewST(copss.MatchExact)
-	blm := copss.NewST(copss.MatchBloom)
+	exact := copss.NewST()
+	blm := &copss.BloomST{}
 	geo := rangesub.NewGeometry(m)
 	rng := rangesub.NewTable()
 	face := ndn.FaceID(0)
@@ -78,10 +79,10 @@ func Ablation(w *Workbench) (*AblationResult, error) {
 
 	// Each matcher reports its median over many short interleaved rounds. The
 	// arms alternate within a round, so a spell of host interference lands on
-	// all of them rather than on one, and two arms that do the same work (the
-	// ST memoizes prefix hashes, so Bloom with and without first-hop hashes
-	// do) read the same. The median, not the minimum: on a shared host the
-	// fastest round is a rare quiet slot that only one arm happens to catch.
+	// all of them rather than on one. The plain Bloom arm hashes the CD's
+	// prefixes on every decision; the first-hop arm is handed them. The
+	// median, not the minimum: on a shared host the fastest round is a rare
+	// quiet slot that only one arm happens to catch.
 	arms := [...]struct {
 		ns *float64
 		fn func()
@@ -115,8 +116,8 @@ func Ablation(w *Workbench) (*AblationResult, error) {
 
 	// --- Study 3: hierarchical aggregation vs flattened subscriptions for
 	// the full 414-player trace population.
-	rpST := copss.NewST(copss.MatchExact)
-	flatST := copss.NewST(copss.MatchExact)
+	rpST := copss.NewST()
+	flatST := copss.NewST()
 	for pi, p := range w.Trace.Players {
 		area, ok := m.Area(p.Area)
 		if !ok {
@@ -165,7 +166,7 @@ func (r *AblationResult) Render() string {
 		Headers: []string{"matcher", "ns/decision", "vs bloom"},
 	}
 	rel := func(v float64) string { return fmt.Sprintf("%.2fx", v/r.BloomNs) }
-	t1.AddRow("ST exact sets", fmt.Sprintf("%.0f", r.ExactNs), rel(r.ExactNs))
+	t1.AddRow("ST exact index", fmt.Sprintf("%.0f", r.ExactNs), rel(r.ExactNs))
 	t1.AddRow("ST Bloom", fmt.Sprintf("%.0f", r.BloomNs), rel(r.BloomNs))
 	t1.AddRow("ST Bloom + first-hop hashes", fmt.Sprintf("%.0f", r.BloomPrehashNs), rel(r.BloomPrehashNs))
 	t1.AddRow("coordinate ranges (Mercury-style)", fmt.Sprintf("%.0f", r.RangeNs), rel(r.RangeNs))

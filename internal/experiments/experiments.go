@@ -33,12 +33,6 @@ type Options struct {
 	Trace *obstrace.Tracer
 }
 
-// DefaultOptions runs at 5% scale — large enough for every effect in the
-// paper to be visible, small enough for interactive use.
-func DefaultOptions() Options {
-	return Options{Scale: 0.05, Seed: 42}
-}
-
 // Provenance records the inputs that make a result replayable. Every result
 // embeds one and leads its Render output with it, so a number in a report
 // can always be traced back to the exact run that produced it.

@@ -100,8 +100,5 @@ func (w *Window) Advertise(n int) {
 // CWnd returns the current congestion window.
 func (w *Window) CWnd() int { return w.cwnd }
 
-// Advertised returns the last receiver-advertised credit (0 if none).
-func (w *Window) Advertised() int { return w.adv }
-
 // InFlight returns the number of units currently in flight.
 func (w *Window) InFlight() int { return w.inflight }

@@ -111,9 +111,6 @@ func (h *Histogram) Count() uint64 { return h.count.Load() }
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
 
-// Bounds returns a copy of the bucket upper bounds.
-func (h *Histogram) Bounds() []float64 { return append([]float64(nil), h.bounds...) }
-
 // Quantile estimates the q-quantile (q in [0, 1]) from the bucket counts by
 // log-linear interpolation, matching the log-spaced bucket layout: within
 // the bucket holding the target rank, the value is interpolated on a
