@@ -347,16 +347,14 @@ func BenchmarkRouterMulticastBurst(b *testing.B) {
 			}
 			r.AddFace(1000, core.FaceRouter)
 			c := cd.MustParse("/3/4")
-			hashes := copss.FlattenHashes(copss.PrefixHashes(c))
 			pkts := make([]*wire.Packet, width)
 			for i := range pkts {
 				pkts[i] = &wire.Packet{
-					Type:     wire.TypeMulticast,
-					CDs:      []cd.CD{c},
-					Origin:   "p",
-					Seq:      uint64(i + 1),
-					Payload:  make([]byte, 200),
-					CDHashes: hashes,
+					Type:    wire.TypeMulticast,
+					CDs:     []cd.CD{c},
+					Origin:  "p",
+					Seq:     uint64(i + 1),
+					Payload: make([]byte, 200),
 				}
 			}
 			now := time.Unix(0, 0)
@@ -472,13 +470,11 @@ func BenchmarkRouterDistribute(b *testing.B) {
 				r.AddFace(f, core.FaceClient)
 				r.HandlePacketTo(time.Unix(0, 0), f, sub, &sink)
 			}
-			c := cd.MustParse("/1/2")
 			pkt := &wire.Packet{
-				Type:     wire.TypeMulticast,
-				CDs:      []cd.CD{c},
-				Origin:   "p",
-				Payload:  make([]byte, 200),
-				CDHashes: copss.FlattenHashes(copss.PrefixHashes(c)),
+				Type:    wire.TypeMulticast,
+				CDs:     []cd.CD{cd.MustParse("/1/2")},
+				Origin:  "p",
+				Payload: make([]byte, 200),
 			}
 			now := time.Unix(1, 0)
 			// The hot path pushes into a reused sink, exactly as the testbed

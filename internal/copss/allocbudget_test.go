@@ -77,26 +77,3 @@ func TestFacesForFlatEquivalence(t *testing.T) {
 		}
 	}
 }
-
-// TestHashCache covers the first-hop hash memoization: stable vectors per
-// CD, and a wholesale reset instead of unbounded growth.
-func TestHashCache(t *testing.T) {
-	hc := NewHashCache(2)
-	c1, c2 := cd.MustParse("/1"), cd.MustParse("/2")
-	v1 := hc.FlatFor(c1)
-	if len(v1) != 2*(c1.Len()+1) {
-		t.Fatalf("FlatFor length = %d, want %d", len(v1), 2*(c1.Len()+1))
-	}
-	if &hc.FlatFor(c1)[0] != &v1[0] {
-		t.Error("FlatFor did not memoize")
-	}
-	hc.FlatFor(c2)
-	if hc.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", hc.Len())
-	}
-	// Cap reached: the next distinct CD resets the cache wholesale.
-	hc.FlatFor(cd.MustParse("/3"))
-	if hc.Len() != 1 {
-		t.Fatalf("Len after reset = %d, want 1", hc.Len())
-	}
-}

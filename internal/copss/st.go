@@ -145,7 +145,7 @@ func (st *ST) FacesFor(c cd.CD) []ndn.FaceID {
 
 // FacesForFlat is FacesFor; it ignores flat.
 //
-// Deprecated: the ST no longer reads the first-hop hash vector
+// Deprecated: no packet carries the first-hop hash vector any more
 // (wire.Packet.CDHashes). Only the benchmark's layer probes still call this.
 func (st *ST) FacesForFlat(c cd.CD, flat []uint64) []ndn.FaceID {
 	return st.FacesFor(c)
@@ -157,17 +157,19 @@ func (st *ST) Subscribed(face ndn.FaceID, c cd.CD) bool {
 	return ok
 }
 
-// SubscribedAnywhere reports whether any face holds an exact subscription to
-// c.
-func (st *ST) SubscribedAnywhere(c cd.CD) bool {
-	return len(st.index[c.Key()]) > 0
-}
-
-// SubscribedElsewhere reports whether a face other than except subscribes to
-// c exactly.
-func (st *ST) SubscribedElsewhere(c cd.CD, except ndn.FaceID) bool {
-	fs := st.index[c.Key()]
-	return len(fs) > 1 || len(fs) == 1 && fs[0] != except
+// AnyIntersecting reports whether any face subscribes to a CD that
+// intersects d: a prefix of d, d itself, or a CD under d. A router asks it
+// before withdrawing d upstream. It walks the per-face CD lists in place and
+// allocates nothing (TestUnsubscribeCoveredAllocFree in internal/core).
+func (st *ST) AnyIntersecting(d cd.CD) bool {
+	for _, e := range st.faces {
+		for _, c := range e.cds {
+			if c.Intersects(d) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // CDsOf returns the sorted CDs face is subscribed to, in a new slice.
@@ -220,8 +222,8 @@ func (st *ST) String() string {
 // first): the paper's first-hop optimization hashes them once and carries
 // them in the packet, so a Bloom ST probes without re-hashing.
 //
-// Deprecated: no router ST reads the vector. Only the first-hop stamp
-// (HashCache), the BloomST model and the benchmark's layer probes use it.
+// Only the BloomST model, the ablation and the benchmark's layer probes use
+// it; no router computes it.
 func PrefixHashes(c cd.CD) []bloom.HashPair {
 	prefixes := c.Prefixes()
 	out := make([]bloom.HashPair, len(prefixes))
@@ -231,11 +233,11 @@ func PrefixHashes(c cd.CD) []bloom.HashPair {
 	return out
 }
 
-// FlattenHashes converts pairs to the packet representation (two uint64
-// per pair).
+// FlattenHashes converts pairs to the flat form the wire once carried (two
+// uint64 per pair).
 //
-// Deprecated: no router ST reads the vector. Only the first-hop stamp
-// (HashCache) and the benchmark's layer probes use it.
+// Deprecated: no packet carries the vector any more (wire.Packet.CDHashes).
+// Only the benchmark's layer probes still call this.
 func FlattenHashes(pairs []bloom.HashPair) []uint64 {
 	out := make([]uint64, 0, len(pairs)*2)
 	for _, p := range pairs {

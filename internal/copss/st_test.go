@@ -78,27 +78,41 @@ func TestSTRemoveFace(t *testing.T) {
 	if got := st.FacesFor(cd.MustParse("/1/1")); !reflect.DeepEqual(got, []ndn.FaceID{2}) {
 		t.Errorf("FacesFor = %v", got)
 	}
-	if st.SubscribedAnywhere(cd.MustParse("/2")) {
-		t.Error("RemoveFace left /2 in the index")
+	if st.AnyIntersecting(cd.MustParse("/2")) {
+		t.Error("RemoveFace left /2 in the table")
 	}
 }
 
+// TestSTAggregationQueries pins AnyIntersecting, the question a router asks
+// before withdrawing a CD upstream: a subscription to a prefix of the CD,
+// the CD itself or a CD under it keeps it; a sibling or an airspace leaf
+// beside it does not.
 func TestSTAggregationQueries(t *testing.T) {
 	st := NewST()
-	st.Add(1, cd.MustParse("/1"))
-	st.Add(2, cd.MustParse("/1"))
-	if !st.SubscribedAnywhere(cd.MustParse("/1")) {
-		t.Error("SubscribedAnywhere false negative")
+	st.Add(1, cd.MustParse("/1/2"))
+	st.Add(2, cd.MustParse("/3/"))
+	for _, tc := range []struct {
+		d    string
+		want bool
+	}{
+		{"", true},      // the root covers every subscription
+		{"/", false},    // the root's airspace leaf covers only itself
+		{"/1", true},    // /1/2 lies under /1
+		{"/1/2", true},  // exact
+		{"/1/2/", true}, // /1/2 is a prefix of its airspace leaf
+		{"/1/3", false}, // sibling
+		{"/1/", false},  // /1's airspace leaf is beside /1/2, not above it
+		{"/3", true},    // /3/ is under /3
+		{"/3/1", false}, // /3/ covers only itself
+		{"/2", false},
+	} {
+		if got := st.AnyIntersecting(cd.MustParse(tc.d)); got != tc.want {
+			t.Errorf("AnyIntersecting(%s) = %v, want %v", tc.d, got, tc.want)
+		}
 	}
-	if st.SubscribedAnywhere(cd.MustParse("/2")) {
-		t.Error("SubscribedAnywhere false positive")
-	}
-	if !st.SubscribedElsewhere(cd.MustParse("/1"), 1) {
-		t.Error("SubscribedElsewhere should see face 2")
-	}
-	st.Remove(2, cd.MustParse("/1"))
-	if st.SubscribedElsewhere(cd.MustParse("/1"), 1) {
-		t.Error("SubscribedElsewhere should be false with only face 1 left")
+	st.Remove(1, cd.MustParse("/1/2"))
+	if st.AnyIntersecting(cd.MustParse("/1")) {
+		t.Error("AnyIntersecting(/1) true after the only subscription under it left")
 	}
 }
 
@@ -232,18 +246,16 @@ func checkSTModel(t *testing.T, ops []byte) {
 		}
 
 		var faces, want []ndn.FaceID
-		all, entries, elsewhere := cd.NewSet(), 0, false
+		all, entries, intersecting := cd.NewSet(), 0, false
 		for id, subs := range model {
 			faces = append(faces, id)
 			entries += subs.Len()
 			if subs.ContainsPrefixOf(pub) {
 				want = append(want, id)
 			}
-			if id != face && subs.Contains(c) {
-				elsewhere = true
-			}
 			for _, m := range subs.Members() {
 				all.Add(m)
+				intersecting = intersecting || m.Intersects(c)
 			}
 		}
 		sort.Slice(faces, func(i, j int) bool { return faces[i] < faces[j] })
@@ -272,11 +284,8 @@ func checkSTModel(t *testing.T, ops []byte) {
 		if got, want := st.Subscribed(face, c), model[face].Contains(c); got != want {
 			t.Fatalf("step %d: Subscribed(%d, %v) = %v, model %v", step, face, c, got, want)
 		}
-		if got, want := st.SubscribedAnywhere(c), all.Contains(c); got != want {
-			t.Fatalf("step %d: SubscribedAnywhere(%v) = %v, model %v", step, c, got, want)
-		}
-		if got := st.SubscribedElsewhere(c, face); got != elsewhere {
-			t.Fatalf("step %d: SubscribedElsewhere(%v, %d) = %v, model %v", step, c, face, got, elsewhere)
+		if got := st.AnyIntersecting(c); got != intersecting {
+			t.Fatalf("step %d: AnyIntersecting(%v) = %v, model %v", step, c, got, intersecting)
 		}
 	}
 }

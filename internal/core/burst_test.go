@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"github.com/icn-gaming/gcopss/internal/cd"
-	"github.com/icn-gaming/gcopss/internal/copss"
 	"github.com/icn-gaming/gcopss/internal/ndn"
 	"github.com/icn-gaming/gcopss/internal/wire"
 )
@@ -33,33 +32,28 @@ func burstRouter(t testing.TB) *Router {
 	return r
 }
 
-func hashedMulticastFor(key string, seq uint64, hashes []uint64) *wire.Packet {
-	c := cd.MustParse(key)
-	if hashes == nil {
-		hashes = copss.FlattenHashes(copss.PrefixHashes(c))
-	}
+func multicastFor(key string, seq uint64) *wire.Packet {
 	return &wire.Packet{
-		Type: wire.TypeMulticast, CDs: []cd.CD{c}, Payload: []byte("mv"),
-		Origin: "player-0", Seq: seq, SentAt: 5, CDHashes: hashes,
+		Type: wire.TypeMulticast, CDs: []cd.CD{cd.MustParse(key)}, Payload: []byte("mv"),
+		Origin: "player-0", Seq: seq, SentAt: 5,
 	}
 }
 
 // mixedBurst builds a burst interleaving groupable multicast runs with
-// fallback traffic: two CDs, a shared-slice hash vector, an unhashed
-// multicast, a flush marker, a Subscribe and an Ack.
+// fallback traffic: two CDs, an unstamped multicast, a flush marker, a
+// Subscribe and an Ack.
 func mixedBurst() []*wire.Packet {
-	h12 := copss.FlattenHashes(copss.PrefixHashes(cd.MustParse("/1/2")))
 	return []*wire.Packet{
-		hashedMulticastFor("/1/2", 1, h12),
-		hashedMulticastFor("/1/2", 2, h12), // same CD, shared hash slice: one group
-		hashedMulticastFor("/1/2", 3, nil), // same CD, own hash slice: same group
-		hashedMulticastFor("/2/9", 4, nil), // new group: different CD
+		multicastFor("/1/2", 1),
+		multicastFor("/1/2", 2), // same CD: one group
+		multicastFor("/1/2", 3),
+		multicastFor("/2/9", 4), // new group: different CD
 		{Type: wire.TypeMulticast, CDs: []cd.CD{cd.MustParse("/1/2")},
 			Origin: FlushOrigin, Name: FlushOrigin + "/X"}, // fallback: marker
 		{Type: wire.TypeSubscribe, CDs: []cd.CD{cd.MustParse("/1/7")}}, // fallback: ST mutation
-		hashedMulticastFor("/1/2", 5, h12),                             // new run after the fallback break
+		multicastFor("/1/2", 5),                                        // new run after the fallback break
 		{Type: wire.TypeAck, CtlSeq: 99},                               // fallback: consumed silently
-		{Type: wire.TypeMulticast, CDs: []cd.CD{cd.MustParse("/1/2")}}, // no hashes: FacesFor path
+		{Type: wire.TypeMulticast, CDs: []cd.CD{cd.MustParse("/1/2")}}, // unstamped: no SentAt
 	}
 }
 
@@ -123,10 +117,9 @@ func TestHandleBurstMatchesSequential(t *testing.T) {
 // action of a grouped run carries its arrival packet itself, unchanged.
 func TestHandleBurstForwardsArrival(t *testing.T) {
 	r := burstRouter(t)
-	h := copss.FlattenHashes(copss.PrefixHashes(cd.MustParse("/1/2")))
 	pkts := []*wire.Packet{
-		hashedMulticastFor("/1/2", 1, h),
-		hashedMulticastFor("/1/2", 2, h),
+		multicastFor("/1/2", 1),
+		multicastFor("/1/2", 2),
 	}
 	before := []wire.Packet{*pkts[0], *pkts[1]}
 	var sink ndn.SliceSink
@@ -152,10 +145,9 @@ func TestHandleBurstForwardsArrival(t *testing.T) {
 func TestHandleBurstAllocBudget(t *testing.T) {
 	for _, width := range []int{16, 32} {
 		r := fanOutRouter(t, 8)
-		h := copss.FlattenHashes(copss.PrefixHashes(cd.MustParse("/1/2")))
 		pkts := make([]*wire.Packet, width)
 		for i := range pkts {
-			pkts[i] = hashedMulticastFor("/1/2", uint64(i+1), h)
+			pkts[i] = multicastFor("/1/2", uint64(i+1))
 		}
 		now := time.Unix(1, 0)
 		var sink ndn.SliceSink

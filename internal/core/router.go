@@ -159,11 +159,6 @@ type Router struct {
 	tracer *trace.Tracer
 	ring   *trace.Ring
 
-	// hashes memoizes the flat prefix-hash vectors this router stamps into
-	// client publications at the first hop (Section III-C), so republishing
-	// the same area CD costs a map hit, not a rehash. No ST reads them.
-	hashes *copss.HashCache
-
 	// rel is the reusable ARQ-stamping sink HandlePacketTo threads through
 	// dispatch; keeping it on the router avoids an allocation per packet.
 	// Routers are single-threaded packet processors, so reuse is safe.
@@ -241,7 +236,6 @@ func NewRouter(name string, opts ...Option) *Router {
 		o(r)
 	}
 	r.st = copss.NewST()
-	r.hashes = copss.NewHashCache(0)
 	if r.tracer != nil {
 		r.ring = r.tracer.Ring(name)
 	}
@@ -699,17 +693,12 @@ func (r *Router) handleMulticast(now time.Time, from ndn.FaceID, pkt *wire.Packe
 			r.drop(now, from, pkt, "no RP covers CD")
 			return
 		}
-		// First-hop stamp (Section III-C): attach the memoized Bloom hash
-		// pairs of the CD's prefixes. The paper's routers probe their Bloom
-		// ST with them; the exact ST reads none, and the vector stays only
-		// so the wire format is unchanged. The first hop is also where the
-		// causal tracer samples publications; both stamps go on one
-		// copy-on-write shallow copy, since the arrival packet may be
-		// aliased by the sender.
-		hashes, tid := pkt.CDHashes, pkt.TraceID
-		if len(hashes) == 0 {
-			hashes = r.hashes.FlatFor(c)
-		}
+		// The first hop is where the causal tracer samples publications.
+		// A new TraceID goes on a copy-on-write shallow copy, since the
+		// arrival packet may be aliased by the sender. The paper's first hop
+		// also stamps the CD's Bloom prefix hashes here (Section III-C); the
+		// exact ST reads none, so this one does not.
+		tid := pkt.TraceID
 		if tid == 0 {
 			tid = r.tracer.SampleID(pkt.Origin, pkt.Seq)
 		}
@@ -717,9 +706,9 @@ func (r *Router) handleMulticast(now time.Time, from ndn.FaceID, pkt *wire.Packe
 			// Publisher attached directly to the RP: skip encapsulation.
 			// Delivery matches the encapsulated path (all matching faces,
 			// including the publisher's own if subscribed).
-			if len(pkt.CDHashes) == 0 || tid != pkt.TraceID {
+			if tid != pkt.TraceID {
 				cp := *pkt
-				cp.CDHashes, cp.TraceID = hashes, tid
+				cp.TraceID = tid
 				pkt = &cp
 			}
 			r.drainPendingPrunes(sink)
@@ -732,10 +721,10 @@ func (r *Router) handleMulticast(now time.Time, from ndn.FaceID, pkt *wire.Packe
 			r.distribute(now, -1, pkt, sink)
 			return
 		}
-		// Toward a remote RP the stamped copy and the outer Interest are
-		// one allocation.
+		// Toward a remote RP the TraceID-stamped copy and the outer Interest
+		// are one allocation.
 		rec := &encapsulation{inner: *pkt}
-		rec.inner.CDHashes, rec.inner.TraceID = hashes, tid
+		rec.inner.TraceID = tid
 		r.ctr.publishEncapsulated.Inc()
 		r.publishToward(now, rpName, c, &rec.inner, &rec.outer, sink)
 		return
@@ -743,8 +732,8 @@ func (r *Router) handleMulticast(now time.Time, from ndn.FaceID, pkt *wire.Packe
 	r.distribute(now, from, pkt, sink)
 }
 
-// encapsulation is a first-hop publication's stamped copy and the Interest
-// that carries it toward the RP, allocated together.
+// encapsulation is a first-hop publication's TraceID-stamped copy and the
+// Interest that carries it toward the RP, allocated together.
 type encapsulation struct{ inner, outer wire.Packet }
 
 // publishToward encapsulates a Multicast of CD c into outer, an Interest
@@ -870,6 +859,9 @@ func (r *Router) handleUnsubscribe(now time.Time, from ndn.FaceID, pkt *wire.Pac
 		if !r.st.Remove(from, c) {
 			continue
 		}
+		if r.st.FacesFor(c) != nil {
+			continue // c or a prefix of it is still subscribed: every narrowed CD is needed
+		}
 		for _, rpName := range r.rpt.IntersectingRPs(c) {
 			if r.IsRP(rpName) {
 				continue
@@ -894,7 +886,7 @@ func (r *Router) withdrawIfUnneeded(rpName string, d cd.CD, sink ndn.ActionSink)
 	if prop == nil || !prop.Contains(d) {
 		return
 	}
-	if r.anySubscriberNeeds(d) {
+	if r.st.AnyIntersecting(d) {
 		return
 	}
 	prop.Remove(d)
@@ -907,8 +899,8 @@ func (r *Router) withdrawIfUnneeded(rpName string, d cd.CD, sink ndn.ActionSink)
 		CDs:  []cd.CD{d},
 	}})
 	// Finer subscriptions previously covered by d must be re-propagated.
+	info, _ := r.rpt.Get(rpName)
 	for _, remaining := range r.st.AllCDs() {
-		info, _ := r.rpt.Get(rpName)
 		for _, p := range info.Prefixes {
 			if !p.Intersects(remaining) {
 				continue
@@ -927,17 +919,6 @@ func (r *Router) withdrawIfUnneeded(rpName string, d cd.CD, sink ndn.ActionSink)
 			}})
 		}
 	}
-}
-
-// anySubscriberNeeds reports whether any ST entry still requires delivery of
-// publications under the narrowed CD d (i.e. intersects d's subtree).
-func (r *Router) anySubscriberNeeds(d cd.CD) bool {
-	for _, c := range r.st.AllCDs() {
-		if c.Intersects(d) {
-			return true
-		}
-	}
-	return false
 }
 
 // upstreamFaceFor returns the face leading toward an RP, preferring the

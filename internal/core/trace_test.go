@@ -306,7 +306,7 @@ func TestTracerAttachedDisabledAllocBudget(t *testing.T) {
 			r.AddFace(f, FaceClient)
 			handle(r, time.Unix(0, 0), f, sub("/1"))
 		}
-		pkt := hashedMulticast()
+		pkt := fanOutMulticast()
 		now := time.Unix(1, 0)
 		var sink ndn.SliceSink
 		r.HandlePacketTo(now, 1000, pkt, &sink)

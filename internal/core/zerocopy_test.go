@@ -29,14 +29,12 @@ func fanOutRouter(t testing.TB, nClients int) *Router {
 	return r
 }
 
-func hashedMulticast() *wire.Packet {
-	c := cd.MustParse("/1/2")
+func fanOutMulticast() *wire.Packet {
 	return &wire.Packet{
-		Type:     wire.TypeMulticast,
-		CDs:      []cd.CD{c},
-		Payload:  make([]byte, 200),
-		Origin:   "player-0",
-		CDHashes: copss.FlattenHashes(copss.PrefixHashes(c)),
+		Type:    wire.TypeMulticast,
+		CDs:     []cd.CD{cd.MustParse("/1/2")},
+		Payload: make([]byte, 200),
+		Origin:  "player-0",
 	}
 }
 
@@ -44,7 +42,7 @@ func hashedMulticast() *wire.Packet {
 // action of an N-face fan-out carries the arrival packet itself, unchanged.
 func TestDistributeFanOutShares(t *testing.T) {
 	r := fanOutRouter(t, 8)
-	pkt := hashedMulticast()
+	pkt := fanOutMulticast()
 	before := *pkt
 	out := handle(r, time.Unix(1, 0), 1000, pkt)
 	if len(out) != 8 {
@@ -67,7 +65,7 @@ func TestDistributeFanOutShares(t *testing.T) {
 func TestDistributeAllocBudget(t *testing.T) {
 	for _, n := range []int{4, 64} {
 		r := fanOutRouter(t, n)
-		pkt := hashedMulticast()
+		pkt := fanOutMulticast()
 		now := time.Unix(1, 0)
 		var sink ndn.SliceSink
 		r.HandlePacketTo(now, 1000, pkt, &sink) // warm ST scratch, caches, sink capacity
@@ -108,7 +106,7 @@ func TestFloodExceptAllocFree(t *testing.T) {
 func TestSharedFanOutNoConcurrentMutation(t *testing.T) {
 	const downstreams = 8
 	up := fanOutRouter(t, 2)
-	pkt := hashedMulticast()
+	pkt := fanOutMulticast()
 	out := handle(up, time.Unix(1, 0), 1000, pkt)
 	if len(out) == 0 {
 		t.Fatal("no fan-out to exercise")
@@ -139,11 +137,67 @@ func TestSharedFanOutNoConcurrentMutation(t *testing.T) {
 	wg.Wait()
 }
 
-// TestFirstHopPublishAllocBudget pins what a first-hop router allocates to
-// send a client's publication toward a remote RP: one record holding the
-// stamped copy and the outer Interest, the encapsulation name, and the inner
-// packet's encoding that the Interest carries — nothing else.
+// TestFirstHopPublishAllocBudget pins what a first-hop router allocates for
+// an untraced client publication. Toward a remote RP: one record holding the
+// copy and the outer Interest, the encapsulation name, and the inner
+// packet's encoding that the Interest carries — nothing else. On the RP
+// itself the publication is distributed as it arrived, with no copy: only a
+// new TraceID would need one.
 func TestFirstHopPublishAllocBudget(t *testing.T) {
+	info := copss.RPInfo{Name: "/rp1", Prefixes: []cd.CD{cd.MustParse("/1")}, Seq: 1}
+	rp := NewRouter("RP")
+	rp.AddFace(1, FaceRouter)
+	rp.AddFace(2, FaceClient)
+	rp.AddFace(3, FaceClient)
+	announce, err := becomeRP(rp, info)
+	if err != nil || len(announce) != 1 {
+		t.Fatalf("become RP: %d actions, err %v", len(announce), err)
+	}
+	now := time.Unix(1, 0)
+	handle(rp, now, 3, &wire.Packet{Type: wire.TypeSubscribe, CDs: []cd.CD{cd.MustParse("/1")}})
+	r := NewRouter("R")
+	r.AddFace(1, FaceRouter)
+	r.AddFace(2, FaceClient)
+	handle(r, now, 1, announce[0].Packet)
+
+	pub := &wire.Packet{
+		Type: wire.TypeMulticast, CDs: []cd.CD{cd.MustParse("/1/2")},
+		Origin: "player-0", Seq: 1, Payload: make([]byte, 32),
+	}
+	for _, tc := range []struct {
+		name string
+		r    *Router
+		want float64
+		ok   func([]ndn.Action) bool
+	}{
+		{"remote RP", r, 3, func(out []ndn.Action) bool {
+			return len(out) == 1 && out[0].Face == 1 && out[0].Packet.Type == wire.TypeInterest
+		}},
+		{"RP-local", rp, 0, func(out []ndn.Action) bool {
+			return len(out) == 1 && out[0].Face == 3 && out[0].Packet == pub
+		}},
+	} {
+		var sink ndn.SliceSink
+		tc.r.HandlePacketTo(now, 2, pub, &sink) // warm the name buffer, ST scratch and sink
+		if !tc.ok(sink.Actions) {
+			t.Errorf("%s: first hop emitted %+v", tc.name, sink.Actions)
+		}
+		allocs := testing.AllocsPerRun(200, func() {
+			sink.Reset()
+			tc.r.HandlePacketTo(now, 2, pub, &sink)
+		})
+		if allocs != tc.want {
+			t.Errorf("%s first-hop publish: %v allocs/op, want %v", tc.name, allocs, tc.want)
+		}
+	}
+}
+
+// TestUnsubscribeCoveredAllocFree pins the aggregation check of an
+// Unsubscribe that another face's subscription still covers: the router
+// drops the entry, sends nothing upstream and allocates nothing. Each run
+// re-adds the entry to the ST directly; face 2 keeps another CD and face 3
+// the same one, so the re-add fits the capacity the table already has.
+func TestUnsubscribeCoveredAllocFree(t *testing.T) {
 	rp := NewRouter("RP")
 	rp.AddFace(1, FaceRouter)
 	announce, err := becomeRP(rp, copss.RPInfo{Name: "/rp1", Prefixes: []cd.CD{cd.MustParse("/1")}, Seq: 1})
@@ -153,23 +207,27 @@ func TestFirstHopPublishAllocBudget(t *testing.T) {
 	r := NewRouter("R")
 	r.AddFace(1, FaceRouter)
 	r.AddFace(2, FaceClient)
+	r.AddFace(3, FaceClient)
 	now := time.Unix(1, 0)
 	handle(r, now, 1, announce[0].Packet)
-
-	pub := &wire.Packet{
-		Type: wire.TypeMulticast, CDs: []cd.CD{cd.MustParse("/1/2")},
-		Origin: "player-0", Seq: 1, Payload: make([]byte, 32),
+	c := cd.MustParse("/1/2")
+	for _, sub := range []struct {
+		face ndn.FaceID
+		cd   cd.CD
+	}{{2, c}, {2, cd.MustParse("/1/3")}, {3, c}} {
+		handle(r, now, sub.face, &wire.Packet{Type: wire.TypeSubscribe, CDs: []cd.CD{sub.cd}})
 	}
+	unsub := &wire.Packet{Type: wire.TypeUnsubscribe, CDs: []cd.CD{c}}
 	var sink ndn.SliceSink
-	r.HandlePacketTo(now, 2, pub, &sink) // warm the hash cache, name buffer and sink
-	if len(sink.Actions) != 1 || sink.Actions[0].Face != 1 || sink.Actions[0].Packet.Type != wire.TypeInterest {
-		t.Fatalf("first hop emitted %+v, want one Interest on face 1", sink.Actions)
-	}
 	allocs := testing.AllocsPerRun(200, func() {
+		r.st.Add(2, c)
 		sink.Reset()
-		r.HandlePacketTo(now, 2, pub, &sink)
+		r.HandlePacketTo(now, 2, unsub, &sink)
 	})
-	if allocs != 3 {
-		t.Errorf("first-hop publish: %v allocs/op, want 3", allocs)
+	if len(sink.Actions) != 0 || r.st.Subscribed(2, c) {
+		t.Fatalf("covered Unsubscribe: emitted %+v, face 2 still subscribed %v", sink.Actions, r.st.Subscribed(2, c))
+	}
+	if allocs != 0 {
+		t.Errorf("covered Unsubscribe: %v allocs/op, want 0", allocs)
 	}
 }

@@ -32,8 +32,7 @@ func TestBurstOutlivesLaterReads(t *testing.T) {
 			sent[b] = append(sent[b], &wire.Packet{
 				Type: wire.TypeMulticast, CDs: []cd.CD{cd.MustNew("zone", fmt.Sprint(seq%5))},
 				Origin: fmt.Sprint("player-", seq%3), Seq: seq,
-				Payload:  bytes.Repeat([]byte{byte(seq)}, 48),
-				CDHashes: []uint64{seq, seq + 1, seq + 2, seq + 3},
+				Payload: bytes.Repeat([]byte{byte(seq)}, 48),
 			})
 		}
 	}
@@ -114,7 +113,6 @@ func (c *replayConn) Read(p []byte) (int, error) {
 // record, nothing else — no header array, no strings, no payload copy.
 func TestReadBurstAllocBudget(t *testing.T) {
 	pkt := testBurst(1, make([]byte, 32))[0]
-	pkt.CDHashes = []uint64{1, 2, 3, 4, 5, 6}
 	enc, err := wire.Encode(pkt)
 	if err != nil {
 		t.Fatal(err)

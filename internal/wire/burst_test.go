@@ -10,11 +10,9 @@ import (
 func burstFixture() []*Packet {
 	return []*Packet{
 		{Type: TypeMulticast, CDs: []cd.CD{cd.MustParse("/1/2")},
-			Payload: []byte("move-a"), Origin: "p1", Seq: 1, SentAt: 10,
-			CDHashes: []uint64{1, 2, 3, 4, 5, 6}},
+			Payload: []byte("move-a"), Origin: "p1", Seq: 1, SentAt: 10},
 		{Type: TypeMulticast, CDs: []cd.CD{cd.MustParse("/1/2")},
-			Payload: []byte("move-b"), Origin: "p2", Seq: 2, SentAt: 11,
-			CDHashes: []uint64{1, 2, 3, 4, 5, 6}},
+			Payload: []byte("move-b"), Origin: "p2", Seq: 2, SentAt: 11},
 		{Type: TypeSubscribe, CDs: []cd.CD{cd.MustParse("/3")}},
 		{Type: TypeAck, CtlSeq: 9},
 	}

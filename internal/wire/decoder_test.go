@@ -2,7 +2,6 @@ package wire
 
 import (
 	"fmt"
-	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
@@ -35,18 +34,10 @@ func decodeAllWays(t *testing.T, warmed *Decoder, data []byte) (*Packet, int, er
 }
 
 // TestDecodersAgree is the differential check of the string table: whatever
-// the table holds, a packet decodes to the same value. Multicasts get hash
-// vectors on both sides of the inline bound.
+// the table holds, a packet decodes to the same value.
 func TestDecodersAgree(t *testing.T) {
 	var warmed Decoder
-	rng := rand.New(rand.NewSource(1))
 	f := func(q quickPacket) bool {
-		if q.p.Type == TypeMulticast {
-			q.p.CDHashes = make([]uint64, 1+rng.Intn(2*inlineHashes))
-			for i := range q.p.CDHashes {
-				q.p.CDHashes[i] = rng.Uint64()
-			}
-		}
 		b := mustEncode(t, &q.p)
 		got, n, err := decodeAllWays(t, &warmed, b)
 		return err == nil && n == len(b) && reflect.DeepEqual(*got, q.p)
@@ -93,13 +84,13 @@ func TestDecoderTableIsBounded(t *testing.T) {
 }
 
 // TestDecodeAllocBudget pins what a packet costs a reader whose table has
-// seen the peer's strings: one record for a first-hop-stamped Multicast (CD
-// slot and hash vector inside it, payload borrowed from the frame), the
-// record plus the never-interned Name for an Interest.
+// seen the peer's strings: one record for a Multicast (CD slot inside it,
+// payload borrowed from the frame), the record plus the never-interned Name
+// for an Interest.
 func TestDecodeAllocBudget(t *testing.T) {
 	multicast := mustEncode(t, &Packet{
 		Type: TypeMulticast, CDs: []cd.CD{cd.MustParse("/1/2")}, Origin: "player-1",
-		Seq: 7, SentAt: 99, Payload: make([]byte, 32), CDHashes: []uint64{1, 2, 3, 4, 5, 6},
+		Seq: 7, SentAt: 99, Payload: make([]byte, 32),
 	})
 	interest := mustEncode(t, &Packet{
 		Type: TypeInterest, Name: "/rp1/1/2/player-1/z", Payload: multicast, SentAt: 99,
@@ -109,7 +100,7 @@ func TestDecodeAllocBudget(t *testing.T) {
 		enc  []byte
 		want float64
 	}{
-		{"hashed Multicast", multicast, 1},
+		{"Multicast", multicast, 1},
 		{"Interest", interest, 2},
 	} {
 		var d Decoder

@@ -72,7 +72,7 @@ func TestTraceIDSurvivesForwardAndCopy(t *testing.T) {
 		Payload: []byte("x"), Origin: "p1", Seq: 3, TraceID: 0xdecaf,
 	}
 	cp := *p
-	cp.CDHashes = []uint64{1}
+	cp.CtlSeq = 1
 	if cp.TraceID != p.TraceID {
 		t.Errorf("COW copy: TraceID = %#x, want %#x", cp.TraceID, p.TraceID)
 	}

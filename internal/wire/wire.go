@@ -125,12 +125,13 @@ type Packet struct {
 	// used to measure update latency.
 	SentAt int64
 
-	// CDHashes carries the precomputed Bloom-filter hash pairs of the
-	// Multicast CD's prefixes (two uint64 per prefix, shortest prefix
-	// first) — the paper's first-hop optimization: downstream routers probe
-	// their Subscription Tables with "simple bit comparison" instead of
-	// re-hashing the name at every hop. Optional; empty means downstream
-	// routers hash for themselves.
+	// CDHashes once carried the Bloom-filter hash pairs of the Multicast
+	// CD's prefixes, stamped at the first hop (the paper's Section III-C
+	// optimization). Encode ignores it and Decode never sets it.
+	//
+	// Deprecated: no Subscription Table reads the vector, so it is off the
+	// wire; field 8 is reserved. Only the benchmark's layer probes still
+	// write it.
 	CDHashes []uint64
 
 	// CtlSeq is the hop-by-hop ARQ sequence number for reliable control
@@ -230,12 +231,12 @@ const (
 	fieldOrigin  = 4
 	fieldSeq     = 5
 	fieldSentAt  = 6
-	// 7 once carried a per-hop counter; it stays reserved, and Decode skips
-	// it in old frames like any unknown field.
-	fieldCDHashes = 8
-	fieldCtlSeq   = 9
-	fieldTraceID  = 10
-	fieldAdvWin   = 11
+	// 7 once carried a per-hop counter and 8 the first-hop Bloom hash
+	// vector; both stay reserved, and Decode skips them in old frames like
+	// any unknown field.
+	fieldCtlSeq  = 9
+	fieldTraceID = 10
+	fieldAdvWin  = 11
 )
 
 const (
@@ -293,9 +294,6 @@ func bodyLen(p *Packet) int {
 	if p.SentAt != 0 {
 		n += fieldLen(8)
 	}
-	if len(p.CDHashes) > 0 {
-		n += fieldLen(8 * len(p.CDHashes))
-	}
 	if p.CtlSeq != 0 {
 		n += fieldLen(uvarintLen(p.CtlSeq))
 	}
@@ -351,15 +349,6 @@ func AppendEncode(dst []byte, p *Packet) ([]byte, error) {
 		var buf [8]byte
 		binary.BigEndian.PutUint64(buf[:], uint64(p.SentAt))
 		out = appendBytesField(out, fieldSentAt, buf[:])
-	}
-	if len(p.CDHashes) > 0 {
-		var buf [8]byte
-		out = binary.AppendUvarint(out, fieldCDHashes)
-		out = binary.AppendUvarint(out, uint64(8*len(p.CDHashes)))
-		for _, h := range p.CDHashes {
-			binary.BigEndian.PutUint64(buf[:], h)
-			out = append(out, buf[:]...)
-		}
 	}
 	if p.CtlSeq != 0 {
 		var buf [binary.MaxVarintLen64]byte
@@ -461,18 +450,13 @@ func (d *Decoder) intern(val []byte) string {
 	return s
 }
 
-// decoded is the one allocation Decode makes for a packet: the Packet, the
-// CD slot of the single-CD types and room for a hash vector of up to
-// inlineHashes words (two per prefix, root included: a CD three components
-// deep). Multi-CD control packets and longer vectors fall back to
-// append/make.
+// decoded is the one allocation Decode makes for a packet: the Packet and
+// the CD slot of the single-CD types. Multi-CD control packets fall back to
+// append.
 type decoded struct {
-	pkt    Packet
-	cd     [1]cd.CD
-	hashes [inlineHashes]uint64
+	pkt Packet
+	cd  [1]cd.CD
 }
-
-const inlineHashes = 8
 
 // Decode parses one packet from buf without a string table; see
 // Decoder.Decode for the contract.
@@ -557,18 +541,6 @@ func (d *Decoder) Decode(buf []byte) (*Packet, int, error) {
 				return nil, 0, ErrShortPacket
 			}
 			p.SentAt = int64(binary.BigEndian.Uint64(val))
-		case fieldCDHashes:
-			if len(val)%8 != 0 {
-				return nil, 0, ErrShortPacket
-			}
-			if n := len(val) / 8; n <= inlineHashes {
-				p.CDHashes = rec.hashes[:n:n]
-			} else {
-				p.CDHashes = make([]uint64, n)
-			}
-			for i := range p.CDHashes {
-				p.CDHashes[i] = binary.BigEndian.Uint64(val[i*8:])
-			}
 		case fieldCtlSeq:
 			v, vn := binary.Uvarint(val)
 			if vn <= 0 {
@@ -588,7 +560,8 @@ func (d *Decoder) Decode(buf []byte) (*Packet, int, error) {
 			}
 			p.AdvWin = uint32(v)
 		default:
-			// Unknown fields are skipped for forward compatibility.
+			// Unknown and reserved fields are skipped, for forward and
+			// backward compatibility.
 		}
 	}
 	if err := p.Validate(); err != nil {

@@ -56,26 +56,6 @@ func TestCDAccessorError(t *testing.T) {
 	}
 }
 
-func TestCDHashesRoundTrip(t *testing.T) {
-	p := &Packet{
-		Type:     TypeMulticast,
-		CDs:      []cd.CD{cd.MustParse("/1/2")},
-		Payload:  []byte("x"),
-		CDHashes: []uint64{1, 2, 3, 4, 5, 6},
-	}
-	enc, err := Encode(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _, err := Decode(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.CDHashes) != 6 || got.CDHashes[0] != 1 || got.CDHashes[5] != 6 {
-		t.Errorf("CDHashes = %v", got.CDHashes)
-	}
-}
-
 func TestEncapsulateOversized(t *testing.T) {
 	inner := &Packet{
 		Type:    TypeMulticast,

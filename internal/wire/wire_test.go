@@ -167,24 +167,51 @@ func TestDecodeErrors(t *testing.T) {
 	}
 }
 
-// withReservedHops re-frames one encoded packet with a tag-7 field (the
-// retired per-hop counter: tag, length 4, a 4-byte big-endian value) appended
-// to its body, as an older encoder would have sent it.
-func withReservedHops(enc []byte) []byte {
+// withField re-frames one encoded packet with field (tag, length, value
+// bytes) appended to its body, as an older encoder would have sent it.
+func withField(enc []byte, field ...byte) []byte {
 	bodyLen, n := binary.Uvarint(enc[4:])
-	body := append(enc[4+n:4+n+int(bodyLen):4+n+int(bodyLen)], 7, 4, 0, 0, 0, 3)
+	body := append(enc[4+n:4+n+int(bodyLen):4+n+int(bodyLen)], field...)
 	frame := binary.AppendUvarint(append([]byte(nil), enc[:4]...), uint64(len(body)))
 	return append(frame, body...)
+}
+
+// withReservedHops appends a tag-7 field: the retired per-hop counter, a
+// 4-byte big-endian value.
+func withReservedHops(enc []byte) []byte { return withField(enc, 7, 4, 0, 0, 0, 3) }
+
+// withReservedHashes appends a tag-8 field: the retired first-hop Bloom hash
+// vector of a two-component CD, six big-endian words (two per prefix).
+func withReservedHashes(enc []byte) []byte {
+	field := []byte{8, 6 * 8}
+	for w := uint64(1); w <= 6; w++ {
+		field = binary.BigEndian.AppendUint64(field, w)
+	}
+	return withField(enc, field...)
 }
 
 // TestDecodeSkipsReservedHops: a frame from an encoder that still wrote the
 // tag-7 hop counter decodes to the same packet as the frame without it.
 func TestDecodeSkipsReservedHops(t *testing.T) {
+	checkSkipsReserved(t, withReservedHops, 6)
+}
+
+// TestDecodeSkipsReservedHashes: a frame from an encoder that still wrote
+// the tag-8 hash vector decodes to the same packet as the frame without it.
+func TestDecodeSkipsReservedHashes(t *testing.T) {
+	checkSkipsReserved(t, withReservedHashes, 2+6*8)
+}
+
+// checkSkipsReserved re-frames a Multicast with reframe, which must add
+// extra bytes, and checks that it decodes whole to the packet the plain
+// frame decodes to.
+func checkSkipsReserved(t *testing.T, reframe func([]byte) []byte, extra int) {
+	t.Helper()
 	p := &Packet{
 		Type: TypeMulticast, CDs: []cd.CD{cd.MustParse("/1/2")},
 		Payload: []byte("move"), Origin: "p1", Seq: 7, SentAt: 99, TraceID: 5,
 	}
-	old := withReservedHops(mustEncode(t, p))
+	old := reframe(mustEncode(t, p))
 	got, n, err := Decode(old)
 	if err != nil {
 		t.Fatalf("Decode: %v", err)
@@ -199,8 +226,27 @@ func TestDecodeSkipsReservedHops(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("old frame decoded to\n %+v\nwant\n %+v", *got, *want)
 	}
-	if len(old) != Size(p)+6 {
-		t.Errorf("old frame is %d bytes, want Size+6 = %d", len(old), Size(p)+6)
+	if len(old) != Size(p)+extra {
+		t.Errorf("old frame is %d bytes, want Size+%d = %d", len(old), extra, Size(p)+extra)
+	}
+}
+
+// TestEncodeIgnoresCDHashes: the deprecated CDHashes field never reaches the
+// wire, so a packet that sets it encodes byte for byte like one that does
+// not, and Size agrees.
+func TestEncodeIgnoresCDHashes(t *testing.T) {
+	p := &Packet{
+		Type: TypeMulticast, CDs: []cd.CD{cd.MustParse("/1/2")},
+		Payload: make([]byte, 32), Origin: "p1", Seq: 7, SentAt: 99,
+	}
+	hashed := *p
+	hashed.CDHashes = []uint64{1, 2, 3, 4, 5, 6}
+	plain, stamped := mustEncode(t, p), mustEncode(t, &hashed)
+	if !bytes.Equal(plain, stamped) {
+		t.Errorf("Encode with CDHashes = %x\nwithout = %x", stamped, plain)
+	}
+	if Size(&hashed) != len(plain) {
+		t.Errorf("Size with CDHashes = %d, want %d", Size(&hashed), len(plain))
 	}
 }
 

@@ -57,7 +57,6 @@ func TestAppendEncodeReuseAllocFree(t *testing.T) {
 	p := &Packet{
 		Type: TypeMulticast, CDs: []cd.CD{cd.MustParse("/1/2")},
 		Payload: make([]byte, 200), Origin: "player-1", Seq: 7, SentAt: 99,
-		CDHashes: []uint64{1, 2, 3, 4, 5, 6},
 	}
 	buf := make([]byte, 0, Size(p))
 	allocs := testing.AllocsPerRun(100, func() {
