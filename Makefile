@@ -88,11 +88,15 @@ cover:
 	    { echo "FAIL: $$pkg coverage $$pct% is below $(COVER_MIN)%"; exit 1; }; \
 	done
 
-# loc prints the two size figures ROADMAP tracks: lines of non-test Go and of
-# _test.go, both outside bench/ and testdata.
+# loc prints the size figures ROADMAP tracks: lines of non-test Go and of
+# _test.go, both outside bench/ and testdata, and DESIGN.md's byte count,
+# which fails the target above DESIGN_MAX_BYTES.
 LOC_FIND = find . -name '*.go' -not -path './bench/*' -not -path '*/testdata/*'
+DESIGN_MAX_BYTES = 55000
 loc:
 	@echo "non-test Go: $$($(LOC_FIND) -not -name '*_test.go' | xargs cat | wc -l)"
 	@echo "_test.go:    $$($(LOC_FIND) -name '*_test.go' | xargs cat | wc -l)"
+	@n=$$(wc -c < DESIGN.md); echo "DESIGN.md:   $$n bytes (max $(DESIGN_MAX_BYTES))"; \
+	  if [ $$n -gt $(DESIGN_MAX_BYTES) ]; then echo "FAIL: DESIGN.md is over $(DESIGN_MAX_BYTES) bytes" >&2; exit 1; fi
 
 ci: build lint test bench-smoke race cover fuzz

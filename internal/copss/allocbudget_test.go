@@ -24,8 +24,8 @@ func buildBudgetST() (*ST, cd.CD) {
 // zero, since an ST lookup is on the per-hop path of every Multicast. A warm
 // index lookup allocates nothing whether one prefix of the CD hits (/3/1:
 // only the root subscriber) or three do (/1/2: the root, /1 and /1/2), and
-// neither does re-adding an existing entry or the Bloom model's lookup with
-// first-hop hashes.
+// neither does re-adding an existing entry, the unsubscribe aggregation
+// query or the Bloom model's lookup with first-hop hashes.
 func TestFacesForHashedAllocFree(t *testing.T) {
 	st, pub := buildBudgetST()
 	one, known := cd.MustParse("/3/1"), cd.MustParse("/1/3")
@@ -37,6 +37,7 @@ func TestFacesForHashedAllocFree(t *testing.T) {
 		{"FacesFor, three prefix hits", func() { st.FacesFor(pub) }},
 		{"FacesForFlat", func() { st.FacesForFlat(pub, nil) }},
 		{"Add of a known entry", func() { st.Add(3, known) }},
+		{"AnyIntersecting, hit on the fourth face", func() { st.AnyIntersecting(one) }},
 	} {
 		tc.fn() // warm the scratch buffers
 		if allocs := testing.AllocsPerRun(100, tc.fn); allocs != 0 {

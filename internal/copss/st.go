@@ -160,7 +160,7 @@ func (st *ST) Subscribed(face ndn.FaceID, c cd.CD) bool {
 // AnyIntersecting reports whether any face subscribes to a CD that
 // intersects d: a prefix of d, d itself, or a CD under d. A router asks it
 // before withdrawing d upstream. It walks the per-face CD lists in place and
-// allocates nothing (TestUnsubscribeCoveredAllocFree in internal/core).
+// allocates nothing (TestFacesForHashedAllocFree).
 func (st *ST) AnyIntersecting(d cd.CD) bool {
 	for _, e := range st.faces {
 		for _, c := range e.cds {
