@@ -118,3 +118,30 @@ func TestBackboneGolden(t *testing.T) {
 		}
 	}
 }
+
+// TestPaperBackboneGolden pins the fingerprint of the repository benchmark's
+// own scale — PaperBackboneSetup(2000, 5 s, 1), the 279-router backbone the
+// sim-backbone workload runs — which TestBackboneGolden's 24-router cells do
+// not reach: a scheduler or testbed change that reorders events only under
+// a deep queue or a wide fan-out shows here. Recorded before the event queue
+// was rebuilt.
+func TestPaperBackboneGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("paper-scale backbone run in -short mode")
+	}
+	s, err := PaperBackboneSetup(2000, 5*time.Second, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := RunBackbone(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := BackboneObservables{
+		Published: 4197, Deliveries: 1201805, DeliveryHash: 0xed0cf453578dfae0,
+		LatencyMeanBits: 0x40b3d76069ea7973, RPDeliveriesOld: 0xff0,
+		PacketEvents: 0x18fa20, Bytes: 3.92229538e+08}
+	if res.Obs != want {
+		t.Errorf("got %#v\nwant %#v", res.Obs, want)
+	}
+}
