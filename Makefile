@@ -45,12 +45,12 @@ race:
 	$(GO) test -race -count=1 ./internal/transport ./internal/core ./internal/flowctl ./internal/obs/... ./internal/copss ./internal/bloom ./internal/wire ./internal/ndn .
 	$(GO) test -race -count=1 -run '$(RACE_TESTBED)' ./internal/testbed
 
-# bench prints the go-test microbenchmarks (module root and the telemetry hot
-# paths) with -benchmem. They are for measuring while working on one layer;
-# the repository benchmark that judges a change is BENCHMARK.json, run with
-# `sh bench/run.sh`.
+# bench prints the go-test microbenchmarks (module root, the event queue and
+# the telemetry hot paths) with -benchmem. They are for measuring while
+# working on one layer; the repository benchmark that judges a change is
+# BENCHMARK.json, run with `sh bench/run.sh`.
 bench:
-	$(GO) test -run='^$$' -bench=. -benchmem . ./internal/obs ./internal/obs/trace
+	$(GO) test -run='^$$' -bench=. -benchmem . ./internal/event ./internal/obs ./internal/obs/trace
 
 # bench-smoke compiles and smoke-tests the repository benchmark. bench/ is a
 # module of its own (BENCHMARK.json runs it with `sh bench/run.sh`), so

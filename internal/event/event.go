@@ -1,5 +1,5 @@
 // Package event provides the packet-level testbed's discrete-event
-// scheduler: one time-ordered event heap with a deterministic tie-break.
+// scheduler: one monotone radix queue with a deterministic tie-break.
 package event
 
 import (
@@ -38,16 +38,16 @@ const keyedBit = 1 << 63
 // Scheduler is a virtual-time discrete-event loop. The zero value is not
 // usable; create with NewScheduler.
 //
-// Every event waits in one eventHeap ordered by (time, key). Global events
+// Every event waits in one eventQueue ordered by (time, key). Global events
 // (At, AtCall) are keyed by insertion sequence and keyed events (PostNode) by
 // keyedBit | the caller's key, so execution follows the canonical
 // (time, global-first, key) order: global events FIFO among themselves, then
 // keyed events by key. Pushing an event costs no allocation beyond amortized
-// slice growth.
+// growth of the queue.
 type Scheduler struct {
 	now       time.Time
 	seq       uint64
-	q         eventHeap
+	q         eventQueue
 	processed uint64
 }
 
@@ -63,27 +63,18 @@ func (s *Scheduler) Now() time.Time { return s.now }
 // Pending returns the number of queued events.
 func (s *Scheduler) Pending() int { return s.q.len() }
 
-// NextAt peeks at the earliest queued event time; ok is false when the queue
-// is empty.
-func (s *Scheduler) NextAt() (at time.Time, ok bool) {
-	if s.q.len() == 0 {
-		return time.Time{}, false
-	}
-	return s.q.minAt(), true
-}
-
 // Processed returns the number of events executed so far.
 func (s *Scheduler) Processed() uint64 { return s.processed }
 
 // Preallocate grows the queue to hold n pending events without reallocation,
-// so the hot push path performs no slice growth during a run.
+// so the hot push path performs no growth during a run.
 func (s *Scheduler) Preallocate(n int) { s.q.grow(n) }
 
 // At schedules fn at an absolute virtual time. Times in the past run at the
 // current time (immediately on the next step), preserving causality. at must
 // be a virtual instant — built from time.Unix and Add, never time.Now — so
-// that the queue's integer (UnixNano, key) order is the time.Time order; see
-// eventHeap.
+// that the queue's integer (UnixNano, key) order is the time.Time order and
+// the time the callback sees, time.Unix(0, ns), equals at; see eventQueue.
 func (s *Scheduler) At(at time.Time, fn Handler) {
 	s.AtCall(at, runHandler, Payload{Ptr: fn})
 }
@@ -131,6 +122,16 @@ func (s *Scheduler) Step() bool {
 	return true
 }
 
+// StepUntil executes the next event if its time is ≤ deadline and reports
+// whether it ran one: the peek and the step of a deadline-bounded loop in
+// one call. It leaves the clock alone when nothing is due.
+func (s *Scheduler) StepUntil(deadline time.Time) bool {
+	if s.q.len() == 0 || s.q.minNs() > deadline.UnixNano() {
+		return false
+	}
+	return s.Step()
+}
+
 // Run executes events until the queue drains or maxEvents is reached
 // (maxEvents <= 0 means unbounded). It returns the number executed.
 func (s *Scheduler) Run(maxEvents uint64) uint64 {
@@ -145,8 +146,8 @@ func (s *Scheduler) Run(maxEvents uint64) uint64 {
 // The clock then reads the deadline if it was behind it.
 func (s *Scheduler) RunUntil(deadline time.Time) uint64 {
 	var n uint64
-	for dl := deadline.UnixNano(); s.q.len() > 0 && s.q.minNs() <= dl; n++ {
-		s.Step()
+	for s.StepUntil(deadline) {
+		n++
 	}
 	if s.now.Before(deadline) {
 		s.now = deadline

@@ -79,7 +79,7 @@ type ProcFunc func(pkt *wire.Packet) time.Duration
 
 // link is one direction of a wire. id is assigned in Connect program order
 // and, with the per-link transmit sequence seq, forms the canonical delivery
-// tie-break key linkID<<32|seq.
+// tie-break key linkID<<32|seq. Links sit by value in Testbed.links.
 type link struct {
 	to    string
 	toIdx int32 // the receiving node's slot in Testbed.list
@@ -93,27 +93,27 @@ type link struct {
 // Payload.Int of a delivery event.
 func (l *link) dest() int64 { return int64(l.toIdx)<<32 | int64(l.face) }
 
-// maxFace bounds the face IDs Connect accepts: links sit in a slice indexed
-// by face, and deliveries carry the face in 32 bits.
+// maxFace bounds the face IDs Connect accepts: a node's wires sit in a slice
+// indexed by face, and deliveries carry the face in 32 bits.
 const maxFace = 1 << 16
 
-// link returns the wire attached to face f, or nil when f is unwired or out
-// of range.
-func (n *nodeState) link(f ndn.FaceID) *link {
-	if uint(f) >= uint(len(n.links)) {
+// link returns the wire attached to face f of node n, or nil when f is
+// unwired or out of range. The pointer is valid until the next Connect.
+func (tb *Testbed) link(n *nodeState, f ndn.FaceID) *link {
+	if uint(f) >= uint(len(n.links)) || n.links[f] == 0 {
 		return nil
 	}
-	return n.links[f]
+	return &tb.links[n.links[f]-1]
 }
 
-// nodeState is one single-threaded network element.
+// nodeState is one single-threaded network element. Nodes sit by value in
+// Testbed.list.
 type nodeState struct {
 	name    string
-	idx     int32 // position in Testbed.list
 	handle  Handler
 	proc    ProcFunc
 	perCopy time.Duration
-	links   []*link // indexed by FaceID; nil where no wire is attached
+	links   []int32 // indexed by FaceID: 1 + the wire's index in Testbed.links, 0 where none
 
 	// selfID is the node's slot in the canonical-key ID space (shared with
 	// directed link IDs); with selfSeq it forms the tie-break key for
@@ -135,9 +135,13 @@ type Testbed struct {
 	sched *event.Scheduler
 	// list holds the nodes in AddNode order; a node's position is the dense
 	// index delivery events carry, so the packet path never hashes a name.
-	// nodes finds them by name for the set-up API only.
-	list   []*nodeState
-	nodes  map[string]*nodeState
+	// nodes finds that index by name for the set-up API only. links holds
+	// every directed wire in Connect order. Both are slabs of values that
+	// grow only during set-up, so the packet path reads node and link state
+	// without a pointer chase per object.
+	list   []nodeState
+	links  []link
+	nodes  map[string]int32
 	faults *faultnet.Injector
 
 	nextLinkID uint32
@@ -156,12 +160,21 @@ type Testbed struct {
 func New() *Testbed {
 	tb := &Testbed{
 		sched: event.NewScheduler(time.Unix(0, 0)),
-		nodes: make(map[string]*nodeState),
+		nodes: make(map[string]int32),
 	}
 	tb.deliver = func(now time.Time, pl event.Payload) {
-		tb.receive(now, tb.list[pl.Int>>32], ndn.FaceID(uint32(pl.Int)), pl.Ptr.(*wire.Packet))
+		tb.receive(now, int32(pl.Int>>32), ndn.FaceID(uint32(pl.Int)), pl.Ptr.(*wire.Packet))
 	}
 	return tb
+}
+
+// node returns the named node; the pointer is valid until the next AddNode.
+func (tb *Testbed) node(name string) (*nodeState, bool) {
+	i, ok := tb.nodes[name]
+	if !ok {
+		return nil, false
+	}
+	return &tb.list[i], true
 }
 
 // Now returns the current virtual time.
@@ -187,10 +200,10 @@ func (tb *Testbed) Every(start time.Time, interval time.Duration, fn func(now ti
 	tb.sched.At(start, again)
 }
 
-// transmit puts one packet on the wire from node n's face-link l at time at,
-// applying link faults. It is the single choke point shared by the service
-// path (receive) and the timer path (Emit).
-func (tb *Testbed) transmit(n *nodeState, l *link, at time.Time, pkt *wire.Packet) {
+// transmit puts one packet of size bytes on the wire from node n's
+// face-link l at time at, applying link faults. It is the single choke point
+// shared by the service path (receive) and the timer path (Emit).
+func (tb *Testbed) transmit(n *nodeState, l *link, at time.Time, pkt *wire.Packet, size int) {
 	copies := 1
 	if tb.faults != nil {
 		v := tb.faults.Decide(at, n.name+">"+l.to, pkt)
@@ -202,7 +215,7 @@ func (tb *Testbed) transmit(n *nodeState, l *link, at time.Time, pkt *wire.Packe
 		}
 		at = at.Add(v.Delay)
 	}
-	n.bytes += float64(wire.Size(pkt))
+	n.bytes += float64(size)
 	pl := event.Payload{Int: l.dest(), Ptr: pkt}
 	for i := 0; i < copies; i++ {
 		key := uint64(l.id)<<32 | uint64(l.seq)
@@ -214,16 +227,14 @@ func (tb *Testbed) transmit(n *nodeState, l *link, at time.Time, pkt *wire.Packe
 // AddNode registers a node with its handler and processing-cost function.
 func (tb *Testbed) AddNode(name string, handle Handler, proc ProcFunc, perCopy time.Duration) {
 	tb.nextLinkID++
-	n := &nodeState{
+	tb.nodes[name] = int32(len(tb.list))
+	tb.list = append(tb.list, nodeState{
 		name:    name,
-		idx:     int32(len(tb.list)),
 		handle:  handle,
 		proc:    proc,
 		perCopy: perCopy,
 		selfID:  tb.nextLinkID,
-	}
-	tb.nodes[name] = n
-	tb.list = append(tb.list, n)
+	})
 }
 
 // Connect wires face fa of node a to face fb of node b with the given
@@ -234,52 +245,57 @@ func (tb *Testbed) Connect(a string, fa ndn.FaceID, b string, fb ndn.FaceID, del
 	if delay <= 0 {
 		return fmt.Errorf("testbed: link %s–%s needs a positive delay, got %v", a, b, delay)
 	}
-	na, ok := tb.nodes[a]
+	ia, ok := tb.nodes[a]
 	if !ok {
 		return fmt.Errorf("testbed: unknown node %q", a)
 	}
-	nb, ok := tb.nodes[b]
+	ib, ok := tb.nodes[b]
 	if !ok {
 		return fmt.Errorf("testbed: unknown node %q", b)
 	}
-	if err := na.faceFree(fa); err != nil {
+	if err := tb.faceFree(ia, fa); err != nil {
 		return err
 	}
-	if err := nb.faceFree(fb); err != nil {
+	if err := tb.faceFree(ib, fb); err != nil {
 		return err
 	}
 	tb.nextLinkID++
-	na.attach(fa, &link{to: b, toIdx: nb.idx, face: fb, delay: delay, id: tb.nextLinkID})
+	tb.attach(ia, fa, link{to: b, toIdx: ib, face: fb, delay: delay, id: tb.nextLinkID})
 	tb.nextLinkID++
-	nb.attach(fb, &link{to: a, toIdx: na.idx, face: fa, delay: delay, id: tb.nextLinkID})
+	tb.attach(ib, fb, link{to: a, toIdx: ia, face: fa, delay: delay, id: tb.nextLinkID})
 	return nil
 }
 
-// faceFree reports why face f of n cannot take a new wire, if it cannot.
-func (n *nodeState) faceFree(f ndn.FaceID) error {
+// faceFree reports why face f of node i cannot take a new wire, if it
+// cannot.
+func (tb *Testbed) faceFree(i int32, f ndn.FaceID) error {
+	n := &tb.list[i]
 	if f < 0 || f > maxFace {
 		return fmt.Errorf("testbed: %s face %d outside [0, %d]", n.name, f, maxFace)
 	}
-	if n.link(f) != nil {
+	if tb.link(n, f) != nil {
 		return fmt.Errorf("testbed: %s face %d already wired", n.name, f)
 	}
 	return nil
 }
 
-// attach wires l to face f, growing the face-indexed slice as needed.
-func (n *nodeState) attach(f ndn.FaceID, l *link) {
+// attach wires l to face f of node i, growing the face-indexed slice as
+// needed.
+func (tb *Testbed) attach(i int32, f ndn.FaceID, l link) {
+	tb.links = append(tb.links, l)
+	n := &tb.list[i]
 	for int(f) >= len(n.links) {
-		n.links = append(n.links, nil)
+		n.links = append(n.links, 0)
 	}
-	n.links[f] = l
+	n.links[f] = int32(len(tb.links))
 }
 
 // Inject delivers a packet to a node's face at the given absolute time, as
 // if it arrived from the wire.
 func (tb *Testbed) Inject(at time.Time, node string, face ndn.FaceID, pkt *wire.Packet) {
 	tb.sched.At(at, func(now time.Time) {
-		if n, ok := tb.nodes[node]; ok {
-			tb.receive(now, n, face, pkt)
+		if i, ok := tb.nodes[node]; ok {
+			tb.receive(now, i, face, pkt)
 		}
 	})
 }
@@ -295,7 +311,7 @@ func (tb *Testbed) Schedule(at time.Time, fn func(now time.Time)) {
 // host's update chain, say). Ordering is canonical via a per-node
 // (selfID, selfSeq) key drawn from the same ID space as link deliveries.
 func (tb *Testbed) ScheduleNode(at time.Time, node string, call event.CallHandler, pl event.Payload) error {
-	n, ok := tb.nodes[node]
+	n, ok := tb.node(node)
 	if !ok {
 		return fmt.Errorf("testbed: unknown node %q", node)
 	}
@@ -309,9 +325,12 @@ func (tb *Testbed) ScheduleNode(at time.Time, node string, call event.CallHandle
 // event count without reallocation on the hot path. Call before Run.
 func (tb *Testbed) Preallocate(n int) { tb.sched.Preallocate(n) }
 
-// receive models FIFO service at a node: the packet waits for the node to
-// become idle, is handled, and its outputs leave when service completes.
-func (tb *Testbed) receive(now time.Time, n *nodeState, face ndn.FaceID, pkt *wire.Packet) {
+// receive models FIFO service at node i: the packet waits for the node to
+// become idle, is handled, and its outputs leave when service completes. A
+// fan-out emits one packet to many faces in a row, so its encoded size is
+// computed once per run of actions sharing a packet.
+func (tb *Testbed) receive(now time.Time, i int32, face ndn.FaceID, pkt *wire.Packet) {
+	n := &tb.list[i]
 	n.packetEvents++
 	start := now
 	if n.busyUntil.After(start) {
@@ -331,10 +350,17 @@ func (tb *Testbed) receive(now time.Time, n *nodeState, face ndn.FaceID, pkt *wi
 	finish := start.Add(service)
 	n.busyUntil = finish
 	n.processed++
+	var sized *wire.Packet
+	size := 0
 	for _, a := range actions {
-		if l := n.link(a.Face); l != nil {
-			tb.transmit(n, l, finish, a.Packet)
+		l := tb.link(n, a.Face)
+		if l == nil {
+			continue
 		}
+		if a.Packet != sized {
+			sized, size = a.Packet, wire.Size(a.Packet)
+		}
+		tb.transmit(n, l, finish, a.Packet, size)
 	}
 	sink.Reset()
 }
@@ -342,13 +368,13 @@ func (tb *Testbed) receive(now time.Time, n *nodeState, face ndn.FaceID, pkt *wi
 // Emit sends packets from a node outside the service path (used by client
 // timers: publishing an update costs HostProc at the host).
 func (tb *Testbed) Emit(now time.Time, node string, actions []ndn.Action) {
-	n, ok := tb.nodes[node]
+	n, ok := tb.node(node)
 	if !ok {
 		return
 	}
 	for _, a := range actions {
-		if l := n.link(a.Face); l != nil {
-			tb.transmit(n, l, now, a.Packet)
+		if l := tb.link(n, a.Face); l != nil {
+			tb.transmit(n, l, now, a.Packet, wire.Size(a.Packet))
 		}
 	}
 }
@@ -363,8 +389,8 @@ type emitSink struct {
 
 // Emit implements ndn.ActionSink.
 func (s *emitSink) Emit(a ndn.Action) {
-	if l := s.n.link(a.Face); l != nil {
-		s.tb.transmit(s.n, l, s.now, a.Packet)
+	if l := s.tb.link(s.n, a.Face); l != nil {
+		s.tb.transmit(s.n, l, s.now, a.Packet, wire.Size(a.Packet))
 	}
 }
 
@@ -372,7 +398,7 @@ func (s *emitSink) Emit(a ndn.Action) {
 // push-based counterpart of Emit for timer-driven sources — Router.TickTo
 // retransmissions above all.
 func (tb *Testbed) EmitTo(now time.Time, node string, fn func(ndn.ActionSink)) {
-	n, ok := tb.nodes[node]
+	n, ok := tb.node(node)
 	if !ok {
 		return
 	}
@@ -381,19 +407,16 @@ func (tb *Testbed) EmitTo(now time.Time, node string, fn func(ndn.ActionSink)) {
 }
 
 // Run executes the events due up to the deadline and leaves the clock
-// there; maxEvents bounds runaway loops (0 = default of 100M).
+// there; maxEvents bounds runaway loops (0 = default of 100M): Run fails
+// when an event is still due after maxEvents have run, having run it.
 func (tb *Testbed) Run(deadline time.Time, maxEvents uint64) error {
 	if maxEvents == 0 {
 		maxEvents = 100_000_000
 	}
-	for n := uint64(0); ; n++ {
-		if at, ok := tb.sched.NextAt(); !ok || at.After(deadline) {
-			break
-		}
+	for n := uint64(0); tb.sched.StepUntil(deadline); n++ {
 		if n == maxEvents {
 			return fmt.Errorf("testbed: event budget exhausted (%d)", maxEvents)
 		}
-		tb.sched.Step()
 	}
 	tb.sched.RunUntil(deadline) // nothing is due any more: moves the clock
 	return nil
@@ -401,7 +424,8 @@ func (tb *Testbed) Run(deadline time.Time, maxEvents uint64) error {
 
 // Stats returns aggregate counters.
 func (tb *Testbed) Stats() (packetEvents uint64, bytes float64) {
-	for _, n := range tb.list {
+	for i := range tb.list {
+		n := &tb.list[i]
 		packetEvents += n.packetEvents
 		bytes += n.bytes
 	}

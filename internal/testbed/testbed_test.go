@@ -35,10 +35,11 @@ func TestNodeFIFOQueueing(t *testing.T) {
 		}
 	}
 	// The third packet arrives at 3ms while the node is busy until 21ms.
-	if maxQ := tb.nodes["n"].maxQueue; maxQ != 18*time.Millisecond {
+	n, _ := tb.node("n")
+	if maxQ := n.maxQueue; maxQ != 18*time.Millisecond {
 		t.Errorf("maxQueue = %v, want 18ms", maxQ)
 	}
-	if processed := tb.nodes["n"].processed; processed != 3 {
+	if processed := n.processed; processed != 3 {
 		t.Errorf("processed = %d", processed)
 	}
 }
@@ -108,7 +109,7 @@ func TestConnectValidation(t *testing.T) {
 			t.Errorf("delay %v accepted: a wire needs a positive propagation delay", d)
 		}
 	}
-	if l := tb.nodes["a"].link(5); l != nil {
+	if a, _ := tb.node("a"); tb.link(a, 5) != nil {
 		t.Error("a rejected Connect left a half-wired link behind")
 	}
 }
