@@ -25,10 +25,12 @@ func buildBudgetST() (*ST, cd.CD) {
 // index lookup allocates nothing whether one prefix of the CD hits (/3/1:
 // only the root subscriber) or three do (/1/2: the root, /1 and /1/2), and
 // neither does re-adding an existing entry, the unsubscribe aggregation
-// query or the Bloom model's lookup with first-hop hashes.
+// queries (into a warm buffer) or the Bloom model's lookup with first-hop
+// hashes.
 func TestFacesForHashedAllocFree(t *testing.T) {
 	st, pub := buildBudgetST()
 	one, known := cd.MustParse("/3/1"), cd.MustParse("/1/3")
+	var under []cd.CD
 	for _, tc := range []struct {
 		name string
 		fn   func()
@@ -38,6 +40,7 @@ func TestFacesForHashedAllocFree(t *testing.T) {
 		{"FacesForFlat", func() { st.FacesForFlat(pub, nil) }},
 		{"Add of a known entry", func() { st.Add(3, known) }},
 		{"AnyIntersecting, hit on the fourth face", func() { st.AnyIntersecting(one) }},
+		{"AppendUnder", func() { under = st.AppendUnder(under[:0], cd.MustParse("/1")) }},
 	} {
 		tc.fn() // warm the scratch buffers
 		if allocs := testing.AllocsPerRun(100, tc.fn); allocs != 0 {

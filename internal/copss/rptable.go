@@ -2,7 +2,8 @@ package copss
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
 	"github.com/icn-gaming/gcopss/internal/cd"
 )
@@ -23,12 +24,17 @@ type RPInfo struct {
 // carrying their name and served prefixes; routers apply announcements in
 // sequence-number order.
 type RPTable struct {
-	rps map[string]*RPInfo
+	rps []*RPInfo // sorted by Name; an entry is replaced, never changed
 }
 
 // NewRPTable returns an empty table.
-func NewRPTable() *RPTable {
-	return &RPTable{rps: make(map[string]*RPInfo)}
+func NewRPTable() *RPTable { return &RPTable{} }
+
+// find returns name's position in t.rps, or where it would be inserted.
+func (t *RPTable) find(name string) (int, bool) {
+	return slices.BinarySearchFunc(t.rps, name, func(info *RPInfo, n string) int {
+		return strings.Compare(info.Name, n)
+	})
 }
 
 // Set installs or replaces an RP's served prefixes. It fails if the result
@@ -40,74 +46,81 @@ func (t *RPTable) Set(name string, prefixes []cd.CD, seq uint64) error {
 	if name == "" {
 		return fmt.Errorf("copss: RP with empty name")
 	}
-	if cur, ok := t.rps[name]; ok && cur.Seq >= seq {
-		return fmt.Errorf("copss: stale RP announcement for %s: seq %d <= %d", name, seq, cur.Seq)
+	i, ok := t.find(name)
+	if ok && t.rps[i].Seq >= seq {
+		return fmt.Errorf("copss: stale RP announcement for %s: seq %d <= %d", name, seq, t.rps[i].Seq)
 	}
 	var all []cd.CD
 	all = append(all, prefixes...)
-	for n, info := range t.rps {
-		if n == name {
-			continue
+	for _, info := range t.rps {
+		if info.Name != name {
+			all = append(all, info.Prefixes...)
 		}
-		all = append(all, info.Prefixes...)
 	}
 	if err := cd.PrefixFree(all); err != nil {
 		return fmt.Errorf("copss: RP %s announcement: %w", name, err)
 	}
-	t.rps[name] = &RPInfo{Name: name, Prefixes: append([]cd.CD(nil), prefixes...), Seq: seq}
+	info := &RPInfo{Name: name, Prefixes: append([]cd.CD(nil), prefixes...), Seq: seq}
+	if ok {
+		t.rps[i] = info
+	} else {
+		t.rps = slices.Insert(t.rps, i, info)
+	}
 	return nil
 }
 
 // Remove drops an RP entirely.
 func (t *RPTable) Remove(name string) bool {
-	if _, ok := t.rps[name]; !ok {
-		return false
+	i, ok := t.find(name)
+	if ok {
+		t.rps = slices.Delete(t.rps, i, i+1)
 	}
-	delete(t.rps, name)
-	return true
+	return ok
 }
 
 // Get returns the info for a named RP.
 func (t *RPTable) Get(name string) (RPInfo, bool) {
-	info, ok := t.rps[name]
+	i, ok := t.find(name)
 	if !ok {
 		return RPInfo{}, false
 	}
-	return *info, true
+	return *t.rps[i], true
 }
 
 // CoverOf returns the RP name and served prefix covering CD c: the unique RP
 // whose served prefix is a prefix of c. Publications to c are sent there.
 func (t *RPTable) CoverOf(c cd.CD) (rpName string, prefix cd.CD, ok bool) {
-	for name, info := range t.rps {
+	for _, info := range t.rps {
 		if p, found := cd.Cover(info.Prefixes, c); found {
-			return name, p, true
+			return info.Name, p, true
 		}
 	}
 	return "", cd.Root(), false
 }
 
-// IntersectingRPs returns the names of all RPs whose served prefixes
-// intersect the subtree of sub, sorted. A subscription to sub must be routed
-// toward each of them.
-func (t *RPTable) IntersectingRPs(sub cd.CD) []string {
-	var out []string
-	for name, info := range t.rps {
-		if len(cd.Intersecting(info.Prefixes, sub)) > 0 {
-			out = append(out, name)
+// RPs returns the table's RPs sorted by name, without copying: the slice and
+// the entries are the table's own and read-only, and stay valid until the
+// next Set or Remove. Walking it with Serves is how a router finds the RPs a
+// subscription must reach, allocation-free (TestResubscribeAllocFree).
+func (t *RPTable) RPs() []*RPInfo { return t.rps }
+
+// Serves reports whether any of the RP's served prefixes intersects the
+// subtree of sub, so that a subscription to sub must be routed toward it.
+func (info *RPInfo) Serves(sub cd.CD) bool {
+	for _, p := range info.Prefixes {
+		if p.Intersects(sub) {
+			return true
 		}
 	}
-	sort.Strings(out)
-	return out
+	return false
 }
 
 // Names returns all RP names, sorted.
 func (t *RPTable) Names() []string {
 	out := make([]string, 0, len(t.rps))
-	for n := range t.rps {
-		out = append(out, n)
+	for _, info := range t.rps {
+		out = append(out, info.Name)
 	}
-	sort.Strings(out)
 	return out
 }
 
@@ -116,11 +129,11 @@ func (t *RPTable) Len() int { return len(t.rps) }
 
 // Clone returns an independent copy of the table.
 func (t *RPTable) Clone() *RPTable {
-	out := NewRPTable()
-	for n, info := range t.rps {
+	out := &RPTable{rps: make([]*RPInfo, len(t.rps))}
+	for i, info := range t.rps {
 		cp := *info
 		cp.Prefixes = append([]cd.CD(nil), info.Prefixes...)
-		out.rps[n] = &cp
+		out.rps[i] = &cp
 	}
 	return out
 }

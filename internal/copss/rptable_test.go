@@ -63,17 +63,35 @@ func TestRPTableIntersecting(t *testing.T) {
 	must(tbl.Set("/rpB", []cd.CD{cd.MustParse("/1/3"), cd.MustParse("/1/")}, 1))
 	must(tbl.Set("/rpC", []cd.CD{cd.MustParse("/2")}, 1))
 
+	// serving walks RPs in order and keeps the ones Serves picks for sub.
+	serving := func(sub cd.CD) []string {
+		var out []string
+		for _, info := range tbl.RPs() {
+			if info.Serves(sub) {
+				out = append(out, info.Name)
+			}
+		}
+		return out
+	}
 	// Subscribing to /1 requires joining rpA and rpB but not rpC.
-	if got := tbl.IntersectingRPs(cd.MustParse("/1")); !reflect.DeepEqual(got, []string{"/rpA", "/rpB"}) {
-		t.Errorf("IntersectingRPs(/1) = %v", got)
+	if got := serving(cd.MustParse("/1")); !reflect.DeepEqual(got, []string{"/rpA", "/rpB"}) {
+		t.Errorf("RPs serving /1 = %v", got)
 	}
 	// Subscribing to /1/2 only needs rpA.
-	if got := tbl.IntersectingRPs(cd.MustParse("/1/2")); !reflect.DeepEqual(got, []string{"/rpA"}) {
-		t.Errorf("IntersectingRPs(/1/2) = %v", got)
+	if got := serving(cd.MustParse("/1/2")); !reflect.DeepEqual(got, []string{"/rpA"}) {
+		t.Errorf("RPs serving /1/2 = %v", got)
 	}
-	// Root subscription joins everyone.
-	if got := tbl.IntersectingRPs(cd.Root()); len(got) != 3 {
-		t.Errorf("IntersectingRPs(root) = %v", got)
+	// Root subscription joins everyone, in name order.
+	if got := serving(cd.Root()); !reflect.DeepEqual(got, []string{"/rpA", "/rpB", "/rpC"}) {
+		t.Errorf("RPs serving root = %v", got)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		for _, info := range tbl.RPs() {
+			info.Serves(cd.MustParse("/1"))
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("walking RPs with Serves: %v allocs/op, want 0", allocs)
 	}
 }
 

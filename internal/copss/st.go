@@ -172,6 +172,21 @@ func (st *ST) AnyIntersecting(d cd.CD) bool {
 	return false
 }
 
+// AppendUnder appends to dst every subscribed CD that has d as a proper
+// prefix, once per subscribing face, and returns the extended slice. It walks
+// the per-face CD lists in place; with a dst of enough capacity it allocates
+// nothing.
+func (st *ST) AppendUnder(dst []cd.CD, d cd.CD) []cd.CD {
+	for _, e := range st.faces {
+		for _, c := range e.cds {
+			if c != d && c.HasPrefix(d) {
+				dst = append(dst, c)
+			}
+		}
+	}
+	return dst
+}
+
 // CDsOf returns the sorted CDs face is subscribed to, in a new slice.
 func (st *ST) CDsOf(face ndn.FaceID) []cd.CD {
 	i, ok := st.find(face)

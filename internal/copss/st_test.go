@@ -1,6 +1,7 @@
 package copss
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -110,6 +111,22 @@ func TestSTAggregationQueries(t *testing.T) {
 			t.Errorf("AnyIntersecting(%s) = %v, want %v", tc.d, got, tc.want)
 		}
 	}
+	st.Add(3, cd.MustParse("/1/2"))
+	st.Add(3, cd.MustParse("/1/2/7"))
+	for _, tc := range []struct{ d, want string }{
+		{"", "[/1/2 /3/ /1/2 /1/2/7]"}, // face order, once per face
+		{"/1", "[/1/2 /1/2 /1/2/7]"},
+		{"/1/2", "[/1/2/7]"}, // strictly under: /1/2 itself is left out
+		{"/1/2/7", "[]"},
+		{"/3", "[/3/]"},
+		{"/3/", "[]"},
+	} {
+		if got := fmt.Sprint(st.AppendUnder(nil, cd.MustParse(tc.d))); got != tc.want {
+			t.Errorf("AppendUnder(%s) = %s, want %s", tc.d, got, tc.want)
+		}
+	}
+	st.Remove(3, cd.MustParse("/1/2"))
+	st.Remove(3, cd.MustParse("/1/2/7"))
 	st.Remove(1, cd.MustParse("/1/2"))
 	if st.AnyIntersecting(cd.MustParse("/1")) {
 		t.Error("AnyIntersecting(/1) true after the only subscription under it left")

@@ -15,6 +15,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -131,6 +132,9 @@ type Router struct {
 	pubSeq uint64
 	// nameBuf is publishToward's scratch for the encapsulation name.
 	nameBuf []byte
+	// cdScratch is withdrawIfUnneeded's scratch for the finer CDs it
+	// re-propagates.
+	cdScratch []cd.CD
 
 	// dec decapsulates at the RP; its table holds the origins and CD keys
 	// publishers keep sending.
@@ -786,21 +790,26 @@ func (r *Router) distribute(now time.Time, from ndn.FaceID, pkt *wire.Packet, si
 // except the arrival face. The fan-out copies nothing — every out-face shares
 // the received packet (it is immutable-after-send), so an N-face fan-out
 // allocates nothing (TestDistributeAllocBudget). Deliveries to client faces
-// carrying a send timestamp feed the delivery-latency histogram.
+// carrying a send timestamp feed the delivery-latency histogram; they all
+// observe the same latency, so the fan-out records them, and its out-face
+// count, once.
 func (r *Router) fanOut(now time.Time, from ndn.FaceID, pkt *wire.Packet, faces []ndn.FaceID, sink ndn.ActionSink) {
+	dt := now.UnixNano() - pkt.SentAt
+	timed := pkt.SentAt != 0 && dt >= 0 && pkt.Origin != FlushOrigin
+	var sent, clients uint64
 	for _, f := range faces {
 		if f == from {
 			continue
 		}
 		sink.Emit(ndn.Action{Face: f, Packet: pkt})
-		r.ctr.multicastOut.Inc()
+		sent++
 		r.record(now, trace.HopFanOut, f, pkt, "")
-		if pkt.SentAt != 0 && pkt.Origin != FlushOrigin && r.faces[f] == FaceClient {
-			if dt := now.UnixNano() - pkt.SentAt; dt >= 0 {
-				r.deliveryLatency.Observe(float64(dt) / 1e6)
-			}
+		if timed && r.faces[f] == FaceClient {
+			clients++
 		}
 	}
+	r.ctr.multicastOut.Add(sent)
+	r.deliveryLatency.ObserveRepeat(float64(dt)/1e6, clients)
 }
 
 // handleSubscribe records subscriptions in the ST and propagates narrowed
@@ -820,11 +829,11 @@ func (r *Router) handleSubscribe(now time.Time, from ndn.FaceID, pkt *wire.Packe
 
 // propagateSubscription sends narrowed Subscribe packets upstream for c.
 func (r *Router) propagateSubscription(from ndn.FaceID, c cd.CD, sink ndn.ActionSink) {
-	for _, rpName := range r.rpt.IntersectingRPs(c) {
-		if r.IsRP(rpName) {
-			continue // the tree roots here
+	for _, info := range r.rpt.RPs() {
+		rpName := info.Name
+		if !info.Serves(c) || r.IsRP(rpName) {
+			continue // not c's RP, or the tree roots here
 		}
-		info, _ := r.rpt.Get(rpName)
 		for _, p := range info.Prefixes {
 			if !p.Intersects(c) {
 				continue
@@ -862,17 +871,14 @@ func (r *Router) handleUnsubscribe(now time.Time, from ndn.FaceID, pkt *wire.Pac
 		if r.st.FacesFor(c) != nil {
 			continue // c or a prefix of it is still subscribed: every narrowed CD is needed
 		}
-		for _, rpName := range r.rpt.IntersectingRPs(c) {
-			if r.IsRP(rpName) {
+		for _, info := range r.rpt.RPs() {
+			if !info.Serves(c) || r.IsRP(info.Name) {
 				continue
 			}
-			info, _ := r.rpt.Get(rpName)
 			for _, p := range info.Prefixes {
-				if !p.Intersects(c) {
-					continue
+				if p.Intersects(c) {
+					r.withdrawIfUnneeded(info.Name, deeper(p, c), sink)
 				}
-				d := deeper(p, c)
-				r.withdrawIfUnneeded(rpName, d, sink)
 			}
 		}
 	}
@@ -880,7 +886,9 @@ func (r *Router) handleUnsubscribe(now time.Time, from ndn.FaceID, pkt *wire.Pac
 
 // withdrawIfUnneeded sends an Unsubscribe for narrowed CD d toward rpName if
 // no face still needs it, and re-propagates any finer subscriptions that the
-// withdrawn one was covering.
+// withdrawn one was covering. Only a subscribed CD strictly under d can
+// narrow to a CD strictly under d once none intersects d, so only those are
+// collected, in sorted order, rather than the whole table.
 func (r *Router) withdrawIfUnneeded(rpName string, d cd.CD, sink ndn.ActionSink) {
 	prop := r.propagated[rpName]
 	if prop == nil || !prop.Contains(d) {
@@ -900,7 +908,11 @@ func (r *Router) withdrawIfUnneeded(rpName string, d cd.CD, sink ndn.ActionSink)
 	}})
 	// Finer subscriptions previously covered by d must be re-propagated.
 	info, _ := r.rpt.Get(rpName)
-	for _, remaining := range r.st.AllCDs() {
+	under := r.st.AppendUnder(r.cdScratch[:0], d)
+	slices.SortFunc(under, cd.CD.Compare)
+	under = slices.Compact(under)
+	r.cdScratch = under[:0]
+	for _, remaining := range under {
 		for _, p := range info.Prefixes {
 			if !p.Intersects(remaining) {
 				continue

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"sync"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"github.com/icn-gaming/gcopss/internal/cd"
 	"github.com/icn-gaming/gcopss/internal/copss"
 	"github.com/icn-gaming/gcopss/internal/ndn"
+	"github.com/icn-gaming/gcopss/internal/obs"
 	"github.com/icn-gaming/gcopss/internal/wire"
 )
 
@@ -55,6 +57,33 @@ func TestDistributeFanOutShares(t *testing.T) {
 	}
 	if !reflect.DeepEqual(*pkt, before) {
 		t.Errorf("fan-out changed the packet:\n got  %+v\n want %+v", *pkt, before)
+	}
+}
+
+// TestFanOutAccountsOnce: a fan-out to ten client faces, 0.1 ms after the
+// publication was sent, counts ten out-packets and leaves the latency
+// histogram exactly as ten Observe(0.1) calls would — Sum's bits included,
+// which ten additions of 0.1 and 0.1*10 do not share.
+func TestFanOutAccountsOnce(t *testing.T) {
+	r := fanOutRouter(t, 10)
+	pkt := fanOutMulticast()
+	now := time.Unix(1, 0)
+	pkt.SentAt = now.UnixNano() - 100_000
+	if out := handle(r, now, 1000, pkt); len(out) != 10 {
+		t.Fatalf("fan-out = %d actions, want 10", len(out))
+	}
+	want := obs.NewHistogram(obs.LatencyBucketsMs())
+	for i := 0; i < 10; i++ {
+		want.Observe(0.1)
+	}
+	got := r.deliveryLatency
+	if got.Count() != 10 || math.Float64bits(got.Sum()) != math.Float64bits(want.Sum()) ||
+		fmt.Sprint(got.Snapshot()) != fmt.Sprint(want.Snapshot()) {
+		t.Errorf("latency histogram count %d sum %v buckets %v, want %d %v %v",
+			got.Count(), got.Sum(), got.Snapshot(), want.Count(), want.Sum(), want.Snapshot())
+	}
+	if n := r.ctr.multicastOut.Value(); n != 10 {
+		t.Errorf("multicast_out = %d, want 10", n)
 	}
 }
 
@@ -229,5 +258,39 @@ func TestUnsubscribeCoveredAllocFree(t *testing.T) {
 	}
 	if allocs != 0 {
 		t.Errorf("covered Unsubscribe: %v allocs/op, want 0", allocs)
+	}
+}
+
+// TestResubscribeAllocFree pins the RP walk of a Subscribe on a router that
+// knows one RP: a client re-subscribing a CD already propagated upstream
+// finds its RP by walking the RP table in place, is aggregated, emits
+// nothing and allocates nothing (the walk once allocated a name slice and a
+// slice of intersecting prefixes per RP).
+func TestResubscribeAllocFree(t *testing.T) {
+	rp := NewRouter("RP")
+	rp.AddFace(1, FaceRouter)
+	announce, err := becomeRP(rp, copss.RPInfo{Name: "/rp1", Prefixes: []cd.CD{cd.MustParse("/1")}, Seq: 1})
+	if err != nil || len(announce) != 1 {
+		t.Fatalf("become RP: %d actions, err %v", len(announce), err)
+	}
+	r := NewRouter("R")
+	r.AddFace(1, FaceRouter)
+	r.AddFace(2, FaceClient)
+	now := time.Unix(1, 0)
+	handle(r, now, 1, announce[0].Packet)
+	sub := &wire.Packet{Type: wire.TypeSubscribe, CDs: []cd.CD{cd.MustParse("/1/2")}}
+	if out := handle(r, now, 2, sub); len(out) != 1 || out[0].Face != 1 {
+		t.Fatalf("first Subscribe: emitted %+v, want one Subscribe toward the RP on face 1", out)
+	}
+	var sink ndn.SliceSink
+	allocs := testing.AllocsPerRun(200, func() {
+		sink.Reset()
+		r.HandlePacketTo(now, 2, sub, &sink)
+	})
+	if len(sink.Actions) != 0 {
+		t.Fatalf("repeated Subscribe: emitted %+v, want nothing", sink.Actions)
+	}
+	if allocs != 0 {
+		t.Errorf("repeated Subscribe: %v allocs/op, want 0", allocs)
 	}
 }

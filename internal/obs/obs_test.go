@@ -277,3 +277,34 @@ func TestLoggerHelpers(t *testing.T) {
 		t.Error("ParseLevel accepted garbage")
 	}
 }
+
+// TestObserveRepeatMatchesObserve: ObserveRepeat(v, k) leaves the buckets,
+// the count and the bits of Sum exactly where k Observe(v) calls leave them,
+// for values whose k-fold sum rounds differently from v*k.
+func TestObserveRepeatMatchesObserve(t *testing.T) {
+	for _, v := range []float64{0.1, 0.3, 1.0 / 3, 7.77, 1e-9, 40} {
+		for _, k := range []uint64{0, 1, 2, 3, 10, 64, 1000} {
+			one, many := NewHistogram(nil), NewHistogram(nil)
+			one.Observe(0.7) // a non-zero running sum to add onto
+			many.Observe(0.7)
+			for i := uint64(0); i < k; i++ {
+				one.Observe(v)
+			}
+			many.ObserveRepeat(v, k)
+			if one.Count() != many.Count() || math.Float64bits(one.Sum()) != math.Float64bits(many.Sum()) {
+				t.Errorf("v=%g k=%d: count %d sum %x after Observe, %d %x after ObserveRepeat",
+					v, k, one.Count(), math.Float64bits(one.Sum()), many.Count(), math.Float64bits(many.Sum()))
+			}
+			if a, b := fmt.Sprint(one.Snapshot()), fmt.Sprint(many.Snapshot()); a != b {
+				t.Errorf("v=%g k=%d: buckets %s after Observe, %s after ObserveRepeat", v, k, a, b)
+			}
+		}
+	}
+	h := NewHistogram(nil)
+	h.ObserveN(0.1, 10)
+	h2 := NewHistogram(nil)
+	h2.ObserveRepeat(0.1, 10)
+	if h.Sum() == h2.Sum() {
+		t.Errorf("0.1*10 and ten additions of 0.1 summed alike (%v): the cases do not tell the two apart", h.Sum())
+	}
+}
