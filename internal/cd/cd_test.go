@@ -249,17 +249,26 @@ func TestCoverAndIntersecting(t *testing.T) {
 	if _, ok := Cover(served, MustParse("/3")); ok {
 		t.Error("Cover should miss for unserved CD")
 	}
+	intersecting := func(sub CD) []CD {
+		var out []CD
+		for _, p := range served {
+			if p.Intersects(sub) {
+				out = append(out, p)
+			}
+		}
+		return out
+	}
 	// Subscribing to /1 must reach RPs serving /1/1, /1/2 and /1/ but not /2.
-	got := Intersecting(served, MustParse("/1"))
+	got := intersecting(MustParse("/1"))
 	want := []CD{MustParse("/1/1"), MustParse("/1/2"), MustParse("/1/")}
 	if !reflect.DeepEqual(got, want) {
-		t.Errorf("Intersecting = %v, want %v", got, want)
+		t.Errorf("intersecting = %v, want %v", got, want)
 	}
 	// Subscribing to /2/4 is covered by the RP serving /2.
-	got = Intersecting(served, MustParse("/2/4"))
+	got = intersecting(MustParse("/2/4"))
 	want = []CD{MustParse("/2")}
 	if !reflect.DeepEqual(got, want) {
-		t.Errorf("Intersecting = %v, want %v", got, want)
+		t.Errorf("intersecting = %v, want %v", got, want)
 	}
 }
 

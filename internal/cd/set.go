@@ -156,18 +156,3 @@ func Cover(served []CD, c CD) (CD, bool) {
 	}
 	return CD{}, false
 }
-
-// Intersecting returns the members of served whose subtrees intersect the
-// subtree of sub. A subscription to sub must be routed toward the RPs owning
-// each of these prefixes so that the subscriber receives publications both
-// below sub (RP prefixes that extend sub) and above it via hierarchy
-// delivery (the RP prefix covering sub).
-func Intersecting(served []CD, sub CD) []CD {
-	var out []CD
-	for _, p := range served {
-		if p.Intersects(sub) {
-			out = append(out, p)
-		}
-	}
-	return out
-}

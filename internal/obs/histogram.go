@@ -53,30 +53,14 @@ func LatencyBucketsMs() []float64 {
 }
 
 // Observe records one value.
-func (h *Histogram) Observe(v float64) { h.ObserveRepeat(v, 1) }
+func (h *Histogram) Observe(v float64) { h.observe(v, 1, v, 1) }
 
 // ObserveRepeat records k observations of v and leaves the histogram exactly
 // as k Observe(v) calls in a row would, Sum's bits included: it adds v to
 // the sum k times, where ObserveN adds v*k, which rounds differently. A
 // router's fan-out delivers one packet to k client faces at one instant, so
 // it pays one bucket search and one CAS loop instead of k.
-func (h *Histogram) ObserveRepeat(v float64, k uint64) {
-	if k == 0 {
-		return
-	}
-	h.buckets[h.bucket(v)].Add(k)
-	h.count.Add(k)
-	for {
-		old := h.sumBits.Load()
-		sum := math.Float64frombits(old)
-		for i := uint64(0); i < k; i++ {
-			sum += v
-		}
-		if h.sumBits.CompareAndSwap(old, math.Float64bits(sum)) {
-			return
-		}
-	}
-}
+func (h *Histogram) ObserveRepeat(v float64, k uint64) { h.observe(v, k, v, k) }
 
 // ObserveN records n observations of value v in one shot — the batch
 // counterpart of Observe for replaying pre-aggregated counts. The
@@ -84,23 +68,15 @@ func (h *Histogram) ObserveRepeat(v float64, k uint64) {
 // plain local counters (three uncontended atomics per delivery would
 // dominate their per-delivery arithmetic) and feed the histogram once per
 // run, one ObserveN per occupied bucket.
-func (h *Histogram) ObserveN(v float64, n uint64) {
+func (h *Histogram) ObserveN(v float64, n uint64) { h.observe(v, n, v*float64(n), 1) }
+
+// observe counts n observations of v and adds add to the sum `times` times
+// over.
+func (h *Histogram) observe(v float64, n uint64, add float64, times uint64) {
 	if n == 0 {
 		return
 	}
-	h.buckets[h.bucket(v)].Add(n)
-	h.count.Add(n)
-	for {
-		old := h.sumBits.Load()
-		upd := math.Float64bits(math.Float64frombits(old) + v*float64(n))
-		if h.sumBits.CompareAndSwap(old, upd) {
-			return
-		}
-	}
-}
-
-// bucket returns the index of the first bound >= v; len(bounds) is +Inf.
-func (h *Histogram) bucket(v float64) int {
+	// Binary search for the first bound >= v; index len(bounds) is +Inf.
 	lo, hi := 0, len(h.bounds)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
@@ -110,7 +86,18 @@ func (h *Histogram) bucket(v float64) int {
 			lo = mid + 1
 		}
 	}
-	return lo
+	h.buckets[lo].Add(n)
+	h.count.Add(n)
+	for {
+		old := h.sumBits.Load()
+		sum := math.Float64frombits(old)
+		for i := uint64(0); i < times; i++ {
+			sum += add
+		}
+		if h.sumBits.CompareAndSwap(old, math.Float64bits(sum)) {
+			return
+		}
+	}
 }
 
 // Count returns the number of observations.

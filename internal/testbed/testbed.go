@@ -106,8 +106,7 @@ func (tb *Testbed) link(n *nodeState, f ndn.FaceID) *link {
 	return &tb.links[n.links[f]-1]
 }
 
-// nodeState is one single-threaded network element. Nodes sit by value in
-// Testbed.list.
+// nodeState is one single-threaded network element, kept in Testbed.list.
 type nodeState struct {
 	name    string
 	handle  Handler
@@ -124,7 +123,6 @@ type nodeState struct {
 	busyUntil time.Time
 
 	// stats
-	processed    uint64
 	maxQueue     time.Duration // worst queueing delay observed
 	packetEvents uint64
 	bytes        float64 // integer-valued, so summation order cannot matter
@@ -266,8 +264,7 @@ func (tb *Testbed) Connect(a string, fa ndn.FaceID, b string, fb ndn.FaceID, del
 	return nil
 }
 
-// faceFree reports why face f of node i cannot take a new wire, if it
-// cannot.
+// faceFree reports why face f of node i cannot take a new wire, if it can't.
 func (tb *Testbed) faceFree(i int32, f ndn.FaceID) error {
 	n := &tb.list[i]
 	if f < 0 || f > maxFace {
@@ -279,8 +276,7 @@ func (tb *Testbed) faceFree(i int32, f ndn.FaceID) error {
 	return nil
 }
 
-// attach wires l to face f of node i, growing the face-indexed slice as
-// needed.
+// attach wires l to face f of node i, growing its face slice as needed.
 func (tb *Testbed) attach(i int32, f ndn.FaceID, l link) {
 	tb.links = append(tb.links, l)
 	n := &tb.list[i]
@@ -327,8 +323,7 @@ func (tb *Testbed) Preallocate(n int) { tb.sched.Preallocate(n) }
 
 // receive models FIFO service at node i: the packet waits for the node to
 // become idle, is handled, and its outputs leave when service completes. A
-// fan-out emits one packet to many faces in a row, so its encoded size is
-// computed once per run of actions sharing a packet.
+// packet's size is computed once per run of actions (a fan-out) sharing it.
 func (tb *Testbed) receive(now time.Time, i int32, face ndn.FaceID, pkt *wire.Packet) {
 	n := &tb.list[i]
 	n.packetEvents++
@@ -349,7 +344,6 @@ func (tb *Testbed) receive(now time.Time, i int32, face ndn.FaceID, pkt *wire.Pa
 	}
 	finish := start.Add(service)
 	n.busyUntil = finish
-	n.processed++
 	var sized *wire.Packet
 	size := 0
 	for _, a := range actions {

@@ -39,7 +39,7 @@ func TestNodeFIFOQueueing(t *testing.T) {
 	if maxQ := n.maxQueue; maxQ != 18*time.Millisecond {
 		t.Errorf("maxQueue = %v, want 18ms", maxQ)
 	}
-	if processed := n.processed; processed != 3 {
+	if processed := n.packetEvents; processed != 3 {
 		t.Errorf("processed = %d", processed)
 	}
 }
