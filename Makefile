@@ -64,6 +64,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzDecode -fuzztime=20s ./internal/wire
 	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=10s ./internal/cd
 	$(GO) test -run='^$$' -fuzz=FuzzMigrationHandoff -fuzztime=30s ./internal/core
+	$(GO) test -run='^$$' -fuzz=FuzzARQFaceTable -fuzztime=20s ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzFaultSchedule -fuzztime=20s ./internal/faultnet
 	$(GO) test -run='^$$' -fuzz=FuzzWindowEstimator -fuzztime=20s ./internal/flowctl
 	$(GO) test -run='^$$' -fuzz=FuzzEventHeap -fuzztime=20s ./internal/event

@@ -327,49 +327,6 @@ func BenchmarkRouterMulticastPath(b *testing.B) {
 	}
 }
 
-// BenchmarkRouterMulticastBurst measures the burst data path at the same
-// router as BenchmarkRouterMulticastPath: a burst of hashed multicasts
-// arriving on a router face is grouped by CD so one ST lookup
-// and one fan-out face set serve the whole group, each packet forwarded
-// as received. The ns/pkt metric is the amortized per-packet cost —
-// the acceptance criterion is >= 2x below the single-packet path at width 32.
-func BenchmarkRouterMulticastBurst(b *testing.B) {
-	for _, width := range []int{1, 8, 16, 32} {
-		b.Run(fmt.Sprintf("width%d", width), func(b *testing.B) {
-			r := benchRouterWithSubscriptions(b)
-			var sink ndn.SliceSink
-			if err := r.BecomeRPTo(copss.RPInfo{
-				Name:     "/rp",
-				Prefixes: copss.PartitionPrefixes([]string{"1", "2", "3", "4", "5"}),
-				Seq:      1,
-			}, &sink); err != nil {
-				b.Fatal(err)
-			}
-			r.AddFace(1000, core.FaceRouter)
-			c := cd.MustParse("/3/4")
-			pkts := make([]*wire.Packet, width)
-			for i := range pkts {
-				pkts[i] = &wire.Packet{
-					Type:    wire.TypeMulticast,
-					CDs:     []cd.CD{c},
-					Origin:  "p",
-					Seq:     uint64(i + 1),
-					Payload: make([]byte, 200),
-				}
-			}
-			now := time.Unix(0, 0)
-			r.HandleBurst(now, 1000, pkts, &sink) // warm scratch and caches
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				sink.Reset()
-				r.HandleBurst(now, 1000, pkts, &sink)
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(width), "ns/pkt")
-		})
-	}
-}
-
 // BenchmarkAppendEncodeBurst measures packing a whole burst into one reused
 // frame buffer — the transport's per-flush cost. Steady state must be
 // allocation-free (the 0-alloc reuse test in internal/wire pins it; this

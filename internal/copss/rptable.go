@@ -115,28 +115,8 @@ func (info *RPInfo) Serves(sub cd.CD) bool {
 	return false
 }
 
-// Names returns all RP names, sorted.
-func (t *RPTable) Names() []string {
-	out := make([]string, 0, len(t.rps))
-	for _, info := range t.rps {
-		out = append(out, info.Name)
-	}
-	return out
-}
-
 // Len returns the number of RPs.
 func (t *RPTable) Len() int { return len(t.rps) }
-
-// Clone returns an independent copy of the table.
-func (t *RPTable) Clone() *RPTable {
-	out := &RPTable{rps: make([]*RPInfo, len(t.rps))}
-	for i, info := range t.rps {
-		cp := *info
-		cp.Prefixes = append([]cd.CD(nil), info.Prefixes...)
-		out.rps[i] = &cp
-	}
-	return out
-}
 
 // PartitionPrefixes builds the canonical prefix-free serving sets for a
 // hierarchical map with the given region identifiers: one prefix per region

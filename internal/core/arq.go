@@ -1,7 +1,8 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"time"
 
 	"github.com/icn-gaming/gcopss/internal/flowctl"
@@ -73,23 +74,26 @@ func arqDefaults(cfg flowctl.Config) flowctl.Config {
 	return cfg.Norm()
 }
 
-// arqEstimator returns (lazily creating) the RTT estimator for a face.
-func (r *Router) arqEstimator(face ndn.FaceID) *flowctl.Estimator {
-	e := r.arqEst[face]
-	if e == nil {
-		e = flowctl.NewEstimator(r.flow)
-		r.arqEst[face] = e
+// faceARQ is one face's control-plane ARQ state: the receiver-side dedup
+// window, the face's RTT estimator, and the sender-side entries pending
+// retransmission. CtlSeq stamps only grow, so appending keeps pending in
+// ascending CtlSeq order.
+type faceARQ struct {
+	seen    arqSeen
+	est     flowctl.Estimator
+	pending []arqEntry
+}
+
+// arqOf returns (lazily creating) a face's ARQ state.
+func (r *Router) arqOf(f *face) *faceARQ {
+	if f.arq == nil {
+		f.arq = &faceARQ{est: *flowctl.NewEstimator(r.flow)}
 	}
-	return e
+	return f.arq
 }
 
-// arqKey identifies one in-flight reliable control packet.
-type arqKey struct {
-	face ndn.FaceID
-	seq  uint64
-}
-
-// arqEntry is the sender-side retransmission state for one packet.
+// arqEntry is the sender-side retransmission state for one packet; the
+// packet carries its CtlSeq.
 type arqEntry struct {
 	pkt      *wire.Packet
 	attempts int
@@ -142,10 +146,8 @@ func reliableType(t wire.Type) bool {
 // Client-face and unknown-face actions pass through untouched (clients do
 // not ack). Stamping replaces the action's packet with a copy-on-write
 // shallow copy, because flood fan-outs share one packet across sibling
-// actions and the CtlSeq must be unique per face. Emission order through
-// the sink is exactly the order the old slice-walking reliableOut stamped
-// in, so CtlSeq assignment — and with it every deterministic replay — is
-// unchanged by the sink redesign.
+// actions and the CtlSeq must be unique per face. Stamps follow emission
+// order, which keeps every face's pending list in CtlSeq order.
 type relSink struct {
 	r   *Router
 	now time.Time
@@ -155,7 +157,11 @@ type relSink struct {
 // Emit implements ndn.ActionSink.
 func (s *relSink) Emit(a ndn.Action) {
 	r := s.r
-	if reliableType(a.Packet.Type) && r.faces[a.Face] == FaceRouter {
+	if !reliableType(a.Packet.Type) {
+		s.dst.Emit(a)
+		return
+	}
+	if i, ok := r.faceIndex(a.Face); ok && r.faces[i].kind == FaceRouter {
 		r.arqSeq++
 		cp := *a.Packet
 		cp.CtlSeq = r.arqSeq
@@ -166,11 +172,9 @@ func (s *relSink) Emit(a ndn.Action) {
 			cp.TraceID = r.tracer.SampleID(r.name, r.arqSeq)
 		}
 		a.Packet = &cp
-		r.arqPending[arqKey{face: a.Face, seq: r.arqSeq}] = &arqEntry{
-			pkt:    &cp,
-			nextAt: s.now.Add(r.arqEstimator(a.Face).RTO()),
-			sentAt: s.now,
-		}
+		q := r.arqOf(&r.faces[i])
+		q.pending = append(q.pending, arqEntry{pkt: &cp, nextAt: s.now.Add(q.est.RTO()), sentAt: s.now})
+		r.arqInFlight++
 	}
 	s.dst.Emit(a)
 }
@@ -178,13 +182,9 @@ func (s *relSink) Emit(a ndn.Action) {
 // arqReceive runs on every arriving reliable packet that carries a CtlSeq:
 // it always acks on the arrival face (emitting into sink), and reports
 // whether the packet is a retransmission this router already processed.
-func (r *Router) arqReceive(from ndn.FaceID, pkt *wire.Packet, sink ndn.ActionSink) (dup bool) {
-	sink.Emit(ndn.Action{Face: from, Packet: &wire.Packet{Type: wire.TypeAck, CtlSeq: pkt.CtlSeq}})
-	seen := r.arqSeen[from]
-	if seen == nil {
-		seen = &arqSeen{}
-		r.arqSeen[from] = seen
-	}
+func (r *Router) arqReceive(f *face, pkt *wire.Packet, sink ndn.ActionSink) (dup bool) {
+	seen := &r.arqOf(f).seen
+	sink.Emit(ndn.Action{Face: f.id, Packet: &wire.Packet{Type: wire.TypeAck, CtlSeq: pkt.CtlSeq}})
 	if seen.has(pkt.CtlSeq) {
 		return true
 	}
@@ -194,18 +194,25 @@ func (r *Router) arqReceive(from ndn.FaceID, pkt *wire.Packet, sink ndn.ActionSi
 
 // handleAck clears the pending entry the ack covers and, for first
 // transmissions (Karn), feeds the round trip into the face's estimator.
-func (r *Router) handleAck(now time.Time, from ndn.FaceID, pkt *wire.Packet) {
+func (r *Router) handleAck(now time.Time, f *face, pkt *wire.Packet) {
 	r.ctr.acksIn.Inc()
-	k := arqKey{face: from, seq: pkt.CtlSeq}
-	e, ok := r.arqPending[k]
+	q := f.arq
+	if q == nil {
+		return
+	}
+	i, ok := slices.BinarySearchFunc(q.pending, pkt.CtlSeq, func(e arqEntry, seq uint64) int {
+		return cmp.Compare(e.pkt.CtlSeq, seq)
+	})
 	if !ok {
 		return
 	}
-	delete(r.arqPending, k)
+	e := q.pending[i]
+	q.pending = slices.Delete(q.pending, i, i+1)
+	r.arqInFlight--
 	if e.retransmitted {
 		return
 	}
-	est := r.arqEstimator(from)
+	est := &q.est
 	est.Observe(now.Sub(e.sentAt))
 	r.arqSRTT.Observe(float64(est.SRTT()) / float64(time.Millisecond))
 	r.arqRTO.Observe(float64(est.RTO()) / float64(time.Millisecond))
@@ -215,57 +222,53 @@ func (r *Router) handleAck(now time.Time, from ndn.FaceID, pkt *wire.Packet) {
 // whose adaptive timeout expired is resent with doubled (MaxRTO-clamped)
 // backoff, until the flowctl MaxAttempts budget is exhausted and the packet
 // is abandoned. Hosts call it periodically — the testbed from a scheduled
-// recurring event, the TCP daemon from its event-loop ticker. Iteration is
-// sorted so equal clocks produce equal retransmission orders (deterministic
-// replays).
+// recurring event, the TCP daemon from its event-loop ticker. It walks the
+// face table in ascending face order and each face's entries in CtlSeq
+// order, so equal clocks produce equal retransmission orders (deterministic
+// replays). It returns at once when nothing is pending and otherwise
+// allocates nothing (TestTickToAllocFree).
 func (r *Router) TickTo(now time.Time, sink ndn.ActionSink) {
-	if len(r.arqPending) == 0 {
+	if r.arqInFlight == 0 {
 		return
 	}
-	keys := make([]arqKey, 0, len(r.arqPending))
-	for k := range r.arqPending {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].face != keys[j].face {
-			return keys[i].face < keys[j].face
-		}
-		return keys[i].seq < keys[j].seq
-	})
-	for _, k := range keys {
-		e := r.arqPending[k]
-		if e.nextAt.After(now) {
+	for _, f := range r.faces {
+		q := f.arq
+		if q == nil {
 			continue
 		}
-		if _, up := r.faces[k.face]; !up {
-			delete(r.arqPending, k) // face went away; nothing re-sends it (ROADMAP item 14)
-			continue
+		kept := q.pending[:0]
+		for _, e := range q.pending {
+			if !e.nextAt.After(now) {
+				if e.attempts >= r.flow.MaxAttempts {
+					r.arqInFlight--
+					r.ctr.retransAbandoned.Inc()
+					r.record(now, trace.HopDrop, f.id, e.pkt, "retransmission abandoned")
+					continue
+				}
+				e.attempts++
+				e.retransmitted = true
+				e.nextAt = now.Add(q.est.BackoffRTO(e.attempts))
+				r.ctr.retransTotal.Inc()
+				r.record(now, trace.HopRetransmit, f.id, e.pkt, "")
+				// The stored packet is immutable-after-send; the resend can share it.
+				sink.Emit(ndn.Action{Face: f.id, Packet: e.pkt})
+			}
+			kept = append(kept, e)
 		}
-		if e.attempts >= r.flow.MaxAttempts {
-			delete(r.arqPending, k)
-			r.ctr.retransAbandoned.Inc()
-			r.record(now, trace.HopDrop, k.face, e.pkt, "retransmission abandoned")
-			continue
-		}
-		e.attempts++
-		e.retransmitted = true
-		e.nextAt = now.Add(r.arqEstimator(k.face).BackoffRTO(e.attempts))
-		r.ctr.retransTotal.Inc()
-		r.record(now, trace.HopRetransmit, k.face, e.pkt, "")
-		// The stored packet is immutable-after-send; the resend can share it.
-		sink.Emit(ndn.Action{Face: k.face, Packet: e.pkt})
+		clear(q.pending[len(kept):])
+		q.pending = kept
 	}
 }
 
 // ARQPending returns the number of unacknowledged reliable control packets,
 // for tests and debug exposition.
-func (r *Router) ARQPending() int { return len(r.arqPending) }
+func (r *Router) ARQPending() int { return r.arqInFlight }
 
 // ARQSRTT returns the smoothed RTT estimate for a router face (zero before
 // the first ack sample), for tests and debug exposition.
 func (r *Router) ARQSRTT(face ndn.FaceID) time.Duration {
-	if e := r.arqEst[face]; e != nil {
-		return e.SRTT()
+	if i, ok := r.faceIndex(face); ok && r.faces[i].arq != nil {
+		return r.faces[i].arq.est.SRTT()
 	}
 	return 0
 }

@@ -270,3 +270,30 @@ func TestARQStampsOnlyRouterFaces(t *testing.T) {
 		}
 	}
 }
+
+// TestTickToAllocFree pins TickTo's steady state: retransmitting due entries
+// into a reused sink allocates nothing, since the entries are resent in
+// place in the face table.
+func TestTickToAllocFree(t *testing.T) {
+	r := NewRouter("X", WithFlowControl(flowctl.WithMaxAttempts(1000)))
+	r.AddFace(1, FaceRouter)
+	r.AddFace(2, FaceRouter)
+	now := time.Unix(0, 0)
+	rs := &relSink{r: r, now: now, dst: discard}
+	for _, f := range []ndn.FaceID{1, 2} {
+		rs.Emit(ndn.Action{Face: f, Packet: &wire.Packet{Type: wire.TypeFIBAdd, Name: "/rp"}})
+	}
+	var sink ndn.SliceSink
+	tick := func() {
+		now = now.Add(time.Hour) // past any backed-off RTO: both entries are due
+		sink.Reset()
+		r.TickTo(now, &sink)
+	}
+	tick() // grow the sink
+	if allocs := testing.AllocsPerRun(100, tick); allocs != 0 {
+		t.Errorf("TickTo with 2 due entries: %v allocs/op, want 0", allocs)
+	}
+	if len(sink.Actions) != 2 || r.ARQPending() != 2 {
+		t.Fatalf("last tick resent %d with %d pending, want 2 and 2", len(sink.Actions), r.ARQPending())
+	}
+}

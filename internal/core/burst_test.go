@@ -39,20 +39,20 @@ func multicastFor(key string, seq uint64) *wire.Packet {
 	}
 }
 
-// mixedBurst builds a burst interleaving groupable multicast runs with
-// fallback traffic: two CDs, an unstamped multicast, a flush marker, a
-// Subscribe and an Ack.
+// mixedBurst builds a burst interleaving same-CD multicast runs with other
+// traffic: two CDs, an unstamped multicast, a flush marker, a Subscribe and
+// an Ack.
 func mixedBurst() []*wire.Packet {
 	return []*wire.Packet{
 		multicastFor("/1/2", 1),
-		multicastFor("/1/2", 2), // same CD: one group
+		multicastFor("/1/2", 2), // same CD
 		multicastFor("/1/2", 3),
-		multicastFor("/2/9", 4), // new group: different CD
+		multicastFor("/2/9", 4), // different CD
 		{Type: wire.TypeMulticast, CDs: []cd.CD{cd.MustParse("/1/2")},
-			Origin: FlushOrigin, Name: FlushOrigin + "/X"}, // fallback: marker
-		{Type: wire.TypeSubscribe, CDs: []cd.CD{cd.MustParse("/1/7")}}, // fallback: ST mutation
-		multicastFor("/1/2", 5),                                        // new run after the fallback break
-		{Type: wire.TypeAck, CtlSeq: 99},                               // fallback: consumed silently
+			Origin: FlushOrigin, Name: FlushOrigin + "/X"}, // flush marker
+		{Type: wire.TypeSubscribe, CDs: []cd.CD{cd.MustParse("/1/7")}}, // ST mutation
+		multicastFor("/1/2", 5),                                        // after the ST changed
+		{Type: wire.TypeAck, CtlSeq: 99},                               // consumed silently
 		{Type: wire.TypeMulticast, CDs: []cd.CD{cd.MustParse("/1/2")}}, // unstamped: no SentAt
 	}
 }
@@ -114,7 +114,7 @@ func TestHandleBurstMatchesSequential(t *testing.T) {
 }
 
 // TestHandleBurstForwardsArrival pins the copy-free burst fan-out: every
-// action of a grouped run carries its arrival packet itself, unchanged.
+// action of a burst carries its arrival packet itself, unchanged.
 func TestHandleBurstForwardsArrival(t *testing.T) {
 	r := burstRouter(t)
 	pkts := []*wire.Packet{
@@ -140,8 +140,8 @@ func TestHandleBurstForwardsArrival(t *testing.T) {
 }
 
 // TestHandleBurstAllocBudget locks the burst allocation budget: a warm
-// grouped fan-out at width 16 or 32 forwards the arrival packets and
-// allocates nothing.
+// burst of same-CD multicasts at width 16 or 32 forwards the arrival
+// packets and allocates nothing.
 func TestHandleBurstAllocBudget(t *testing.T) {
 	for _, width := range []int{16, 32} {
 		r := fanOutRouter(t, 8)

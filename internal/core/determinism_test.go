@@ -10,37 +10,31 @@ import (
 )
 
 // TestFloodExceptOrderIsSorted pins the determinism contract of floodExcept:
-// actions come out in ascending face order regardless of face-map iteration
-// order, the excepted face and non-router faces are skipped, and the order
-// holds past the 16-face stack buffer. Repeated fresh routers turn Go's
-// randomized map order into a deterministic failure if the sort regresses.
+// actions come out in ascending face order whatever the registration order,
+// and the excepted face and non-router faces are skipped.
 func TestFloodExceptOrderIsSorted(t *testing.T) {
-	// Insertion order is deliberately scrambled; 20 router faces also cover
-	// the spill past floodExcept's stack scratch buffer.
+	// Registration order is deliberately scrambled.
 	ids := []ndn.FaceID{17, 3, 40, 9, 1, 25, 12, 38, 7, 21,
 		5, 33, 14, 28, 2, 19, 36, 10, 23, 31}
 	pkt := &wire.Packet{Type: wire.TypeFIBAdd, Name: "/rp", Seq: 1, Origin: "X"}
-	for trial := 0; trial < 20; trial++ {
-		r := NewRouter("X")
-		for _, id := range ids {
-			r.AddFace(id, FaceRouter)
+	r := NewRouter("X")
+	for _, id := range ids {
+		r.AddFace(id, FaceRouter)
+	}
+	r.AddFace(99, FaceClient) // clients never receive floods
+	acts := emitted(func(s ndn.ActionSink) { r.floodExcept(9, pkt, s) })
+	if len(acts) != len(ids)-1 {
+		t.Fatalf("%d actions, want %d", len(acts), len(ids)-1)
+	}
+	prev := ndn.FaceID(-1)
+	for i, a := range acts {
+		if a.Face == 9 || a.Face == 99 {
+			t.Fatalf("flood reached excluded face %d", a.Face)
 		}
-		r.AddFace(99, FaceClient) // clients never receive floods
-		acts := emitted(func(s ndn.ActionSink) { r.floodExcept(9, pkt, s) })
-		if len(acts) != len(ids)-1 {
-			t.Fatalf("trial %d: %d actions, want %d", trial, len(acts), len(ids)-1)
+		if a.Face <= prev {
+			t.Fatalf("faces not ascending at %d: %v then %v", i, prev, a.Face)
 		}
-		prev := ndn.FaceID(-1)
-		for i, a := range acts {
-			if a.Face == 9 || a.Face == 99 {
-				t.Fatalf("trial %d: flood reached excluded face %d", trial, a.Face)
-			}
-			if a.Face <= prev {
-				t.Fatalf("trial %d: faces not ascending at %d: %v then %v",
-					trial, i, prev, a.Face)
-			}
-			prev = a.Face
-		}
+		prev = a.Face
 	}
 }
 
@@ -114,34 +108,32 @@ func TestConfirmGraftOrderIsSorted(t *testing.T) {
 }
 
 // TestTickToRetransmitOrderIsSorted pins the determinism contract of TickTo:
-// expired entries are retransmitted in (face, seq) order, not pending-map
-// iteration order.
+// expired entries are retransmitted in (face, seq) order. The packets are
+// stamped through the relSink round-robin over faces registered out of
+// order, so neither registration nor stamp order is the (face, seq) order.
 func TestTickToRetransmitOrderIsSorted(t *testing.T) {
 	faces := []ndn.FaceID{17, 3, 40, 9}
-	seqs := []uint64{5, 2, 8}
+	const perFace = 3
 	epoch := time.Unix(0, 0)
-	for trial := 0; trial < 20; trial++ {
-		r := NewRouter("X")
+	r := NewRouter("X")
+	for _, f := range faces {
+		r.AddFace(f, FaceRouter)
+	}
+	rs := &relSink{r: r, now: epoch, dst: discard}
+	for i := 0; i < perFace; i++ {
 		for _, f := range faces {
-			r.AddFace(f, FaceRouter)
-			for _, seq := range seqs {
-				r.arqPending[arqKey{face: f, seq: seq}] = &arqEntry{
-					pkt:    &wire.Packet{Type: wire.TypeFIBAdd, Name: "/rp", CtlSeq: seq},
-					nextAt: epoch,
-					sentAt: epoch,
-				}
-			}
+			rs.Emit(ndn.Action{Face: f, Packet: &wire.Packet{Type: wire.TypeFIBAdd, Name: "/rp"}})
 		}
-		acts := emitted(func(s ndn.ActionSink) { r.TickTo(epoch.Add(time.Second), s) })
-		if len(acts) != len(faces)*len(seqs) {
-			t.Fatalf("trial %d: %d retransmissions, want %d", trial, len(acts), len(faces)*len(seqs))
-		}
-		for i := 1; i < len(acts); i++ {
-			p, a := acts[i-1], acts[i]
-			if a.Face < p.Face || (a.Face == p.Face && a.Packet.CtlSeq <= p.Packet.CtlSeq) {
-				t.Fatalf("trial %d: retransmissions not in (face, seq) order at %d: (%v, %d) then (%v, %d)",
-					trial, i, p.Face, p.Packet.CtlSeq, a.Face, a.Packet.CtlSeq)
-			}
+	}
+	acts := emitted(func(s ndn.ActionSink) { r.TickTo(epoch.Add(time.Second), s) })
+	if len(acts) != len(faces)*perFace {
+		t.Fatalf("%d retransmissions, want %d", len(acts), len(faces)*perFace)
+	}
+	for i := 1; i < len(acts); i++ {
+		p, a := acts[i-1], acts[i]
+		if a.Face < p.Face || (a.Face == p.Face && a.Packet.CtlSeq <= p.Packet.CtlSeq) {
+			t.Fatalf("retransmissions not in (face, seq) order at %d: (%v, %d) then (%v, %d)",
+				i, p.Face, p.Packet.CtlSeq, a.Face, a.Packet.CtlSeq)
 		}
 	}
 }

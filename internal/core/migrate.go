@@ -245,8 +245,8 @@ func narrowedNeeds(r *Router, prefixes []cd.CD) *cd.Set {
 	return needs
 }
 
-// discard swallows emissions; used where the legacy code discarded returned
-// actions (statically bootstrapped grafts have no waiting joiners).
+// discard swallows emissions; used where nothing can be emitted
+// (statically bootstrapped grafts have no waiting joiners).
 var discard ndn.ActionSink = discardSink{}
 
 type discardSink struct{}

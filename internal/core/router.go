@@ -44,6 +44,16 @@ const (
 	FaceClient
 )
 
+// face is one entry of the router's face table. Every packet looks its
+// arrival face up, so an entry holds only the kind the data plane reads and
+// a pointer to the control-plane ARQ state (arq.go), which is allocated on
+// the face's first reliable packet; only router faces carry any.
+type face struct {
+	id   ndn.FaceID
+	kind FaceKind
+	arq  *faceARQ
+}
+
 // InternalFace is the virtual face (the dedicated IPC tunnel of Fig. 2)
 // between the NDN engine and the G-COPSS engine of the same router. Actions
 // never reference it; it only appears as a packet origin.
@@ -100,7 +110,8 @@ type Router struct {
 	st        *copss.ST
 	rpt       *copss.RPTable
 
-	faces map[ndn.FaceID]FaceKind
+	// faces is the face table, sorted by id.
+	faces []face
 
 	// localRPs is the set of RP names hosted on this router.
 	localRPs map[string]struct{}
@@ -140,15 +151,13 @@ type Router struct {
 	// publishers keep sending.
 	dec wire.Decoder
 
-	// Control-plane ARQ state (see arq.go): sender-side pending
-	// retransmissions keyed by (face, CtlSeq), the per-router stamp
-	// counter, the per-face receiver dedup windows, and the per-face
-	// adaptive RTT estimators governed by the flowctl config.
-	arqSeq     uint64
-	arqPending map[arqKey]*arqEntry
-	arqSeen    map[ndn.FaceID]*arqSeen
-	arqEst     map[ndn.FaceID]*flowctl.Estimator
-	flow       flowctl.Config
+	// Control-plane ARQ state (see arq.go; the per-face part lives in the
+	// face table): the per-router stamp counter, the number of packets
+	// pending retransmission across all faces, and the flowctl config
+	// governing every face's RTT estimator.
+	arqSeq      uint64
+	arqInFlight int
+	flow        flowctl.Config
 
 	obsReg          *obs.Registry
 	ctr             routerCounters
@@ -224,16 +233,12 @@ func NewRouter(name string, opts ...Option) *Router {
 		name:         name,
 		ndnEngine:    ndn.NewEngine(),
 		rpt:          copss.NewRPTable(),
-		faces:        make(map[ndn.FaceID]FaceKind),
 		localRPs:     make(map[string]struct{}),
 		propagated:   make(map[string]*cd.Set),
 		upstream:     make(map[string]ndn.FaceID),
 		grafts:       make(map[string]*graft),
 		pendingJoins: make(map[string][]pendingJoin),
 		announceSeq:  make(map[string]uint64),
-		arqPending:   make(map[arqKey]*arqEntry),
-		arqSeen:      make(map[ndn.FaceID]*arqSeen),
-		arqEst:       make(map[ndn.FaceID]*flowctl.Estimator),
 		flow:         arqDefaults(flowctl.Config{}),
 	}
 	for _, o := range opts {
@@ -381,38 +386,63 @@ func (r *Router) drop(now time.Time, from ndn.FaceID, pkt *wire.Packet, reason s
 	r.record(now, trace.HopDrop, from, pkt, reason)
 }
 
-// AddFace registers a face of the given kind.
+// faceIndex returns the position of face id in the face table, or where it
+// would be inserted. It runs on every packet and every timed client
+// out-face, so the binary search is written out: slices.BinarySearchFunc
+// calls its comparison out of line at every step.
+func (r *Router) faceIndex(id ndn.FaceID) (int, bool) {
+	lo, hi := 0, len(r.faces)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if r.faces[m].id < id {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo, lo < len(r.faces) && r.faces[lo].id == id
+}
+
+// AddFace registers a face of the given kind; re-adding a face changes its
+// kind and keeps its ARQ state.
 func (r *Router) AddFace(id ndn.FaceID, kind FaceKind) {
-	r.faces[id] = kind
+	i, ok := r.faceIndex(id)
+	if ok {
+		r.faces[i].kind = kind
+		return
+	}
+	r.faces = slices.Insert(r.faces, i, face{id: id, kind: kind})
 }
 
 // RemoveFace drops a face and its subscriptions, along with any ARQ state
 // bound to it. It sends nothing upstream and re-syncs nothing: FIB next hops,
 // upstream and propagated entries through the face stay behind, and a peer
 // that reconnects on a new face gets no subscription or route state resent.
+// Packets that still arrive on the face are dropped (HandlePacketTo).
 func (r *Router) RemoveFace(id ndn.FaceID) {
-	delete(r.faces, id)
-	r.st.RemoveFace(id)
-	delete(r.arqSeen, id)
-	delete(r.arqEst, id)
-	for k := range r.arqPending {
-		if k.face == id {
-			delete(r.arqPending, k)
+	if i, ok := r.faceIndex(id); ok {
+		if q := r.faces[i].arq; q != nil {
+			r.arqInFlight -= len(q.pending)
 		}
+		r.faces = slices.Delete(r.faces, i, i+1)
 	}
+	r.st.RemoveFace(id)
 }
 
 // FaceKindOf returns the kind of a registered face.
 func (r *Router) FaceKindOf(id ndn.FaceID) (FaceKind, bool) {
-	k, ok := r.faces[id]
-	return k, ok
+	i, ok := r.faceIndex(id)
+	if !ok {
+		return 0, false
+	}
+	return r.faces[i].kind, true
 }
 
-// Faces returns the registered face IDs in unspecified order.
+// Faces returns the registered face IDs in ascending order.
 func (r *Router) Faces() []ndn.FaceID {
-	out := make([]ndn.FaceID, 0, len(r.faces))
-	for id := range r.faces {
-		out = append(out, id)
+	out := make([]ndn.FaceID, len(r.faces))
+	for i, f := range r.faces {
+		out[i] = f.id
 	}
 	return out
 }
@@ -484,61 +514,62 @@ func (r *Router) BecomeRPAt(now time.Time, info copss.RPInfo, sink ndn.ActionSin
 // floodExcept emits send actions for every router face except the given one
 // (use a negative face to flood everywhere). All actions share the one
 // packet under the immutable-after-send discipline; per-face mutation (ARQ
-// CtlSeq stamping) copies on write in the relSink. Actions are emitted in
-// ascending face order: flood order feeds the transmit order hosts observe,
-// and map-iteration order here would make same-seed replays diverge. It
-// allocates nothing (TestFloodExceptAllocFree).
+// CtlSeq stamping) copies on write in the relSink. Actions follow the face
+// table's ascending order, so the transmit order hosts observe is the same
+// on every replay. It allocates nothing (TestFloodExceptAllocFree).
 func (r *Router) floodExcept(except ndn.FaceID, pkt *wire.Packet, sink ndn.ActionSink) {
-	// Flood fan-outs are a handful of faces; collect them on the stack and
-	// insertion-sort (sort.Slice's closure would allocate on this path).
-	var buf [16]ndn.FaceID
-	out := buf[:0]
-	for id, kind := range r.faces {
-		if id == except || kind != FaceRouter {
-			continue
+	for _, f := range r.faces {
+		if f.id != except && f.kind == FaceRouter {
+			sink.Emit(ndn.Action{Face: f.id, Packet: pkt})
 		}
-		out = append(out, id)
-	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	for _, id := range out {
-		sink.Emit(ndn.Action{Face: id, Packet: pkt})
 	}
 }
 
 // HandlePacketTo is the router's single entry point: it dispatches by packet
 // type exactly as the "is a NDN pkt?" demultiplexer of Fig. 2 does, emitting
-// every send action into sink. Around the dispatch sits the control-plane
-// ARQ (arq.go): acks are consumed, reliable arrivals are acked and
-// deduplicated, and reliable departures to router faces are stamped and
-// registered for retransmission by the relSink wrapper.
+// every send action into sink. A packet from a face that is not registered
+// (or no longer is, after RemoveFace) is dropped. Around the dispatch sits
+// the control-plane ARQ (arq.go): acks are consumed, reliable arrivals are
+// acked and deduplicated, and reliable departures to router faces are
+// stamped and registered for retransmission by the relSink wrapper.
 func (r *Router) HandlePacketTo(now time.Time, from ndn.FaceID, pkt *wire.Packet, sink ndn.ActionSink) {
 	if kind := arrivalKind(pkt.Type); kind != 0 {
 		r.record(now, kind, from, pkt, "")
 	}
-	if pkt.Type == wire.TypeAck {
-		r.handleAck(now, from, pkt)
+	i, ok := r.faceIndex(from)
+	if !ok {
+		r.drop(now, from, pkt, "unregistered face")
 		return
 	}
-	if reliableType(pkt.Type) && pkt.CtlSeq != 0 {
-		dup := r.arqReceive(from, pkt, sink)
-		if dup {
-			r.ctr.ctlDupsIn.Inc()
-			r.record(now, trace.HopDrop, from, pkt, "arq duplicate")
-			return
-		}
+	f := &r.faces[i]
+	if pkt.Type == wire.TypeAck {
+		r.handleAck(now, f, pkt)
+		return
+	}
+	if reliableType(pkt.Type) && pkt.CtlSeq != 0 && r.arqReceive(f, pkt, sink) {
+		r.ctr.ctlDupsIn.Inc()
+		r.record(now, trace.HopDrop, from, pkt, "arq duplicate")
+		return
 	}
 	rs := &r.rel
 	rs.r, rs.now, rs.dst = r, now, sink
-	r.dispatch(now, from, pkt, rs)
+	r.dispatch(now, from, f.kind, pkt, rs)
 	rs.dst = nil
 }
 
-// dispatch is the Fig. 2 demultiplexer proper.
-func (r *Router) dispatch(now time.Time, from ndn.FaceID, pkt *wire.Packet, sink ndn.ActionSink) {
+// HandleBurst processes pkts, which arrived back-to-back on one face at one
+// time, by calling HandlePacketTo on each in slice order. Hosts that drain
+// several packets from a face at once (the TCP daemon) hand over the whole
+// slice. Packets in pkts are immutable-after-send (DESIGN.md §11); the
+// sharedpkt analyzer checks []*wire.Packet parameters too.
+func (r *Router) HandleBurst(now time.Time, from ndn.FaceID, pkts []*wire.Packet, sink ndn.ActionSink) {
+	for _, pkt := range pkts {
+		r.HandlePacketTo(now, from, pkt, sink)
+	}
+}
+
+// dispatch is the Fig. 2 demultiplexer proper; kind is the arrival face's.
+func (r *Router) dispatch(now time.Time, from ndn.FaceID, kind FaceKind, pkt *wire.Packet, sink ndn.ActionSink) {
 	switch pkt.Type {
 	case wire.TypeInterest:
 		r.handleInterest(now, from, pkt, sink)
@@ -549,7 +580,7 @@ func (r *Router) dispatch(now time.Time, from ndn.FaceID, pkt *wire.Packet, sink
 	case wire.TypeUnsubscribe:
 		r.handleUnsubscribe(now, from, pkt, sink)
 	case wire.TypeMulticast:
-		r.handleMulticast(now, from, pkt, sink)
+		r.handleMulticast(now, from, kind, pkt, sink)
 	case wire.TypeFIBAdd:
 		r.handleAnnouncement(now, from, pkt, sink)
 	case wire.TypeHandoff:
@@ -670,13 +701,8 @@ func (r *Router) drainPendingPrunes(sink ndn.ActionSink) {
 // handleMulticast implements the paper's two Multicast cases: from an end
 // host, encapsulate toward the covering RP; from another router, forward
 // straight from the ST.
-func (r *Router) handleMulticast(now time.Time, from ndn.FaceID, pkt *wire.Packet, sink ndn.ActionSink) {
+func (r *Router) handleMulticast(now time.Time, from ndn.FaceID, kind FaceKind, pkt *wire.Packet, sink ndn.ActionSink) {
 	r.ctr.multicastIn.Inc()
-	kind, ok := r.faces[from]
-	if !ok {
-		r.drop(now, from, pkt, "unregistered face")
-		return
-	}
 	if kind == FaceRouter && pkt.Origin == FlushOrigin {
 		// A migration flush marker: if it is ours and arrived on the old
 		// upstream face, the old branch has drained — the deferred Leave of
@@ -715,14 +741,7 @@ func (r *Router) handleMulticast(now time.Time, from ndn.FaceID, pkt *wire.Packe
 				cp.TraceID = tid
 				pkt = &cp
 			}
-			r.drainPendingPrunes(sink)
-			if pkt.Name == TwoStepRequest {
-				r.deliverTwoStep(now, rpName, pkt, sink)
-				return
-			}
-			r.ctr.rpDeliveries.Inc()
-			r.record(now, trace.HopRPDeliver, InternalFace, pkt, rpName)
-			r.distribute(now, -1, pkt, sink)
+			r.deliverAsRP(now, rpName, pkt, sink)
 			return
 		}
 		// Toward a remote RP the TraceID-stamped copy and the outer Interest
@@ -770,8 +789,12 @@ func (r *Router) publishToward(now time.Time, rpName string, c cd.CD, inner, out
 }
 
 // distribute forwards a Multicast to every face whose subscriptions match a
-// prefix of the packet's CD, excluding the arrival face. With fanOut it must
-// stay allocation-free (TestDistributeAllocBudget).
+// prefix of the packet's CD, excluding the arrival face. It copies nothing —
+// every out-face shares the received packet (it is immutable-after-send), so
+// an N-face fan-out allocates nothing (TestDistributeAllocBudget). Deliveries
+// to client faces carrying a send timestamp feed the delivery-latency
+// histogram; they all observe the same latency, so the fan-out records them,
+// and its out-face count, once.
 func (r *Router) distribute(now time.Time, from ndn.FaceID, pkt *wire.Packet, sink ndn.ActionSink) {
 	c, err := pkt.CD()
 	if err != nil {
@@ -782,18 +805,6 @@ func (r *Router) distribute(now time.Time, from ndn.FaceID, pkt *wire.Packet, si
 	if len(faces) == 0 {
 		return
 	}
-	r.fanOut(now, from, pkt, faces, sink)
-}
-
-// fanOut is the router's one multicast fan-out loop, shared by distribute
-// and the HandleBurst fast path: it emits pkt itself to every face in faces
-// except the arrival face. The fan-out copies nothing — every out-face shares
-// the received packet (it is immutable-after-send), so an N-face fan-out
-// allocates nothing (TestDistributeAllocBudget). Deliveries to client faces
-// carrying a send timestamp feed the delivery-latency histogram; they all
-// observe the same latency, so the fan-out records them, and its out-face
-// count, once.
-func (r *Router) fanOut(now time.Time, from ndn.FaceID, pkt *wire.Packet, faces []ndn.FaceID, sink ndn.ActionSink) {
 	dt := now.UnixNano() - pkt.SentAt
 	timed := pkt.SentAt != 0 && dt >= 0 && pkt.Origin != FlushOrigin
 	var sent, clients uint64
@@ -804,7 +815,10 @@ func (r *Router) fanOut(now time.Time, from ndn.FaceID, pkt *wire.Packet, faces 
 		sink.Emit(ndn.Action{Face: f, Packet: pkt})
 		sent++
 		r.record(now, trace.HopFanOut, f, pkt, "")
-		if timed && r.faces[f] == FaceClient {
+		if !timed {
+			continue
+		}
+		if i, ok := r.faceIndex(f); ok && r.faces[i].kind == FaceClient {
 			clients++
 		}
 	}

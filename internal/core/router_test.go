@@ -336,6 +336,37 @@ func TestRouterMiscAccessors(t *testing.T) {
 	}
 }
 
+// TestRemovedFaceDropsEveryPacket pins the unregistered-face rule: a packet
+// that arrives on a face after RemoveFace (a host may have queued it before
+// the removal) is dropped whatever its type, so it neither installs state
+// nor sends anything upstream.
+func TestRemovedFaceDropsEveryPacket(t *testing.T) {
+	r := NewRouter("X")
+	r.AddFace(1, FaceRouter)
+	if err := r.InstallRP(copss.RPInfo{Name: "/rp", Prefixes: []cd.CD{cd.MustParse("/1")}, Seq: 1}, 1); err != nil {
+		t.Fatal(err)
+	}
+	r.AddFace(2, FaceClient)
+	r.RemoveFace(2)
+	pkts := []*wire.Packet{
+		sub("/1/2"),
+		mcast("/1/2", "p", 1, "x"),
+		{Type: wire.TypeJoin, Name: "/rp", CDs: []cd.CD{cd.MustParse("/1")}, CtlSeq: 7},
+		{Type: wire.TypeAck, CtlSeq: 1},
+	}
+	for _, pkt := range pkts {
+		if acts := handle(r, time.Unix(0, 0), 2, pkt); len(acts) != 0 {
+			t.Errorf("%v from a removed face emitted %v", pkt.Type, acts)
+		}
+	}
+	if n := r.ST().Len(); n != 0 {
+		t.Errorf("ST holds %d entries after packets from a removed face", n)
+	}
+	if st := r.Stats(); st.Dropped != uint64(len(pkts)) || st.SubscribesIn != 0 || st.MulticastIn != 0 {
+		t.Errorf("stats = %+v, want %d drops and nothing handled", st, len(pkts))
+	}
+}
+
 func TestBecomeRPRejectsConflict(t *testing.T) {
 	r := NewRouter("X")
 	if _, err := becomeRP(r, copss.RPInfo{Name: "/a", Prefixes: []cd.CD{cd.MustParse("/1")}, Seq: 1}); err != nil {

@@ -29,7 +29,7 @@ type CallHandler func(now time.Time, pl Payload)
 // queued event has the one AtCall shape.
 func runHandler(now time.Time, pl Payload) { pl.Ptr.(Handler)(now) }
 
-// keyedBit marks a keyed event's heap key. Global events take their
+// keyedBit marks a keyed event's queue key. Global events take their
 // insertion sequence as key, which never reaches this bit, so at equal times
 // every global event sorts before every keyed one whatever the counters
 // hold.
@@ -45,10 +45,9 @@ const keyedBit = 1 << 63
 // keyed events by key. Pushing an event costs no allocation beyond amortized
 // growth of the queue.
 type Scheduler struct {
-	now       time.Time
-	seq       uint64
-	q         eventQueue
-	processed uint64
+	now time.Time
+	seq uint64
+	q   eventQueue
 }
 
 // NewScheduler starts virtual time at the given origin.
@@ -62,9 +61,6 @@ func (s *Scheduler) Now() time.Time { return s.now }
 
 // Pending returns the number of queued events.
 func (s *Scheduler) Pending() int { return s.q.len() }
-
-// Processed returns the number of events executed so far.
-func (s *Scheduler) Processed() uint64 { return s.processed }
 
 // Preallocate grows the queue to hold n pending events without reallocation,
 // so the hot push path performs no growth during a run.
@@ -117,7 +113,6 @@ func (s *Scheduler) Step() bool {
 	}
 	ev := s.q.pop()
 	s.now = ev.at
-	s.processed++
 	ev.call(ev.at, ev.pl)
 	return true
 }

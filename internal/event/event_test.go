@@ -16,6 +16,9 @@ func TestOrderingAndTies(t *testing.T) {
 	if n := s.Run(0); n != 4 {
 		t.Fatalf("Run = %d", n)
 	}
+	if len(order) != 4 {
+		t.Fatalf("%d callbacks ran, want 4", len(order))
+	}
 	want := []int{1, 20, 21, 3}
 	for i := range want {
 		if order[i] != want[i] {
@@ -24,9 +27,6 @@ func TestOrderingAndTies(t *testing.T) {
 	}
 	if s.Now() != origin.Add(3*time.Millisecond) {
 		t.Errorf("Now = %v", s.Now())
-	}
-	if s.Processed() != 4 {
-		t.Errorf("Processed = %d", s.Processed())
 	}
 }
 
