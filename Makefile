@@ -71,6 +71,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzContentStoreLRU -fuzztime=20s ./internal/ndn
 	$(GO) test -run='^$$' -fuzz=FuzzSTIndex -fuzztime=20s ./internal/copss
 	$(GO) test -run='^$$' -fuzz=FuzzReadBurstChunking -fuzztime=20s ./internal/transport
+	$(GO) test -run='^$$' -fuzz=FuzzHostDelivery -fuzztime=20s ./internal/testbed
 
 # cover gates statement coverage on the reliability-critical packages: the
 # router core (ARQ, migration), the broker (QR fetch retry), the fault

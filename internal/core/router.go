@@ -621,7 +621,7 @@ func (r *Router) handleInterest(now time.Time, from ndn.FaceID, pkt *wire.Packet
 			r.drop(now, from, pkt, "malformed encapsulation")
 			return
 		}
-		r.deliverAsRP(now, rpName, inner, sink)
+		r.deliverAsRP(now, rpName, inner, false, sink)
 		return
 	}
 	faces, _, ok := r.ndnEngine.FIB().Lookup(rpName)
@@ -653,18 +653,22 @@ func (r *Router) rpBoundName(name string) (string, bool) {
 // deliverAsRP multicasts a decapsulated publication down the subscription
 // tree. Stage-B redirection: if the CD is no longer served here (it was
 // handed off), the publication is re-encapsulated toward the now-covering RP.
-func (r *Router) deliverAsRP(now time.Time, rpName string, inner *wire.Packet, sink ndn.ActionSink) {
+// covered skips that check where the caller's CoverOf has settled it.
+func (r *Router) deliverAsRP(now time.Time, rpName string, inner *wire.Packet, covered bool, sink ndn.ActionSink) {
 	c, err := inner.CD()
 	if err != nil {
 		r.drop(now, InternalFace, inner, "publication without CD")
 		return
 	}
-	info, _ := r.rpt.Get(rpName)
+	if !covered {
+		info, _ := r.rpt.Get(rpName)
+		_, covered = cd.Cover(info.Prefixes, c)
+	}
 	// Any service through the RP path happens after every earlier emission,
 	// so queued handoff Prunes can be flushed safely here. They go first so
 	// they stay FIFO-behind every old-tree copy already on the wire.
 	r.drainPendingPrunes(sink)
-	if _, covered := cd.Cover(info.Prefixes, c); !covered {
+	if !covered {
 		// The CD moved to another RP; redirect (half-RTT loss-freedom rule).
 		newRP, _, ok := r.rpt.CoverOf(c)
 		if !ok || newRP == rpName {
@@ -733,15 +737,15 @@ func (r *Router) handleMulticast(now time.Time, from ndn.FaceID, kind FaceKind, 
 			tid = r.tracer.SampleID(pkt.Origin, pkt.Seq)
 		}
 		if r.IsRP(rpName) {
-			// Publisher attached directly to the RP: skip encapsulation.
-			// Delivery matches the encapsulated path (all matching faces,
-			// including the publisher's own if subscribed).
+			// Publisher attached directly to the RP: skip encapsulation and
+			// the coverage check CoverOf settled. Delivery matches the
+			// encapsulated path (all matching faces, the publisher's own too).
 			if tid != pkt.TraceID {
 				cp := *pkt
 				cp.TraceID = tid
 				pkt = &cp
 			}
-			r.deliverAsRP(now, rpName, pkt, sink)
+			r.deliverAsRP(now, rpName, pkt, true, sink)
 			return
 		}
 		// Toward a remote RP the TraceID-stamped copy and the outer Interest
@@ -808,6 +812,7 @@ func (r *Router) distribute(now time.Time, from ndn.FaceID, pkt *wire.Packet, si
 	dt := now.UnixNano() - pkt.SentAt
 	timed := pkt.SentAt != 0 && dt >= 0 && pkt.Origin != FlushOrigin
 	var sent, clients uint64
+	j := 0 // faces and r.faces are both sorted by id: one merge walk
 	for _, f := range faces {
 		if f == from {
 			continue
@@ -818,7 +823,10 @@ func (r *Router) distribute(now time.Time, from ndn.FaceID, pkt *wire.Packet, si
 		if !timed {
 			continue
 		}
-		if i, ok := r.faceIndex(f); ok && r.faces[i].kind == FaceClient {
+		for j < len(r.faces) && r.faces[j].id < f {
+			j++
+		}
+		if j < len(r.faces) && r.faces[j].id == f && r.faces[j].kind == FaceClient {
 			clients++
 		}
 	}

@@ -249,21 +249,22 @@ func RunBackbone(s *BackboneSetup) (*BackboneResult, error) {
 		name := clientName(pi)
 		names[pi] = name
 		acc := &accs[pi]
-		tb.AddNode(name, func(now time.Time, _ ndn.FaceID, pkt *wire.Packet, _ ndn.ActionSink) {
+		tb.AddHost(name, func(now time.Time, pkt *wire.Packet) {
 			if pkt.Type == wire.TypeMulticast && pkt.Origin != name && pkt.Origin != core.FlushOrigin {
 				acc.deliveries++
 				acc.latSumMs += float64(now.UnixNano()-pkt.SentAt) / 1e6
 				acc.hash = fnvMixString(acc.hash, pkt.Origin)
 				acc.hash = fnvMix(acc.hash, pkt.Seq, uint64(now.UnixNano()))
 			}
-		}, func(*wire.Packet) time.Duration { return s.Costs.HostProc }, 0)
+		}, func(*wire.Packet) time.Duration { return s.Costs.HostProc })
 		if _, err := rn.attachClient(rn.names[edge], name, core.FaceClient, s.HostDelay); err != nil {
 			return nil, err
 		}
 	}
-	// Steady state: in-flight deliveries plus one pending publish per
-	// player; fanout spikes are absorbed by headroom.
-	tb.Preallocate(64 + 16*len(players))
+	// Queue reserve: PaperBackboneSetup(2000, 5 s) peaks at 33 233–33 384
+	// pending events over seeds 1–3, nearly all router copies queued behind
+	// the overloaded RP; 18 per player leaves 8 % headroom.
+	tb.sched.Preallocate(18 * len(players))
 
 	// RP bootstrap at the centroid.
 	t0 := time.Unix(0, 0)

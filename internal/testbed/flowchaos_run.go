@@ -143,11 +143,11 @@ func RunFlowChaos(spec FlowChaosSpec) (FlowChaosResult, error) {
 		name := fmt.Sprintf("s%d", i)
 		state := &rx{seqs: map[uint64]int{}}
 		subs[name] = state
-		tb.AddNode(name, func(now time.Time, _ ndn.FaceID, pkt *wire.Packet, _ ndn.ActionSink) {
+		tb.AddHost(name, func(_ time.Time, pkt *wire.Packet) {
 			if pkt.Type == wire.TypeMulticast && pkt.Origin != core.FlushOrigin {
 				state.seqs[pkt.Seq]++
 			}
-		}, func(*wire.Packet) time.Duration { return s.Costs.HostProc }, 0)
+		}, func(*wire.Packet) time.Duration { return s.Costs.HostProc })
 		if _, err := rn.attachClient(router, name, core.FaceClient, s.LinkDelay); err != nil {
 			return res, err
 		}
@@ -157,8 +157,7 @@ func RunFlowChaos(spec FlowChaosSpec) (FlowChaosResult, error) {
 			}}})
 		})
 	}
-	tb.AddNode("p", func(time.Time, ndn.FaceID, *wire.Packet, ndn.ActionSink) {},
-		func(*wire.Packet) time.Duration { return s.Costs.HostProc }, 0)
+	tb.AddHost("p", nil, func(*wire.Packet) time.Duration { return s.Costs.HostProc })
 	if _, err := rn.attachClient("R5", "p", core.FaceClient, s.LinkDelay); err != nil {
 		return res, err
 	}

@@ -37,12 +37,12 @@ func RunGCOPSS(s *Setup) (*MicroResult, error) {
 	for pi := range s.Trace.Players {
 		name := clientName(pi)
 		acc := &accs[pi]
-		tb.AddNode(name, func(now time.Time, _ ndn.FaceID, pkt *wire.Packet, _ ndn.ActionSink) {
+		tb.AddHost(name, func(now time.Time, pkt *wire.Packet) {
 			if pkt.Type == wire.TypeMulticast && pkt.Origin != name && pkt.Origin != core.FlushOrigin {
 				acc.lat.Add(float64(now.UnixNano()-pkt.SentAt) / 1e6)
 				acc.deliveries++
 			}
-		}, func(*wire.Packet) time.Duration { return s.Costs.HostProc }, 0)
+		}, func(*wire.Packet) time.Duration { return s.Costs.HostProc })
 		if _, err := rn.attachClient(attach[pi], name, core.FaceClient, s.LinkDelay); err != nil {
 			return nil, err
 		}

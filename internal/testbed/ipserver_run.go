@@ -106,10 +106,10 @@ func RunIPServer(s *Setup) (*MicroResult, error) {
 	accs := make([]clientAcc, len(s.Trace.Players))
 	for pi := range s.Trace.Players {
 		acc := &accs[pi]
-		tb.AddNode(clientNames[pi], func(now time.Time, _ ndn.FaceID, pkt *wire.Packet, _ ndn.ActionSink) {
+		tb.AddHost(clientNames[pi], func(now time.Time, pkt *wire.Packet) {
 			acc.lat.Add(float64(now.UnixNano()-pkt.SentAt) / 1e6)
 			acc.deliveries++
-		}, func(*wire.Packet) time.Duration { return s.Costs.HostProc }, 0)
+		}, func(*wire.Packet) time.Duration { return s.Costs.HostProc })
 		if err := attachHost(clientNames[pi], attach[pi]); err != nil {
 			return nil, err
 		}

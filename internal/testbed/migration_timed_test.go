@@ -51,11 +51,11 @@ func TestMigrationUnderRealDelays(t *testing.T) {
 				name := fmt.Sprintf("s%d", i)
 				state := &rx{seqs: map[uint64]int{}}
 				subs[name] = state
-				tb.AddNode(name, func(now time.Time, _ ndn.FaceID, pkt *wire.Packet, _ ndn.ActionSink) {
+				tb.AddHost(name, func(_ time.Time, pkt *wire.Packet) {
 					if pkt.Type == wire.TypeMulticast && pkt.Origin != core.FlushOrigin {
 						state.seqs[pkt.Seq]++
 					}
-				}, func(*wire.Packet) time.Duration { return s.Costs.HostProc }, 0)
+				}, func(*wire.Packet) time.Duration { return s.Costs.HostProc })
 				if _, err := rn.attachClient(router, name, core.FaceClient, s.LinkDelay); err != nil {
 					t.Fatal(err)
 				}
@@ -65,8 +65,7 @@ func TestMigrationUnderRealDelays(t *testing.T) {
 					}}})
 				})
 			}
-			tb.AddNode("p", func(time.Time, ndn.FaceID, *wire.Packet, ndn.ActionSink) {},
-				func(*wire.Packet) time.Duration { return s.Costs.HostProc }, 0)
+			tb.AddHost("p", nil, func(*wire.Packet) time.Duration { return s.Costs.HostProc })
 			if _, err := rn.attachClient("R5", "p", core.FaceClient, s.LinkDelay); err != nil {
 				t.Fatal(err)
 			}

@@ -81,17 +81,13 @@ type ProcFunc func(pkt *wire.Packet) time.Duration
 // and, with the per-link transmit sequence seq, forms the canonical delivery
 // tie-break key linkID<<32|seq. Links sit by value in Testbed.links.
 type link struct {
-	to    string
 	toIdx int32 // the receiving node's slot in Testbed.list
+	host  int32 // 1 + the receiving host's slot in Testbed.hosts, 0 for a node
 	face  ndn.FaceID
 	delay time.Duration
 	id    uint32
 	seq   uint32
 }
-
-// dest packs the link's far end — receiving node index and face — into the
-// Payload.Int of a delivery event.
-func (l *link) dest() int64 { return int64(l.toIdx)<<32 | int64(l.face) }
 
 // maxFace bounds the face IDs Connect accepts: a node's wires sit in a slice
 // indexed by face, and deliveries carry the face in 32 bits.
@@ -106,6 +102,24 @@ func (tb *Testbed) link(n *nodeState, f ndn.FaceID) *link {
 	return &tb.links[n.links[f]-1]
 }
 
+// fifo is a single-threaded server's queue: packets wait until busyUntil
+// (Unix ns; virtual time never precedes 0), then are served in arrival order.
+type fifo struct {
+	busyUntil    int64
+	maxQueue     time.Duration // worst queueing delay observed
+	packetEvents uint64
+}
+
+// admit counts an arrival at Unix ns arrival and returns its service start.
+func (q *fifo) admit(arrival int64) int64 {
+	q.packetEvents++
+	if q.busyUntil <= arrival {
+		return arrival
+	}
+	q.maxQueue = max(q.maxQueue, time.Duration(q.busyUntil-arrival))
+	return q.busyUntil
+}
+
 // nodeState is one single-threaded network element, kept in Testbed.list.
 type nodeState struct {
 	name    string
@@ -118,14 +132,23 @@ type nodeState struct {
 	// directed link IDs); with selfSeq it forms the tie-break key for
 	// ScheduleNode events, so node-local timers order deterministically
 	// against deliveries.
-	selfID    uint32
-	selfSeq   uint32
-	busyUntil time.Time
+	selfID  uint32
+	selfSeq uint32
+	host    int32 // 1 + the node's slot in Testbed.hosts, 0 for a node with a Handler
+	fifo
+	bytes float64 // integer-valued, so summation order cannot matter
+}
 
-	// stats
-	maxQueue     time.Duration // worst queueing delay observed
-	packetEvents uint64
-	bytes        float64 // integer-valued, so summation order cannot matter
+// host is the receive side of an AddHost node, kept apart from nodeState so
+// that transmit serves a copy without loading the host's node state.
+type host struct {
+	fifo
+	last      int64 // arrival (Unix ns) of the latest copy served
+	lastEarly bool  // that copy was served when sent
+	inflight  int32 // queued deliveries and Injects not yet served
+	node      int32 // the host's slot in Testbed.list
+	observe   func(at time.Time, pkt *wire.Packet)
+	proc      ProcFunc
 }
 
 // Testbed wires nodes and runs the discrete-event loop.
@@ -138,11 +161,14 @@ type Testbed struct {
 	// grow only during set-up, so the packet path reads node and link state
 	// without a pointer chase per object.
 	list   []nodeState
+	hosts  []host
 	links  []link
 	nodes  map[string]int32
 	faults *faultnet.Injector
 
 	nextLinkID uint32
+	deadline   int64 // of the Run in progress (Unix ns), 0 outside Run
+	err        error // the first host ordering fault, which ends Run
 
 	// deliver is the pre-bound receive callback for node events: binding the
 	// method value once here means transmit schedules deliveries without
@@ -199,27 +225,60 @@ func (tb *Testbed) Every(start time.Time, interval time.Duration, fn func(now ti
 }
 
 // transmit puts one packet of size bytes on the wire from node n's
-// face-link l at time at, applying link faults. It is the single choke point
-// shared by the service path (receive) and the timer path (Emit).
-func (tb *Testbed) transmit(n *nodeState, l *link, at time.Time, pkt *wire.Packet, size int) {
+// face-link l at Unix ns at, applying link faults. It is the single choke
+// point shared by the service path (receive) and the timer path (Emit). A
+// copy toward a host is served when sent under DESIGN §12's three conditions.
+func (tb *Testbed) transmit(n *nodeState, l *link, at int64, pkt *wire.Packet, size int) {
 	copies := 1
 	if tb.faults != nil {
-		v := tb.faults.Decide(at, n.name+">"+l.to, pkt)
+		v := tb.faults.Decide(time.Unix(0, at), n.name+">"+tb.list[l.toIdx].name, pkt)
 		if v.Drop {
 			return
 		}
 		if v.Dup {
 			copies = 2
 		}
-		at = at.Add(v.Delay)
+		at += int64(v.Delay)
 	}
 	n.bytes += float64(size)
-	pl := event.Payload{Int: l.dest(), Ptr: pkt}
+	arrival := at + int64(l.delay)
+	if l.host != 0 {
+		h := &tb.hosts[l.host-1]
+		if now := tb.sched.Now().UnixNano(); tb.faults == nil && h.inflight == 0 && max(arrival, now) <= tb.deadline {
+			l.seq++
+			tb.arrive(h, max(arrival, now), true, pkt)
+			return
+		}
+		h.inflight += int32(copies)
+	}
+	pl := event.Payload{Int: int64(l.toIdx)<<32 | int64(l.face), Ptr: pkt}
 	for i := 0; i < copies; i++ {
 		key := uint64(l.id)<<32 | uint64(l.seq)
 		l.seq++
-		tb.sched.PostNode(at.Add(l.delay), key, tb.deliver, pl)
+		tb.sched.PostNode(time.Unix(0, arrival), key, tb.deliver, pl)
 	}
+}
+
+// arrive serves a copy reaching host h at Unix ns arrival, when sent (early)
+// or from its queued event; one arriving before a served copy stops Run.
+func (tb *Testbed) arrive(h *host, arrival int64, early bool, pkt *wire.Packet) {
+	if arrival < h.last {
+		tb.outOfOrder(h, arrival)
+		return
+	}
+	h.last, h.lastEarly = arrival, early
+	start := h.admit(arrival)
+	if h.observe != nil {
+		h.observe(time.Unix(0, start), pkt)
+	}
+	h.busyUntil = start + int64(h.proc(pkt))
+}
+
+// outOfOrder stops Run: host h was sent a copy arriving at Unix ns arrival
+// after it had served one arriving at h.last.
+func (tb *Testbed) outOfOrder(h *host, arrival int64) {
+	tb.err = fmt.Errorf("testbed: host %s: copy arriving at %v sent after one arriving at %v was served: out of order",
+		tb.list[h.node].name, time.Duration(arrival), time.Duration(h.last))
 }
 
 // AddNode registers a node with its handler and processing-cost function.
@@ -235,6 +294,16 @@ func (tb *Testbed) AddNode(name string, handle Handler, proc ProcFunc, perCopy t
 	})
 }
 
+// AddHost registers an end host: a node on one wire whose service path emits
+// nothing (Emit and ScheduleNode still send for it). observe, which may be
+// nil, sees each copy at its service start, perhaps when the copy is sent, so
+// it may touch only state nothing else reads during Run, and no testbed.
+func (tb *Testbed) AddHost(name string, observe func(at time.Time, pkt *wire.Packet), proc ProcFunc) {
+	tb.AddNode(name, nil, proc, 0)
+	tb.hosts = append(tb.hosts, host{node: int32(len(tb.list) - 1), observe: observe, proc: proc})
+	tb.list[len(tb.list)-1].host = int32(len(tb.hosts))
+}
+
 // Connect wires face fa of node a to face fb of node b with the given
 // propagation delay (both directions), which must be positive. Directed link
 // IDs are assigned in call order, so topology construction order fixes the
@@ -243,37 +312,37 @@ func (tb *Testbed) Connect(a string, fa ndn.FaceID, b string, fb ndn.FaceID, del
 	if delay <= 0 {
 		return fmt.Errorf("testbed: link %s–%s needs a positive delay, got %v", a, b, delay)
 	}
-	ia, ok := tb.nodes[a]
-	if !ok {
-		return fmt.Errorf("testbed: unknown node %q", a)
-	}
-	ib, ok := tb.nodes[b]
-	if !ok {
-		return fmt.Errorf("testbed: unknown node %q", b)
-	}
-	if err := tb.faceFree(ia, fa); err != nil {
+	ia, err := tb.faceFree(a, fa)
+	if err != nil {
 		return err
 	}
-	if err := tb.faceFree(ib, fb); err != nil {
+	ib, err := tb.faceFree(b, fb)
+	if err != nil {
 		return err
 	}
 	tb.nextLinkID++
-	tb.attach(ia, fa, link{to: b, toIdx: ib, face: fb, delay: delay, id: tb.nextLinkID})
+	tb.attach(ia, fa, link{toIdx: ib, host: tb.list[ib].host, face: fb, delay: delay, id: tb.nextLinkID})
 	tb.nextLinkID++
-	tb.attach(ib, fb, link{to: a, toIdx: ia, face: fa, delay: delay, id: tb.nextLinkID})
+	tb.attach(ib, fb, link{toIdx: ia, host: tb.list[ia].host, face: fa, delay: delay, id: tb.nextLinkID})
 	return nil
 }
 
-// faceFree reports why face f of node i cannot take a new wire, if it can't.
-func (tb *Testbed) faceFree(i int32, f ndn.FaceID) error {
-	n := &tb.list[i]
-	if f < 0 || f > maxFace {
-		return fmt.Errorf("testbed: %s face %d outside [0, %d]", n.name, f, maxFace)
+// faceFree returns the index of the named node, or why its face f cannot
+// take a new wire.
+func (tb *Testbed) faceFree(name string, f ndn.FaceID) (int32, error) {
+	i, ok := tb.nodes[name]
+	if !ok {
+		return 0, fmt.Errorf("testbed: unknown node %q", name)
 	}
-	if tb.link(n, f) != nil {
-		return fmt.Errorf("testbed: %s face %d already wired", n.name, f)
+	switch n := &tb.list[i]; {
+	case f < 0 || f > maxFace:
+		return 0, fmt.Errorf("testbed: %s face %d outside [0, %d]", name, f, maxFace)
+	case tb.link(n, f) != nil:
+		return 0, fmt.Errorf("testbed: %s face %d already wired", name, f)
+	case n.host != 0 && len(n.links) > 0:
+		return 0, fmt.Errorf("testbed: host %s already has its one wire", name)
 	}
-	return nil
+	return i, nil
 }
 
 // attach wires l to face f of node i, growing its face slice as needed.
@@ -287,13 +356,22 @@ func (tb *Testbed) attach(i int32, f ndn.FaceID, l link) {
 }
 
 // Inject delivers a packet to a node's face at the given absolute time, as
-// if it arrived from the wire.
+// if it arrived from the wire. During Run, an Inject toward a host at or
+// before the arrival of a copy the host served when sent fails Run: at one
+// instant the Inject may come first in queue order.
 func (tb *Testbed) Inject(at time.Time, node string, face ndn.FaceID, pkt *wire.Packet) {
-	tb.sched.At(at, func(now time.Time) {
-		if i, ok := tb.nodes[node]; ok {
-			tb.receive(now, i, face, pkt)
+	i, ok := tb.nodes[node]
+	if !ok {
+		return
+	}
+	if j := tb.list[i].host - 1; j >= 0 {
+		h := &tb.hosts[j]
+		if h.lastEarly && at.UnixNano() <= h.last && tb.deadline != 0 {
+			tb.outOfOrder(h, at.UnixNano())
 		}
-	})
+		h.inflight++
+	}
+	tb.sched.At(at, func(now time.Time) { tb.receive(now, i, face, pkt) })
 }
 
 // Schedule runs fn as a global event at the given absolute virtual time (for
@@ -317,32 +395,26 @@ func (tb *Testbed) ScheduleNode(at time.Time, node string, call event.CallHandle
 	return nil
 }
 
-// Preallocate grows the scheduler's queue to hold the expected steady-state
-// event count without reallocation on the hot path. Call before Run.
-func (tb *Testbed) Preallocate(n int) { tb.sched.Preallocate(n) }
-
 // receive models FIFO service at node i: the packet waits for the node to
 // become idle, is handled, and its outputs leave when service completes. A
 // packet's size is computed once per run of actions (a fan-out) sharing it.
 func (tb *Testbed) receive(now time.Time, i int32, face ndn.FaceID, pkt *wire.Packet) {
 	n := &tb.list[i]
-	n.packetEvents++
-	start := now
-	if n.busyUntil.After(start) {
-		if q := n.busyUntil.Sub(now); q > n.maxQueue {
-			n.maxQueue = q
-		}
-		start = n.busyUntil
+	if n.host != 0 { // a queued copy toward a host
+		tb.hosts[n.host-1].inflight--
+		tb.arrive(&tb.hosts[n.host-1], now.UnixNano(), false, pkt)
+		return
 	}
+	start := n.admit(now.UnixNano())
 	sink := &tb.scratch
 	sink.Reset()
-	n.handle(start, face, pkt, sink)
+	n.handle(time.Unix(0, start), face, pkt, sink)
 	actions := sink.Actions
 	service := n.proc(pkt)
 	if len(actions) > 1 {
 		service += time.Duration(len(actions)-1) * n.perCopy
 	}
-	finish := start.Add(service)
+	finish := start + int64(service)
 	n.busyUntil = finish
 	var sized *wire.Packet
 	size := 0
@@ -362,23 +434,20 @@ func (tb *Testbed) receive(now time.Time, i int32, face ndn.FaceID, pkt *wire.Pa
 // Emit sends packets from a node outside the service path (used by client
 // timers: publishing an update costs HostProc at the host).
 func (tb *Testbed) Emit(now time.Time, node string, actions []ndn.Action) {
-	n, ok := tb.node(node)
-	if !ok {
-		return
-	}
-	for _, a := range actions {
-		if l := tb.link(n, a.Face); l != nil {
-			tb.transmit(n, l, now, a.Packet, wire.Size(a.Packet))
+	if n, ok := tb.node(node); ok {
+		s := emitSink{tb: tb, n: n, now: now.UnixNano()}
+		for _, a := range actions {
+			s.Emit(a)
 		}
 	}
 }
 
 // emitSink transmits actions straight onto the sending node's links as they
-// are emitted — the sink-shaped counterpart of Emit's slice walk.
+// are emitted, for Emit's slice walk and EmitTo's callers alike.
 type emitSink struct {
 	tb  *Testbed
 	n   *nodeState
-	now time.Time
+	now int64 // Unix ns
 }
 
 // Emit implements ndn.ActionSink.
@@ -392,36 +461,40 @@ func (s *emitSink) Emit(a ndn.Action) {
 // push-based counterpart of Emit for timer-driven sources — Router.TickTo
 // retransmissions above all.
 func (tb *Testbed) EmitTo(now time.Time, node string, fn func(ndn.ActionSink)) {
-	n, ok := tb.node(node)
-	if !ok {
-		return
+	if n, ok := tb.node(node); ok {
+		fn(&emitSink{tb: tb, n: n, now: now.UnixNano()})
 	}
-	s := emitSink{tb: tb, n: n, now: now}
-	fn(&s)
 }
 
 // Run executes the events due up to the deadline and leaves the clock
 // there; maxEvents bounds runaway loops (0 = default of 100M): Run fails
-// when an event is still due after maxEvents have run, having run it.
+// when an event is still due after maxEvents have run, having run it, and
+// from the moment a host is sent a copy out of order (see arrive) on.
 func (tb *Testbed) Run(deadline time.Time, maxEvents uint64) error {
 	if maxEvents == 0 {
 		maxEvents = 100_000_000
 	}
-	for n := uint64(0); tb.sched.StepUntil(deadline); n++ {
+	tb.deadline = deadline.UnixNano()
+	defer func() { tb.deadline = 0 }() // arrivals are > 0: none is served early
+	for n := uint64(0); tb.err == nil && tb.sched.StepUntil(deadline); n++ {
 		if n == maxEvents {
 			return fmt.Errorf("testbed: event budget exhausted (%d)", maxEvents)
 		}
 	}
-	tb.sched.RunUntil(deadline) // nothing is due any more: moves the clock
-	return nil
+	if tb.err == nil {
+		tb.sched.RunUntil(deadline) // nothing is due any more: moves the clock
+	}
+	return tb.err
 }
 
 // Stats returns aggregate counters.
 func (tb *Testbed) Stats() (packetEvents uint64, bytes float64) {
 	for i := range tb.list {
-		n := &tb.list[i]
-		packetEvents += n.packetEvents
-		bytes += n.bytes
+		packetEvents += tb.list[i].packetEvents
+		bytes += tb.list[i].bytes
+	}
+	for i := range tb.hosts {
+		packetEvents += tb.hosts[i].packetEvents
 	}
 	return packetEvents, bytes
 }

@@ -107,8 +107,7 @@ func runDeliveryMode(mode core.PublishMode, payload, subscribers int, wantFracti
 		})
 	}
 
-	tb.AddNode("pub", func(time.Time, ndn.FaceID, *wire.Packet, ndn.ActionSink) {},
-		func(*wire.Packet) time.Duration { return s.Costs.HostProc }, 0)
+	tb.AddHost("pub", nil, func(*wire.Packet) time.Duration { return s.Costs.HostProc })
 	if _, err := rn.attachClient("R4", "pub", core.FaceClient, s.LinkDelay); err != nil {
 		return nil, err
 	}
