@@ -86,6 +86,18 @@ type objState struct {
 	id      string
 	version int
 	size    float64
+	enc     []byte // encodeObject of this version, built on first use
+}
+
+// encoded returns the object's snapshot payload for its current version.
+// Every reply and cyclic packet of one version shares the array; an update
+// drops it, so a packet still in flight keeps its bytes (DESIGN.md §11
+// rule 1).
+func (o *objState) encoded() []byte {
+	if o.enc == nil {
+		o.enc = encodeObject(o.id, o.version, int(o.size))
+	}
+	return o.enc
 }
 
 // session is one active cyclic-multicast session.
@@ -302,6 +314,7 @@ func (b *Broker) applyUpdate(leaf cd.CD, objID string, size float64) {
 	}
 	o.size = b.decay*o.size + size
 	o.version++
+	o.enc = nil
 	b.updatesApplied.Inc()
 	// A running session picks up new objects on its next rotation.
 	if s, active := b.sessions[leaf.Key()]; active {
@@ -414,7 +427,7 @@ func (b *Broker) Tick() []*wire.Packet {
 				Type:    wire.TypeMulticast,
 				CDs:     []cd.CD{DataCD(s.leaf)},
 				Origin:  b.name,
-				Payload: encodeObject(id, o.version, int(o.size)),
+				Payload: o.encoded(),
 			})
 		}
 	}
@@ -422,12 +435,14 @@ func (b *Broker) Tick() []*wire.Packet {
 }
 
 // encodeObject frames one snapshot object: "obj:<id>:<version>:" followed by
-// size zero bytes of padding, in one allocation (TestCodecAllocs).
+// size zero bytes of padding, in one allocation (TestCodecAllocs), clipped
+// to its length so no holder's append reaches a shared array's spare room.
 func encodeObject(id string, version, size int) []byte {
 	b := make([]byte, 0, len("obj:")+len(id)+len(":-9223372036854775808:")+size)
 	b = append(append(append(b, "obj:"...), id...), ':')
 	b = append(strconv.AppendInt(b, int64(version), 10), ':')
-	return b[:len(b)+size]
+	n := len(b) + size
+	return b[:n:n]
 }
 
 // ParseObject recovers the id and version of a cyclic object packet, or
@@ -503,7 +518,7 @@ func (b *Broker) handleInterest(pkt *wire.Packet) []*wire.Packet {
 		return reply(pkt, bytes.TrimSuffix(out, []byte("\n")))
 	}
 	if o, ok := b.objects[leaf.Key()][item]; ok {
-		return reply(pkt, encodeObject(item, o.version, int(o.size)))
+		return reply(pkt, o.encoded())
 	}
 	// Unchanged object: version 0 ships with the map; answer with an empty
 	// snapshot so the consumer is not left waiting.

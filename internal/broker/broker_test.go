@@ -134,6 +134,35 @@ func TestBrokerQRInterests(t *testing.T) {
 	}
 }
 
+// TestObjectEncodedOncePerVersion pins the broker's encoding cache: replies
+// for an unchanged object share one payload array and cost only reply's
+// record, and an update leaves a payload already handed out intact while the
+// next reply carries the new version.
+func TestObjectEncodedOncePerVersion(t *testing.T) {
+	b := newTestBroker()
+	leaf := cd.MustParse("/1/1")
+	b.HandlePacket(update("/1/1", "objA", 100))
+	q := &wire.Packet{Type: wire.TypeInterest, Name: ObjectName(leaf, "objA")}
+	first := b.HandlePacket(q)[0].Payload
+	second := b.HandlePacket(q)[0].Payload
+	if &first[0] != &second[0] || cap(first) != len(first) {
+		t.Fatalf("two replies for version 1 do not share one clipped array (cap %d, len %d)", cap(first), len(first))
+	}
+	if got := testing.AllocsPerRun(100, func() { b.HandlePacket(q) }); got != 1 {
+		t.Errorf("object reply = %v allocs, want 1 (reply's record)", got)
+	}
+	held := append([]byte(nil), first...)
+
+	b.applyUpdate(leaf, "objA", 100)
+	if string(first) != string(held) {
+		t.Errorf("update rewrote a payload already sent: %q, was %q", first, held)
+	}
+	next := b.HandlePacket(q)[0].Payload
+	if _, v, _, ok := ParseObject(next); !ok || v != 2 || len(next) < 195 {
+		t.Errorf("reply after update = version %d (%v), %d bytes; want version 2, ≥ 195 bytes", v, ok, len(next))
+	}
+}
+
 func TestQRFetchPipelines(t *testing.T) {
 	b := newTestBroker()
 	leaf := cd.MustParse("/1/1")

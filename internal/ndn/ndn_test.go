@@ -224,8 +224,9 @@ func TestPITConsumedFacesSurviveInsert(t *testing.T) {
 
 // TestEngineSteadyStateAllocs pins the per-object cost of the NDN path over
 // a full 1 024-entry store in which every Data evicts: PIT Insert + Consume
-// allocate nothing, Put allocates only its payload copy, and a whole
-// Interest→Data round through the engine allocates only that copy.
+// allocate nothing, Put copies into its victim's array and allocates nothing
+// while no Get returned that array, a fresh copy when one did, and a whole
+// miss-then-Data round through the engine allocates nothing.
 func TestEngineSteadyStateAllocs(t *testing.T) {
 	const capacity = 1024
 	names := make([]string, 2*capacity)
@@ -261,8 +262,25 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 	if got := testing.AllocsPerRun(1000, func() {
 		cs.Put(names[next%len(names)], payload, now)
 		next++
-	}); got != 1 {
-		t.Errorf("ContentStore.Put on a full store = %v allocs, want 1 (the payload copy)", got)
+	}); got != 0 {
+		t.Errorf("ContentStore.Put on a full store = %v allocs, want 0 (the victim's array)", got)
+	}
+
+	lent := NewContentStore(capacity, 0)
+	next = 0
+	lendRound := func() {
+		n := names[next%len(names)]
+		next++
+		lent.Put(n, payload, now)
+		if _, ok := lent.Get(n, now); !ok {
+			t.Fatalf("Get(%q) missed right after Put", n)
+		}
+	}
+	for range capacity {
+		lendRound()
+	}
+	if got := testing.AllocsPerRun(1000, lendRound); got != 1 {
+		t.Errorf("Put + Get on a full store of lent entries = %v allocs, want 1 (a fresh copy)", got)
 	}
 
 	e := NewEngine(WithContentStore(capacity, 0), WithInterestLifetime(time.Second))
@@ -282,8 +300,8 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 	for range capacity {
 		engineRound()
 	}
-	if got := testing.AllocsPerRun(1000, engineRound); got != 1 {
-		t.Errorf("HandleInterestTo + HandleDataTo = %v allocs, want 1 (the store's copy)", got)
+	if got := testing.AllocsPerRun(1000, engineRound); got != 0 {
+		t.Errorf("HandleInterestTo + HandleDataTo = %v allocs, want 0 (the copy reuses the victim's array)", got)
 	}
 	if e.Store().Len() != capacity {
 		t.Errorf("store holds %d entries, want %d", e.Store().Len(), capacity)

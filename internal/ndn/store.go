@@ -10,6 +10,7 @@ import "time"
 // Entries are value slots in a slab, linked into the LRU list by index (slot
 // 0 is the sentinel: next = most recently used, prev = least); expired slots
 // are chained through next on a free list, and eviction reuses its victim's.
+// A slot keeps its payload array across entries until a Get lends it out.
 type ContentStore struct {
 	capacity int
 	maxAge   time.Duration // 0 means no age limit
@@ -26,6 +27,7 @@ type csSlot struct {
 	payload    []byte
 	inserted   time.Time
 	prev, next int32
+	lent       bool // a Get has returned payload, so its array is never written again
 }
 
 // NewContentStore creates a store holding at most capacity Data packets.
@@ -43,23 +45,20 @@ func NewContentStore(capacity int, maxAge time.Duration) *ContentStore {
 // Put caches a copy of payload under name, evicting the least recently used
 // entry if the store is full. The store is the one place that retains payload
 // bytes, so it always copies: a cached object never pins the frame it arrived
-// in, and replacing an entry never writes the array an earlier Get handed out
-// (an emitted Data packet may still carry it; DESIGN.md §11 rule 1). The copy
-// is Put's one allocation on a full store (TestEngineSteadyStateAllocs).
+// in. The copy goes into the array the replaced or evicted slot already owns
+// when no Get has returned that array and it is big enough; an array a Get
+// handed out is never written again (an emitted Data packet may still carry
+// it; DESIGN.md §11 rule 1). So a full store's Put allocates only when its
+// victim was lent or too small (TestEngineSteadyStateAllocs).
 func (c *ContentStore) Put(name string, payload []byte, now time.Time) {
 	if c.capacity <= 0 {
 		return
 	}
 	n := canonicalPrefix(name)
-	cp := append([]byte(nil), payload...)
-	if i, ok := c.index[n]; ok {
-		c.slots[i].payload, c.slots[i].inserted = cp, now
-		c.unlink(i)
-		c.pushFront(i)
-		return
-	}
-	var i int32
+	i, ok := c.index[n]
 	switch {
+	case ok:
+		c.unlink(i)
 	case len(c.index) >= c.capacity:
 		i = c.slots[0].prev
 		c.unlink(i)
@@ -71,12 +70,21 @@ func (c *ContentStore) Put(name string, payload []byte, now time.Time) {
 		i = int32(len(c.slots))
 		c.slots = append(c.slots, csSlot{})
 	}
-	c.slots[i] = csSlot{name: n, payload: cp, inserted: now}
+	s := &c.slots[i]
+	var cp []byte
+	if !s.lent && cap(s.payload) >= len(payload) {
+		cp = s.payload[:len(payload)]
+		copy(cp, payload)
+	} else {
+		cp = append([]byte(nil), payload...)
+	}
+	*s = csSlot{name: n, payload: cp, inserted: now}
 	c.pushFront(i)
 	c.index[n] = i
 }
 
-// Get returns the cached payload for name if present and fresh.
+// Get returns the cached payload for name if present and fresh, clipped to
+// its length so a caller's append cannot reach the store's spare capacity.
 func (c *ContentStore) Get(name string, now time.Time) ([]byte, bool) {
 	n := canonicalPrefix(name)
 	i, ok := c.index[n]
@@ -87,14 +95,17 @@ func (c *ContentStore) Get(name string, now time.Time) ([]byte, bool) {
 	c.unlink(i)
 	if c.maxAge > 0 && now.Sub(c.slots[i].inserted) > c.maxAge {
 		delete(c.index, n)
-		c.slots[i] = csSlot{next: c.free}
+		s := &c.slots[i]
+		*s = csSlot{payload: s.payload, lent: s.lent, next: c.free}
 		c.free = i
 		c.misses++
 		return nil, false
 	}
 	c.pushFront(i)
 	c.hits++
-	return c.slots[i].payload, true
+	s := &c.slots[i]
+	s.lent = true
+	return s.payload[:len(s.payload):len(s.payload)], true
 }
 
 func (c *ContentStore) unlink(i int32) {
