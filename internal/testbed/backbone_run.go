@@ -117,8 +117,8 @@ type BackboneObservables struct {
 	Published  int
 	Deliveries int
 	// DeliveryHash folds every player's delivery sequence — (origin, seq,
-	// arrival time) in arrival order — into one FNV-1a word, player by
-	// player.
+	// arrival time) in arrival order — into one word, player by player,
+	// one multiply-xorshift round per 64-bit word (mixWord).
 	DeliveryHash uint64
 	// LatencyMeanBits is math.Float64bits of the mean delivery latency in
 	// milliseconds (0 when nothing was delivered). Bit-exact comparison;
@@ -150,33 +150,34 @@ type BackboneResult struct {
 	Sched *event.SchedProfile
 }
 
-const (
-	fnvOffset = 14695981039346656037
-	fnvPrime  = 1099511628211
-)
-
-func fnvMix(h uint64, vs ...uint64) uint64 {
-	if h == 0 {
-		h = fnvOffset
-	}
-	for _, v := range vs {
-		for i := 0; i < 8; i++ {
-			h ^= (v >> (8 * i)) & 0xff
-			h *= fnvPrime
-		}
-	}
-	return h
+// mixWord folds one 64-bit word into a delivery fingerprint with one
+// multiply and one xor-shift.
+func mixWord(h, v uint64) uint64 {
+	h = (h ^ v) * 0x9e3779b97f4a7c15
+	return h ^ h>>32
 }
 
-func fnvMixString(h uint64, s string) uint64 {
-	if h == 0 {
-		h = fnvOffset
+// mixString folds s into h: its length, then its bytes eight at a time, the
+// last word zero-padded.
+func mixString(h uint64, s string) uint64 {
+	h = mixWord(h, uint64(len(s)))
+	for ; len(s) >= 8; s = s[8:] {
+		h = mixWord(h, uint64(s[0])|uint64(s[1])<<8|uint64(s[2])<<16|uint64(s[3])<<24|
+			uint64(s[4])<<32|uint64(s[5])<<40|uint64(s[6])<<48|uint64(s[7])<<56)
 	}
+	var tail uint64
 	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= fnvPrime
+		tail |= uint64(s[i]) << (8 * i)
 	}
-	return h
+	return mixWord(h, tail)
+}
+
+// avalanche is the 64-bit finalizer of MurmurHash3: every input bit reaches
+// every output bit.
+func avalanche(h uint64) uint64 {
+	h = (h ^ h>>33) * 0xff51afd7ed558ccd
+	h = (h ^ h>>33) * 0xc4ceb9fe1a85ec53
+	return h ^ h>>33
 }
 
 // backboneAcc is one player's run state, touched only by the player's node
@@ -253,8 +254,7 @@ func RunBackbone(s *BackboneSetup) (*BackboneResult, error) {
 			if pkt.Type == wire.TypeMulticast && pkt.Origin != name && pkt.Origin != core.FlushOrigin {
 				acc.deliveries++
 				acc.latSumMs += float64(now.UnixNano()-pkt.SentAt) / 1e6
-				acc.hash = fnvMixString(acc.hash, pkt.Origin)
-				acc.hash = fnvMix(acc.hash, pkt.Seq, uint64(now.UnixNano()))
+				acc.hash = mixWord(mixWord(mixString(acc.hash, pkt.Origin), pkt.Seq), uint64(now.UnixNano()))
 			}
 		}, func(*wire.Packet) time.Duration { return s.Costs.HostProc })
 		if _, err := rn.attachClient(rn.names[edge], name, core.FaceClient, s.HostDelay); err != nil {
@@ -389,9 +389,10 @@ func RunBackbone(s *BackboneSetup) (*BackboneResult, error) {
 		a := &accs[i]
 		res.Obs.Published += a.published
 		res.Obs.Deliveries += a.deliveries
-		res.Obs.DeliveryHash = fnvMix(res.Obs.DeliveryHash, a.hash)
+		res.Obs.DeliveryHash = mixWord(res.Obs.DeliveryHash, a.hash)
 		latSum += a.latSumMs
 	}
+	res.Obs.DeliveryHash = avalanche(res.Obs.DeliveryHash)
 	if res.Obs.Deliveries > 0 {
 		res.Obs.LatencyMeanBits = math.Float64bits(latSum / float64(res.Obs.Deliveries))
 	}
